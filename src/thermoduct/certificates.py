@@ -261,7 +261,7 @@ def _sample_ratios(space, model, kappa_ff, draw, s, r):
             space, dens.reshape(space.n_cells, space.nq), r
         ) / (model.rho_sharp * nu_u * n_th)
     # embedding constants from a heat solve with a known right-hand side
-    rhs = forms.field_load_scalar(space, f).vector
+    rhs = forms.field_load_scalar(space, f)
     sol = np.zeros(space.n_scalar)
     sol[space.free_theta] = solve_spd(kappa_ff, rhs[space.free_theta], tol=1e-12)
     fvals = np.abs(f.value(pts)).reshape(space.n_cells, space.nq)
@@ -285,7 +285,7 @@ def estimate_constants(space, model, samples=200, seed=0, s=2.0, r=2.0):
     if samples < 100:
         raise ValueError("need at least 100 samples for a stable estimate")
     rng = np.random.default_rng(seed)
-    kappa = forms.assemble_kappa(space, model).matrix
+    kappa = forms.assemble_kappa(space, model)
     kappa_ff = kappa[space.free_theta][:, space.free_theta].tocsr()
 
     draws = []

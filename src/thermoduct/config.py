@@ -8,6 +8,7 @@ canonical form (fixed section and key order, lossless float formatting),
 so parse -> emit -> parse is a fixpoint.
 """
 
+import math
 from dataclasses import dataclass
 
 from .fields import body_force_registry, theta_field_registry
@@ -148,9 +149,12 @@ def _parse_value(raw, key_spec):
             raise ValueError(f"expected an integer, got '{raw}'") from None
     if key_spec.typ is float:
         try:
-            return float(raw)
+            val = float(raw)
         except ValueError:
             raise ValueError(f"expected a number, got '{raw}'") from None
+        if not math.isfinite(val):
+            raise ValueError(f"expected a finite number, got '{raw}'")
+        return val
     return raw
 
 

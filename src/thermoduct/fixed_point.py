@@ -118,12 +118,12 @@ class CoupledProblem:
         self.theta_D_field = theta_D
         self.linear_tol = linear_tol
 
-        self.A = forms.assemble_a(space, model).matrix
+        self.A = forms.assemble_a(space, model)
         self.D = forms.divergence_matrix(space)
-        self.kappa = forms.assemble_kappa(space, model).matrix
+        self.kappa = forms.assemble_kappa(space, model)
 
         self.theta_D = forms.interpolate_scalar(space, theta_D)
-        self.lifting_load = forms.LoadVector(self.kappa @ self.theta_D, "lifting")
+        self.lifting_load = self.kappa @ self.theta_D
 
         self.fixed_u = space.dirichlet_mask_u
         self.free_theta = space.free_theta
@@ -132,12 +132,12 @@ class CoupledProblem:
         self.f_extra = f_extra
         self.h_extra = h_extra
         self.f_extra_load = (
-            forms.field_load_vector(space, f_extra).vector
+            forms.field_load_vector(space, f_extra)
             if f_extra is not None
             else np.zeros(space.n_velocity)
         )
         self.h_extra_load = (
-            forms.field_load_scalar(space, h_extra).vector
+            forms.field_load_scalar(space, h_extra)
             if h_extra is not None
             else np.zeros(space.n_scalar)
         )
@@ -148,12 +148,12 @@ class CoupledProblem:
         if self._saddle is None:
             from .linsolve import constrain_system
 
-            K = forms.assemble_saddle(self.space, self.model).matrix
+            K = forms.assemble_saddle(self.space, self.model)
             self._saddle = SaddleFactorization(constrain_system(K, self.fixed_u))
         return self._saddle
 
     def buoyancy_load(self, theta_full):
-        return forms.assemble_buoyancy(self.space, self.model, theta_full, self.g).vector
+        return forms.assemble_buoyancy(self.space, self.model, theta_full, self.g)
 
     def momentum_rhs(self, load_velocity):
         rhs = np.concatenate([load_velocity, np.zeros(self.space.n_pressure)])
@@ -176,7 +176,7 @@ def inner_momentum_solve(problem, theta_full, u_init=None, tol=1e-12, max_iter=5
     n_vel = space.n_velocity
     P = np.zeros(space.n_pressure)
     for _ in range(max_iter):
-        conv = forms.convection_load(space, model, u, u).vector
+        conv = forms.convection_load(space, model, u, u)
         x = problem.saddle_factor.solve(problem.momentum_rhs(load - conv))
         w = x[:n_vel]
         P = -x[n_vel:]
@@ -211,9 +211,9 @@ def heat_solve(problem, u, vartheta_frozen):
     space, model = problem.space, problem.model
     theta_full = problem.theta_D + vartheta_frozen
     rhs = (
-        forms.assemble_e_load(space, model, u, u).vector
-        - forms.assemble_d_load(space, model, theta_full, u, theta_full).vector
-        - problem.lifting_load.vector
+        forms.assemble_e_load(space, model, u, u)
+        - forms.assemble_d_load(space, model, theta_full, u, theta_full)
+        - problem.lifting_load
         + problem.h_extra_load
     )
     sol = np.zeros(space.n_scalar)
@@ -315,7 +315,7 @@ def weak_residual(problem, state):
     mom = (
         problem.A @ u
         - problem.D.T @ P
-        + forms.convection_load(space, model, u, u).vector
+        + forms.convection_load(space, model, u, u)
         - problem.buoyancy_load(theta)
         - problem.f_extra_load
     )
@@ -325,8 +325,8 @@ def weak_residual(problem, state):
 
     heat = (
         problem.kappa @ theta
-        + forms.assemble_d_load(space, model, theta, u, theta).vector
-        - forms.assemble_e_load(space, model, u, u).vector
+        + forms.assemble_d_load(space, model, theta, u, theta)
+        - forms.assemble_e_load(space, model, u, u)
         - problem.h_extra_load
     )
     r_heat = float(np.linalg.norm(heat[problem.free_theta]))

@@ -11,13 +11,17 @@ Loads: convective, dissipative and buoyancy terms are assembled as
 explicit load vectors with every argument frozen, mirroring the
 linearized solve structure of the fixed-point scheme.
 
-All cells are congruent, so cell-independent local matrices are computed
-once; field-dependent kernels are evaluated in cell chunks with einsum
-and scattered with np.add.at in a fixed order, which keeps repeated
-assemblies bit-identical.
+All cells are congruent, so one set of reference tables serves every
+cell.  Every field is evaluated at the quadrature points by one kernel,
+``_contract``: gather the cell-local dofs, then multiply them cell by cell
+with a reference table.  Every load is scattered by one kernel,
+``_scatter_load``: multiply the weighted quadrature values cell by cell
+with the transposed value table, then sum into the global vector with
+``np.bincount``.  Each product has a fixed per-cell size, so no BLAS call
+grows with the mesh and the results do not depend on the BLAS thread
+count; ``bincount`` adds the contributions in a fixed order, so repeated
+assemblies are bit-identical.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,8 +30,6 @@ from .material import density
 from .spectrum import regularity_exponent_bound
 
 __all__ = [
-    "AssembledOperator",
-    "LoadVector",
     "assemble_a",
     "assemble_kappa",
     "assemble_mass",
@@ -47,6 +49,7 @@ __all__ = [
     "eval_scalar_hess",
     "eval_velocity",
     "eval_velocity_grad",
+    "eval_pressure",
     "b_field_norm",
     "d_field_norm",
     "e_field_norm",
@@ -54,28 +57,8 @@ __all__ = [
     "surface_velocity_normal",
 ]
 
-_CHUNK = 512
-
-
-@dataclass
-class AssembledOperator:
-    matrix: sp.csr_matrix
-    kind: str
-    symmetric: bool
-
-
-@dataclass
-class LoadVector:
-    vector: np.ndarray
-    provenance: str
-
 
 # -- helpers ----------------------------------------------------------------
-
-
-def _chunks(n, size=_CHUNK):
-    for lo in range(0, n, size):
-        yield lo, min(lo + size, n)
 
 
 def _scatter_matrix(space, conn_rows, conn_cols, local, shape):
@@ -102,34 +85,64 @@ def _velocity_block(space, scalar_matrix):
     return sp.block_diag([scalar_matrix] * 3, format="csr")
 
 
-def eval_scalar(space, dofs, cells=slice(None)):
+def _local_index(conn, n, m):
+    """Global dof ids (cells, nloc, m) of m component blocks of n dofs each."""
+    return conn[:, :, None] + n * np.arange(m)
+
+
+def _contract(dofs, conn, table, m=1):
+    """Values of an m-component dof vector at quadrature points, (cells, nq, ..., m).
+
+    ``table`` is a reference table (nloc, nq, ...) such as N2, dN2 or d2N2.
+    The product runs cell by cell, (nq * k, nloc) @ (nloc, m), so every BLAS
+    call has the same small size on any mesh and any thread count.
+    """
+    dofs = np.asarray(dofs)
+    local = dofs[_local_index(conn, dofs.size // m, m)]
+    out = table.reshape(table.shape[0], -1).T @ local
+    return out.reshape(conn.shape[0], *table.shape[1:], m)
+
+
+def _scatter_load(space, values):
+    """values (ncells, nq), or (ncells, nq, 3) for a vector load -> load vector."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 2:
+        values = values[:, :, None]
+    m = values.shape[-1]
+    local = (space.N2 * space.wq) @ values            # (cells, 27, m)
+    return np.bincount(
+        _local_index(space.conn_q2, space.n_scalar, m).ravel(),
+        weights=local.ravel(),
+        minlength=m * space.n_scalar,
+    )
+
+
+def eval_scalar(space, dofs):
     """Values of a scalar dof vector at the quadrature points, (ncells, nq)."""
-    local = np.asarray(dofs)[space.conn_q2[cells]]
-    return np.einsum("ci,iq->cq", local, space.N2)
+    return _contract(dofs, space.conn_q2, space.N2)[..., 0]
 
 
-def eval_scalar_grad(space, dofs, cells=slice(None)):
-    local = np.asarray(dofs)[space.conn_q2[cells]]
-    return np.einsum("ci,iqd->cqd", local, space.dN2)
+def eval_scalar_grad(space, dofs):
+    return _contract(dofs, space.conn_q2, space.dN2)[..., 0]
 
 
-def eval_scalar_hess(space, dofs, cells=slice(None)):
-    local = np.asarray(dofs)[space.conn_q2[cells]]
-    return np.einsum("ci,iqde->cqde", local, space.d2N2)
+def eval_scalar_hess(space, dofs):
+    return _contract(dofs, space.conn_q2, space.d2N2)[..., 0]
 
 
-def eval_velocity(space, u, cells=slice(None)):
+def eval_velocity(space, u):
     """Velocity values at quadrature points, (ncells, nq, 3)."""
-    nodal = space.split_velocity(u)
-    local = nodal[space.conn_q2[cells]]            # (c, 27, 3)
-    return np.einsum("cim,iq->cqm", local, space.N2)
+    return _contract(u, space.conn_q2, space.N2, 3)
 
 
-def eval_velocity_grad(space, u, cells=slice(None)):
+def eval_velocity_grad(space, u):
     """Velocity gradients at quadrature points, (ncells, nq, 3, 3) as [m, d]."""
-    nodal = space.split_velocity(u)
-    local = nodal[space.conn_q2[cells]]
-    return np.einsum("cim,iqd->cqmd", local, space.dN2)
+    return np.swapaxes(_contract(u, space.conn_q2, space.dN2, 3), -1, -2)
+
+
+def eval_pressure(space, p):
+    """Values of a trilinear pressure dof vector at the quadrature points, (ncells, nq)."""
+    return _contract(p, space.conn_q1, space.N1)[..., 0]
 
 
 def interpolate_scalar(space, fld):
@@ -146,15 +159,12 @@ def interpolate_vector(space, fld):
 
 def assemble_a(space, model):
     """Viscous operator, nu * (grad u : grad v); SPD after wall elimination."""
-    A = model.nu * _velocity_block(space, _scalar_stiffness(space))
-    return AssembledOperator(A, "A_viscous", symmetric=True)
+    return model.nu * _velocity_block(space, _scalar_stiffness(space))
 
 
 def assemble_kappa(space, model):
     """Heat stiffness, lambda * (grad t . grad p)."""
-    return AssembledOperator(
-        (model.lam * _scalar_stiffness(space)).tocsr(), "Kappa", symmetric=True
-    )
+    return (model.lam * _scalar_stiffness(space)).tocsr()
 
 
 def assemble_mass(space):
@@ -192,8 +202,7 @@ def assemble_saddle(space, model):
     """
     A = model.nu * _velocity_block(space, _scalar_stiffness(space))
     D = divergence_matrix(space)
-    K = sp.bmat([[A, D.T], [D, None]], format="csr")
-    return AssembledOperator(K, "MixedSaddle", symmetric=True)
+    return sp.bmat([[A, D.T], [D, None]], format="csr")
 
 
 def assemble_b(space, model, u0):
@@ -202,68 +211,33 @@ def assemble_b(space, model, u0):
     w^T B(u0) v approximates rho0 * ((u0 . grad) v, w); linear in u0 and
     block-diagonal over velocity components.
     """
-    u0 = np.asarray(u0, dtype=float)
+    uq = eval_velocity(space, np.asarray(u0, dtype=float))
+    conv = np.einsum("cqd,jqd->cqj", uq, space.dN2)
+    local = model.rho0 * ((space.N2 * space.wq) @ conv)   # (cells, 27, 27)
     n2 = space.n_scalar
-    parts = []
-    for lo, hi in _chunks(space.n_cells):
-        cells = slice(lo, hi)
-        uq = eval_velocity(space, u0, cells)
-        conv = np.einsum("cqd,jqd->cqj", uq, space.dN2)
-        local = model.rho0 * np.einsum("q,cqj,iq->cij", space.wq, conv, space.N2)
-        parts.append(
-            _scatter_matrix(
-                space, space.conn_q2[cells], space.conn_q2[cells], local, (n2, n2)
-            )
-        )
-    Bscal = parts[0]
-    for p in parts[1:]:
-        Bscal = Bscal + p
-    return AssembledOperator(_velocity_block(space, Bscal), "B_convection", symmetric=False)
+    Bscal = _scatter_matrix(space, space.conn_q2, space.conn_q2, local, (n2, n2))
+    return _velocity_block(space, Bscal)
 
 
 # -- load vectors --------------------------------------------------------------
 
 
-def _scatter_scalar_load(space, values):
-    """values (ncells, nq) -> load over quadratic test functions."""
-    out = np.zeros(space.n_scalar)
-    for lo, hi in _chunks(space.n_cells):
-        cells = slice(lo, hi)
-        local = np.einsum("q,cq,iq->ci", space.wq, values[cells], space.N2)
-        np.add.at(out, space.conn_q2[cells], local)
-    return out
-
-
-def _scatter_vector_load(space, values):
-    """values (ncells, nq, 3) -> load over vector test functions."""
-    out = np.zeros(space.n_velocity)
-    for lo, hi in _chunks(space.n_cells):
-        cells = slice(lo, hi)
-        local = np.einsum("q,cqm,iq->cmi", space.wq, values[cells], space.N2)
-        for m in range(3):
-            np.add.at(out, m * space.n_scalar + space.conn_q2[cells], local[:, m, :])
-    return out
-
-
-def convection_value(space, model, u0, u1, cells=slice(None)):
+def convection_value(space, model, u0, u1):
     """rho0 (u0 . grad) u1 at quadrature points."""
-    uq = eval_velocity(space, u0, cells)
-    gq = eval_velocity_grad(space, u1, cells)
+    uq = eval_velocity(space, u0)
+    gq = eval_velocity_grad(space, u1)
     return model.rho0 * np.einsum("cqd,cqmd->cqm", uq, gq)
 
 
 def convection_load(space, model, u0, u1):
     """Load form of b with both slots frozen: entries rho0 ((u0.grad)u1, v_i)."""
-    return LoadVector(
-        _scatter_vector_load(space, convection_value(space, model, u0, u1)),
-        "convection_load",
-    )
+    return _scatter_load(space, convection_value(space, model, u0, u1))
 
 
-def dissipation_value(space, model, u, v, cells=slice(None)):
+def dissipation_value(space, model, u, v):
     """alpha1 * nu * e(u) : e(v) at quadrature points."""
-    gu = eval_velocity_grad(space, u, cells)
-    gv = eval_velocity_grad(space, v, cells)
+    gu = eval_velocity_grad(space, u)
+    gv = eval_velocity_grad(space, v)
     eu = 0.5 * (gu + np.swapaxes(gu, -1, -2))
     ev = 0.5 * (gv + np.swapaxes(gv, -1, -2))
     return model.alpha1 * model.nu * np.einsum("cqmd,cqmd->cq", eu, ev)
@@ -271,34 +245,28 @@ def dissipation_value(space, model, u, v, cells=slice(None)):
 
 def assemble_e_load(space, model, u, v):
     """Dissipation load: entries alpha1 nu (e(u):e(v), phi_i)."""
-    return LoadVector(
-        _scatter_scalar_load(space, dissipation_value(space, model, u, v)),
-        "dissipation",
-    )
+    return _scatter_load(space, dissipation_value(space, model, u, v))
 
 
-def heat_convection_value(space, model, theta_freeze, u, theta_transport, cells=slice(None)):
+def heat_convection_value(space, model, theta_freeze, u, theta_transport):
     """c_V rho(theta_freeze) u . grad(theta_transport) at quadrature points."""
-    rho = density(model, eval_scalar(space, theta_freeze, cells))
-    uq = eval_velocity(space, u, cells)
-    gth = eval_scalar_grad(space, theta_transport, cells)
+    rho = density(model, eval_scalar(space, theta_freeze))
+    uq = eval_velocity(space, u)
+    gth = eval_scalar_grad(space, theta_transport)
     return model.cV * rho * np.einsum("cqd,cqd->cq", uq, gth)
 
 
 def assemble_d_load(space, model, theta_freeze, u, theta_transport):
     """Heat convection load with all three slots frozen."""
-    return LoadVector(
-        _scatter_scalar_load(
-            space, heat_convection_value(space, model, theta_freeze, u, theta_transport)
-        ),
-        "convection_load",
+    return _scatter_load(
+        space, heat_convection_value(space, model, theta_freeze, u, theta_transport)
     )
 
 
-def buoyancy_value(space, model, theta, g, cells=slice(None)):
+def buoyancy_value(space, model, theta, g):
     """rho(theta) g at quadrature points; g constant or a VectorField."""
-    rho = density(model, eval_scalar(space, theta, cells))
-    pts = space.quad_points[cells]
+    rho = density(model, eval_scalar(space, theta))
+    pts = space.quad_points
     if callable(g):
         gq = np.asarray(g(pts.reshape(-1, 3))).reshape(pts.shape)
     else:
@@ -309,23 +277,19 @@ def buoyancy_value(space, model, theta, g, cells=slice(None)):
 
 def assemble_buoyancy(space, model, theta, g):
     """Buoyancy load: entries (rho(theta) g, v_i)."""
-    return LoadVector(
-        _scatter_vector_load(space, buoyancy_value(space, model, theta, g)), "buoyancy"
-    )
+    return _scatter_load(space, buoyancy_value(space, model, theta, g))
 
 
 def field_load_scalar(space, fld):
     """(h, phi_i) for a closed-form scalar field h."""
     pts = space.quad_points.reshape(-1, 3)
-    vals = np.asarray(fld(pts)).reshape(space.n_cells, space.nq)
-    return LoadVector(_scatter_scalar_load(space, vals), "field")
+    return _scatter_load(space, np.asarray(fld(pts)).reshape(space.n_cells, space.nq))
 
 
 def field_load_vector(space, fld):
     """(f, v_i) for a closed-form vector field f."""
     pts = space.quad_points.reshape(-1, 3)
-    vals = np.asarray(fld(pts)).reshape(space.n_cells, space.nq, 3)
-    return LoadVector(_scatter_vector_load(space, vals), "field")
+    return _scatter_load(space, np.asarray(fld(pts)).reshape(space.n_cells, space.nq, 3))
 
 
 # -- norms ---------------------------------------------------------------------
@@ -337,23 +301,21 @@ def _check_exponent(s):
         raise ValueError(f"exponent s={s} outside the admissible range [4/3, {s0:.6f})")
 
 
-def _field_tables(space, fld):
-    """(values^2, |grad|^2, |hess|^2) summed over components, per quad point."""
+def _sobolev_density(space, fld, order):
+    """Sum of the squared derivatives of orders 0..order over all components,
+    per quadrature point."""
     fld = np.asarray(fld, dtype=float)
     if fld.size == space.n_scalar:
-        comps = [fld]
+        m = 1
     elif fld.size == space.n_velocity:
-        comps = [c for c in fld.reshape(3, space.n_scalar)]
+        m = 3
     else:
         raise ValueError("field length matches neither scalar nor velocity layout")
-    v2 = np.zeros((space.n_cells, space.nq))
-    g2 = np.zeros((space.n_cells, space.nq))
-    h2 = np.zeros((space.n_cells, space.nq))
-    for c in comps:
-        v2 += eval_scalar(space, c) ** 2
-        g2 += np.sum(eval_scalar_grad(space, c) ** 2, axis=-1)
-        h2 += np.sum(eval_scalar_hess(space, c) ** 2, axis=(-1, -2))
-    return v2, g2, h2
+    dens = 0.0
+    for table in (space.N2, space.dN2, space.d2N2)[: order + 1]:
+        vals = _contract(fld, space.conn_q2, table, m).reshape(space.n_cells, space.nq, -1)
+        dens = dens + np.einsum("cqk,cqk->cq", vals, vals)
+    return dens
 
 
 def discrete_norms(space, fld, which, s=None):
@@ -364,19 +326,16 @@ def discrete_norms(space, fld, which, s=None):
     to the admissible range [4/3, s0).
     """
     if which == "H1":
-        v2, g2, _ = _field_tables(space, fld)
-        return float(np.sqrt(np.einsum("q,cq->", space.wq, v2 + g2)))
+        dens = _sobolev_density(space, fld, 1)
+        return float(np.sqrt(np.einsum("q,cq->", space.wq, dens)))
     if s is None:
         raise ValueError(f"norm '{which}' requires the exponent s")
     _check_exponent(s)
-    if which == "Ls":
-        v2, _, _ = _field_tables(space, fld)
-        return float(np.einsum("q,cq->", space.wq, v2 ** (s / 2.0)) ** (1.0 / s))
-    if which == "W2s":
-        v2, g2, h2 = _field_tables(space, fld)
-        dens = (v2 + g2 + h2) ** (s / 2.0)
-        return float(np.einsum("q,cq->", space.wq, dens) ** (1.0 / s))
-    raise ValueError(f"unknown norm kind '{which}'")
+    order = {"Ls": 0, "W2s": 2}.get(which)
+    if order is None:
+        raise ValueError(f"unknown norm kind '{which}'")
+    dens = _sobolev_density(space, fld, order) ** (s / 2.0)
+    return float(np.einsum("q,cq->", space.wq, dens) ** (1.0 / s))
 
 
 def lp_norm_of_values(space, values, p):
@@ -412,10 +371,7 @@ def e_field_norm(space, model, u, v, r):
 def surface_velocity_normal(space, u, face_name):
     """(u . n, surface weights per facet) on one boundary face."""
     face = space.faces[face_name]
-    nodal = space.split_velocity(u)
-    local = nodal[face["conn"]]                     # (nfacet, 9, 3)
-    vals = np.einsum("cim,iq->cqm", local, face["basis"])
-    un = vals @ face["normal"]
+    un = _contract(u, face["conn"], face["basis"], 3) @ face["normal"]
     return un, face["weights"]
 
 
@@ -429,7 +385,6 @@ def outflow_boundary_term(space, model, u0, v):
     for name in ("x0", "x1"):
         face = space.faces[name]
         un, wts = surface_velocity_normal(space, u0, name)
-        nodal = space.split_velocity(v)
-        vv = np.einsum("cim,iq->cqm", nodal[face["conn"]], face["basis"])
+        vv = _contract(v, face["conn"], face["basis"], 3)
         total += np.einsum("q,cq->", wts, un * np.sum(vv**2, axis=-1))
     return 0.5 * model.rho0 * float(total)

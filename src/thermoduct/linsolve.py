@@ -9,7 +9,6 @@ bit-identical outputs.
 """
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -18,11 +17,8 @@ __all__ = [
     "SingularMatrixError",
     "solve_spd",
     "SaddleFactorization",
-    "solve_saddle",
     "constrain_system",
     "constrain_vector",
-    "save_matrix",
-    "load_matrix",
 ]
 
 
@@ -117,6 +113,11 @@ class SaddleFactorization:
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(rhs))
+        if bad.size:
+            raise LinearSolveError(
+                f"non-finite right-hand side: {bad.size} entries, first at row {bad[0]}"
+            )
         nb = np.linalg.norm(rhs)
         if nb == 0.0:
             return np.zeros(rhs.size)
@@ -139,17 +140,3 @@ class SaddleFactorization:
             f"smallest pivot {pivots[row]:.3e} at factor row {row} "
             "suggests a singular system (pressure nullspace?)"
         )
-
-
-def solve_saddle(K, rhs, residual_tol=1e-10):
-    """Factor once and solve; see SaddleFactorization for reuse."""
-    return SaddleFactorization(K, residual_tol=residual_tol).solve(rhs)
-
-
-def save_matrix(path, A):
-    """Matrix Market export for regression fixtures."""
-    scipy.io.mmwrite(str(path), sp.coo_matrix(A))
-
-
-def load_matrix(path):
-    return sp.csr_matrix(scipy.io.mmread(str(path)))

@@ -472,16 +472,16 @@ def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0,
         space = build_spaces(mesh, quad_order=quad_order)
         hs.append(float(np.max(space.h)))
         model = _unit_model(nu)
-        K = forms.assemble_saddle(space, model).matrix
+        K = forms.assemble_saddle(space, model)
         rhs = np.concatenate(
-            [forms.field_load_vector(space, forcing).vector, np.zeros(space.n_pressure)]
+            [forms.field_load_vector(space, forcing), np.zeros(space.n_pressure)]
         )
         Kc = constrain_system(K, space.dirichlet_mask_u)
         x = SaddleFactorization(Kc).solve(constrain_vector(rhs, space.dirichlet_mask_u))
         u = x[: space.n_velocity]
         P = -x[space.n_velocity:]
         l2, h1 = _error_norms(space, u, case.u.value, case.u.grad, vector=True)
-        pq = np.einsum("ci,iq->cq", P[space.conn_q1], space.N1)
+        pq = forms.eval_pressure(space, P)
         pe = case.p.value(space.quad_points.reshape(-1, 3)).reshape(space.n_cells, space.nq)
         perr = float(np.sqrt(np.einsum("q,cq->", space.wq, (pq - pe) ** 2)))
         errors["u_L2"].append(l2)
@@ -504,9 +504,9 @@ def mms_heat_study(case_factory, dims, base_divisions, n_levels=3, lam=1.0,
         space = build_spaces(mesh, quad_order=quad_order)
         hs.append(float(np.max(space.h)))
         model = _unit_model(1.0, lam=lam)
-        kappa = forms.assemble_kappa(space, model).matrix
+        kappa = forms.assemble_kappa(space, model)
         theta_D = forms.interpolate_scalar(space, case.theta)
-        rhs = forms.field_load_scalar(space, forcing).vector - kappa @ theta_D
+        rhs = forms.field_load_scalar(space, forcing) - kappa @ theta_D
         free = space.free_theta
         kff = kappa[free][:, free].tocsr()
         sol = np.zeros(space.n_scalar)

@@ -60,6 +60,21 @@ def test_range_error_names_line():
     assert bad.splitlines()[line - 1] == "nu = -1"
 
 
+@pytest.mark.parametrize(
+    "good, bad",
+    [("gz = -0.4", "gz = nan"), ("theta0 = 1.0", "theta0 = inf")],
+    ids=["gz-nan", "theta0-inf"],
+)
+def test_non_finite_number_names_key_and_line(good, bad):
+    # keys without a range check must still reject nan and inf
+    text = FULL.replace(good, bad)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    (line, msg), = err.value.errors
+    assert f".{bad.split()[0]}:" in msg and "finite" in msg
+    assert text.splitlines()[line - 1] == bad
+
+
 def test_errors_are_collected_not_fail_fast():
     bad = (
         MINIMAL.replace("nu = 1.0", "nu = banana")
@@ -108,6 +123,8 @@ def test_cli_config_error_exit_code(tmp_path):
     p = write_cfg(tmp_path, MINIMAL.replace("nu = 1.0", "nu = -1"))
     assert main(["solve", "--config", str(p)]) == 2
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
+    p = write_cfg(tmp_path, MINIMAL + "\n[body_force]\nfield = constant\ngx = nan\n")
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_cli_solve_zero_data(tmp_path):

@@ -117,9 +117,9 @@ def test_heat_solve_matches_direct_solve_with_dissipation(small_space, unit_mode
 
     space = small_space
     free = space.free_theta
-    source = forms.field_load_scalar(space, constant_scalar(0.5)).vector
-    conv = forms.assemble_d_load(space, unit_model, prob.theta_D, u, prob.theta_D).vector
-    rhs = source - conv - prob.lifting_load.vector
+    source = forms.field_load_scalar(space, constant_scalar(0.5))
+    conv = forms.assemble_d_load(space, unit_model, prob.theta_D, u, prob.theta_D)
+    rhs = source - conv - prob.lifting_load
     ref = np.zeros(space.n_scalar)
     ref[free] = solve_spd(prob.kappa_ff, rhs[free], tol=1e-14)
     assert np.abs(vt - ref).max() < 1e-10

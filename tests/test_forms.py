@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import thermoduct
 from thermoduct import build_channel_mesh, build_spaces, forms
 from thermoduct.fields import constant_scalar
 from thermoduct.linsolve import SaddleFactorization, constrain_system
@@ -36,7 +41,7 @@ def divergence_free_samples(space, rng, count):
 
 
 def test_a_vanishes_on_constants(cube_space, unit_model):
-    A = forms.assemble_a(cube_space, unit_model).matrix
+    A = forms.assemble_a(cube_space, unit_model)
     u = np.zeros(cube_space.n_velocity)
     u[:cube_space.n_scalar] = 3.7
     assert abs(u @ (A @ u)) < 1e-12
@@ -45,12 +50,12 @@ def test_a_vanishes_on_constants(cube_space, unit_model):
 def test_a_linear_shear_energy(cube_space, unit_model):
     # u = (y, 0, 0) on the unit cube: integral of |grad u|^2 is 1
     u = linear_field_dofs(cube_space, 0, 1)
-    A = forms.assemble_a(cube_space, unit_model).matrix
+    A = forms.assemble_a(cube_space, unit_model)
     assert u @ (A @ u) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_a_symmetry(cube_space, unit_model):
-    A = forms.assemble_a(cube_space, unit_model).matrix
+    A = forms.assemble_a(cube_space, unit_model)
     rng = np.random.default_rng(3)
     u = rng.normal(size=cube_space.n_velocity)
     v = rng.normal(size=cube_space.n_velocity)
@@ -60,8 +65,8 @@ def test_a_symmetry(cube_space, unit_model):
 def test_a_scales_with_viscosity(cube_space):
     m1 = make_material(nu=1.0, rho0=1, cV=1, lam=1, alpha1=0, law=constant_density(1))
     m2 = make_material(nu=2.5, rho0=1, cV=1, lam=1, alpha1=0, law=constant_density(1))
-    A1 = forms.assemble_a(cube_space, m1).matrix
-    A2 = forms.assemble_a(cube_space, m2).matrix
+    A1 = forms.assemble_a(cube_space, m1)
+    A2 = forms.assemble_a(cube_space, m2)
     assert abs((A2 - 2.5 * A1)).max() < 1e-14
 
 
@@ -86,16 +91,15 @@ def test_divergence_against_linear_field(cube_space):
 
 def test_saddle_zero_load_zero_solution(cube_space, unit_model):
     K = forms.assemble_saddle(cube_space, unit_model)
-    assert K.kind == "MixedSaddle"
-    Kc = constrain_system(K.matrix, cube_space.dirichlet_mask_u)
-    x = SaddleFactorization(Kc).solve(np.zeros(K.matrix.shape[0]))
+    Kc = constrain_system(K, cube_space.dirichlet_mask_u)
+    x = SaddleFactorization(Kc).solve(np.zeros(K.shape[0]))
     assert np.all(x == 0.0)
 
 
 def test_saddle_no_open_end_boundary_rows(cube_space, unit_model):
     # natural condition: assembled matrix is identical to the pure volume terms
-    K = forms.assemble_saddle(cube_space, unit_model).matrix
-    A = forms.assemble_a(cube_space, unit_model).matrix
+    K = forms.assemble_saddle(cube_space, unit_model)
+    A = forms.assemble_a(cube_space, unit_model)
     D = forms.divergence_matrix(cube_space)
     import scipy.sparse as sp
 
@@ -108,7 +112,7 @@ def test_saddle_no_open_end_boundary_rows(cube_space, unit_model):
 
 def test_b_zero_transport(cube_space, unit_model):
     u0 = np.zeros(cube_space.n_velocity)
-    B = forms.assemble_b(cube_space, unit_model, u0).matrix
+    B = forms.assemble_b(cube_space, unit_model, u0)
     assert abs(B).max() == 0.0
 
 
@@ -117,7 +121,7 @@ def test_b_unit_transport_example(cube_space, unit_model):
     u0 = np.zeros(cube_space.n_velocity)
     u0[:cube_space.n_scalar] = 1.0
     v = linear_field_dofs(cube_space, 0, 0)
-    B = forms.assemble_b(cube_space, unit_model, u0).matrix
+    B = forms.assemble_b(cube_space, unit_model, u0)
     assert u0 @ (B @ v) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -126,8 +130,8 @@ def test_b_linear_in_transport(cube_space, unit_model):
     u0 = rng.normal(size=cube_space.n_velocity)
     w0 = rng.normal(size=cube_space.n_velocity)
     B = forms.assemble_b
-    lhs = B(cube_space, unit_model, 2.0 * u0 + w0).matrix
-    rhs = 2.0 * B(cube_space, unit_model, u0).matrix + B(cube_space, unit_model, w0).matrix
+    lhs = B(cube_space, unit_model, 2.0 * u0 + w0)
+    rhs = 2.0 * B(cube_space, unit_model, u0) + B(cube_space, unit_model, w0)
     assert abs(lhs - rhs).max() < 1e-12
 
 
@@ -135,8 +139,8 @@ def test_convection_load_matches_operator(cube_space, unit_model):
     rng = np.random.default_rng(7)
     u0 = rng.normal(size=cube_space.n_velocity)
     v = rng.normal(size=cube_space.n_velocity)
-    B = forms.assemble_b(cube_space, unit_model, u0).matrix
-    load = forms.convection_load(cube_space, unit_model, u0, v).vector
+    B = forms.assemble_b(cube_space, unit_model, u0)
+    load = forms.convection_load(cube_space, unit_model, u0, v)
     # B rows are test functions, so B @ v is the same functional
     assert np.abs(B @ v - load).max() < 1e-12
 
@@ -145,7 +149,7 @@ def test_outflow_identity(small_space, unit_model):
     rng = np.random.default_rng(11)
     v_fields = [rng.normal(size=small_space.n_velocity) for _ in range(4)]
     for u0 in divergence_free_samples(small_space, rng, 8):
-        B = forms.assemble_b(small_space, unit_model, u0).matrix
+        B = forms.assemble_b(small_space, unit_model, u0)
         for v in v_fields:
             lhs = v @ (B @ v)
             rhs = forms.outflow_boundary_term(small_space, unit_model, u0, v)
@@ -156,20 +160,20 @@ def test_outflow_identity(small_space, unit_model):
 
 
 def test_kappa_constant_zero(cube_space, unit_model):
-    K = forms.assemble_kappa(cube_space, unit_model).matrix
+    K = forms.assemble_kappa(cube_space, unit_model)
     th = np.full(cube_space.n_scalar, 2.0)
     assert abs(th @ (K @ th)) < 1e-12
 
 
 def test_kappa_linear_energy(cube_space):
     model = make_material(nu=1, rho0=1, cV=1, lam=2.0, alpha1=0, law=constant_density(1))
-    K = forms.assemble_kappa(cube_space, model).matrix
+    K = forms.assemble_kappa(cube_space, model)
     th = cube_space.q2_nodes[:, 0].copy()
     assert th @ (K @ th) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_kappa_symmetry(cube_space, unit_model):
-    K = forms.assemble_kappa(cube_space, unit_model).matrix
+    K = forms.assemble_kappa(cube_space, unit_model)
     rng = np.random.default_rng(13)
     a = rng.normal(size=cube_space.n_scalar)
     b = rng.normal(size=cube_space.n_scalar)
@@ -181,15 +185,14 @@ def test_d_load_zero_velocity(cube_space, unit_model):
     load = forms.assemble_d_load(
         cube_space, unit_model, th, np.zeros(cube_space.n_velocity), th
     )
-    assert load.provenance == "convection_load"
-    assert np.all(load.vector == 0.0)
+    assert np.all(load == 0.0)
 
 
 def test_d_load_constant_temperature(cube_space, unit_model):
     u = np.zeros(cube_space.n_velocity)
     u[:cube_space.n_scalar] = 1.0
     th = np.full(cube_space.n_scalar, 4.0)
-    load = forms.assemble_d_load(cube_space, unit_model, th, u, th).vector
+    load = forms.assemble_d_load(cube_space, unit_model, th, u, th)
     assert np.abs(load).max() < 1e-14
 
 
@@ -199,7 +202,7 @@ def test_d_load_mass_matrix_oracle(cube_space, unit_model):
     u = np.zeros(cube_space.n_velocity)
     u[:cube_space.n_scalar] = 1.0
     th = cube_space.q2_nodes[:, 0].copy()
-    load = forms.assemble_d_load(cube_space, unit_model, np.zeros_like(th), u, th).vector
+    load = forms.assemble_d_load(cube_space, unit_model, np.zeros_like(th), u, th)
     rowsums = np.asarray(forms.assemble_mass(cube_space).sum(axis=1)).ravel()
     assert np.abs(load - rowsums).max() < 1e-13
 
@@ -209,14 +212,13 @@ def test_e_load_rigid_translation(cube_space, unit_model):
     u[:cube_space.n_scalar] = 0.4
     u[cube_space.n_scalar:2 * cube_space.n_scalar] = -1.1
     load = forms.assemble_e_load(cube_space, unit_model, u, u)
-    assert load.provenance == "dissipation"
-    assert np.abs(load.vector).max() < 1e-13
+    assert np.abs(load).max() < 1e-13
 
 
 def test_e_load_shear_total(cube_space, unit_model):
     # u = (y,0,0), alpha1*nu = 1: e(u):e(u) = 1/2, total load = 1/2
     u = linear_field_dofs(cube_space, 0, 1)
-    load = forms.assemble_e_load(cube_space, unit_model, u, u).vector
+    load = forms.assemble_e_load(cube_space, unit_model, u, u)
     assert load.sum() == pytest.approx(0.5, rel=1e-12)
 
 
@@ -232,9 +234,9 @@ def test_e_bilinearity(cube_space, unit_model):
     u = rng.normal(size=cube_space.n_velocity)
     v = rng.normal(size=cube_space.n_velocity)
     e = forms.assemble_e_load
-    two_u = e(cube_space, unit_model, 2.0 * u, v).vector
-    base = e(cube_space, unit_model, u, v).vector
-    two_v = e(cube_space, unit_model, u, 2.0 * v).vector
+    two_u = e(cube_space, unit_model, 2.0 * u, v)
+    base = e(cube_space, unit_model, u, v)
+    two_v = e(cube_space, unit_model, u, 2.0 * v)
     assert np.abs(two_u - 2 * base).max() < 1e-12
     assert np.abs(two_v - 2 * base).max() < 1e-12
 
@@ -243,14 +245,13 @@ def test_buoyancy_zero_gravity(cube_space, unit_model):
     load = forms.assemble_buoyancy(
         cube_space, unit_model, np.zeros(cube_space.n_scalar), (0, 0, 0)
     )
-    assert load.provenance == "buoyancy"
-    assert np.all(load.vector == 0.0)
+    assert np.all(load == 0.0)
 
 
 def test_buoyancy_total_weight(cube_space, unit_model):
     load = forms.assemble_buoyancy(
         cube_space, unit_model, np.zeros(cube_space.n_scalar), (0, 0, -1.0)
-    ).vector
+    )
     z_total = load[2 * cube_space.n_scalar:].sum()
     assert z_total == pytest.approx(-1.0, rel=1e-12)   # -|Omega|
 
@@ -261,7 +262,7 @@ def test_buoyancy_clamped_scaling(cube_space):
         law=clamped_boussinesq(2.0, alpha_v=0.5, rho_min=0.6),
     )
     hot = np.full(cube_space.n_scalar, 1e6)
-    load = forms.assemble_buoyancy(cube_space, model, hot, (0, 0, -1.0)).vector
+    load = forms.assemble_buoyancy(cube_space, model, hot, (0, 0, -1.0))
     z_total = load[2 * cube_space.n_scalar:].sum()
     assert z_total == pytest.approx(-0.6, rel=1e-12)
 
@@ -356,13 +357,61 @@ def test_d_density_continuity_stable_under_refinement(boussinesq_model):
 def test_assembly_bit_identical(cube_space, unit_model):
     rng = np.random.default_rng(29)
     u0 = rng.normal(size=cube_space.n_velocity)
-    A1 = forms.assemble_b(cube_space, unit_model, u0).matrix
-    A2 = forms.assemble_b(cube_space, unit_model, u0).matrix
+    A1 = forms.assemble_b(cube_space, unit_model, u0)
+    A2 = forms.assemble_b(cube_space, unit_model, u0)
     assert np.array_equal(A1.data, A2.data)
     th = rng.normal(size=cube_space.n_scalar)
-    l1 = forms.assemble_d_load(cube_space, unit_model, th, u0, th).vector
-    l2 = forms.assemble_d_load(cube_space, unit_model, th, u0, th).vector
+    l1 = forms.assemble_d_load(cube_space, unit_model, th, u0, th)
+    l2 = forms.assemble_d_load(cube_space, unit_model, th, u0, th)
     assert np.array_equal(l1, l2)
+
+
+_KERNEL_DIGESTS = """
+import hashlib
+import numpy as np
+from thermoduct import build_channel_mesh, build_spaces, forms
+from thermoduct.material import clamped_boussinesq, make_material
+
+space = build_spaces(build_channel_mesh(1.0, 1.0, 4.0, 4, 4, 16))
+model = make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=0.1,
+                      law=clamped_boussinesq(1.0, alpha_v=0.1))
+rng = np.random.default_rng(37)
+th = rng.normal(size=space.n_scalar)
+u = rng.normal(size=space.n_velocity)
+p = rng.normal(size=space.n_pressure)
+outputs = {
+    "eval_scalar": forms.eval_scalar(space, th),
+    "eval_scalar_grad": forms.eval_scalar_grad(space, th),
+    "eval_scalar_hess": forms.eval_scalar_hess(space, th),
+    "eval_velocity": forms.eval_velocity(space, u),
+    "eval_velocity_grad": forms.eval_velocity_grad(space, u),
+    "eval_pressure": forms.eval_pressure(space, p),
+    "surface_velocity_normal": forms.surface_velocity_normal(space, u, "x1")[0],
+    "assemble_d_load": forms.assemble_d_load(space, model, th, u, th),
+    "convection_load": forms.convection_load(space, model, u, u),
+    "discrete_norms": forms.discrete_norms(space, u, "W2s", s=2.0),
+}
+for name, value in outputs.items():
+    print(name, hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest())
+"""
+
+
+def test_kernels_do_not_depend_on_blas_thread_count():
+    # every quadrature evaluation, both load scatters and the norms give
+    # the same bits with one and with two BLAS threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thermoduct.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _KERNEL_DIGESTS],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(dict(line.split() for line in proc.stdout.splitlines()))
+    assert len(digests[0]) == 10
+    assert digests[0] == digests[1]
 
 
 def test_interpolation_exact_for_quadratics(cube_space):
@@ -387,9 +436,9 @@ def test_d_load_linear_in_velocity_and_transport(cube_space, boussinesq_model):
     u = rng.normal(size=cube_space.n_velocity)
     th = rng.normal(size=cube_space.n_scalar)
     d = forms.assemble_d_load
-    base = d(cube_space, boussinesq_model, tf, u, th).vector
-    assert np.abs(d(cube_space, boussinesq_model, tf, 3.0 * u, th).vector - 3 * base).max() < 1e-12
-    assert np.abs(d(cube_space, boussinesq_model, tf, u, 3.0 * th).vector - 3 * base).max() < 1e-12
+    base = d(cube_space, boussinesq_model, tf, u, th)
+    assert np.abs(d(cube_space, boussinesq_model, tf, 3.0 * u, th) - 3 * base).max() < 1e-12
+    assert np.abs(d(cube_space, boussinesq_model, tf, u, 3.0 * th) - 3 * base).max() < 1e-12
 
 
 def test_taylor_hood_inf_sup_stable():
@@ -405,7 +454,7 @@ def test_taylor_hood_inf_sup_stable():
 
     def inf_sup(divs):
         space = build_spaces(build_channel_mesh(1, 1, 1, *divs), quad_order=3)
-        A = forms.assemble_a(space, model).matrix
+        A = forms.assemble_a(space, model)
         M = forms.assemble_mass(space)
         X = (A + sp_block_diag_mass(M)).toarray()
         D = forms.divergence_matrix(space).toarray()

@@ -9,9 +9,6 @@ from thermoduct.linsolve import (
     SingularMatrixError,
     constrain_system,
     constrain_vector,
-    load_matrix,
-    save_matrix,
-    solve_saddle,
     solve_spd,
 )
 from thermoduct.material import constant_density, make_material
@@ -62,7 +59,7 @@ def test_cg_iteration_budget_on_heat_operator():
     # Jacobi-preconditioned CG stays within the default 10*sqrt(n) budget
     space = build_spaces(build_channel_mesh(1, 1, 2, 3, 3, 6))
     model = make_material(nu=1, rho0=1, cV=1, lam=1, alpha1=0, law=constant_density(1))
-    K = forms.assemble_kappa(space, model).matrix
+    K = forms.assemble_kappa(space, model)
     free = space.free_theta
     Kff = K[free][:, free].tocsr()
     rhs = np.random.default_rng(1).normal(size=Kff.shape[0])
@@ -71,9 +68,9 @@ def test_cg_iteration_budget_on_heat_operator():
 
 
 def test_saddle_zero_rhs(cube_space, unit_model):
-    K = forms.assemble_saddle(cube_space, unit_model).matrix
+    K = forms.assemble_saddle(cube_space, unit_model)
     Kc = constrain_system(K, cube_space.dirichlet_mask_u)
-    x = solve_saddle(Kc, np.zeros(K.shape[0]))
+    x = SaddleFactorization(Kc).solve(np.zeros(K.shape[0]))
     assert np.all(x == 0.0)
 
 
@@ -83,11 +80,11 @@ def test_saddle_matches_dense_oracle_on_manufactured_load(cube_space, unit_model
 
     case = v.trig_case((1.0, 1.0, 1.0), nu=unit_model.nu)
     load = forms.field_load_vector(cube_space, v.stokes_forcing(case, unit_model.nu))
-    rhs = np.concatenate([load.vector, np.zeros(cube_space.n_pressure)])
-    K = forms.assemble_saddle(cube_space, unit_model).matrix
+    rhs = np.concatenate([load, np.zeros(cube_space.n_pressure)])
+    K = forms.assemble_saddle(cube_space, unit_model)
     Kc = constrain_system(K, cube_space.dirichlet_mask_u)
     rhs = constrain_vector(rhs, cube_space.dirichlet_mask_u)
-    x = solve_saddle(Kc, rhs)
+    x = SaddleFactorization(Kc).solve(rhs)
     x_ref = np.linalg.solve(Kc.toarray(), rhs)
     assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
 
@@ -96,7 +93,7 @@ def test_pressure_nullspace_detected_without_open_ends(cube_space, unit_model):
     # constraining every boundary velocity dof removes the do-nothing ends,
     # leaving the constant-pressure nullspace: the solve must fail loudly
     space = cube_space
-    K = forms.assemble_saddle(space, unit_model).matrix
+    K = forms.assemble_saddle(space, unit_model)
     nodes = space.q2_nodes
     Lx = space.mesh.dims[0]
     on_any = (
@@ -110,18 +107,18 @@ def test_pressure_nullspace_detected_without_open_ends(cube_space, unit_model):
     Kc = constrain_system(K, all_dirichlet)
     rhs = constrain_vector(np.ones(K.shape[0]), all_dirichlet)
     with pytest.raises(SingularMatrixError) as err:
-        solve_saddle(Kc, rhs)
+        SaddleFactorization(Kc).solve(rhs)
     assert "pivot" in str(err.value)
 
     # with the open ends present no fix is needed
     Kc = constrain_system(K, space.dirichlet_mask_u)
     rhs = constrain_vector(np.ones(K.shape[0]), space.dirichlet_mask_u)
-    x = solve_saddle(Kc, rhs)
+    x = SaddleFactorization(Kc).solve(rhs)
     assert np.isfinite(x).all()
 
 
 def test_saddle_factorization_reuse(cube_space, unit_model):
-    K = forms.assemble_saddle(cube_space, unit_model).matrix
+    K = forms.assemble_saddle(cube_space, unit_model)
     Kc = constrain_system(K, cube_space.dirichlet_mask_u)
     fac = SaddleFactorization(Kc)
     rng = np.random.default_rng(4)
@@ -131,14 +128,25 @@ def test_saddle_factorization_reuse(cube_space, unit_model):
         assert np.linalg.norm(Kc @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
+def test_non_finite_load_is_not_reported_as_singular(cube_space, unit_model):
+    K = forms.assemble_saddle(cube_space, unit_model)
+    fac = SaddleFactorization(constrain_system(K, cube_space.dirichlet_mask_u))
+    rhs = np.zeros(K.shape[0])
+    rhs[7] = np.nan
+    with pytest.raises(LinearSolveError) as err:
+        fac.solve(rhs)
+    assert not isinstance(err.value, SingularMatrixError)
+    assert "non-finite right-hand side" in str(err.value)
+
+
 def test_solves_are_bit_identical(cube_space, unit_model):
-    K = forms.assemble_saddle(cube_space, unit_model).matrix
+    K = forms.assemble_saddle(cube_space, unit_model)
     Kc = constrain_system(K, cube_space.dirichlet_mask_u)
     rhs = constrain_vector(
         np.random.default_rng(5).normal(size=K.shape[0]), cube_space.dirichlet_mask_u
     )
-    x1 = solve_saddle(Kc, rhs)
-    x2 = solve_saddle(Kc, rhs)
+    x1 = SaddleFactorization(Kc).solve(rhs)
+    x2 = SaddleFactorization(Kc).solve(rhs)
     assert np.array_equal(x1, x2)
 
     A = sp.diags([2.0] * 50, format="csr") + sp.diags([0.5] * 49, 1) + sp.diags([0.5] * 49, -1)
@@ -146,21 +154,12 @@ def test_solves_are_bit_identical(cube_space, unit_model):
     assert np.array_equal(solve_spd(A.tocsr(), b), solve_spd(A.tocsr(), b))
 
 
-def test_matrix_market_roundtrip(tmp_path, cube_space, unit_model):
-    K = forms.assemble_kappa(cube_space, unit_model).matrix
-    path = tmp_path / "kappa.mtx"
-    save_matrix(path, K)
-    K2 = load_matrix(path)
-    assert K2.shape == K.shape
-    assert abs(K - K2).max() < 1e-14
-
-
 def test_assembled_matrices_are_canonical_csr(cube_space, unit_model):
     # sorted, duplicate-free column indices per row; finite entries
     for M in (
-        forms.assemble_a(cube_space, unit_model).matrix,
-        forms.assemble_kappa(cube_space, unit_model).matrix,
-        forms.assemble_saddle(cube_space, unit_model).matrix,
+        forms.assemble_a(cube_space, unit_model),
+        forms.assemble_kappa(cube_space, unit_model),
+        forms.assemble_saddle(cube_space, unit_model),
     ):
         M = M.tocsr()
         M.check_format(full_check=True)
@@ -171,7 +170,7 @@ def test_assembled_matrices_are_canonical_csr(cube_space, unit_model):
 
 
 def test_cg_budget_on_viscous_operator(cube_space, unit_model):
-    A = forms.assemble_a(cube_space, unit_model).matrix
+    A = forms.assemble_a(cube_space, unit_model)
     free = np.ones(cube_space.n_velocity, dtype=bool)
     free[cube_space.dirichlet_mask_u] = False
     Aff = A[free][:, free].tocsr()
