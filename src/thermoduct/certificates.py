@@ -65,117 +65,120 @@ class ConstantEstimates:
 # derivatives, so the ratio of any two quadrature norms is independent of
 # the mesh up to quadrature error: the estimates are stable under
 # refinement by construction.
+#
+# Every sample is a sum of products amp f(x) g(y) h(z), or the curl of one,
+# and the quadrature points form a tensor grid: each 1-D factor and its
+# derivatives of orders 0-3 are tabulated once per sample on one row of
+# cells along its axis, and a partial derivative is the broadcast product
+# ((amp fx) fy) fz, which lands directly in quad_points order.  Coordinates
+# and operation order are those of a pointwise evaluation at quad_points,
+# so every value equals it bitwise.
+
+_SIN = (np.sin, np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u))
+_COS = (np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u), np.sin)
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# second-derivative orders in (i, j) order; (i, j) and (j, i) coincide
+_HESS = tuple(tuple(a + b for a, b in zip(ei, ej)) for ei in _UNIT for ej in _UNIT)
+# curl(psi e_axis), per axis: (derivative orders of psi, sign) per
+# component, None for the zero component
+_CURL = {
+    0: (None, ((0, 0, 1), 1.0), ((0, 1, 0), -1.0)),
+    1: (((0, 0, 1), -1.0), None, ((1, 0, 0), 1.0)),
+    2: (((0, 1, 0), 1.0), ((1, 0, 0), -1.0), None),
+}
 
 
-class _Trig1d:
-    """One factor of a tensor-product field with derivatives up to order 3."""
-
-    def __init__(self, kind, freq):
-        self.kind = kind
-        self.k = float(freq)
-
-    def d(self, order, t):
-        k = self.k
-        if self.kind == "one":
-            return np.ones_like(t) if order == 0 else np.zeros_like(t)
-        if self.kind == "sin":
-            cycle = (np.sin, np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u))
-            return k**order * cycle[order % 4](k * t)
-        if self.kind == "cos":
-            cycle = (np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u), np.sin)
-            return k**order * cycle[order % 4](k * t)
-        if self.kind == "sin2":
-            # sin^2(kt) = (1 - cos(2kt)) / 2
-            if order == 0:
-                return np.sin(k * t) ** 2
-            two = 2.0 * k
-            cycle = (None, np.sin, np.cos, lambda u: -np.sin(u))
-            return 0.5 * two**order * cycle[order](two * t) if order < 4 else None
-        raise ValueError(self.kind)
+def _factor_table(kind, k, t):
+    """d^o/dt^o, o = 0..3, of one 1-D factor at frequency k on the line t;
+    None for a derivative that vanishes identically."""
+    if kind == "one":
+        return [np.ones_like(t), None, None, None]
+    if kind == "sin2":
+        # sin^2(kt) = (1 - cos(2kt)) / 2
+        two = 2.0 * k
+        return [np.sin(k * t) ** 2] + [0.5 * two**o * _SIN[o - 1](two * t) for o in (1, 2, 3)]
+    cycle = {"sin": _SIN, "cos": _COS}[kind]
+    return [k**o * cycle[o](k * t) for o in range(4)]
 
 
-class _TensorScalar:
-    """Sum of tensor products f(x) g(y) h(z) with exact derivatives."""
+def _quad_lines(space):
+    """x, y and z quadrature coordinates on one row of cells per axis, shaped
+    (cells_z, cells_y, cells_x, q, q, q) to broadcast into quad_points order.
+    Whole q^3 cell blocks keep each broadcast product contiguous per cell."""
+    nx, ny, nz = space.mesh.divisions
+    q = space.quad_order
+    pts = space.quad_points.reshape(nz, ny, nx, q, q, q, 3)
+    return pts[:1, :1, :, ..., 0], pts[:1, :, :1, ..., 1], pts[:, :1, :1, ..., 2]
 
-    def __init__(self, terms):
-        self.terms = terms        # list of (amp, fx, fy, fz)
 
-    def partial(self, orders, pts):
+class _TensorField:
+    """Sum of products amp f(x) g(y) h(z) with exact derivatives at the
+    quadrature points; with ``curl_axis``, the vector curl(amp psi e_axis)
+    of that sum psi, solenoidal and vanishing on the wall closure.
+
+    ``terms`` holds (amp, fx, fy, fz), each factor a (kind, frequency) pair
+    with kind "one", "sin", "cos" or "sin2".  Values are flat in quad_points
+    order: (points,) for a scalar, (points, 3) for a vector.
+    """
+
+    def __init__(self, lines, terms, curl_axis=None, amp=1.0):
+        self.tables = [
+            (a,) + tuple(_factor_table(kind, float(k), t) for (kind, k), t in zip(fs, lines))
+            for a, *fs in terms
+        ]
+        self.n = math.prod(np.broadcast_shapes(*(t.shape for t in lines)))
+        self.vector = curl_axis is not None
+        if self.vector:
+            self.comps = [None if c is None else (c[0], amp * c[1]) for c in _CURL[curl_axis]]
+        else:
+            self.comps = [((0, 0, 0), 1.0)]
+
+    def partial(self, orders):
+        """d^orders of the term sum; terms with a vanishing factor are skipped."""
         ox, oy, oz = orders
-        out = np.zeros(pts.shape[0])
-        for amp, fx, fy, fz in self.terms:
-            out += amp * fx.d(ox, pts[:, 0]) * fy.d(oy, pts[:, 1]) * fz.d(oz, pts[:, 2])
-        return out
-
-    def value(self, pts):
-        return self.partial((0, 0, 0), pts)
-
-    __call__ = value
-
-    def grad(self, pts):
-        basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        return np.stack([self.partial(o, pts) for o in basis], axis=1)
-
-    def hess_sq(self, pts):
-        total = np.zeros(pts.shape[0])
-        for i in range(3):
-            for j in range(3):
-                o = [0, 0, 0]
-                o[i] += 1
-                o[j] += 1
-                total += self.partial(tuple(o), pts) ** 2
-        return total
-
-
-class _CurlVelocity:
-    """curl(psi e_axis): solenoidal, vanishing on the wall closure."""
-
-    _LAYOUT = {
-        0: ((None, 0.0), ((0, 0, 1), 1.0), ((0, 1, 0), -1.0)),
-        1: (((0, 0, 1), -1.0), (None, 0.0), ((1, 0, 0), 1.0)),
-        2: (((0, 1, 0), 1.0), ((1, 0, 0), -1.0), (None, 0.0)),
-    }
-
-    def __init__(self, psi, axis, amp):
-        self.psi = psi
-        self.comps = self._LAYOUT[axis]
-        self.amp = amp
-
-    def _comp_partial(self, m, extra, pts):
-        base, sign = self.comps[m]
-        if base is None:
-            return np.zeros(pts.shape[0])
-        orders = tuple(b + e for b, e in zip(base, extra))
-        return self.amp * sign * self.psi.partial(orders, pts)
-
-    def value(self, pts):
-        return np.stack([self._comp_partial(m, (0, 0, 0), pts) for m in range(3)], axis=1)
-
-    def grad(self, pts):
-        basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        return np.stack(
-            [
-                np.stack([self._comp_partial(m, e, pts) for e in basis], axis=1)
-                for m in range(3)
-            ],
-            axis=1,
-        )
-
-    def hess_sq(self, pts):
-        total = np.zeros(pts.shape[0])
-        for m in range(3):
-            if self.comps[m][0] is None:
+        out = None
+        for amp, fx, fy, fz in self.tables:
+            if fx[ox] is None or fy[oy] is None or fz[oz] is None:
                 continue
-            for i in range(3):
-                for j in range(3):
-                    e = [0, 0, 0]
-                    e[i] += 1
-                    e[j] += 1
-                    total += self._comp_partial(m, tuple(e), pts) ** 2
+            term = amp * fx[ox] * fy[oy] * fz[oz]
+            out = term if out is None else out + term
+        return np.zeros(self.n) if out is None else out.ravel()
+
+    def _comp(self, comp, extra):
+        base, scale = comp
+        return scale * self.partial(tuple(b + e for b, e in zip(base, extra)))
+
+    def _stack(self, directions):
+        """(points, components, directions) array of component partials."""
+        out = np.zeros((self.n, len(self.comps), len(directions)))
+        for m, comp in enumerate(self.comps):
+            if comp is not None:
+                for i, e in enumerate(directions):
+                    out[:, m, i] = self._comp(comp, e)
+        return out if self.vector else out[:, 0]
+
+    def value(self):
+        return self._stack([(0, 0, 0)])[..., 0]
+
+    def grad(self):
+        return self._stack(_UNIT)
+
+    def sq_sum(self, directions):
+        """Pointwise sum over components and ``directions`` of squared
+        partials, accumulated one square at a time in that order."""
+        total = 0.0
+        for comp in self.comps:
+            if comp is not None:
+                squares = {}
+                for e in directions:
+                    if e not in squares:
+                        squares[e] = self._comp(comp, e) ** 2
+                    total = total + squares[e]
         return total
 
 
 def _draw_velocity(space, rng):
+    """(terms, curl_axis, amp) of a random curl velocity."""
     Lx, Ly, Lz = space.mesh.dims
     axis = int(rng.integers(0, 3))
     m = int(rng.integers(1, 3))
@@ -183,20 +186,12 @@ def _draw_velocity(space, rng):
     k = int(rng.integers(1, 3))
     kind = ("one", "sin", "cos")[int(rng.integers(0, 3))]
     amp = float(rng.normal(0.0, 1.0)) + 0.25 * float(rng.standard_normal())
-    psi = _TensorScalar(
-        [
-            (
-                1.0,
-                _Trig1d(kind, k * np.pi / Lx),
-                _Trig1d("sin2", m * np.pi / Ly),
-                _Trig1d("sin2", n * np.pi / Lz),
-            )
-        ]
-    )
-    return _CurlVelocity(psi, axis, amp)
+    psi = [(1.0, (kind, k * np.pi / Lx), ("sin2", m * np.pi / Ly), ("sin2", n * np.pi / Lz))]
+    return psi, axis, amp
 
 
 def _draw_scalar(space, rng, zero_trace):
+    """(terms,) of a random scalar."""
     Lx, Ly, Lz = space.mesh.dims
     terms = []
     n_terms = int(rng.integers(1, 4))
@@ -209,36 +204,31 @@ def _draw_scalar(space, rng, zero_trace):
         terms.append(
             (
                 amp,
-                _Trig1d("cos" if k else "one", max(k, 1) * np.pi / Lx),
-                _Trig1d(yz_kind, m * np.pi / Ly),
-                _Trig1d(yz_kind, n * np.pi / Lz),
+                ("cos" if k else "one", max(k, 1) * np.pi / Lx),
+                (yz_kind, m * np.pi / Ly),
+                (yz_kind, n * np.pi / Lz),
             )
         )
-    return _TensorScalar(terms)
+    return (terms,)
 
 
-def _w2s_norm(space, fld, s, vector):
-    pts = space.quad_points.reshape(-1, 3)
-    if vector:
-        v2 = np.sum(fld.value(pts) ** 2, axis=1)
-        g2 = np.sum(fld.grad(pts) ** 2, axis=(1, 2))
-    else:
-        v2 = fld.value(pts) ** 2
-        g2 = np.sum(fld.grad(pts) ** 2, axis=1)
-    dens = (v2 + g2 + fld.hess_sq(pts)) ** (s / 2.0)
+def _w2s_norm(space, fld, grad, s):
+    """Broken W^{2,s} norm of a sample field, given its gradient."""
+    g2 = np.sum(grad**2, axis=tuple(range(1, grad.ndim)))
+    dens = (fld.sq_sum([(0, 0, 0)]) + g2 + fld.sq_sum(_HESS)) ** (s / 2.0)
     dens = dens.reshape(space.n_cells, space.nq)
     return float(np.einsum("q,cq->", space.wq, dens) ** (1.0 / s))
 
 
-def _sample_ratios(space, model, kappa_ff, draw, s, r):
+def _sample_ratios(space, model, kappa_ff, lines, draw, s, r):
     """Per-sample ratios (C_b, C_e, C_d, C_eps, C_1); pure given the draw."""
-    u, v, theta, f = draw
+    # tables are built per sample, so memory does not grow with the sample count
+    u, v, theta, f = (_TensorField(lines, *spec) for spec in draw)
     out = np.zeros(5)
-    pts = space.quad_points.reshape(-1, 3)
-    nu_u = _w2s_norm(space, u, s, vector=True)
-    nu_v = _w2s_norm(space, v, s, vector=True)
-    uval, ugrad = u.value(pts), u.grad(pts)
-    vgrad = v.grad(pts)
+    uval, ugrad = u.value(), u.grad()
+    vgrad = v.grad()
+    nu_u = _w2s_norm(space, u, ugrad, s)
+    nu_v = _w2s_norm(space, v, vgrad, s)
     if nu_u > 0 and nu_v > 0:
         adv = np.einsum("nd,nmd->nm", uval, vgrad)
         out[0] = forms.lp_norm_of_values(
@@ -252,19 +242,20 @@ def _sample_ratios(space, model, kappa_ff, draw, s, r):
         out[1] = forms.lp_norm_of_values(
             space, ee.reshape(space.n_cells, space.nq), r
         ) / (nu_u * nu_v)
-    n_th = _w2s_norm(space, theta, r, vector=False)
+    th_grad = theta.grad()
+    n_th = _w2s_norm(space, theta, th_grad, r)
     if nu_u > 0 and n_th > 0:
-        dens = density(model, theta.value(pts)) * np.einsum(
-            "nd,nd->n", uval, theta.grad(pts)
-        )
+        dens = density(model, theta.value()) * np.einsum("nd,nd->n", uval, th_grad)
         out[2] = forms.lp_norm_of_values(
             space, dens.reshape(space.n_cells, space.nq), r
         ) / (model.rho_sharp * nu_u * n_th)
-    # embedding constants from a heat solve with a known right-hand side
-    rhs = forms.field_load_scalar(space, f)
+    # embedding constants from a heat solve with a known right-hand side;
+    # f is already tabulated at the quadrature points the load is built on
+    fval = f.value()
+    rhs = forms.field_load_scalar(space, lambda _pts: fval)
     sol = np.zeros(space.n_scalar)
     sol[space.free_theta] = solve_spd(kappa_ff, rhs[space.free_theta], tol=1e-12)
-    fvals = np.abs(f.value(pts)).reshape(space.n_cells, space.nq)
+    fvals = np.abs(fval).reshape(space.n_cells, space.nq)
     f_norm = float(np.einsum("q,cq->", space.wq, fvals**r) ** (1.0 / r))
     if f_norm > 0:
         out[3] = forms.discrete_norms(space, sol, "W2s", s=r) / f_norm
@@ -278,15 +269,19 @@ def estimate_constants(space, model, samples=200, seed=0, s=2.0, r=2.0):
     Each constant is the running maximum of its defining ratio over
     ``samples`` random fields, so estimates never decrease with more
     samples and are deterministic for a given seed.  Sample fields are
-    drawn sequentially from the seeded generator; ratio evaluation may run
-    on a thread pool (capped by THERMODUCT_THREADS) since the max
-    reduction is order-independent.
+    drawn sequentially from the seeded generator.  Ratio evaluation may run
+    on a thread pool (capped by THERMODUCT_THREADS) since the max reduction
+    is order-independent.  It tabulates each sample's 1-D factors on the
+    quadrature coordinate lines of ``space``, built once here and shared
+    read-only by all samples, and broadcasts every partial derivative from
+    those tables straight into quad_points order.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a stable estimate")
     rng = np.random.default_rng(seed)
     kappa = forms.assemble_kappa(space, model)
     kappa_ff = kappa[space.free_theta][:, space.free_theta].tocsr()
+    lines = _quad_lines(space)
 
     draws = []
     for i in range(samples):
@@ -305,10 +300,10 @@ def estimate_constants(space, model, samples=200, seed=0, s=2.0, r=2.0):
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             ratios = list(
-                pool.map(lambda d: _sample_ratios(space, model, kappa_ff, d, s, r), draws)
+                pool.map(lambda d: _sample_ratios(space, model, kappa_ff, lines, d, s, r), draws)
             )
     else:
-        ratios = [_sample_ratios(space, model, kappa_ff, d, s, r) for d in draws]
+        ratios = [_sample_ratios(space, model, kappa_ff, lines, d, s, r) for d in draws]
     best = np.max(np.stack(ratios), axis=0)
 
     return ConstantEstimates(

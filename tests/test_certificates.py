@@ -13,6 +13,7 @@ from thermoduct.certificates import (
     state_norms,
     uniqueness_certificate,
 )
+from thermoduct.certificates import _HESS, _TensorField, _quad_lines
 from thermoduct.fields import span_scalar
 from thermoduct.fixed_point import CoupledProblem, State, outer_loop
 from thermoduct.material import clamped_boussinesq, make_material
@@ -63,6 +64,109 @@ def test_estimates_stable_under_refinement(boussinesq_model):
     for name in ("C_b", "C_d", "C_e", "C_eps", "C_1"):
         va, vb = getattr(a, name), getattr(b, name)
         assert abs(vb - va) / va < 0.2
+
+
+def test_estimates_pinned(small_space, boussinesq_model):
+    # any change to the draws, the sample derivatives or their rounding
+    # moves at least one of these
+    est = estimate_constants(small_space, boussinesq_model, samples=100, seed=0)
+    assert (est.C_b, est.C_d, est.C_e, est.C_eps, est.C_1) == (
+        0.003172649553602057,
+        0.0031063119982081113,
+        0.006890343537899237,
+        0.8628792550678136,
+        0.05888608006738194,
+    )
+
+
+# -- tensor-product sample fields ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def aniso_space():
+    return build_spaces(build_channel_mesh(1.0, 0.7, 2.3, 3, 2, 5))
+
+
+def closed_factor(kind, k, t, o):
+    """d^o/dt^o of one sample factor, written out."""
+    if kind == "one":
+        return np.ones_like(t) if o == 0 else np.zeros_like(t)
+    if kind == "sin":
+        return (np.sin(k * t), k * np.cos(k * t), k**2 * -np.sin(k * t), k**3 * -np.cos(k * t))[o]
+    if kind == "cos":
+        return (np.cos(k * t), k * -np.sin(k * t), k**2 * -np.cos(k * t), k**3 * np.sin(k * t))[o]
+    two = 2.0 * k  # sin^2(kt) = (1 - cos(2kt)) / 2
+    return (
+        np.sin(k * t) ** 2,
+        0.5 * two * np.sin(two * t),
+        0.5 * two**2 * np.cos(two * t),
+        0.5 * two**3 * -np.sin(two * t),
+    )[o]
+
+
+def closed_partial(terms, orders, pts):
+    return sum(
+        amp
+        * closed_factor(*fx, pts[:, 0], orders[0])
+        * closed_factor(*fy, pts[:, 1], orders[1])
+        * closed_factor(*fz, pts[:, 2], orders[2])
+        for amp, fx, fy, fz in terms
+    )
+
+
+ORDERS = [(ox, oy, oz) for ox in range(4) for oy in range(4) for oz in range(4)]
+
+
+def test_tensor_scalar_matches_closed_form(aniso_space):
+    pts = aniso_space.quad_points.reshape(-1, 3)
+    # every factor kind on every axis
+    terms = [
+        (0.7, ("one", 1.0), ("sin", 2 * np.pi / 0.7), ("cos", np.pi / 2.3)),
+        (-1.3, ("sin", np.pi), ("cos", np.pi / 0.7), ("sin2", 2 * np.pi / 2.3)),
+        (0.4, ("cos", 2 * np.pi), ("sin2", np.pi / 0.7), ("one", 1.0)),
+        (2.1, ("sin2", np.pi), ("one", 1.0), ("sin", np.pi / 2.3)),
+    ]
+    fld = _TensorField(_quad_lines(aniso_space), terms)
+    for orders in ORDERS:
+        assert np.array_equal(fld.partial(orders), closed_partial(terms, orders, pts)), orders
+    assert np.array_equal(fld.value(), closed_partial(terms, (0, 0, 0), pts))
+    grad = np.stack([closed_partial(terms, o, pts) for o in ((1, 0, 0), (0, 1, 0), (0, 0, 1))], axis=1)
+    assert np.array_equal(fld.grad(), grad)
+    hess_sq = 0.0
+    for orders in _HESS:
+        hess_sq = hess_sq + closed_partial(terms, orders, pts) ** 2
+    assert np.array_equal(fld.sq_sum(_HESS), hess_sq)
+
+
+# curl(amp psi e_axis): per axis, {component: (sign, axis of the derivative of psi)}
+CURL = {0: {1: (1.0, 2), 2: (-1.0, 1)}, 1: {0: (-1.0, 2), 2: (1.0, 0)}, 2: {0: (1.0, 1), 1: (-1.0, 0)}}
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["one", "sin", "cos"])
+def test_curl_velocity_matches_closed_form(aniso_space, axis, kind):
+    pts = aniso_space.quad_points.reshape(-1, 3)
+    amp = -0.8
+    psi = [(1.0, (kind, 2 * np.pi), ("sin2", np.pi / 0.7), ("sin2", 2 * np.pi / 2.3))]
+    fld = _TensorField(_quad_lines(aniso_space), psi, curl_axis=axis, amp=amp)
+
+    def comp(m, extra):
+        if m not in CURL[axis]:
+            return np.zeros(len(pts))
+        sign, d = CURL[axis][m]
+        orders = [e + (i == d) for i, e in enumerate(extra)]
+        return amp * sign * closed_partial(psi, orders, pts)
+
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert np.array_equal(fld.value(), np.stack([comp(m, (0, 0, 0)) for m in range(3)], axis=1))
+    grad = np.stack([np.stack([comp(m, e) for e in unit], axis=1) for m in range(3)], axis=1)
+    assert np.array_equal(fld.grad(), grad)
+    assert np.allclose(np.einsum("nmm->n", grad), 0.0, atol=1e-9)  # solenoidal
+    hess_sq = 0.0
+    for m in CURL[axis]:
+        for orders in _HESS:
+            hess_sq = hess_sq + comp(m, orders) ** 2
+    assert np.array_equal(fld.sq_sum(_HESS), hess_sq)
 
 
 # -- smallness -----------------------------------------------------------------------
