@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import forms
-from .linsolve import solve_spd
+from .linsolve import WallCG
 from .material import density
 from .runtime import worker_count
 from .spectrum import regularity_exponent_bound
@@ -220,7 +220,7 @@ def _w2s_norm(space, fld, grad, s):
     return float(np.einsum("q,cq->", space.wq, dens) ** (1.0 / s))
 
 
-def _sample_ratios(space, model, kappa_ff, lines, draw, s, r):
+def _sample_ratios(space, model, heat, lines, draw, s, r):
     """Per-sample ratios (C_b, C_e, C_d, C_eps, C_1); pure given the draw."""
     # tables are built per sample, so memory does not grow with the sample count
     u, v, theta, f = (_TensorField(lines, *spec) for spec in draw)
@@ -253,8 +253,7 @@ def _sample_ratios(space, model, kappa_ff, lines, draw, s, r):
     # f is already tabulated at the quadrature points the load is built on
     fval = f.value()
     rhs = forms.field_load_scalar(space, lambda _pts: fval)
-    sol = np.zeros(space.n_scalar)
-    sol[space.free_theta] = solve_spd(kappa_ff, rhs[space.free_theta], tol=1e-12)
+    sol = heat.solve(rhs)
     fvals = np.abs(fval).reshape(space.n_cells, space.nq)
     f_norm = float(np.einsum("q,cq->", space.wq, fvals**r) ** (1.0 / r))
     if f_norm > 0:
@@ -269,18 +268,18 @@ def estimate_constants(space, model, samples=200, seed=0, s=2.0, r=2.0):
     Each constant is the running maximum of its defining ratio over
     ``samples`` random fields, so estimates never decrease with more
     samples and are deterministic for a given seed.  Sample fields are
-    drawn sequentially from the seeded generator.  Ratio evaluation may run
-    on a thread pool (capped by THERMODUCT_THREADS) since the max reduction
+    drawn sequentially from the seeded generator.  Ratio evaluation runs
+    on THERMODUCT_THREADS workers (one when unset) since the max reduction
     is order-independent.  It tabulates each sample's 1-D factors on the
-    quadrature coordinate lines of ``space``, built once here and shared
-    read-only by all samples, and broadcasts every partial derivative from
-    those tables straight into quad_points order.
+    quadrature coordinate lines of ``space`` and broadcasts every partial
+    derivative from those tables straight into quad_points order.  The
+    lines and the wall-eliminated heat solver are built once here and
+    shared read-only by all samples.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a stable estimate")
     rng = np.random.default_rng(seed)
-    kappa = forms.assemble_kappa(space, model)
-    kappa_ff = kappa[space.free_theta][:, space.free_theta].tocsr()
+    heat = WallCG(forms.assemble_kappa(space, model), space.dirichlet_mask_theta, 1e-12)
     lines = _quad_lines(space)
 
     draws = []
@@ -294,16 +293,16 @@ def estimate_constants(space, model, samples=200, seed=0, s=2.0, r=2.0):
             )
         )
 
-    workers = worker_count(default=1)
+    workers = worker_count()
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             ratios = list(
-                pool.map(lambda d: _sample_ratios(space, model, kappa_ff, lines, d, s, r), draws)
+                pool.map(lambda d: _sample_ratios(space, model, heat, lines, d, s, r), draws)
             )
     else:
-        ratios = [_sample_ratios(space, model, kappa_ff, lines, d, s, r) for d in draws]
+        ratios = [_sample_ratios(space, model, heat, lines, d, s, r) for d in draws]
     best = np.max(np.stack(ratios), axis=0)
 
     return ConstantEstimates(

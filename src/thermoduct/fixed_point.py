@@ -10,13 +10,14 @@ moving.  Stopping norms for both loops are discrete H1 norms of the
 increments.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import forms
-from .linsolve import SaddleFactorization, constrain_vector, solve_spd
+from .linsolve import SaddleFactorization, WallCG
 
 __all__ = [
     "State",
@@ -107,7 +108,8 @@ class CoupledProblem:
     ``g`` is a constant 3-vector or a VectorField; ``theta_D`` is a
     ScalarField lifting of the wall temperature, interpolated onto the
     temperature space.  ``f_extra``/``h_extra`` are optional closed-form
-    forcing fields (used by manufactured-solution runs).
+    forcing fields (used by manufactured-solution runs).  ``linear_tol`` is
+    the relative tolerance of the heat CG solve.
     """
 
     def __init__(self, space, model, g, theta_D, f_extra=None, h_extra=None,
@@ -116,18 +118,14 @@ class CoupledProblem:
         self.model = model
         self.g = g
         self.theta_D_field = theta_D
-        self.linear_tol = linear_tol
 
         self.A = forms.assemble_a(space, model)
         self.D = forms.divergence_matrix(space)
         self.kappa = forms.assemble_kappa(space, model)
+        self.heat = WallCG(self.kappa, space.dirichlet_mask_theta, linear_tol)
 
         self.theta_D = forms.interpolate_scalar(space, theta_D)
         self.lifting_load = self.kappa @ self.theta_D
-
-        self.fixed_u = space.dirichlet_mask_u
-        self.free_theta = space.free_theta
-        self.kappa_ff = self.kappa[self.free_theta][:, self.free_theta].tocsr()
 
         self.f_extra = f_extra
         self.h_extra = h_extra
@@ -141,23 +139,15 @@ class CoupledProblem:
             if h_extra is not None
             else np.zeros(space.n_scalar)
         )
-        self._saddle = None
 
-    @property
-    def saddle_factor(self):
-        if self._saddle is None:
-            from .linsolve import constrain_system
-
-            K = forms.assemble_saddle(self.space, self.model)
-            self._saddle = SaddleFactorization(constrain_system(K, self.fixed_u))
-        return self._saddle
+    @functools.cached_property
+    def saddle(self):
+        """The wall-eliminated saddle factorization, built on first use."""
+        K = forms.assemble_saddle(self.space, self.model)
+        return SaddleFactorization(K, self.space.dirichlet_mask_u)
 
     def buoyancy_load(self, theta_full):
         return forms.assemble_buoyancy(self.space, self.model, theta_full, self.g)
-
-    def momentum_rhs(self, load_velocity):
-        rhs = np.concatenate([load_velocity, np.zeros(self.space.n_pressure)])
-        return constrain_vector(rhs, self.fixed_u)
 
 
 def inner_momentum_solve(problem, theta_full, u_init=None, tol=1e-12, max_iter=50):
@@ -173,13 +163,9 @@ def inner_momentum_solve(problem, theta_full, u_init=None, tol=1e-12, max_iter=5
     u = np.zeros(space.n_velocity) if u_init is None else np.array(u_init, dtype=float)
     increments, ratios = [], []
     bad_streak = 0
-    n_vel = space.n_velocity
-    P = np.zeros(space.n_pressure)
     for _ in range(max_iter):
         conv = forms.convection_load(space, model, u, u)
-        x = problem.saddle_factor.solve(problem.momentum_rhs(load - conv))
-        w = x[:n_vel]
-        P = -x[n_vel:]
+        w, P = problem.saddle.solve(load - conv)
         inc = forms.discrete_norms(space, w - u, "H1")
         if increments and increments[-1] > tol:
             ratio = inc / increments[-1]
@@ -216,11 +202,7 @@ def heat_solve(problem, u, vartheta_frozen):
         - problem.lifting_load
         + problem.h_extra_load
     )
-    sol = np.zeros(space.n_scalar)
-    sol[problem.free_theta] = solve_spd(
-        problem.kappa_ff, rhs[problem.free_theta], tol=problem.linear_tol
-    )
-    return sol
+    return problem.heat.solve(rhs)
 
 
 def outer_loop(problem, outer_tol=1e-10, max_outer=30, inner_tol=1e-12,
@@ -241,14 +223,9 @@ def outer_loop(problem, outer_tol=1e-10, max_outer=30, inner_tol=1e-12,
     for n in range(1, max_outer + 1):
         t0 = time.perf_counter()
         theta_full = problem.theta_D + vartheta
-        try:
-            u, P, inner = inner_momentum_solve(
-                problem, theta_full, u_init=u, tol=inner_tol, max_iter=max_inner
-            )
-        except DivergenceError as exc:
-            # keep the inner trace on the exception; attach the outer context
-            exc.outer_trace = trace
-            raise
+        u, P, inner = inner_momentum_solve(
+            problem, theta_full, u_init=u, tol=inner_tol, max_iter=max_inner
+        )
         vartheta_new = heat_solve(problem, u, vartheta)
         if damping != 1.0:
             vartheta_new = vartheta + damping * (vartheta_new - vartheta)
@@ -320,7 +297,7 @@ def weak_residual(problem, state):
         - problem.f_extra_load
     )
     free_u = np.ones(space.n_velocity, dtype=bool)
-    free_u[problem.fixed_u] = False
+    free_u[space.dirichlet_mask_u] = False
     r_mom = float(np.sqrt(np.sum(mom[free_u] ** 2) + np.sum((problem.D @ u) ** 2)))
 
     heat = (
@@ -329,7 +306,7 @@ def weak_residual(problem, state):
         - forms.assemble_e_load(space, model, u, u)
         - problem.h_extra_load
     )
-    r_heat = float(np.linalg.norm(heat[problem.free_theta]))
+    r_heat = float(np.linalg.norm(heat[space.free_theta]))
     return r_mom, r_heat
 
 

@@ -3,7 +3,7 @@
 Operators: the viscous block a(u,v) = nu (grad u, grad v), the heat
 stiffness kappa(t,p) = lambda (grad t, grad p), the frozen-transport
 convection operator b(u0, ., .) and the Taylor-Hood saddle block system
-[[A, D^T], [D, 0]] with D the discrete divergence (q, div u).  The
+[[A, -D^T], [-D, 0]] with D the discrete divergence (q, div u).  The
 do-nothing outflow condition is natural for this weak form, so no
 boundary terms are added on the open ends.
 
@@ -43,16 +43,12 @@ __all__ = [
     "field_load_vector",
     "discrete_norms",
     "interpolate_scalar",
-    "interpolate_vector",
     "eval_scalar",
     "eval_scalar_grad",
     "eval_scalar_hess",
     "eval_velocity",
     "eval_velocity_grad",
     "eval_pressure",
-    "b_field_norm",
-    "d_field_norm",
-    "e_field_norm",
     "outflow_boundary_term",
     "surface_velocity_normal",
 ]
@@ -149,11 +145,6 @@ def interpolate_scalar(space, fld):
     return np.asarray(fld(space.q2_nodes), dtype=float)
 
 
-def interpolate_vector(space, fld):
-    vals = np.asarray(fld(space.q2_nodes), dtype=float)
-    return vals.T.reshape(-1)
-
-
 # -- operators ----------------------------------------------------------------
 
 
@@ -193,16 +184,17 @@ def divergence_matrix(space):
 
 
 def assemble_saddle(space, model):
-    """Unconstrained Taylor-Hood block system [[A, D^T], [D, 0]].
+    """Unconstrained Taylor-Hood block system [[A, -D^T], [-D, 0]].
 
-    No boundary terms are added on the open ends: the do-nothing condition
-    is the natural condition of this form and fixes the pressure level, so
-    the pressure is not pinned.  The momentum block carries the sign-flipped
-    pressure; callers negate the pressure part of the solution.
+    This is the weak form's own sign, a(u, v) - (P, div v) and -(q, div u),
+    so the pressure part of a solution is the pressure and the matrix is
+    symmetric.  No boundary terms are added on the open ends: the
+    do-nothing condition is the natural condition of this form and fixes
+    the pressure level, so the pressure is not pinned.
     """
     A = model.nu * _velocity_block(space, _scalar_stiffness(space))
     D = divergence_matrix(space)
-    return sp.bmat([[A, D.T], [D, None]], format="csr")
+    return sp.bmat([[A, -D.T], [-D, None]], format="csr")
 
 
 def assemble_b(space, model, u0):
@@ -346,23 +338,6 @@ def lp_norm_of_values(space, values, p):
     else:
         mag = np.abs(values)
     return float(np.einsum("q,cq->", space.wq, mag**p) ** (1.0 / p))
-
-
-def b_field_norm(space, model, u0, u1, s):
-    """L^s norm of the pointwise convective density rho0 (u0.grad)u1."""
-    return lp_norm_of_values(space, convection_value(space, model, u0, u1), s)
-
-
-def d_field_norm(space, model, theta_freeze, u, theta_transport, r):
-    """L^r norm of c_V rho(theta_freeze) u . grad theta_transport."""
-    return lp_norm_of_values(
-        space, heat_convection_value(space, model, theta_freeze, u, theta_transport), r
-    )
-
-
-def e_field_norm(space, model, u, v, r):
-    """L^r norm of alpha1 nu e(u):e(v)."""
-    return lp_norm_of_values(space, dissipation_value(space, model, u, v), r)
 
 
 # -- boundary terms --------------------------------------------------------------

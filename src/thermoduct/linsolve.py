@@ -1,11 +1,18 @@
 """Sparse linear algebra: direct saddle-point solves and preconditioned CG.
 
-Saddle systems go through a sparse LU factorization (SuperLU with a
-symmetric-pattern minimum-degree ordering and threshold partial
-pivoting), reused across solves with one step of iterative refinement.
-Symmetric positive definite systems use Jacobi-preconditioned conjugate
-gradients.  All paths are deterministic: identical inputs give
-bit-identical outputs.
+One solver per system type, each built once from the unconstrained
+operator and its wall (Dirichlet) dofs and reused across loads; ``solve``
+returns full-length fields whose wall rows are exactly zero.
+
+- ``SaddleFactorization``: the Taylor-Hood saddle system, through a sparse
+  LU factorization (SuperLU with a symmetric-pattern minimum-degree
+  ordering and threshold partial pivoting) and one step of iterative
+  refinement.
+- ``WallCG``: a symmetric positive definite system, through
+  Jacobi-preconditioned conjugate gradients (``solve_spd``) on its free
+  block.
+
+All paths are deterministic: identical inputs give bit-identical outputs.
 """
 
 import numpy as np
@@ -17,8 +24,7 @@ __all__ = [
     "SingularMatrixError",
     "solve_spd",
     "SaddleFactorization",
-    "constrain_system",
-    "constrain_vector",
+    "WallCG",
 ]
 
 
@@ -30,22 +36,6 @@ class LinearSolveError(RuntimeError):
 
 class SingularMatrixError(LinearSolveError):
     pass
-
-
-def constrain_system(K, fixed):
-    """Zero the fixed rows/columns of K and put ones on their diagonal."""
-    K = K.tocsr()
-    n = K.shape[0]
-    keep = np.ones(n)
-    keep[np.asarray(fixed, dtype=int)] = 0.0
-    S = sp.diags(keep)
-    return ((S @ K @ S) + sp.diags(1.0 - keep)).tocsr()
-
-
-def constrain_vector(rhs, fixed, values=0.0):
-    out = np.array(rhs, dtype=float, copy=True)
-    out[np.asarray(fixed, dtype=int)] = values
-    return out
 
 
 def solve_spd(A, rhs, tol=1e-13, max_iter=None):
@@ -100,27 +90,66 @@ def solve_spd(A, rhs, tol=1e-13, max_iter=None):
     )
 
 
-class SaddleFactorization:
-    """Sparse LU of a constrained saddle system, reusable across loads."""
+class WallCG:
+    """Jacobi-CG for an SPD operator with zero values on the wall dofs.
 
-    def __init__(self, K, residual_tol=1e-10):
-        self.K = K.tocsc()
+    The free block of ``A`` is extracted once; the object is read-only
+    afterwards, so threads may share it.
+    """
+
+    def __init__(self, A, fixed, tol):
+        free = np.ones(A.shape[0], dtype=bool)
+        free[np.asarray(fixed, dtype=int)] = False
+        self.free = np.flatnonzero(free)
+        self.A_ff = A.tocsr()[self.free][:, self.free]
+        self.tol = tol
+
+    def solve(self, load):
+        """Full-length solution of the free rows of ``load``; wall rows are 0."""
+        x = np.zeros(np.size(load))
+        x[self.free] = solve_spd(self.A_ff, np.asarray(load)[self.free], tol=self.tol)
+        return x
+
+
+class SaddleFactorization:
+    """Sparse LU of a saddle system with its wall velocity dofs eliminated.
+
+    ``K`` is the unconstrained operator and ``fixed`` the wall dofs: their
+    rows and columns are replaced by identity rows and columns, so their
+    solution values are exactly zero.  The LU is reused across loads.
+    """
+
+    def __init__(self, K, fixed, residual_tol=1e-10):
+        self.fixed = np.asarray(fixed, dtype=int)
+        keep = np.ones(K.shape[0])
+        keep[self.fixed] = 0.0
+        S = sp.diags(keep)
+        self.K = ((S @ K.tocsr() @ S) + sp.diags(1.0 - keep)).tocsc()
         self.residual_tol = residual_tol
         try:
             self.lu = splu(self.K, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SingularMatrixError(f"factorization failed: {exc}") from exc
 
-    def solve(self, rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        bad = np.flatnonzero(~np.isfinite(rhs))
+    def solve(self, load):
+        """Solve with ``load`` on the leading rows and zeros below them.
+
+        Returns ``(x[:n], x[n:])`` with ``n = load.size``: a velocity load
+        gives the velocity and the pressure.
+        """
+        load = np.asarray(load, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(load))
         if bad.size:
             raise LinearSolveError(
                 f"non-finite right-hand side: {bad.size} entries, first at row {bad[0]}"
             )
+        n = load.size
+        rhs = np.zeros(self.K.shape[0])
+        rhs[:n] = load
+        rhs[self.fixed] = 0.0
         nb = np.linalg.norm(rhs)
         if nb == 0.0:
-            return np.zeros(rhs.size)
+            return rhs[:n], rhs[n:]
         x = self.lu.solve(rhs)
         r = rhs - self.K @ x
         x = x + self.lu.solve(r)
@@ -128,7 +157,7 @@ class SaddleFactorization:
         res = np.linalg.norm(r)
         if not np.isfinite(res) or res > self.residual_tol * nb:
             self._raise_singular(res / nb)
-        return x
+        return x[:n], x[n:]
 
     def _raise_singular(self, rel_res):
         # factorization survived but cannot reproduce the load: in practice a

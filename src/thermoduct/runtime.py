@@ -7,16 +7,13 @@ __all__ = ["worker_count"]
 THREADS_ENV = "THERMODUCT_THREADS"
 
 
-def worker_count(default=2):
-    """Worker cap for concurrent independent solves.
+def worker_count():
+    """Worker count for concurrent independent solves.
 
-    Read from the THERMODUCT_THREADS environment variable; values below 1
-    fall back to 1.
+    Read from the THERMODUCT_THREADS environment variable; unset or
+    unparsable means 1, and values below 1 fall back to 1.
     """
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return max(1, default)
     try:
-        return max(1, int(raw))
+        return max(1, int(os.environ.get(THREADS_ENV, "1")))
     except ValueError:
-        return max(1, default)
+        return 1

@@ -16,7 +16,7 @@ import numpy as np
 from . import forms
 from .fields import ScalarField, VectorField
 from .fixed_point import CoupledProblem, outer_loop
-from .linsolve import SaddleFactorization, constrain_system, constrain_vector, solve_spd
+from .linsolve import SaddleFactorization, WallCG
 from .material import density
 from .mesh import build_channel_mesh
 from .spaces import build_spaces
@@ -473,13 +473,8 @@ def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0,
         hs.append(float(np.max(space.h)))
         model = _unit_model(nu)
         K = forms.assemble_saddle(space, model)
-        rhs = np.concatenate(
-            [forms.field_load_vector(space, forcing), np.zeros(space.n_pressure)]
-        )
-        Kc = constrain_system(K, space.dirichlet_mask_u)
-        x = SaddleFactorization(Kc).solve(constrain_vector(rhs, space.dirichlet_mask_u))
-        u = x[: space.n_velocity]
-        P = -x[space.n_velocity:]
+        load = forms.field_load_vector(space, forcing)
+        u, P = SaddleFactorization(K, space.dirichlet_mask_u).solve(load)
         l2, h1 = _error_norms(space, u, case.u.value, case.u.grad, vector=True)
         pq = forms.eval_pressure(space, P)
         pe = case.p.value(space.quad_points.reshape(-1, 3)).reshape(space.n_cells, space.nq)
@@ -507,11 +502,7 @@ def mms_heat_study(case_factory, dims, base_divisions, n_levels=3, lam=1.0,
         kappa = forms.assemble_kappa(space, model)
         theta_D = forms.interpolate_scalar(space, case.theta)
         rhs = forms.field_load_scalar(space, forcing) - kappa @ theta_D
-        free = space.free_theta
-        kff = kappa[free][:, free].tocsr()
-        sol = np.zeros(space.n_scalar)
-        sol[free] = solve_spd(kff, rhs[free], tol=1e-13)
-        theta = theta_D + sol
+        theta = theta_D + WallCG(kappa, space.dirichlet_mask_theta, 1e-13).solve(rhs)
         l2, h1 = _error_norms(space, theta, case.theta.value, case.theta.grad, vector=False)
         errors["theta_L2"].append(l2)
         errors["theta_H1"].append(h1)

@@ -46,3 +46,26 @@ def linear_field_dofs(space, component, axis):
         space.q2_nodes[:, axis]
     )
     return u
+
+
+def divergence_free_samples(space, rng, count):
+    """Exactly representable solenoidal fields with u.n = 0 on the walls.
+
+    Combinations of (f(y,z), 0, 0) with biquadratic f and the two
+    rotational generators (x(L-2y), -y(L-y), 0), (x(L-2z), 0, -z(L-z)).
+    """
+    Lx, Ly, Lz = space.mesh.dims
+    nodes = space.q2_nodes
+    x, y, z = nodes[:, 0], nodes[:, 1], nodes[:, 2]
+    out = []
+    for _ in range(count):
+        c = rng.normal(size=(3, 3))
+        f = sum(c[i, j] * y**i * z**j for i in range(3) for j in range(3))
+        a2, a3 = rng.normal(size=2)
+        u = np.zeros(space.n_velocity)
+        n = space.n_scalar
+        u[:n] = f + a2 * x * (Ly - 2 * y) + a3 * x * (Lz - 2 * z)
+        u[n:2 * n] = -a2 * y * (Ly - y)
+        u[2 * n:] = -a3 * z * (Lz - z)
+        out.append(u)
+    return out

@@ -29,7 +29,7 @@ from thermoduct.fields import constant_scalar, span_scalar
 from thermoduct.fixed_point import CoupledProblem, inner_momentum_solve, outer_loop
 from thermoduct.material import clamped_boussinesq, constant_density, make_material
 from thermoduct.spectrum import compute_spectrum, find_roots, mellin_symbol
-from test_forms import divergence_free_samples
+from conftest import divergence_free_samples
 
 Z0_REPORTED = 1.352317
 S0_REPORTED = 3.087930

@@ -7,11 +7,21 @@ from thermoduct.linsolve import (
     LinearSolveError,
     SaddleFactorization,
     SingularMatrixError,
-    constrain_system,
-    constrain_vector,
+    WallCG,
     solve_spd,
 )
 from thermoduct.material import constant_density, make_material
+
+
+def _eliminated(K, fixed, rhs):
+    """Dense oracle: identity rows and columns, zero load on the fixed dofs."""
+    K = K.toarray()
+    K[fixed, :] = 0.0
+    K[:, fixed] = 0.0
+    K[fixed, fixed] = 1.0
+    rhs = np.array(rhs, dtype=float)
+    rhs[fixed] = 0.0
+    return K, rhs
 
 
 def test_cg_identity():
@@ -67,26 +77,45 @@ def test_cg_iteration_budget_on_heat_operator():
     assert np.linalg.norm(Kff @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
+def test_wall_cg_matches_dense_oracle(cube_space, unit_model):
+    K = forms.assemble_kappa(cube_space, unit_model)
+    fixed = cube_space.dirichlet_mask_theta
+    load = np.random.default_rng(2).normal(size=cube_space.n_scalar)
+    x = WallCG(K, fixed, 1e-13).solve(load)
+    assert np.all(x[fixed] == 0.0)
+    x_ref = np.linalg.solve(*_eliminated(K, fixed, load))
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
 def test_saddle_zero_rhs(cube_space, unit_model):
     K = forms.assemble_saddle(cube_space, unit_model)
-    Kc = constrain_system(K, cube_space.dirichlet_mask_u)
-    x = SaddleFactorization(Kc).solve(np.zeros(K.shape[0]))
-    assert np.all(x == 0.0)
+    u, P = SaddleFactorization(K, cube_space.dirichlet_mask_u).solve(
+        np.zeros(cube_space.n_velocity)
+    )
+    assert np.all(u == 0.0) and np.all(P == 0.0)
+    assert P.size == cube_space.n_pressure
 
 
 def test_saddle_matches_dense_oracle_on_manufactured_load(cube_space, unit_model):
-    # load induced by a manufactured solenoidal field; oracle is a dense solve
+    # load induced by a manufactured solenoidal field; the oracle is a dense
+    # solve of [[A, D^T], [D, 0]], whose pressure part is the negated pressure
     from thermoduct import verification as v
 
     case = v.trig_case((1.0, 1.0, 1.0), nu=unit_model.nu)
     load = forms.field_load_vector(cube_space, v.stokes_forcing(case, unit_model.nu))
-    rhs = np.concatenate([load, np.zeros(cube_space.n_pressure)])
+    fixed = cube_space.dirichlet_mask_u
+    A = forms.assemble_a(cube_space, unit_model)
+    D = forms.divergence_matrix(cube_space)
+    K_ref, rhs = _eliminated(
+        sp.bmat([[A, D.T], [D, None]]), fixed,
+        np.concatenate([load, np.zeros(cube_space.n_pressure)]),
+    )
+    x_ref = np.linalg.solve(K_ref, rhs)
+    n = cube_space.n_velocity
     K = forms.assemble_saddle(cube_space, unit_model)
-    Kc = constrain_system(K, cube_space.dirichlet_mask_u)
-    rhs = constrain_vector(rhs, cube_space.dirichlet_mask_u)
-    x = SaddleFactorization(Kc).solve(rhs)
-    x_ref = np.linalg.solve(Kc.toarray(), rhs)
-    assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+    u, P = SaddleFactorization(K, fixed).solve(load)
+    assert np.linalg.norm(u - x_ref[:n]) <= 1e-8 * np.linalg.norm(x_ref[:n])
+    assert np.linalg.norm(P + x_ref[n:]) <= 1e-8 * np.linalg.norm(x_ref[n:])
 
 
 def test_pressure_nullspace_detected_without_open_ends(cube_space, unit_model):
@@ -104,33 +133,34 @@ def test_pressure_nullspace_detected_without_open_ends(cube_space, unit_model):
     all_dirichlet = np.concatenate(
         [m * space.n_scalar + np.nonzero(on_any)[0] for m in range(3)]
     )
-    Kc = constrain_system(K, all_dirichlet)
-    rhs = constrain_vector(np.ones(K.shape[0]), all_dirichlet)
+    # the load fills the mass rows too: with a velocity-only load the
+    # all-wall system is consistent and hides the nullspace
     with pytest.raises(SingularMatrixError) as err:
-        SaddleFactorization(Kc).solve(rhs)
+        SaddleFactorization(K, all_dirichlet).solve(np.ones(K.shape[0]))
     assert "pivot" in str(err.value)
 
     # with the open ends present no fix is needed
-    Kc = constrain_system(K, space.dirichlet_mask_u)
-    rhs = constrain_vector(np.ones(K.shape[0]), space.dirichlet_mask_u)
-    x = SaddleFactorization(Kc).solve(rhs)
-    assert np.isfinite(x).all()
+    x, rest = SaddleFactorization(K, space.dirichlet_mask_u).solve(np.ones(K.shape[0]))
+    assert np.isfinite(x).all() and rest.size == 0
 
 
 def test_saddle_factorization_reuse(cube_space, unit_model):
     K = forms.assemble_saddle(cube_space, unit_model)
-    Kc = constrain_system(K, cube_space.dirichlet_mask_u)
-    fac = SaddleFactorization(Kc)
+    fixed = cube_space.dirichlet_mask_u
+    fac = SaddleFactorization(K, fixed)
     rng = np.random.default_rng(4)
     for _ in range(3):
-        rhs = constrain_vector(rng.normal(size=K.shape[0]), cube_space.dirichlet_mask_u)
-        x = fac.solve(rhs)
+        load = rng.normal(size=cube_space.n_velocity)
+        u, P = fac.solve(load)
+        assert np.all(u[fixed] == 0.0)
+        Kc, rhs = _eliminated(K, fixed, np.concatenate([load, np.zeros(P.size)]))
+        x = np.concatenate([u, P])
         assert np.linalg.norm(Kc @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_non_finite_load_is_not_reported_as_singular(cube_space, unit_model):
     K = forms.assemble_saddle(cube_space, unit_model)
-    fac = SaddleFactorization(constrain_system(K, cube_space.dirichlet_mask_u))
+    fac = SaddleFactorization(K, cube_space.dirichlet_mask_u)
     rhs = np.zeros(K.shape[0])
     rhs[7] = np.nan
     with pytest.raises(LinearSolveError) as err:
@@ -141,13 +171,10 @@ def test_non_finite_load_is_not_reported_as_singular(cube_space, unit_model):
 
 def test_solves_are_bit_identical(cube_space, unit_model):
     K = forms.assemble_saddle(cube_space, unit_model)
-    Kc = constrain_system(K, cube_space.dirichlet_mask_u)
-    rhs = constrain_vector(
-        np.random.default_rng(5).normal(size=K.shape[0]), cube_space.dirichlet_mask_u
-    )
-    x1 = SaddleFactorization(Kc).solve(rhs)
-    x2 = SaddleFactorization(Kc).solve(rhs)
-    assert np.array_equal(x1, x2)
+    load = np.random.default_rng(5).normal(size=cube_space.n_velocity)
+    u1, P1 = SaddleFactorization(K, cube_space.dirichlet_mask_u).solve(load)
+    u2, P2 = SaddleFactorization(K, cube_space.dirichlet_mask_u).solve(load)
+    assert np.array_equal(u1, u2) and np.array_equal(P1, P2)
 
     A = sp.diags([2.0] * 50, format="csr") + sp.diags([0.5] * 49, 1) + sp.diags([0.5] * 49, -1)
     b = np.random.default_rng(6).normal(size=50)

@@ -4,13 +4,13 @@ from thermoduct.runtime import THREADS_ENV, worker_count
 
 def test_worker_count_env_parsing(monkeypatch):
     monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert worker_count(default=3) == 3
+    assert worker_count() == 1
     monkeypatch.setenv(THREADS_ENV, "5")
     assert worker_count() == 5
     monkeypatch.setenv(THREADS_ENV, "0")
     assert worker_count() == 1
     monkeypatch.setenv(THREADS_ENV, "junk")
-    assert worker_count(default=2) == 2
+    assert worker_count() == 1
 
 
 def test_estimates_identical_under_thread_cap(monkeypatch, small_space, boussinesq_model):
