@@ -23,7 +23,6 @@ from .material import (
     constant_density,
     density,
     make_material,
-    validate,
 )
 from . import forms, linsolve
 from .fixed_point import (

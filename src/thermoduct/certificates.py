@@ -251,10 +251,9 @@ def _sample_ratios(space, model, heat, lines, draw, s, r):
         ) / (model.rho_sharp * nu_u * n_th)
     # embedding constants from a heat solve with a known right-hand side;
     # f is already tabulated at the quadrature points the load is built on
-    fval = f.value()
-    rhs = forms.field_load_scalar(space, lambda _pts: fval)
-    sol = heat.solve(rhs)
-    fvals = np.abs(fval).reshape(space.n_cells, space.nq)
+    fval = f.value().reshape(space.n_cells, space.nq)
+    sol = heat.solve(forms.field_load_scalar(space, fval))
+    fvals = np.abs(fval)
     f_norm = float(np.einsum("q,cq->", space.wq, fvals**r) ** (1.0 / r))
     if f_norm > 0:
         out[3] = forms.discrete_norms(space, sol, "W2s", s=r) / f_norm
@@ -464,12 +463,8 @@ def uniqueness_certificate(problem, estimates, state1, state2=None, r=None, s=No
 def body_force_norm(problem, s):
     """L^s quadrature norm of the body force over the channel."""
     space = problem.space
-    pts = space.quad_points.reshape(-1, 3)
-    if callable(problem.g):
-        vals = np.asarray(problem.g(pts))
-    else:
-        vals = np.broadcast_to(np.asarray(problem.g, dtype=float), (pts.shape[0], 3))
-    return forms.lp_norm_of_values(space, vals.reshape(space.n_cells, space.nq, 3), s)
+    gq = np.broadcast_to(forms.quad_values(space, problem.g), (space.n_cells, space.nq, 3))
+    return forms.lp_norm_of_values(space, gq, s)
 
 
 # -- exponent ranges ---------------------------------------------------------------

@@ -1,73 +1,54 @@
-"""Closed-form scalar and vector fields.
+"""Closed-form fields for boundary data and forces.
 
-Fields are evaluated directly at quadrature points (no interpolation
-layer).  Gradients and Laplacians are optional closures; solver paths
-that need them (boundary-data lifting, load-norm bookkeeping) check for
-their presence.  Value callables must accept complex coordinate arrays
-so that manufactured-solution derivatives can be cross-checked by
+A field is any callable of points ``(n, 3)``; ``forms.quad_values``
+tabulates it once at the quadrature points, and a constant passes through
+as a float array.  ``Field`` adds the optional gradient and Laplacian
+closures that the manufactured-solution oracles need; no solver path
+reads them.  Value callables must accept complex coordinate arrays so
+that manufactured-solution derivatives can be cross-checked by
 complex-step differentiation.
 """
 
 import numpy as np
 
 __all__ = [
-    "ScalarField",
-    "VectorField",
+    "Field",
     "constant_scalar",
     "constant_vector",
-    "zero_vector",
     "span_scalar",
     "theta_field_registry",
     "body_force_registry",
 ]
 
 
-class ScalarField:
-    def __init__(self, value, grad=None, laplacian=None, name="scalar"):
+class Field:
+    """Scalar or vector field; a vector grad(x) has index order [point, component, direction]."""
+
+    def __init__(self, value, grad=None, laplacian=None):
         self.value = value
         self.grad = grad
         self.laplacian = laplacian
-        self.name = name
 
     def __call__(self, x):
         return self.value(np.asarray(x))
 
 
-class VectorField:
-    """grad(x) has index order [point, component, direction]."""
-
-    def __init__(self, value, grad=None, laplacian=None, name="vector"):
-        self.value = value
-        self.grad = grad
-        self.laplacian = laplacian
-        self.name = name
-
-    def __call__(self, x):
-        return self.value(np.asarray(x))
-
-
-def constant_scalar(c, name=None):
+def constant_scalar(c):
     c = float(c)
-    return ScalarField(
+    return Field(
         value=lambda x: np.full(x.shape[0], c, dtype=x.dtype),
         grad=lambda x: np.zeros((x.shape[0], 3), dtype=x.dtype),
         laplacian=lambda x: np.zeros(x.shape[0], dtype=x.dtype),
-        name=name or f"constant({c})",
     )
 
 
-def constant_vector(v, name=None):
+def constant_vector(v):
     v = np.asarray(v, dtype=float).reshape(3)
-    return VectorField(
+    return Field(
         value=lambda x: np.broadcast_to(v.astype(x.dtype), (x.shape[0], 3)).copy(),
         grad=lambda x: np.zeros((x.shape[0], 3, 3), dtype=x.dtype),
         laplacian=lambda x: np.zeros((x.shape[0], 3), dtype=x.dtype),
-        name=name or f"constant({tuple(v)})",
     )
-
-
-def zero_vector():
-    return constant_vector((0.0, 0.0, 0.0), name="zero")
 
 
 def span_scalar(axis, theta0, delta, length):
@@ -88,11 +69,10 @@ def span_scalar(axis, theta0, delta, length):
         g[:, axis] = delta / length
         return g
 
-    return ScalarField(
+    return Field(
         value=value,
         grad=grad,
         laplacian=lambda x: np.zeros(x.shape[0], dtype=x.dtype),
-        name=f"span_{'xyz'[axis]}",
     )
 
 
@@ -100,17 +80,15 @@ def theta_field_registry(dims):
     """Named boundary-temperature fields available to run configurations."""
     Lx, Ly, Lz = dims
     return {
-        "constant": lambda p: constant_scalar(p.get("theta0", 0.0), name="constant"),
+        "constant": lambda p: constant_scalar(p.get("theta0", 0.0)),
         "span_y": lambda p: span_scalar(1, p.get("theta0", 0.0), p.get("delta", 1.0), Ly),
         "span_z": lambda p: span_scalar(2, p.get("theta0", 0.0), p.get("delta", 1.0), Lz),
     }
 
 
 def body_force_registry():
-    """Named body-force fields available to run configurations."""
+    """Named body forces available to run configurations, as constant 3-vectors."""
     return {
-        "zero": lambda p: zero_vector(),
-        "constant": lambda p: constant_vector(
-            (p.get("gx", 0.0), p.get("gy", 0.0), p.get("gz", 0.0)), name="constant"
-        ),
+        "zero": lambda p: (0.0, 0.0, 0.0),
+        "constant": lambda p: (p.get("gx", 0.0), p.get("gy", 0.0), p.get("gz", 0.0)),
     }

@@ -51,7 +51,7 @@ class State:
     ``vartheta`` is the wall-homogeneous temperature part; the full
     temperature is ``theta = theta_D + vartheta``.  Wall rows of ``u`` and
     ``vartheta`` are exactly zero.  Converged states cache the pointwise
-    momentum/heat source fields so that load (graph) norms are available.
+    momentum source field so that the load (graph) norm is available.
     """
 
     u: np.ndarray
@@ -59,7 +59,6 @@ class State:
     vartheta: np.ndarray
     theta_D: np.ndarray
     momentum_source: np.ndarray = None   # (ncells, nq, 3) or None
-    heat_source: np.ndarray = None       # (ncells, nq) or None
 
     @property
     def theta(self):
@@ -105,19 +104,20 @@ class BackwardFlowReport:
 class CoupledProblem:
     """Assembled problem: operators, boundary data and extra forcings.
 
-    ``g`` is a constant 3-vector or a VectorField; ``theta_D`` is a
-    ScalarField lifting of the wall temperature, interpolated onto the
-    temperature space.  ``f_extra``/``h_extra`` are optional closed-form
-    forcing fields (used by manufactured-solution runs).  ``linear_tol`` is
-    the relative tolerance of the heat CG solve.
+    The data are frozen for the whole iteration, so each is evaluated once.
+    ``g`` (a constant 3-vector or a field) and the optional momentum forcing
+    ``f_extra`` are stored as quadrature values (``forms.quad_values``);
+    ``theta_D``, a field lifting of the wall temperature, is interpolated
+    onto the temperature space; the optional heat forcing ``h_extra`` is
+    kept as its load vector.  ``linear_tol`` is the relative tolerance of
+    the heat CG solve.
     """
 
     def __init__(self, space, model, g, theta_D, f_extra=None, h_extra=None,
                  linear_tol=1e-13):
         self.space = space
         self.model = model
-        self.g = g
-        self.theta_D_field = theta_D
+        self.g = forms.quad_values(space, g)
 
         self.A = forms.assemble_a(space, model)
         self.D = forms.divergence_matrix(space)
@@ -127,13 +127,12 @@ class CoupledProblem:
         self.theta_D = forms.interpolate_scalar(space, theta_D)
         self.lifting_load = self.kappa @ self.theta_D
 
-        self.f_extra = f_extra
-        self.h_extra = h_extra
-        self.f_extra_load = (
-            forms.field_load_vector(space, f_extra)
-            if f_extra is not None
-            else np.zeros(space.n_velocity)
-        )
+        if f_extra is None:
+            self.f_extra = None
+            self.f_extra_load = np.zeros(space.n_velocity)
+        else:
+            self.f_extra = forms.quad_values(space, f_extra)
+            self.f_extra_load = forms.field_load_vector(space, self.f_extra)
         self.h_extra_load = (
             forms.field_load_scalar(space, h_extra)
             if h_extra is not None
@@ -143,7 +142,7 @@ class CoupledProblem:
     @functools.cached_property
     def saddle(self):
         """The wall-eliminated saddle factorization, built on first use."""
-        K = forms.assemble_saddle(self.space, self.model)
+        K = forms.assemble_saddle(self.A, self.D)
         return SaddleFactorization(K, self.space.dirichlet_mask_u)
 
     def buoyancy_load(self, theta_full):
@@ -260,29 +259,14 @@ def outer_loop(problem, outer_tol=1e-10, max_outer=30, inner_tol=1e-12,
 
 
 def _attach_sources(problem, state):
-    """Cache pointwise load fields so load (graph) norms are available."""
+    """Cache the pointwise momentum source so the load (graph) norm is available."""
     space, model = problem.space, problem.model
-    theta = state.theta
-    mom = forms.buoyancy_value(space, model, theta, problem.g) - forms.convection_value(
+    mom = forms.buoyancy_value(space, model, state.theta, problem.g) - forms.convection_value(
         space, model, state.u, state.u
     )
     if problem.f_extra is not None:
-        pts = space.quad_points.reshape(-1, 3)
-        mom = mom + np.asarray(problem.f_extra(pts)).reshape(space.n_cells, space.nq, 3)
+        mom = mom + problem.f_extra
     state.momentum_source = mom
-
-    heat = forms.dissipation_value(space, model, state.u, state.u) - forms.heat_convection_value(
-        space, model, theta, state.u, theta
-    )
-    lap = getattr(problem.theta_D_field, "laplacian", None)
-    if lap is not None:
-        pts = space.quad_points.reshape(-1, 3)
-        heat = heat + model.lam * np.asarray(lap(pts)).reshape(space.n_cells, space.nq)
-        if problem.h_extra is not None:
-            heat = heat + np.asarray(problem.h_extra(pts)).reshape(space.n_cells, space.nq)
-        state.heat_source = heat
-    else:
-        state.heat_source = None
 
 
 def weak_residual(problem, state):

@@ -9,7 +9,9 @@ boundary terms are added on the open ends.
 
 Loads: convective, dissipative and buoyancy terms are assembled as
 explicit load vectors with every argument frozen, mirroring the
-linearized solve structure of the fixed-point scheme.
+linearized solve structure of the fixed-point scheme.  Problem data (a
+callable of points, a constant, or values already tabulated) become
+quadrature values in one place, ``quad_values``.
 
 All cells are congruent, so one set of reference tables serves every
 cell.  Every field is evaluated at the quadrature points by one kernel,
@@ -43,6 +45,7 @@ __all__ = [
     "field_load_vector",
     "discrete_norms",
     "interpolate_scalar",
+    "quad_values",
     "eval_scalar",
     "eval_scalar_grad",
     "eval_scalar_hess",
@@ -141,6 +144,20 @@ def eval_pressure(space, p):
     return _contract(p, space.conn_q1, space.N1)[..., 0]
 
 
+def quad_values(space, fld):
+    """Problem data at the quadrature points.
+
+    A callable of points (n, 3) is evaluated once at every quadrature point
+    and returned as (ncells, nq, ...).  A constant, or values already
+    tabulated this way, is returned as a float array that broadcasts
+    against them.
+    """
+    if callable(fld):
+        vals = np.asarray(fld(space.quad_points.reshape(-1, 3)), dtype=float)
+        return vals.reshape(space.n_cells, space.nq, *vals.shape[1:])
+    return np.asarray(fld, dtype=float)
+
+
 def interpolate_scalar(space, fld):
     return np.asarray(fld(space.q2_nodes), dtype=float)
 
@@ -183,17 +200,17 @@ def divergence_matrix(space):
     return sp.hstack(blocks, format="csr")
 
 
-def assemble_saddle(space, model):
+def assemble_saddle(A, D):
     """Unconstrained Taylor-Hood block system [[A, -D^T], [-D, 0]].
 
-    This is the weak form's own sign, a(u, v) - (P, div v) and -(q, div u),
-    so the pressure part of a solution is the pressure and the matrix is
-    symmetric.  No boundary terms are added on the open ends: the
-    do-nothing condition is the natural condition of this form and fixes
-    the pressure level, so the pressure is not pinned.
+    ``A`` is the viscous block (``assemble_a``) and ``D`` the divergence
+    (``divergence_matrix``).  This is the weak form's own sign,
+    a(u, v) - (P, div v) and -(q, div u), so the pressure part of a
+    solution is the pressure and the matrix is symmetric.  No boundary
+    terms are added on the open ends: the do-nothing condition is the
+    natural condition of this form and fixes the pressure level, so the
+    pressure is not pinned.
     """
-    A = model.nu * _velocity_block(space, _scalar_stiffness(space))
-    D = divergence_matrix(space)
     return sp.bmat([[A, -D.T], [-D, None]], format="csr")
 
 
@@ -256,15 +273,9 @@ def assemble_d_load(space, model, theta_freeze, u, theta_transport):
 
 
 def buoyancy_value(space, model, theta, g):
-    """rho(theta) g at quadrature points; g constant or a VectorField."""
+    """rho(theta) g at quadrature points; g is any data ``quad_values`` takes."""
     rho = density(model, eval_scalar(space, theta))
-    pts = space.quad_points
-    if callable(g):
-        gq = np.asarray(g(pts.reshape(-1, 3))).reshape(pts.shape)
-    else:
-        g = np.asarray(g, dtype=float).reshape(3)
-        gq = np.broadcast_to(g, pts.shape)
-    return rho[:, :, None] * gq
+    return rho[:, :, None] * quad_values(space, g)
 
 
 def assemble_buoyancy(space, model, theta, g):
@@ -273,15 +284,15 @@ def assemble_buoyancy(space, model, theta, g):
 
 
 def field_load_scalar(space, fld):
-    """(h, phi_i) for a closed-form scalar field h."""
-    pts = space.quad_points.reshape(-1, 3)
-    return _scatter_load(space, np.asarray(fld(pts)).reshape(space.n_cells, space.nq))
+    """(h, phi_i) for scalar data h (see ``quad_values``)."""
+    h = np.broadcast_to(quad_values(space, fld), (space.n_cells, space.nq))
+    return _scatter_load(space, h)
 
 
 def field_load_vector(space, fld):
-    """(f, v_i) for a closed-form vector field f."""
-    pts = space.quad_points.reshape(-1, 3)
-    return _scatter_load(space, np.asarray(fld(pts)).reshape(space.n_cells, space.nq, 3))
+    """(f, v_i) for vector data f (see ``quad_values``)."""
+    f = np.broadcast_to(quad_values(space, fld), (space.n_cells, space.nq, 3))
+    return _scatter_load(space, f)
 
 
 # -- norms ---------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Material constants and the temperature-dependent density law.
 
 The density law must be strictly positive, nonincreasing, continuous and
-bounded above by ``rho_sharp``; it multiplies gravity in the momentum
-equation and the convective term of the heat equation, everywhere else
-the constant reference density is used.
+bounded above by ``rho_sharp``; ``DensityLaw`` rejects parameters that
+would break this, so every law it builds has these properties and its
+declared Lipschitz constant by construction.  The law multiplies gravity
+in the momentum equation and the convective term of the heat equation,
+everywhere else the constant reference density is used.
 """
 
 from dataclasses import dataclass, field
@@ -17,8 +19,6 @@ __all__ = [
     "constant_density",
     "make_material",
     "density",
-    "validate",
-    "MaterialReport",
 ]
 
 
@@ -28,6 +28,8 @@ class DensityLaw:
 
     kind 'clamped_boussinesq': rho0 * (1 - alpha_v * (theta - theta_ref)),
     clamped to [rho_min, rho0].  kind 'constant': rho0 everywhere.
+    Requires rho0 > 0, and for the clamped law alpha_v >= 0 (nonincreasing)
+    and rho_min > 0 (strictly positive); raises ValueError otherwise.
     """
 
     kind: str
@@ -35,6 +37,17 @@ class DensityLaw:
     alpha_v: float = 0.0
     theta_ref: float = 0.0
     rho_min: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("constant", "clamped_boussinesq"):
+            raise ValueError(f"unknown density law kind '{self.kind}'")
+        if not self.rho0 > 0:
+            raise ValueError("rho0 must be positive")
+        if self.kind == "clamped_boussinesq":
+            if not self.alpha_v >= 0:
+                raise ValueError("alpha_v must be nonnegative (a nonincreasing law)")
+            if not self.rho_min > 0:
+                raise ValueError("rho_min must be positive")
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -102,44 +115,3 @@ def make_material(nu, rho0, cV, lam, alpha1, law=None):
 def density(model, theta):
     """Evaluate the density law; total on R, values in (0, rho_sharp]."""
     return model.rho_law(theta)
-
-
-@dataclass
-class MaterialReport:
-    passed: bool
-    violations: list
-    empirical_lipschitz: float
-    t_max: float
-    n_samples: int
-
-
-def validate(model, t_max=1e3, n_samples=10_000):
-    """Sample-check positivity, bound, monotonicity and Lipschitz continuity.
-
-    Never raises; returns the violation list and the sampled max slope as
-    an empirical lower bound for C_rho.
-    """
-    theta = np.linspace(-t_max, t_max, n_samples)
-    rho = density(model, theta)
-    violations = []
-    if np.any(rho <= 0):
-        violations.append("density not strictly positive on sample grid")
-    if np.any(rho > model.rho_sharp * (1 + 1e-12)):
-        violations.append("density exceeds rho_sharp on sample grid")
-    drho = np.diff(rho)
-    dth = np.diff(theta)
-    if np.any(drho > 1e-12 * max(model.rho_sharp, 1.0)):
-        violations.append("density is increasing somewhere on sample grid")
-    slopes = np.abs(drho) / dth
-    emp = float(slopes.max()) if len(slopes) else 0.0
-    if emp > model.C_rho * (1 + 1e-9) + 1e-15:
-        violations.append(
-            f"sampled slope {emp:.6g} exceeds declared Lipschitz constant {model.C_rho:.6g}"
-        )
-    return MaterialReport(
-        passed=not violations,
-        violations=violations,
-        empirical_lipschitz=emp,
-        t_max=t_max,
-        n_samples=n_samples,
-    )

@@ -12,8 +12,6 @@ cell-independent.
 
 import numpy as np
 
-from .mesh import FacetTag
-
 __all__ = ["DiscreteSpace", "build_spaces", "gauss_01"]
 
 
@@ -44,12 +42,6 @@ def _q1_1d(t):
     return np.stack([1 - t, t])
 
 
-def _dq1_1d(t):
-    t = np.asarray(t)
-    z = np.zeros_like(t)
-    return np.stack([z - 1, z + 1])
-
-
 class DiscreteSpace:
     """Discrete Taylor-Hood + temperature space on a ChannelMesh.
 
@@ -62,7 +54,8 @@ class DiscreteSpace:
     - ``dirichlet_mask_theta``/``dirichlet_mask_u``: dofs on the closure
       of the lateral walls (junction edges included),
     - reference basis tables at the volume quadrature points and, per
-      boundary face, surface quadrature tables with outward normals.
+      open end (``faces["x0"]``, ``faces["x1"]``), surface quadrature
+      tables with outward normals.
     """
 
     def __init__(self, mesh, quad_order=5):
@@ -190,10 +183,10 @@ class DiscreteSpace:
         )
 
     def _build_surface_tables(self):
-        """Per boundary face: facet connectivity, quadrature, outward normal."""
-        nx, ny, nz = self.mesh.divisions
-        sx, sy, sz = self.q2_shape
-        hx, hy, hz = self.h
+        """Per open end: facet connectivity, quadrature, outward normal."""
+        _, ny, nz = self.mesh.divisions
+        sx, sy, _ = self.q2_shape
+        _, hy, hz = self.h
         g, w = gauss_01(self.quad_order)
         TA, TB = np.meshgrid(g, g, indexing="ij")
         ta, tb = TA.ravel(), TB.ravel()
@@ -204,45 +197,21 @@ class DiscreteSpace:
             a, b = n % 3, n // 3
             NS[n] = ba[a] * bb[b]
 
-        def stride(i, j, k):
-            return i + sx * (j + sy * k)
-
-        faces = {}
-        # tangent axes per face: x faces -> (y, z); y faces -> (x, z); z faces -> (x, y)
-        specs = {
-            "x0": (np.array([-1.0, 0, 0]), hy * hz),
-            "x1": (np.array([1.0, 0, 0]), hy * hz),
-            "y0": (np.array([0, -1.0, 0]), hx * hz),
-            "y1": (np.array([0, 1.0, 0]), hx * hz),
-            "z0": (np.array([0, 0, -1.0]), hx * hy),
-            "z1": (np.array([0, 0, 1.0]), hx * hy),
-        }
+        # the tangent axes of an x face are (y, z)
         loc = np.arange(9)
-        for name, (normal, jac) in specs.items():
-            conn = []
-            if name[0] == "x":
-                i = 0 if name == "x0" else sx - 1
-                for k in range(nz):
-                    for j in range(ny):
-                        conn.append(stride(i, 2 * j + loc % 3, 2 * k + loc // 3))
-            elif name[0] == "y":
-                j = 0 if name == "y0" else sy - 1
-                for k in range(nz):
-                    for i in range(nx):
-                        conn.append(stride(2 * i + loc % 3, j, 2 * k + loc // 3))
-            else:
-                k = 0 if name == "z0" else sz - 1
-                for j in range(ny):
-                    for i in range(nx):
-                        conn.append(stride(2 * i + loc % 3, 2 * j + loc // 3, k))
-            faces[name] = {
+        self.faces = {}
+        for name, i, normal in (("x0", 0, -1.0), ("x1", sx - 1, 1.0)):
+            conn = [
+                i + sx * ((2 * j + loc % 3) + sy * (2 * k + loc // 3))
+                for k in range(nz)
+                for j in range(ny)
+            ]
+            self.faces[name] = {
                 "conn": np.asarray(conn, dtype=np.int64),
-                "weights": w2 * jac,
-                "normal": normal,
+                "weights": w2 * (hy * hz),
+                "normal": np.array([normal, 0, 0]),
                 "basis": NS,
-                "tag": FacetTag.GAMMA_N if name[0] == "x" else FacetTag.GAMMA_D,
             }
-        self.faces = faces
 
     # -- queries -----------------------------------------------------------
 

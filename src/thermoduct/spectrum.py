@@ -10,7 +10,6 @@ regularity follows as s0 = 2 / (2 - mu_M).
 """
 
 import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

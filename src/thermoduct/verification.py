@@ -9,12 +9,12 @@ slip in any derivative is caught before the case is trusted as an oracle.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import forms
-from .fields import ScalarField, VectorField
+from .fields import Field
 from .fixed_point import CoupledProblem, outer_loop
 from .linsolve import SaddleFactorization, WallCG
 from .material import density
@@ -38,9 +38,9 @@ __all__ = [
 @dataclass
 class ManufacturedCase:
     name: str
-    u: VectorField
-    p: ScalarField
-    theta: ScalarField
+    u: Field
+    p: Field
+    theta: Field
     nu: float
     compatible_heat_flux: bool = True
     notes: str = ""
@@ -112,8 +112,8 @@ def trig_case(dims, nu=1.0, amplitude=1.0):
     theta = _compatible_theta(dims, amplitude=0.5 * a)
     return ManufacturedCase(
         name="trig_smooth",
-        u=VectorField(u_val, u_grad, u_lap, name="trig_smooth_u"),
-        p=ScalarField(p_val, p_grad, name="trig_smooth_p"),
+        u=Field(u_val, u_grad, u_lap),
+        p=Field(p_val, p_grad),
         theta=theta,
         nu=nu,
     )
@@ -141,7 +141,7 @@ def _compatible_theta(dims, amplitude=1.0, offset=1.0):
         cx, cy, cz = np.cos(ax * x[:, 0]), np.cos(ay * x[:, 1]), np.cos(az * x[:, 2])
         return -a * (ax * ax + ay * ay + az * az) * cx * cy * cz
 
-    return ScalarField(val, grad, lap, name="compatible_theta")
+    return Field(val, grad, lap)
 
 
 def incompatible_heat_case(dims, nu=1.0):
@@ -167,7 +167,7 @@ def incompatible_heat_case(dims, nu=1.0):
         name="trig_incompatible",
         u=base.u,
         p=base.p,
-        theta=ScalarField(val, grad, lap, name="incompatible_theta"),
+        theta=Field(val, grad, lap),
         nu=nu,
         compatible_heat_flux=False,
         notes="normal heat flux on the open ends is nonzero by construction",
@@ -217,9 +217,9 @@ def poly_case(dims, nu=1.0):
 
     return ManufacturedCase(
         name="poly_quadratic",
-        u=VectorField(u_val, u_grad, u_lap, name="poly_u"),
-        p=ScalarField(p_val, p_grad, name="poly_p"),
-        theta=ScalarField(th_val, th_grad, th_lap, name="poly_theta"),
+        u=Field(u_val, u_grad, u_lap),
+        p=Field(p_val, p_grad),
+        theta=Field(th_val, th_grad, th_lap),
         nu=nu,
     )
 
@@ -245,7 +245,7 @@ def stokes_forcing(case, nu):
     def val(x):
         return -nu * case.u.laplacian(x) + case.p.grad(x)
 
-    return VectorField(val, name=f"{case.name}_stokes_forcing")
+    return val
 
 
 def heat_forcing_linear(case, lam):
@@ -254,24 +254,24 @@ def heat_forcing_linear(case, lam):
     def val(x):
         return -lam * case.theta.laplacian(x)
 
-    return ScalarField(val, name=f"{case.name}_heat_forcing")
+    return val
 
 
 def coupled_momentum_forcing(case, model, g):
-    """Momentum correction so the manufactured pair solves the full system."""
+    """Momentum correction so the manufactured pair solves the full system.
+
+    ``g`` is the constant body force, a 3-vector.
+    """
+    g = np.asarray(g, dtype=float).reshape(3)
 
     def val(x):
         u = case.u.value(x)
         G = case.u.grad(x)
         adv = model.rho0 * np.einsum("nd,nmd->nm", u, G)
         rho = density(model, case.theta.value(x))
-        if callable(g):
-            gv = np.asarray(g(x))
-        else:
-            gv = np.broadcast_to(np.asarray(g, dtype=float), (x.shape[0], 3))
-        return adv - model.nu * case.u.laplacian(x) + case.p.grad(x) - rho[:, None] * gv
+        return adv - model.nu * case.u.laplacian(x) + case.p.grad(x) - rho[:, None] * g
 
-    return VectorField(val, name=f"{case.name}_momentum_forcing")
+    return val
 
 
 def coupled_heat_forcing(case, model):
@@ -286,7 +286,7 @@ def coupled_heat_forcing(case, model):
         diss = model.alpha1 * model.nu * np.einsum("nmd,nmd->n", E, E)
         return conv - model.lam * case.theta.laplacian(x) - diss
 
-    return ScalarField(val, name=f"{case.name}_heat_forcing")
+    return val
 
 
 # -- case validation -----------------------------------------------------------
@@ -416,19 +416,16 @@ class ErrorTable:
 
 
 def _error_norms(space, dofs, exact_value, exact_grad, vector):
-    pts = space.quad_points.reshape(-1, 3)
+    ev = forms.quad_values(space, exact_value)
+    eg = forms.quad_values(space, exact_grad)
     if vector:
         vals = forms.eval_velocity(space, dofs)
         grads = forms.eval_velocity_grad(space, dofs)
-        ev = exact_value(pts).reshape(space.n_cells, space.nq, 3)
-        eg = exact_grad(pts).reshape(space.n_cells, space.nq, 3, 3)
         d2 = np.sum((vals - ev) ** 2, axis=-1)
         g2 = np.sum((grads - eg) ** 2, axis=(-1, -2))
     else:
         vals = forms.eval_scalar(space, dofs)
         grads = forms.eval_scalar_grad(space, dofs)
-        ev = exact_value(pts).reshape(space.n_cells, space.nq)
-        eg = exact_grad(pts).reshape(space.n_cells, space.nq, 3)
         d2 = (vals - ev) ** 2
         g2 = np.sum((grads - eg) ** 2, axis=-1)
     l2 = float(np.sqrt(np.einsum("q,cq->", space.wq, d2)))
@@ -472,12 +469,12 @@ def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0,
         space = build_spaces(mesh, quad_order=quad_order)
         hs.append(float(np.max(space.h)))
         model = _unit_model(nu)
-        K = forms.assemble_saddle(space, model)
+        K = forms.assemble_saddle(forms.assemble_a(space, model), forms.divergence_matrix(space))
         load = forms.field_load_vector(space, forcing)
         u, P = SaddleFactorization(K, space.dirichlet_mask_u).solve(load)
         l2, h1 = _error_norms(space, u, case.u.value, case.u.grad, vector=True)
         pq = forms.eval_pressure(space, P)
-        pe = case.p.value(space.quad_points.reshape(-1, 3)).reshape(space.n_cells, space.nq)
+        pe = forms.quad_values(space, case.p)
         perr = float(np.sqrt(np.einsum("q,cq->", space.wq, (pq - pe) ** 2)))
         errors["u_L2"].append(l2)
         errors["u_H1"].append(h1)
@@ -514,8 +511,9 @@ def coupled_mms(case, dims, divisions, model, g, outer_tol=1e-10, max_outer=40,
                 quad_order=5):
     """Full nonlinear pipeline against a manufactured pair.
 
-    The momentum and heat forcings carry the nonlinear correction terms;
-    convergence failures propagate with their trace attached.
+    ``g`` is the constant body force, a 3-vector.  The momentum and heat
+    forcings carry the nonlinear correction terms; convergence failures
+    propagate with their trace attached.
     """
     validate_case(case, dims)
     mesh = build_channel_mesh(*dims, *divisions)

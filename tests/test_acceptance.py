@@ -8,7 +8,6 @@ a crosswise wall-temperature span and a downward body force calibrated
 so the smallness margin sits near 0.25.
 """
 
-import json
 import subprocess
 import sys
 import time

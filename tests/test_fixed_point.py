@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from thermoduct import build_channel_mesh, build_spaces, forms
-from thermoduct.fields import ScalarField, constant_scalar, span_scalar
+from thermoduct.certificates import body_force_norm
+from thermoduct.fields import Field, constant_scalar, constant_vector, span_scalar
 from thermoduct.fixed_point import (
     CoupledProblem,
     DivergenceError,
@@ -93,7 +94,7 @@ def test_heat_solve_constant_boundary_data(small_space, boussinesq_model):
 def test_heat_solve_matches_direct_solve_linear_lifting(small_space, unit_model):
     # theta_D = x: the corrected temperature solves the homogeneous heat
     # problem with trace x, independently computed by direct elimination
-    lift = ScalarField(lambda x: x[:, 0], name="linear_x")
+    lift = Field(lambda x: x[:, 0])
     prob = CoupledProblem(small_space, unit_model, (0, 0, 0), lift)
     vt = heat_solve(prob, np.zeros(small_space.n_velocity), np.zeros(small_space.n_scalar))
     theta = prob.theta_D + vt
@@ -191,7 +192,39 @@ def test_outer_converged_residuals(small_space, boussinesq_model):
     assert r_mom <= 1e-9
     assert r_heat <= 1e-9
     assert state.momentum_source is not None
-    assert state.heat_source is not None
+
+
+def test_problem_data_evaluated_once(small_space, boussinesq_model):
+    # g and f_extra are frozen for the whole iteration: one tabulation each
+    calls = {"g": 0, "f": 0}
+
+    def counted(key, vector):
+        def value(x):
+            calls[key] += 1
+            return np.broadcast_to(vector, (x.shape[0], 3)).copy()
+
+        return Field(value)
+
+    prob = CoupledProblem(
+        small_space, boussinesq_model, counted("g", (0.0, 0.0, -0.4)),
+        span_scalar(1, 1.0, 0.5, 1.0), f_extra=counted("f", (0.01, 0.0, 0.0)),
+    )
+    state, trace = outer_loop(prob, outer_tol=1e-10)
+    weak_residual(prob, state)
+    assert len(trace.records) > 1
+    assert calls == {"g": 1, "f": 1}
+
+
+def test_constant_body_force_matches_field_bitwise(small_space, boussinesq_model):
+    results = []
+    for g in ((0, 0, -0.4), constant_vector((0, 0, -0.4))):
+        prob = CoupledProblem(small_space, boussinesq_model, g, span_scalar(1, 1.0, 0.5, 1.0))
+        state, _ = outer_loop(prob, outer_tol=1e-10)
+        results.append((state.u, state.theta, body_force_norm(prob, 2.0)))
+    (u1, theta1, g1), (u2, theta2, g2) = results
+    assert np.array_equal(u1, u2)
+    assert np.array_equal(theta1, theta2)
+    assert g1 == g2
 
 
 def test_weak_residual_of_rest_state_is_load_norm(small_space, boussinesq_model):

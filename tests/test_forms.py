@@ -67,7 +67,9 @@ def test_divergence_against_linear_field(cube_space):
 
 
 def test_saddle_zero_load_zero_solution(cube_space, unit_model):
-    K = forms.assemble_saddle(cube_space, unit_model)
+    K = forms.assemble_saddle(
+        forms.assemble_a(cube_space, unit_model), forms.divergence_matrix(cube_space)
+    )
     u, P = SaddleFactorization(K, cube_space.dirichlet_mask_u).solve(
         np.zeros(cube_space.n_velocity)
     )
@@ -76,9 +78,9 @@ def test_saddle_zero_load_zero_solution(cube_space, unit_model):
 
 def test_saddle_no_open_end_boundary_rows(cube_space, unit_model):
     # natural condition: assembled matrix is identical to the pure volume terms
-    K = forms.assemble_saddle(cube_space, unit_model)
     A = forms.assemble_a(cube_space, unit_model)
     D = forms.divergence_matrix(cube_space)
+    K = forms.assemble_saddle(A, D)
     import scipy.sparse as sp
 
     ref = sp.bmat([[A, -D.T], [-D, None]], format="csr")

@@ -1,0 +1,59 @@
+"""Every imported name is used.
+
+An import that nothing references is dead code that still costs an import
+and misleads a reader about what a module depends on.  The scan is a plain
+``ast`` walk: a name bound by ``import`` or ``from ... import`` must appear
+as a name somewhere in the same file, or in its ``__all__``.  Package
+``__init__.py`` files are skipped, since their imports are the exports.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _files():
+    for pattern in ("src/thermoduct/*.py", "tests/**/*.py", "demos/**/*.py"):
+        for path in sorted(ROOT.glob(pattern)):
+            if path.name != "__init__.py":
+                yield path
+
+
+def unused_imports(source):
+    """(line, name) of each imported name that ``source`` never references."""
+    tree = ast.parse(source)
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported.append((node.lineno, alias.asname or alias.name))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_scan_flags_only_unreferenced_names():
+    source = (
+        "import json\nimport os.path\nfrom math import pi, tau as turn\n"
+        "__all__ = ['turn']\nprint(os.path.sep, pi)\n"
+    )
+    assert unused_imports(source) == [(1, "json")]
+
+
+def test_no_unused_imports():
+    found = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in _files()
+        for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert not found

@@ -24,6 +24,10 @@ def _eliminated(K, fixed, rhs):
     return K, rhs
 
 
+def _saddle(space, model):
+    return forms.assemble_saddle(forms.assemble_a(space, model), forms.divergence_matrix(space))
+
+
 def test_cg_identity():
     A = sp.identity(5, format="csr")
     r = np.arange(1.0, 6.0)
@@ -88,7 +92,7 @@ def test_wall_cg_matches_dense_oracle(cube_space, unit_model):
 
 
 def test_saddle_zero_rhs(cube_space, unit_model):
-    K = forms.assemble_saddle(cube_space, unit_model)
+    K = _saddle(cube_space, unit_model)
     u, P = SaddleFactorization(K, cube_space.dirichlet_mask_u).solve(
         np.zeros(cube_space.n_velocity)
     )
@@ -112,7 +116,7 @@ def test_saddle_matches_dense_oracle_on_manufactured_load(cube_space, unit_model
     )
     x_ref = np.linalg.solve(K_ref, rhs)
     n = cube_space.n_velocity
-    K = forms.assemble_saddle(cube_space, unit_model)
+    K = forms.assemble_saddle(A, D)
     u, P = SaddleFactorization(K, fixed).solve(load)
     assert np.linalg.norm(u - x_ref[:n]) <= 1e-8 * np.linalg.norm(x_ref[:n])
     assert np.linalg.norm(P + x_ref[n:]) <= 1e-8 * np.linalg.norm(x_ref[n:])
@@ -122,7 +126,7 @@ def test_pressure_nullspace_detected_without_open_ends(cube_space, unit_model):
     # constraining every boundary velocity dof removes the do-nothing ends,
     # leaving the constant-pressure nullspace: the solve must fail loudly
     space = cube_space
-    K = forms.assemble_saddle(space, unit_model)
+    K = _saddle(space, unit_model)
     nodes = space.q2_nodes
     Lx = space.mesh.dims[0]
     on_any = (
@@ -145,7 +149,7 @@ def test_pressure_nullspace_detected_without_open_ends(cube_space, unit_model):
 
 
 def test_saddle_factorization_reuse(cube_space, unit_model):
-    K = forms.assemble_saddle(cube_space, unit_model)
+    K = _saddle(cube_space, unit_model)
     fixed = cube_space.dirichlet_mask_u
     fac = SaddleFactorization(K, fixed)
     rng = np.random.default_rng(4)
@@ -159,7 +163,7 @@ def test_saddle_factorization_reuse(cube_space, unit_model):
 
 
 def test_non_finite_load_is_not_reported_as_singular(cube_space, unit_model):
-    K = forms.assemble_saddle(cube_space, unit_model)
+    K = _saddle(cube_space, unit_model)
     fac = SaddleFactorization(K, cube_space.dirichlet_mask_u)
     rhs = np.zeros(K.shape[0])
     rhs[7] = np.nan
@@ -170,7 +174,7 @@ def test_non_finite_load_is_not_reported_as_singular(cube_space, unit_model):
 
 
 def test_solves_are_bit_identical(cube_space, unit_model):
-    K = forms.assemble_saddle(cube_space, unit_model)
+    K = _saddle(cube_space, unit_model)
     load = np.random.default_rng(5).normal(size=cube_space.n_velocity)
     u1, P1 = SaddleFactorization(K, cube_space.dirichlet_mask_u).solve(load)
     u2, P2 = SaddleFactorization(K, cube_space.dirichlet_mask_u).solve(load)
@@ -186,7 +190,7 @@ def test_assembled_matrices_are_canonical_csr(cube_space, unit_model):
     for M in (
         forms.assemble_a(cube_space, unit_model),
         forms.assemble_kappa(cube_space, unit_model),
-        forms.assemble_saddle(cube_space, unit_model),
+        _saddle(cube_space, unit_model),
     ):
         M = M.tocsr()
         M.check_format(full_check=True)

@@ -9,7 +9,6 @@ from thermoduct.material import (
     constant_density,
     density,
     make_material,
-    validate,
 )
 
 
@@ -33,31 +32,9 @@ def test_density_direct_evaluation():
     assert density(m, 2.0) == pytest.approx(0.8)
 
 
-def test_validate_clamped_law_passes():
-    report = validate(model_with(clamped_boussinesq(1.0, alpha_v=0.2)))
-    assert report.passed
-    assert report.violations == []
-
-
-def test_validate_flags_increasing_law():
-    bad = DensityLaw("clamped_boussinesq", 1.0, alpha_v=-0.1, theta_ref=0.0, rho_min=0.5)
-    m = make_material(nu=1, rho0=1, cV=1, lam=1, alpha1=0, law=bad)
-    report = validate(m)
-    assert not report.passed
-    assert any("increasing" in v for v in report.violations)
-
-
-def test_validate_constant_law():
-    report = validate(model_with(constant_density(3.0)))
-    assert report.passed
-    assert report.empirical_lipschitz == 0.0
-
-
-def test_empirical_lipschitz_matches_slope():
-    m = model_with(clamped_boussinesq(2.0, alpha_v=0.1))
-    report = validate(m, t_max=100.0, n_samples=10_000)
-    assert report.empirical_lipschitz == pytest.approx(2.0 * 0.1, rel=1e-9)
-    assert report.empirical_lipschitz <= m.C_rho * (1 + 1e-9)
+def test_increasing_law_rejected():
+    with pytest.raises(ValueError, match="alpha_v"):
+        DensityLaw("clamped_boussinesq", 1.0, alpha_v=-0.1, theta_ref=0.0, rho_min=0.5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -89,3 +66,9 @@ def test_invalid_constants_rejected():
         make_material(nu=-1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=0.0)
     with pytest.raises(ValueError):
         make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=-0.5)
+    with pytest.raises(ValueError, match="rho0"):
+        constant_density(0.0)
+    with pytest.raises(ValueError, match="rho_min"):
+        clamped_boussinesq(1.0, alpha_v=0.1, rho_min=0.0)
+    with pytest.raises(ValueError, match="kind"):
+        DensityLaw("linear", 1.0)

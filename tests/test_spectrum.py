@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoduct.spectrum import (
-    MissedRootError,
     SpectrumResult,
     compute_spectrum,
     find_roots,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thermoduct import verification as v
-from thermoduct.fields import ScalarField
+from thermoduct.fields import Field
 from thermoduct.fixed_point import DivergenceError
 from thermoduct.material import clamped_boussinesq, make_material
 
@@ -20,7 +20,7 @@ def test_validator_catches_wrong_derivative():
     broken = v.ManufacturedCase(
         name="broken",
         u=case.u,
-        p=ScalarField(case.p.value, grad=lambda x: 1.01 * case.p.grad(x)),
+        p=Field(case.p.value, grad=lambda x: 1.01 * case.p.grad(x)),
         theta=case.theta,
         nu=case.nu,
     )
@@ -67,7 +67,7 @@ def test_forcing_consistent_with_complex_step():
         xc[:, d] += 1e-30j
         gp[:, d] = np.imag(case.p.value(xc)) / 1e-30
     ref = -1.3 * lap + gp
-    assert np.max(np.abs(f.value(x) - ref)) < 1e-10
+    assert np.max(np.abs(f(x) - ref)) < 1e-10
 
 
 def test_stokes_polynomial_case_machine_precision():
