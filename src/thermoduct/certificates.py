@@ -26,7 +26,6 @@ import numpy as np
 from . import forms
 from .linsolve import WallCG
 from .material import density
-from .runtime import worker_count
 from .spectrum import regularity_exponent_bound
 
 __all__ = [
@@ -253,8 +252,7 @@ def _sample_ratios(space, model, heat, lines, draw, s, r):
     # f is already tabulated at the quadrature points the load is built on
     fval = f.value().reshape(space.n_cells, space.nq)
     sol = heat.solve(forms.field_load_scalar(space, fval))
-    fvals = np.abs(fval)
-    f_norm = float(np.einsum("q,cq->", space.wq, fvals**r) ** (1.0 / r))
+    f_norm = forms.lp_norm_of_values(space, fval, r)
     if f_norm > 0:
         out[3] = forms.discrete_norms(space, sol, "W2s", s=r) / f_norm
         out[4] = float(np.max(np.abs(sol))) / f_norm
@@ -267,13 +265,12 @@ def estimate_constants(space, model, samples=200, seed=0, s=2.0, r=2.0):
     Each constant is the running maximum of its defining ratio over
     ``samples`` random fields, so estimates never decrease with more
     samples and are deterministic for a given seed.  Sample fields are
-    drawn sequentially from the seeded generator.  Ratio evaluation runs
-    on THERMODUCT_THREADS workers (one when unset) since the max reduction
-    is order-independent.  It tabulates each sample's 1-D factors on the
-    quadrature coordinate lines of ``space`` and broadcasts every partial
-    derivative from those tables straight into quad_points order.  The
+    drawn one at a time from the seeded generator and folded into the
+    maxima in draw order.  Each sample's 1-D factors are tabulated on the
+    quadrature coordinate lines of ``space`` and every partial derivative
+    is broadcast from those tables straight into quad_points order.  The
     lines and the wall-eliminated heat solver are built once here and
-    shared read-only by all samples.
+    reused by every sample.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a stable estimate")
@@ -281,28 +278,15 @@ def estimate_constants(space, model, samples=200, seed=0, s=2.0, r=2.0):
     heat = WallCG(forms.assemble_kappa(space, model), space.dirichlet_mask_theta, 1e-12)
     lines = _quad_lines(space)
 
-    draws = []
+    best = np.zeros(5)  # every ratio is >= 0
     for i in range(samples):
-        draws.append(
-            (
-                _draw_velocity(space, rng),
-                _draw_velocity(space, rng),
-                _draw_scalar(space, rng, zero_trace=bool(i % 2)),
-                _draw_scalar(space, rng, zero_trace=False),
-            )
+        draw = (
+            _draw_velocity(space, rng),
+            _draw_velocity(space, rng),
+            _draw_scalar(space, rng, zero_trace=bool(i % 2)),
+            _draw_scalar(space, rng, zero_trace=False),
         )
-
-    workers = worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ratios = list(
-                pool.map(lambda d: _sample_ratios(space, model, heat, lines, d, s, r), draws)
-            )
-    else:
-        ratios = [_sample_ratios(space, model, heat, lines, d, s, r) for d in draws]
-    best = np.max(np.stack(ratios), axis=0)
+        best = np.maximum(best, _sample_ratios(space, model, heat, lines, draw, s, r))
 
     return ConstantEstimates(
         C_b=float(best[0]),

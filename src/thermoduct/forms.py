@@ -345,7 +345,10 @@ def lp_norm_of_values(space, values, p):
     """L^p quadrature norm of pointwise values (ncells, nq) or (ncells, nq, 3)."""
     values = np.asarray(values)
     if values.ndim == 3:
-        mag = np.sqrt(np.sum(values**2, axis=-1))
+        # the same left-to-right sum as np.sum(axis=-1), without numpy's
+        # per-point reduction over the length-3 axis
+        sq = values**2
+        mag = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
     else:
         mag = np.abs(values)
     return float(np.einsum("q,cq->", space.wq, mag**p) ** (1.0 / p))

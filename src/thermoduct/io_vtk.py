@@ -18,36 +18,31 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def _write_points(f, pts):
-    f.write(f"POINTS {len(pts)} double\n")
-    for p in pts:
+def _write_grid(f, title, mesh, cells, cell_type):
+    """Header, the mesh vertices and ``cells`` of one VTK cell type."""
+    f.write(_HEADER.format(title=title))
+    f.write(f"POINTS {mesh.n_vertices} double\n")
+    for p in mesh.vertices:
         f.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+    n, k = np.shape(cells)
+    f.write(f"CELLS {n} {(k + 1) * n}\n")
+    for cell in cells:
+        f.write(f"{k} " + " ".join(str(v) for v in cell) + "\n")
+    f.write(f"CELL_TYPES {n}\n")
+    f.write("\n".join([str(cell_type)] * n) + "\n")
 
 
 def write_mesh_vtk(mesh, path, title="channel mesh"):
     """Volume mesh with hexahedral cells (VTK cell type 12)."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(_HEADER.format(title=title))
-        _write_points(f, mesh.vertices)
-        nc = mesh.n_cells
-        f.write(f"CELLS {nc} {9 * nc}\n")
-        for cell in mesh.cells:
-            f.write("8 " + " ".join(str(v) for v in cell) + "\n")
-        f.write(f"CELL_TYPES {nc}\n")
-        f.write("\n".join(["12"] * nc) + "\n")
+        _write_grid(f, title, mesh, mesh.cells, 12)
 
 
 def write_boundary_vtk(mesh, path, title="channel boundary facets"):
     """Boundary facets as quads (type 9) with tags as integer cell data."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(_HEADER.format(title=title))
-        _write_points(f, mesh.vertices)
+        _write_grid(f, title, mesh, mesh.facets, 9)
         nf = len(mesh.facets)
-        f.write(f"CELLS {nf} {5 * nf}\n")
-        for quad in mesh.facets:
-            f.write("4 " + " ".join(str(v) for v in quad) + "\n")
-        f.write(f"CELL_TYPES {nf}\n")
-        f.write("\n".join(["9"] * nf) + "\n")
         f.write(f"CELL_DATA {nf}\n")
         f.write("SCALARS facet_tag int 1\nLOOKUP_TABLE default\n")
         f.write("\n".join(str(int(t)) for t in mesh.facet_tags) + "\n")
@@ -63,14 +58,7 @@ def write_state_vtk(space, state, path, title="solution"):
     theta = state.theta[vmap]
     P = np.asarray(state.P)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(_HEADER.format(title=title))
-        _write_points(f, mesh.vertices)
-        nc = mesh.n_cells
-        f.write(f"CELLS {nc} {9 * nc}\n")
-        for cell in mesh.cells:
-            f.write("8 " + " ".join(str(v) for v in cell) + "\n")
-        f.write(f"CELL_TYPES {nc}\n")
-        f.write("\n".join(["12"] * nc) + "\n")
+        _write_grid(f, title, mesh, mesh.cells, 12)
         f.write(f"POINT_DATA {mesh.n_vertices}\n")
         f.write("VECTORS velocity double\n")
         for row in u:

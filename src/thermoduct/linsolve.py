@@ -93,8 +93,7 @@ def solve_spd(A, rhs, tol=1e-13, max_iter=None):
 class WallCG:
     """Jacobi-CG for an SPD operator with zero values on the wall dofs.
 
-    The free block of ``A`` is extracted once; the object is read-only
-    afterwards, so threads may share it.
+    The free block of ``A`` is extracted once and reused by every solve.
     """
 
     def __init__(self, A, fixed, tol):

@@ -10,6 +10,7 @@ regularity follows as s0 = 2 / (2 - mu_M).
 """
 
 import cmath
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,62 +159,49 @@ def find_roots(re_min, re_max, im_max, tol=1e-12, max_depth=40):
             if abs(z.imag) < 1e-12:
                 accept(complex(z.real, 0.0))
 
-    stack = [(re_min, re_max, -im_max, im_max, total, 0)]
+    def in_box(z, a, b, c, d, pad=1e-9):
+        return a - pad <= z.real <= b + pad and c - pad <= z.imag <= d + pad
+
+    def n_known(box):
+        return sum(in_box(r, *box) for r in roots)
+
+    stack = [((re_min, re_max, -im_max, im_max), total, 0)]
     while stack:
-        a, b, c, d, count, depth = stack.pop()
-        known = [r for r in roots if a - 1e-9 <= r.real <= b + 1e-9 and c - 1e-9 <= r.imag <= d + 1e-9]
-        if len(known) >= count:
+        box, count, depth = stack.pop()
+        a, b, c, d = box
+        if n_known(box) >= count:
             continue
         if count == 1 or depth >= max_depth or max(b - a, d - c) < 1e-6:
             z = _newton_polish(complex(0.5 * (a + b), 0.5 * (c + d)), tol)
-            if z is not None and a - 1e-6 <= z.real <= b + 1e-6 and c - 1e-6 <= z.imag <= d + 1e-6:
+            if z is not None and in_box(z, *box, pad=1e-6):
                 accept(z)
-                still_known = [
-                    r
-                    for r in roots
-                    if a - 1e-9 <= r.real <= b + 1e-9 and c - 1e-9 <= r.imag <= d + 1e-9
-                ]
-                if len(still_known) >= count:
+                if n_known(box) >= count:
                     continue
             if depth >= max_depth:
                 raise MissedRootError(
                     f"unresolved zero count {count} in box [{a},{b}]x[{c},{d}]"
                 )
         # split the longer side; nudge the cut if it lands on a zero
-        if b - a >= d - c:
-            for frac in (0.5, 0.47, 0.53, 0.41):
-                mid = a + frac * (b - a)
-                try:
-                    n1 = _winding_number(a, mid, c, d)
-                    n2 = _winding_number(mid, b, c, d)
-                except ValueError:
-                    continue
-                if n1 + n2 == count:
-                    stack.append((a, mid, c, d, n1, depth + 1))
-                    stack.append((mid, b, c, d, n2, depth + 1))
-                    break
-            else:
-                raise MissedRootError("box split failed; zero on every candidate cut")
+        axis = 0 if b - a >= d - c else 2
+        lo, hi = box[axis], box[axis + 1]
+        for frac in (0.5, 0.47, 0.53, 0.41):
+            mid = lo + frac * (hi - lo)
+            halves = (
+                box[:axis] + (lo, mid) + box[axis + 2:],
+                box[:axis] + (mid, hi) + box[axis + 2:],
+            )
+            try:
+                n1, n2 = (_winding_number(*half) for half in halves)
+            except ValueError:
+                continue
+            if n1 + n2 == count:
+                stack.append((halves[0], n1, depth + 1))
+                stack.append((halves[1], n2, depth + 1))
+                break
         else:
-            for frac in (0.5, 0.47, 0.53, 0.41):
-                mid = c + frac * (d - c)
-                try:
-                    n1 = _winding_number(a, b, c, mid)
-                    n2 = _winding_number(a, b, mid, d)
-                except ValueError:
-                    continue
-                if n1 + n2 == count:
-                    stack.append((a, b, c, mid, n1, depth + 1))
-                    stack.append((a, b, mid, d, n2, depth + 1))
-                    break
-            else:
-                raise MissedRootError("box split failed; zero on every candidate cut")
+            raise MissedRootError("box split failed; zero on every candidate cut")
 
-    roots = [
-        z
-        for z in roots
-        if re_min - 1e-9 <= z.real <= re_max + 1e-9 and abs(z.imag) <= im_max + 1e-9
-    ]
+    roots = [z for z in roots if in_box(z, re_min, re_max, -im_max, im_max)]
     roots.sort(key=lambda z: (z.real, z.imag))
     if len(roots) != total:
         raise MissedRootError(
@@ -304,14 +292,9 @@ def weighted_admissibility(delta, p, mu_M):
     return [(bool(lower < m < 2.0)) for m in mid]
 
 
-_CACHED = {}
-
-
+@functools.cache
 def regularity_exponent_bound():
     """Cached s0 for exponent-range checks elsewhere in the package."""
-    if "s0" not in _CACHED:
-        roots = find_roots(1.05, 1.95, 2.0, tol=1e-12)
-        mu = min(z.real for z in roots if abs(z.imag) < 1e-9)
-        _CACHED["s0"] = 2.0 / (2.0 - mu)
-        _CACHED["mu_M"] = mu
-    return _CACHED["s0"]
+    roots = find_roots(1.05, 1.95, 2.0, tol=1e-12)
+    mu = min(z.real for z in roots if abs(z.imag) < 1e-9)
+    return 2.0 / (2.0 - mu)

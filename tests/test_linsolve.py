@@ -36,7 +36,7 @@ def test_cg_identity():
 
 def test_cg_tridiagonal_hand_solution():
     # tridiag(-1, 2, -1), rhs (1,1,1): elimination gives (1.5, 2, 1.5)
-    A = sp.diags([[-1, -1], [2, 2, 2], [-1, -1]], offsets=[-1, 0, 1], format="csr")
+    A = sp.diags([[-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0]], offsets=[-1, 0, 1], format="csr")
     x = solve_spd(A, np.ones(3))
     assert np.allclose(x, [1.5, 2.0, 1.5], atol=1e-12)
 
