@@ -143,7 +143,8 @@ class CoupledProblem:
     def saddle(self):
         """The wall-eliminated saddle factorization, built on first use."""
         K = forms.assemble_saddle(self.A, self.D)
-        return SaddleFactorization(K, self.space.dirichlet_mask_u)
+        space = self.space
+        return SaddleFactorization(K, space.dirichlet_mask_u, space.saddle_order)
 
     def buoyancy_load(self, theta_full):
         return forms.assemble_buoyancy(self.space, self.model, theta_full, self.g)

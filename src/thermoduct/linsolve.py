@@ -5,9 +5,9 @@ operator and its wall (Dirichlet) dofs and reused across loads; ``solve``
 returns full-length fields whose wall rows are exactly zero.
 
 - ``SaddleFactorization``: the Taylor-Hood saddle system, through a sparse
-  LU factorization (SuperLU with a symmetric-pattern minimum-degree
-  ordering and threshold partial pivoting) and one step of iterative
-  refinement.
+  LU factorization of its free block (SuperLU in a caller-given
+  fill-reducing order, such as the grid's nested dissection, with no row
+  interchanges) and one step of iterative refinement.
 - ``WallCG``: a symmetric positive definite system, through
   Jacobi-preconditioned conjugate gradients (``solve_spd``) on its free
   block.
@@ -18,6 +18,8 @@ All paths are deterministic: identical inputs give bit-identical outputs.
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
+
+_RESIDUAL_TOL = 1e-10  # relative residual a refined saddle solve must reach
 
 __all__ = [
     "LinearSolveError",
@@ -111,22 +113,28 @@ class WallCG:
 
 
 class SaddleFactorization:
-    """Sparse LU of a saddle system with its wall velocity dofs eliminated.
+    """Sparse LU of the free block of a saddle system, in a given order.
 
-    ``K`` is the unconstrained operator and ``fixed`` the wall dofs: their
-    rows and columns are replaced by identity rows and columns, so their
-    solution values are exactly zero.  The LU is reused across loads.
+    ``K`` is the unconstrained operator, ``fixed`` its wall dofs (their
+    solution values are exactly zero) and ``order`` a fill-reducing
+    permutation of all its dofs, such as ``DiscreteSpace.saddle_order``.
+    The free dofs are factored in that order with no row interchanges, so
+    a zero pressure diagonal must follow a coupled velocity dof; each solve
+    takes one step of iterative refinement, as static pivoting does.  The
+    LU is reused across loads.
     """
 
-    def __init__(self, K, fixed, residual_tol=1e-10):
-        self.fixed = np.asarray(fixed, dtype=int)
-        keep = np.ones(K.shape[0])
-        keep[self.fixed] = 0.0
-        S = sp.diags(keep)
-        self.K = ((S @ K.tocsr() @ S) + sp.diags(1.0 - keep)).tocsc()
-        self.residual_tol = residual_tol
+    def __init__(self, K, fixed, order):
+        self.n_dofs = K.shape[0]
+        free = np.ones(self.n_dofs, dtype=bool)
+        free[np.asarray(fixed, dtype=int)] = False
+        self.dofs = order[free[order]]
+        self.K = K.tocsr()[self.dofs][:, self.dofs].tocsc()
         try:
-            self.lu = splu(self.K, permc_spec="MMD_AT_PLUS_A")
+            self.lu = splu(
+                self.K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
         except RuntimeError as exc:
             raise SingularMatrixError(f"factorization failed: {exc}") from exc
 
@@ -143,28 +151,37 @@ class SaddleFactorization:
                 f"non-finite right-hand side: {bad.size} entries, first at row {bad[0]}"
             )
         n = load.size
-        rhs = np.zeros(self.K.shape[0])
+        rhs = np.zeros(self.n_dofs)
         rhs[:n] = load
-        rhs[self.fixed] = 0.0
-        nb = np.linalg.norm(rhs)
+        b = rhs[self.dofs]
+        nb = np.linalg.norm(b)
+        x = np.zeros(self.n_dofs)
         if nb == 0.0:
-            return rhs[:n], rhs[n:]
-        x = self.lu.solve(rhs)
-        r = rhs - self.K @ x
-        x = x + self.lu.solve(r)
-        r = rhs - self.K @ x
-        res = np.linalg.norm(r)
-        if not np.isfinite(res) or res > self.residual_tol * nb:
+            return x[:n], x[n:]
+        y = self.lu.solve(b)
+        y += self.lu.solve(b - self.K @ y)
+        res = np.linalg.norm(b - self.K @ y)
+        if not np.isfinite(res) or res > _RESIDUAL_TOL * nb:
             self._raise_singular(res / nb)
+        x[self.dofs] = y
         return x[:n], x[n:]
 
     def _raise_singular(self, rel_res):
         # factorization survived but cannot reproduce the load: in practice a
-        # (numerically) singular system, e.g. an unfixed pressure level
+        # (numerically) singular system, e.g. an unfixed pressure level.  The
+        # natural column order keeps factor row i at dof ``dofs[i]``.  Every
+        # pressure dof is free and has a zero diagonal, so the zero
+        # diagonals of the free block count them.
         pivots = np.abs(self.lu.U.diagonal())
         row = int(np.argmin(pivots))
+        dof = int(self.dofs[row])
+        n_velocity = self.n_dofs - int(np.count_nonzero(self.K.diagonal() == 0.0))
+        if dof >= n_velocity:
+            where = f"pressure dof {dof - n_velocity}"
+        else:
+            where = f"velocity dof {dof} (component {dof // (n_velocity // 3)})"
         raise SingularMatrixError(
             f"saddle solve failed (relative residual {rel_res:.3e}); "
-            f"smallest pivot {pivots[row]:.3e} at factor row {row} "
+            f"smallest pivot {pivots[row]:.3e} at {where} "
             "suggests a singular system (pressure nullspace?)"
         )

@@ -10,6 +10,8 @@ set of reference basis tables serves every cell and element matrices are
 cell-independent.
 """
 
+import functools
+
 import numpy as np
 
 __all__ = ["DiscreteSpace", "build_spaces", "gauss_01"]
@@ -214,6 +216,40 @@ class DiscreteSpace:
             }
 
     # -- queries -----------------------------------------------------------
+
+    @functools.cached_property
+    def saddle_order(self):
+        """Nested-dissection order of the ``n_velocity + n_pressure`` saddle dofs.
+
+        Each dof sits at a Q2 grid point: a velocity dof at its node, a
+        pressure dof at its vertex.  A box of cells is split at the cell
+        face (an even grid plane) nearest the middle of its longest side;
+        the two halves come first and the plane last, so the plane is a
+        separator.  A box one cell wide is a leaf.  Within a leaf or a plane
+        velocity comes before pressure: the zero diagonal of a pressure row
+        gets a pivot only once a coupled velocity dof is eliminated.
+        """
+        nodes = np.concatenate([np.tile(np.arange(self.n_scalar), 3), self.vertex_to_q2])
+        grid = np.stack(np.unravel_index(nodes, self.q2_shape, order="F"), axis=1)
+
+        def dissect(dofs, lo, hi):
+            # dofs stay ascending, and velocity dofs number below pressure dofs
+            widths = hi - lo
+            axis = int(np.argmax(widths))
+            if widths[axis] <= 1:
+                return [dofs]
+            mid = lo[axis] + widths[axis] // 2
+            g = grid[dofs, axis]
+            left_hi, right_lo = hi.copy(), lo.copy()
+            left_hi[axis] = right_lo[axis] = mid
+            return (
+                dissect(dofs[g < 2 * mid], lo, left_hi)
+                + dissect(dofs[g > 2 * mid], right_lo, hi)
+                + [dofs[g == 2 * mid]]
+            )
+
+        cells = np.asarray(self.mesh.divisions)
+        return np.concatenate(dissect(np.arange(nodes.size), np.zeros(3, int), cells))
 
     def velocity_dofs(self, component, nodes=None):
         """Global velocity dof ids of one component (optionally for given nodes)."""

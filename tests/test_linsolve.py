@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from thermoduct import build_channel_mesh, build_spaces, forms
 from thermoduct.linsolve import (
@@ -26,6 +27,11 @@ def _eliminated(K, fixed, rhs):
 
 def _saddle(space, model):
     return forms.assemble_saddle(forms.assemble_a(space, model), forms.divergence_matrix(space))
+
+
+def _factor(K, space, fixed=None):
+    fixed = space.dirichlet_mask_u if fixed is None else fixed
+    return SaddleFactorization(K, fixed, space.saddle_order)
 
 
 def test_cg_identity():
@@ -93,31 +99,37 @@ def test_wall_cg_matches_dense_oracle(cube_space, unit_model):
 
 def test_saddle_zero_rhs(cube_space, unit_model):
     K = _saddle(cube_space, unit_model)
-    u, P = SaddleFactorization(K, cube_space.dirichlet_mask_u).solve(
-        np.zeros(cube_space.n_velocity)
-    )
+    u, P = _factor(K, cube_space).solve(np.zeros(cube_space.n_velocity))
     assert np.all(u == 0.0) and np.all(P == 0.0)
     assert P.size == cube_space.n_pressure
 
 
-def test_saddle_matches_dense_oracle_on_manufactured_load(cube_space, unit_model):
+@pytest.fixture(scope="module")
+def uneven_space():
+    """Odd, unequal divisions of non-cubic cells: uneven dissection splits."""
+    return build_spaces(build_channel_mesh(1.0, 0.7, 2.3, 3, 2, 5))
+
+
+@pytest.mark.parametrize("space_name", ["cube_space", "uneven_space"])
+def test_saddle_matches_dense_oracle_on_manufactured_load(space_name, unit_model, request):
     # load induced by a manufactured solenoidal field; the oracle is a dense
     # solve of [[A, D^T], [D, 0]], whose pressure part is the negated pressure
     from thermoduct import verification as v
 
-    case = v.trig_case((1.0, 1.0, 1.0), nu=unit_model.nu)
-    load = forms.field_load_vector(cube_space, v.stokes_forcing(case, unit_model.nu))
-    fixed = cube_space.dirichlet_mask_u
-    A = forms.assemble_a(cube_space, unit_model)
-    D = forms.divergence_matrix(cube_space)
+    space = request.getfixturevalue(space_name)
+    case = v.trig_case(space.mesh.dims, nu=unit_model.nu)
+    load = forms.field_load_vector(space, v.stokes_forcing(case, unit_model.nu))
+    fixed = space.dirichlet_mask_u
+    A = forms.assemble_a(space, unit_model)
+    D = forms.divergence_matrix(space)
     K_ref, rhs = _eliminated(
         sp.bmat([[A, D.T], [D, None]]), fixed,
-        np.concatenate([load, np.zeros(cube_space.n_pressure)]),
+        np.concatenate([load, np.zeros(space.n_pressure)]),
     )
     x_ref = np.linalg.solve(K_ref, rhs)
-    n = cube_space.n_velocity
+    n = space.n_velocity
     K = forms.assemble_saddle(A, D)
-    u, P = SaddleFactorization(K, fixed).solve(load)
+    u, P = _factor(K, space).solve(load)
     assert np.linalg.norm(u - x_ref[:n]) <= 1e-8 * np.linalg.norm(x_ref[:n])
     assert np.linalg.norm(P + x_ref[n:]) <= 1e-8 * np.linalg.norm(x_ref[n:])
 
@@ -140,18 +152,19 @@ def test_pressure_nullspace_detected_without_open_ends(cube_space, unit_model):
     # the load fills the mass rows too: with a velocity-only load the
     # all-wall system is consistent and hides the nullspace
     with pytest.raises(SingularMatrixError) as err:
-        SaddleFactorization(K, all_dirichlet).solve(np.ones(K.shape[0]))
+        _factor(K, space, all_dirichlet).solve(np.ones(K.shape[0]))
     assert "pivot" in str(err.value)
+    assert "pressure" in str(err.value)
 
     # with the open ends present no fix is needed
-    x, rest = SaddleFactorization(K, space.dirichlet_mask_u).solve(np.ones(K.shape[0]))
+    x, rest = _factor(K, space).solve(np.ones(K.shape[0]))
     assert np.isfinite(x).all() and rest.size == 0
 
 
 def test_saddle_factorization_reuse(cube_space, unit_model):
     K = _saddle(cube_space, unit_model)
     fixed = cube_space.dirichlet_mask_u
-    fac = SaddleFactorization(K, fixed)
+    fac = _factor(K, cube_space)
     rng = np.random.default_rng(4)
     for _ in range(3):
         load = rng.normal(size=cube_space.n_velocity)
@@ -162,9 +175,25 @@ def test_saddle_factorization_reuse(cube_space, unit_model):
         assert np.linalg.norm(Kc @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
+def test_saddle_order_is_a_fill_reducing_permutation(unit_model):
+    for divisions in ((1, 1, 1), (3, 2, 5), (2, 2, 8)):
+        space = build_spaces(build_channel_mesh(1, 1, 2, *divisions))
+        order = space.saddle_order
+        assert np.array_equal(np.sort(order), np.arange(space.n_velocity + space.n_pressure))
+
+    # counts, not timings: the factor moves no row or column, and the grid's
+    # nested dissection stores fewer entries than SuperLU's minimum degree
+    space = build_spaces(build_channel_mesh(1, 1, 4, 4, 4, 16))
+    fac = _factor(_saddle(space, unit_model), space)
+    identity = np.arange(fac.dofs.size)
+    assert np.array_equal(fac.lu.perm_r, identity)
+    assert np.array_equal(fac.lu.perm_c, identity)
+    assert fac.lu.nnz < splu(fac.K, permc_spec="MMD_AT_PLUS_A").nnz
+
+
 def test_non_finite_load_is_not_reported_as_singular(cube_space, unit_model):
     K = _saddle(cube_space, unit_model)
-    fac = SaddleFactorization(K, cube_space.dirichlet_mask_u)
+    fac = _factor(K, cube_space)
     rhs = np.zeros(K.shape[0])
     rhs[7] = np.nan
     with pytest.raises(LinearSolveError) as err:
@@ -176,8 +205,8 @@ def test_non_finite_load_is_not_reported_as_singular(cube_space, unit_model):
 def test_solves_are_bit_identical(cube_space, unit_model):
     K = _saddle(cube_space, unit_model)
     load = np.random.default_rng(5).normal(size=cube_space.n_velocity)
-    u1, P1 = SaddleFactorization(K, cube_space.dirichlet_mask_u).solve(load)
-    u2, P2 = SaddleFactorization(K, cube_space.dirichlet_mask_u).solve(load)
+    u1, P1 = _factor(K, cube_space).solve(load)
+    u2, P2 = _factor(K, cube_space).solve(load)
     assert np.array_equal(u1, u2) and np.array_equal(P1, P2)
 
     A = sp.diags([2.0] * 50, format="csr") + sp.diags([0.5] * 49, 1) + sp.diags([0.5] * 49, -1)
