@@ -71,9 +71,7 @@ def _load(args):
 
 def _solve(config):
     mesh, space, model, g, theta_D = build_problem_parts(config)
-    problem = CoupledProblem(
-        space, model, g, theta_D, linear_tol=config["solver"]["linear_tol"]
-    )
+    problem = CoupledProblem(space, model, g, theta_D)
     sol = config["solver"]
     state, trace = outer_loop(
         problem,
@@ -81,20 +79,17 @@ def _solve(config):
         max_outer=sol["max_outer"],
         inner_tol=sol["inner_tol"],
         max_inner=sol["max_inner"],
-        damping=sol["damping"],
     )
     return mesh, space, model, problem, state, trace
 
 
 def run_solve(config, out):
-    from .fixed_point import backward_flow_measure
-
     mesh, space, model, problem, state, trace = _solve(config)
     write_trace_csv(trace, out / "trace.csv")
     write_state_vtk(space, state, out / "solution.vtk")
     write_boundary_vtk(mesh, out / "solution_boundary.vtk")
     last = trace.records[-1]
-    flow = backward_flow_measure(space, state.u)
+    flow = last.flow
     _write_json(
         out / "solve_report.json",
         {
@@ -169,22 +164,16 @@ def run_mms(config, out):
         "coupled_smooth": lambda d, nu: verif.coupled_case(d, nu=nu),
     }
     factory = factories[m["case"]]
-    model = None
-    if m["study"] == "stokes":
-        table = verif.mms_stokes_study(
-            factory, dims, base, n_levels=m["levels"],
-            nu=config["material"]["nu"], quad_order=config["solver"]["quad_order"],
-        )
-        table.to_csv(out / "mms_stokes.csv")
-        payload = {"study": "stokes", "errors": table.errors, "orders": table.orders,
-                   "monotone": table.monotone}
-    elif m["study"] == "heat":
-        table = verif.mms_heat_study(
-            factory, dims, base, n_levels=m["levels"],
-            lam=config["material"]["lambda"], quad_order=config["solver"]["quad_order"],
-        )
-        table.to_csv(out / "mms_heat.csv")
-        payload = {"study": "heat", "errors": table.errors, "orders": table.orders,
+    quad_order = config["solver"]["quad_order"]
+    if m["study"] in ("stokes", "heat"):
+        study, coefficient = {
+            "stokes": (verif.mms_stokes_study, {"nu": config["material"]["nu"]}),
+            "heat": (verif.mms_heat_study, {"lam": config["material"]["lambda"]}),
+        }[m["study"]]
+        table = study(factory, dims, base, n_levels=m["levels"], quad_order=quad_order,
+                      **coefficient)
+        table.to_csv(out / f"mms_{m['study']}.csv")
+        payload = {"study": m["study"], "errors": table.errors, "orders": table.orders,
                    "monotone": table.monotone}
     else:
         from .config import build_model
@@ -195,8 +184,7 @@ def run_mms(config, out):
         case = verif.coupled_case(dims, nu=model.nu)
         report = verif.coupled_mms(
             case, dims, base, model, g,
-            outer_tol=config["solver"]["outer_tol"],
-            quad_order=config["solver"]["quad_order"],
+            outer_tol=config["solver"]["outer_tol"], quad_order=quad_order,
         )
         payload = {
             "study": "coupled",

@@ -16,7 +16,7 @@ from .material import clamped_boussinesq, constant_density, make_material
 from .mesh import build_channel_mesh
 from .spaces import build_spaces
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "emit_config", "normalize",
+__all__ = ["RunConfig", "ConfigError", "parse_config", "emit_config",
            "build_model", "build_problem_parts"]
 
 
@@ -90,11 +90,8 @@ SCHEMA = {
     "solver": {
         "outer_tol": _Key(float, default=1e-10, check=_positive, hint="> 0"),
         "inner_tol": _Key(float, default=1e-12, check=_positive, hint="> 0"),
-        "linear_tol": _Key(float, default=1e-13, check=_positive, hint="> 0"),
         "max_outer": _Key(int, default=30, check=_at_least_one, hint=">= 1"),
         "max_inner": _Key(int, default=50, check=_at_least_one, hint=">= 1"),
-        "damping": _Key(float, default=1.0,
-                        check=lambda v: 0.0 < v <= 1.0, hint="in (0, 1]"),
         "quad_order": _Key(int, default=5, check=lambda v: v >= 3, hint=">= 3"),
     },
     "certificates": {
@@ -243,10 +240,6 @@ def emit_config(config):
             lines.append(f"{key} = {_emit_value(config.sections[sname][key])}")
         lines.append("")
     return "\n".join(lines)
-
-
-def normalize(text):
-    return emit_config(parse_config(text))
 
 
 # -- builders -------------------------------------------------------------------

@@ -73,6 +73,13 @@ class InnerTrace:
 
 
 @dataclass
+class BackwardFlowReport:
+    min_flux: float
+    inflow_fraction: float
+    per_face: dict
+
+
+@dataclass
 class OuterRecord:
     iteration: int
     inner_iters: int
@@ -80,8 +87,7 @@ class OuterRecord:
     d_theta_norm: float
     r_momentum: float
     r_heat: float
-    min_flux: float
-    inflow_fraction: float
+    flow: BackwardFlowReport
     wall_time: float
     inner_ratios: list
 
@@ -89,16 +95,6 @@ class OuterRecord:
 @dataclass
 class IterationTrace:
     records: list = field(default_factory=list)
-
-    def all_inner_ratios(self):
-        return [r for rec in self.records for r in rec.inner_ratios]
-
-
-@dataclass
-class BackwardFlowReport:
-    min_flux: float
-    inflow_fraction: float
-    per_face: dict
 
 
 class CoupledProblem:
@@ -109,12 +105,11 @@ class CoupledProblem:
     ``f_extra`` are stored as quadrature values (``forms.quad_values``);
     ``theta_D``, a field lifting of the wall temperature, is interpolated
     onto the temperature space; the optional heat forcing ``h_extra`` is
-    kept as its load vector.  ``linear_tol`` is the relative tolerance of
-    the heat CG solve.
+    kept as its load vector.  The heat CG solve runs to a relative
+    tolerance of 1e-13.
     """
 
-    def __init__(self, space, model, g, theta_D, f_extra=None, h_extra=None,
-                 linear_tol=1e-13):
+    def __init__(self, space, model, g, theta_D, f_extra=None, h_extra=None):
         self.space = space
         self.model = model
         self.g = forms.quad_values(space, g)
@@ -122,7 +117,7 @@ class CoupledProblem:
         self.A = forms.assemble_a(space, model)
         self.D = forms.divergence_matrix(space)
         self.kappa = forms.assemble_kappa(space, model)
-        self.heat = WallCG(self.kappa, space.dirichlet_mask_theta, linear_tol)
+        self.heat = WallCG(self.kappa, space.dirichlet_mask_theta, 1e-13)
 
         self.theta_D = forms.interpolate_scalar(space, theta_D)
         self.lifting_load = self.kappa @ self.theta_D
@@ -206,16 +201,14 @@ def heat_solve(problem, u, vartheta_frozen):
 
 
 def outer_loop(problem, outer_tol=1e-10, max_outer=30, inner_tol=1e-12,
-               max_inner=50, damping=1.0):
+               max_inner=50):
     """Picard composition of the momentum and heat maps from vartheta = 0.
 
-    Stops when the H1 norm of the temperature update drops below
-    ``outer_tol``; raises DivergenceError (with the trace) on exhaustion
-    or propagated inner divergence.  ``damping`` in (0, 1] relaxes the
-    temperature update; 1 is the plain composition.
+    Each step takes the heat map's output as the next temperature, without
+    relaxation.  Stops when the H1 norm of the temperature update drops
+    below ``outer_tol``; raises DivergenceError (with the trace) on
+    exhaustion or propagated inner divergence.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
     space = problem.space
     vartheta = np.zeros(space.n_scalar)
     u = np.zeros(space.n_velocity)
@@ -227,14 +220,11 @@ def outer_loop(problem, outer_tol=1e-10, max_outer=30, inner_tol=1e-12,
             problem, theta_full, u_init=u, tol=inner_tol, max_iter=max_inner
         )
         vartheta_new = heat_solve(problem, u, vartheta)
-        if damping != 1.0:
-            vartheta_new = vartheta + damping * (vartheta_new - vartheta)
         d_theta = forms.discrete_norms(space, vartheta_new - vartheta, "H1")
         vartheta = vartheta_new
 
         state = State(u=u, P=P, vartheta=vartheta, theta_D=problem.theta_D)
         r_mom, r_heat = weak_residual(problem, state)
-        flow = backward_flow_measure(space, u)
         trace.records.append(
             OuterRecord(
                 iteration=n,
@@ -243,8 +233,7 @@ def outer_loop(problem, outer_tol=1e-10, max_outer=30, inner_tol=1e-12,
                 d_theta_norm=d_theta,
                 r_momentum=r_mom,
                 r_heat=r_heat,
-                min_flux=flow.min_flux,
-                inflow_fraction=flow.inflow_fraction,
+                flow=backward_flow_measure(space, u),
                 wall_time=time.perf_counter() - t0,
                 inner_ratios=list(inner.ratios),
             )
@@ -333,7 +322,7 @@ def write_trace_csv(trace, path):
         lines.append(
             f"{r.iteration},{r.inner_iters},"
             f"{r.beta_hat:.17g},{r.d_theta_norm:.17g},{r.r_momentum:.17g},"
-            f"{r.r_heat:.17g},{r.min_flux:.17g},{r.inflow_fraction:.17g}"
+            f"{r.r_heat:.17g},{r.flow.min_flux:.17g},{r.flow.inflow_fraction:.17g}"
         )
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")

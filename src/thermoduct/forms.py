@@ -60,7 +60,7 @@ __all__ = [
 # -- helpers ----------------------------------------------------------------
 
 
-def _scatter_matrix(space, conn_rows, conn_cols, local, shape):
+def _scatter_matrix(conn_rows, conn_cols, local, shape):
     """COO scatter of identical (or per-cell) local blocks."""
     ncell = conn_rows.shape[0]
     nr, nc = local.shape[-2], local.shape[-1]
@@ -76,11 +76,11 @@ def _scatter_matrix(space, conn_rows, conn_cols, local, shape):
 def _scalar_stiffness(space):
     local = np.einsum("q,iqd,jqd->ij", space.wq, space.dN2, space.dN2)
     return _scatter_matrix(
-        space, space.conn_q2, space.conn_q2, local, (space.n_scalar, space.n_scalar)
+        space.conn_q2, space.conn_q2, local, (space.n_scalar, space.n_scalar)
     )
 
 
-def _velocity_block(space, scalar_matrix):
+def _velocity_block(scalar_matrix):
     return sp.block_diag([scalar_matrix] * 3, format="csr")
 
 
@@ -167,7 +167,7 @@ def interpolate_scalar(space, fld):
 
 def assemble_a(space, model):
     """Viscous operator, nu * (grad u : grad v); SPD after wall elimination."""
-    return model.nu * _velocity_block(space, _scalar_stiffness(space))
+    return model.nu * _velocity_block(_scalar_stiffness(space))
 
 
 def assemble_kappa(space, model):
@@ -179,7 +179,7 @@ def assemble_mass(space):
     """Scalar mass matrix on the quadratic space (oracle and test helper)."""
     local = np.einsum("q,iq,jq->ij", space.wq, space.N2, space.N2)
     return _scatter_matrix(
-        space, space.conn_q2, space.conn_q2, local, (space.n_scalar, space.n_scalar)
+        space.conn_q2, space.conn_q2, local, (space.n_scalar, space.n_scalar)
     )
 
 
@@ -190,7 +190,6 @@ def divergence_matrix(space):
     for d in range(3):
         blocks.append(
             _scatter_matrix(
-                space,
                 space.conn_q1,
                 space.conn_q2,
                 local[:, d, :],
@@ -224,8 +223,8 @@ def assemble_b(space, model, u0):
     conv = np.einsum("cqd,jqd->cqj", uq, space.dN2)
     local = model.rho0 * ((space.N2 * space.wq) @ conv)   # (cells, 27, 27)
     n2 = space.n_scalar
-    Bscal = _scatter_matrix(space, space.conn_q2, space.conn_q2, local, (n2, n2))
-    return _velocity_block(space, Bscal)
+    Bscal = _scatter_matrix(space.conn_q2, space.conn_q2, local, (n2, n2))
+    return _velocity_block(Bscal)
 
 
 # -- load vectors --------------------------------------------------------------

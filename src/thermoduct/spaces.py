@@ -77,7 +77,7 @@ class DiscreteSpace:
         self.n_velocity = 3 * self.n_scalar
         self.n_cells = mesh.n_cells
 
-        self._build_connectivity(nx, ny, nz)
+        self._build_connectivity(nx, ny)
         self._build_nodes()
         self._build_masks()
         self._build_volume_tables()
@@ -85,7 +85,7 @@ class DiscreteSpace:
 
     # -- construction -----------------------------------------------------
 
-    def _build_connectivity(self, nx, ny, nz):
+    def _build_connectivity(self, nx, ny):
         sx, sy, _ = self.q2_shape
 
         cells = np.arange(self.n_cells)
@@ -250,12 +250,6 @@ class DiscreteSpace:
 
         cells = np.asarray(self.mesh.divisions)
         return np.concatenate(dissect(np.arange(nodes.size), np.zeros(3, int), cells))
-
-    def velocity_dofs(self, component, nodes=None):
-        """Global velocity dof ids of one component (optionally for given nodes)."""
-        if nodes is None:
-            nodes = np.arange(self.n_scalar)
-        return component * self.n_scalar + np.asarray(nodes)
 
     def split_velocity(self, u):
         """View a velocity dof vector as (n_scalar, 3) nodal values."""

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms
-from .fields import Field
+from .fields import Field, constant_scalar
 from .fixed_point import CoupledProblem, outer_loop
 from .linsolve import SaddleFactorization, WallCG
-from .material import density
+from .material import constant_density, density, make_material
 from .mesh import build_channel_mesh
 from .spaces import build_spaces
 
@@ -43,7 +43,6 @@ class ManufacturedCase:
     theta: Field
     nu: float
     compatible_heat_flux: bool = True
-    notes: str = ""
 
 
 # -- case construction -------------------------------------------------------
@@ -170,7 +169,6 @@ def incompatible_heat_case(dims, nu=1.0):
         theta=Field(val, grad, lap),
         nu=nu,
         compatible_heat_flux=False,
-        notes="normal heat flux on the open ends is nonzero by construction",
     )
 
 
@@ -197,12 +195,6 @@ def poly_case(dims, nu=1.0):
         zero = np.zeros_like(l1)
         return np.stack([l1, zero, zero], axis=1)
 
-    def p_val(x):
-        return np.zeros(x.shape[0], dtype=x.dtype)
-
-    def p_grad(x):
-        return np.zeros((x.shape[0], 3), dtype=x.dtype)
-
     def th_val(x):
         Y = x[:, 1]
         return Y * (Ly - Y)
@@ -218,7 +210,7 @@ def poly_case(dims, nu=1.0):
     return ManufacturedCase(
         name="poly_quadratic",
         u=Field(u_val, u_grad, u_lap),
-        p=Field(p_val, p_grad),
+        p=constant_scalar(0.0),
         theta=Field(th_val, th_grad, th_lap),
         nu=nu,
     )
@@ -305,49 +297,31 @@ def _complex_step(fn, x, h=1e-30):
 def validate_case(case, dims, n_points=1000, seed=1234, tol=1e-10):
     """Cross-check hand-coded derivatives and boundary compatibility.
 
-    Gradients are checked against complex-step derivatives of the values;
-    Laplacians against complex-step derivatives of the coded gradients;
-    the divergence of u must vanish identically.  Boundary checks sample
-    the walls (u = 0) and the open ends (do-nothing residual, and the
-    normal heat flux when the case declares it compatible).
+    Gradients are checked against complex-step derivatives of the values,
+    Laplacians against the trace of the complex-step Jacobian of the coded
+    gradients, and the divergence of u must vanish identically.  Boundary
+    checks sample the walls (u = 0) and the open ends (do-nothing residual,
+    and the normal heat flux when the case declares it compatible).
     """
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, size=(n_points, 3)) * np.asarray(dims)[None, :]
 
-    G_cs = _complex_step(case.u.value, x)         # (n, m, d)
-    err = np.max(np.abs(G_cs - case.u.grad(x)))
-    if err > tol:
-        raise AssertionError(f"velocity gradient mismatch {err:.3e}")
+    u, p, theta = case.u, case.p, case.theta
+    checks = (
+        ("velocity gradient", _complex_step(u.value, x), u.grad(x)),
+        ("velocity laplacian",
+         np.einsum("nmdd->nm", _complex_step(u.grad, x)), u.laplacian(x)),
+        ("pressure gradient", _complex_step(p.value, x), p.grad(x)),
+        ("temperature gradient", _complex_step(theta.value, x), theta.grad(x)),
+        ("temperature laplacian",
+         np.einsum("ndd->n", _complex_step(theta.grad, x)), theta.laplacian(x)),
+    )
+    for name, cs, coded in checks:
+        err = np.max(np.abs(cs - coded))
+        if err > tol:
+            raise AssertionError(f"{name} mismatch {err:.3e}")
 
-    lap_cs = np.zeros((n_points, 3))
-    for d in range(3):
-        xc = x.astype(complex).copy()
-        xc[:, d] += 1e-30j
-        lap_cs += np.imag(case.u.grad(xc)[:, :, d]) / 1e-30
-    err = np.max(np.abs(lap_cs - case.u.laplacian(x)))
-    if err > tol:
-        raise AssertionError(f"velocity laplacian mismatch {err:.3e}")
-
-    gp_cs = _complex_step(case.p.value, x)
-    err = np.max(np.abs(gp_cs - case.p.grad(x)))
-    if err > tol:
-        raise AssertionError(f"pressure gradient mismatch {err:.3e}")
-
-    gt_cs = _complex_step(case.theta.value, x)
-    err = np.max(np.abs(gt_cs - case.theta.grad(x)))
-    if err > tol:
-        raise AssertionError(f"temperature gradient mismatch {err:.3e}")
-
-    lapt_cs = np.zeros(n_points)
-    for d in range(3):
-        xc = x.astype(complex).copy()
-        xc[:, d] += 1e-30j
-        lapt_cs += np.imag(case.theta.grad(xc)[:, d]) / 1e-30
-    err = np.max(np.abs(lapt_cs - case.theta.laplacian(x)))
-    if err > tol:
-        raise AssertionError(f"temperature laplacian mismatch {err:.3e}")
-
-    div = np.einsum("nmm->n", case.u.grad(x))
+    div = np.einsum("nmm->n", u.grad(x))
     if np.max(np.abs(div)) > 1e-12:
         raise AssertionError("manufactured velocity is not divergence-free")
 
@@ -415,39 +389,41 @@ class ErrorTable:
         return self.orders[name][-1]
 
 
-def _error_norms(space, dofs, exact_value, exact_grad, vector):
-    ev = forms.quad_values(space, exact_value)
-    eg = forms.quad_values(space, exact_grad)
-    if vector:
-        vals = forms.eval_velocity(space, dofs)
-        grads = forms.eval_velocity_grad(space, dofs)
-        d2 = np.sum((vals - ev) ** 2, axis=-1)
-        g2 = np.sum((grads - eg) ** 2, axis=(-1, -2))
+def _error_norms(space, dofs, exact):
+    """L2 and H1 errors of a velocity or scalar dof vector against a Field."""
+    if dofs.size == space.n_velocity:
+        vals, grads = forms.eval_velocity(space, dofs), forms.eval_velocity_grad(space, dofs)
     else:
-        vals = forms.eval_scalar(space, dofs)
-        grads = forms.eval_scalar_grad(space, dofs)
-        d2 = (vals - ev) ** 2
-        g2 = np.sum((grads - eg) ** 2, axis=-1)
+        vals, grads = forms.eval_scalar(space, dofs), forms.eval_scalar_grad(space, dofs)
+    d2 = np.sum((vals - forms.quad_values(space, exact.value)) ** 2,
+                axis=tuple(range(2, vals.ndim)))
+    g2 = np.sum((grads - forms.quad_values(space, exact.grad)) ** 2,
+                axis=tuple(range(2, grads.ndim)))
     l2 = float(np.sqrt(np.einsum("q,cq->", space.wq, d2)))
     h1 = float(np.sqrt(np.einsum("q,cq->", space.wq, d2 + g2)))
     return l2, h1
 
 
-def _refinement_levels(base_divisions, n_levels):
-    return [tuple(int(d) * 2**k for d in base_divisions) for k in range(n_levels)]
+def _study(dims, base_divisions, n_levels, quad_order, level_errors):
+    """Refinement study: ``level_errors(space) -> {name: error}`` on each level.
 
-
-def _fill_orders(levels, errors):
-    orders = {}
-    monotone = True
-    for name, errs in errors.items():
-        seq = []
-        for a, b in zip(errs[:-1], errs[1:]):
-            if b > a:
-                monotone = False
-            seq.append(math.log2(a / b) if b > 0 else float("inf"))
-        orders[name] = seq
-    return orders, monotone
+    Level k halves the mesh size of level k - 1; the observed orders are the
+    log2 ratios of successive errors.
+    """
+    levels, hs, errors = [], [], {}
+    for k in range(n_levels):
+        divs = tuple(int(d) * 2**k for d in base_divisions)
+        space = build_spaces(build_channel_mesh(*dims, *divs), quad_order=quad_order)
+        levels.append(divs)
+        hs.append(float(np.max(space.h)))
+        for name, err in level_errors(space).items():
+            errors.setdefault(name, []).append(err)
+    orders = {
+        name: [math.log2(a / b) if b > 0 else float("inf") for a, b in zip(errs, errs[1:])]
+        for name, errs in errors.items()
+    }
+    monotone = not any(b > a for errs in errors.values() for a, b in zip(errs, errs[1:]))
+    return ErrorTable(levels=levels, h=hs, errors=errors, orders=orders, monotone=monotone)
 
 
 def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0,
@@ -460,54 +436,40 @@ def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0,
     """
     case = case_factory(dims, nu)
     validate_case(case, dims)
-    levels = _refinement_levels(base_divisions, n_levels)
-    errors = {"u_L2": [], "u_H1": [], "p_L2": []}
-    hs = []
+    model = _unit_model(nu)
     forcing = stokes_forcing(case, nu)
-    for divs in levels:
-        mesh = build_channel_mesh(*dims, *divs)
-        space = build_spaces(mesh, quad_order=quad_order)
-        hs.append(float(np.max(space.h)))
-        model = _unit_model(nu)
+
+    def level_errors(space):
         K = forms.assemble_saddle(forms.assemble_a(space, model), forms.divergence_matrix(space))
         load = forms.field_load_vector(space, forcing)
         # a temporary: one level's factor is freed before the next is built
         u, P = SaddleFactorization(
             K, space.dirichlet_mask_u, space.saddle_order
         ).solve(load)
-        l2, h1 = _error_norms(space, u, case.u.value, case.u.grad, vector=True)
-        pq = forms.eval_pressure(space, P)
-        pe = forms.quad_values(space, case.p)
-        perr = float(np.sqrt(np.einsum("q,cq->", space.wq, (pq - pe) ** 2)))
-        errors["u_L2"].append(l2)
-        errors["u_H1"].append(h1)
-        errors["p_L2"].append(perr)
-    orders, monotone = _fill_orders(levels, errors)
-    return ErrorTable(levels=levels, h=hs, errors=errors, orders=orders, monotone=monotone)
+        u_l2, u_h1 = _error_norms(space, u, case.u)
+        dp = forms.eval_pressure(space, P) - forms.quad_values(space, case.p)
+        p_l2 = float(np.sqrt(np.einsum("q,cq->", space.wq, dp ** 2)))
+        return {"u_L2": u_l2, "u_H1": u_h1, "p_L2": p_l2}
+
+    return _study(dims, base_divisions, n_levels, quad_order, level_errors)
 
 
 def mms_heat_study(case_factory, dims, base_divisions, n_levels=3, lam=1.0,
                    quad_order=5):
     """Convergence of the mixed Poisson heat solve against a manufactured case."""
     case = case_factory(dims, 1.0)
-    levels = _refinement_levels(base_divisions, n_levels)
-    errors = {"theta_L2": [], "theta_H1": []}
-    hs = []
+    model = _unit_model(1.0, lam=lam)
     forcing = heat_forcing_linear(case, lam)
-    for divs in levels:
-        mesh = build_channel_mesh(*dims, *divs)
-        space = build_spaces(mesh, quad_order=quad_order)
-        hs.append(float(np.max(space.h)))
-        model = _unit_model(1.0, lam=lam)
+
+    def level_errors(space):
         kappa = forms.assemble_kappa(space, model)
         theta_D = forms.interpolate_scalar(space, case.theta)
         rhs = forms.field_load_scalar(space, forcing) - kappa @ theta_D
         theta = theta_D + WallCG(kappa, space.dirichlet_mask_theta, 1e-13).solve(rhs)
-        l2, h1 = _error_norms(space, theta, case.theta.value, case.theta.grad, vector=False)
-        errors["theta_L2"].append(l2)
-        errors["theta_H1"].append(h1)
-    orders, monotone = _fill_orders(levels, errors)
-    return ErrorTable(levels=levels, h=hs, errors=errors, orders=orders, monotone=monotone)
+        l2, h1 = _error_norms(space, theta, case.theta)
+        return {"theta_L2": l2, "theta_H1": h1}
+
+    return _study(dims, base_divisions, n_levels, quad_order, level_errors)
 
 
 def coupled_mms(case, dims, divisions, model, g, outer_tol=1e-10, max_outer=40,
@@ -530,8 +492,8 @@ def coupled_mms(case, dims, divisions, model, g, outer_tol=1e-10, max_outer=40,
         h_extra=coupled_heat_forcing(case, model),
     )
     state, trace = outer_loop(problem, outer_tol=outer_tol, max_outer=max_outer)
-    ul2, uh1 = _error_norms(space, state.u, case.u.value, case.u.grad, vector=True)
-    tl2, th1 = _error_norms(space, state.theta, case.theta.value, case.theta.grad, vector=False)
+    ul2, uh1 = _error_norms(space, state.u, case.u)
+    tl2, th1 = _error_norms(space, state.theta, case.theta)
     return {
         "u_L2": ul2,
         "u_H1": uh1,
@@ -545,7 +507,5 @@ def coupled_mms(case, dims, divisions, model, g, outer_tol=1e-10, max_outer=40,
 
 
 def _unit_model(nu, lam=1.0):
-    from .material import constant_density, make_material
-
     return make_material(nu=nu, rho0=1.0, cV=1.0, lam=lam, alpha1=0.0,
                          law=constant_density(1.0))

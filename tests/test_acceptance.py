@@ -118,7 +118,7 @@ def test_criterion_04_duct_benchmark():
 
 def test_criterion_05_fixed_point_contraction(acceptance_run):
     state, trace, elapsed = acceptance_run
-    ratios = trace.all_inner_ratios()
+    ratios = [r for rec in trace.records for r in rec.inner_ratios]
     ok = (
         len(trace.records) <= 30
         and trace.records[-1].d_theta_norm <= 1e-10

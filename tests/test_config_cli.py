@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from thermoduct.cli import main
-from thermoduct.config import ConfigError, emit_config, normalize, parse_config
+from thermoduct.config import ConfigError, emit_config, parse_config
 
 MINIMAL = """\
 [geometry]
@@ -106,8 +106,8 @@ def test_unknown_field_names_rejected():
 
 @pytest.mark.parametrize("text", [MINIMAL, FULL])
 def test_round_trip_fixpoint(text):
-    canonical = normalize(text)
-    assert normalize(canonical) == canonical
+    canonical = emit_config(parse_config(text))
+    assert emit_config(parse_config(canonical)) == canonical
     cfg1 = parse_config(text)
     cfg2 = parse_config(emit_config(cfg1))
     assert cfg1.sections == cfg2.sections

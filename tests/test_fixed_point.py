@@ -253,14 +253,6 @@ def test_outer_exhaustion_carries_trace(small_space, boussinesq_model):
     assert len(err.value.trace.records) == 2
 
 
-def test_damping_validated(small_space, boussinesq_model):
-    prob = CoupledProblem(small_space, boussinesq_model, (0, 0, 0), constant_scalar(0.0))
-    with pytest.raises(ValueError):
-        outer_loop(prob, damping=0.0)
-    state, _ = outer_loop(prob, damping=0.5)
-    assert np.all(state.u == 0.0)
-
-
 # -- backward flow ------------------------------------------------------------------
 
 

@@ -1,10 +1,15 @@
-"""Every imported name is used.
+"""Every imported name, and every parameter in the package, is used.
 
 An import that nothing references is dead code that still costs an import
 and misleads a reader about what a module depends on.  The scan is a plain
 ``ast`` walk: a name bound by ``import`` or ``from ... import`` must appear
 as a name somewhere in the same file, or in its ``__all__``.  Package
 ``__init__.py`` files are skipped, since their imports are the exports.
+
+A parameter that its function's body never reads misleads a caller the
+same way, so each parameter of a ``def`` in ``src/thermoduct`` must appear
+as a name in that body.  Lambdas are exempt: registry entries share one
+signature whether or not they read every argument.
 """
 
 import ast
@@ -42,6 +47,21 @@ def unused_imports(source):
     return [(line, name) for line, name in imported if name not in used]
 
 
+def unused_parameters(source):
+    """(line, "function(parameter)") of each parameter its body never references."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [p for p in (args.vararg, args.kwarg) if p is not None]
+            used = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            found += [(node.lineno, f"{node.name}({p.arg})")
+                      for p in params if p.arg not in used]
+    return found
+
+
 def test_scan_flags_only_unreferenced_names():
     source = (
         "import json\nimport os.path\nfrom math import pi, tau as turn\n"
@@ -55,5 +75,23 @@ def test_no_unused_imports():
         f"{path.relative_to(ROOT)}:{line} {name}"
         for path in _files()
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert not found
+
+
+def test_parameter_scan_flags_only_unread_parameters():
+    source = (
+        "def f(a, b, *args, c=1, **kw):\n"
+        "    def g(x):\n        return a + x\n"
+        "    return g, args, (lambda p, q: p)\n"
+    )
+    assert unused_parameters(source) == [(1, "f(b)"), (1, "f(c)"), (1, "f(kw)")]
+
+
+def test_no_unused_parameters():
+    found = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in sorted(ROOT.glob("src/thermoduct/*.py"))
+        for line, name in unused_parameters(path.read_text(encoding="utf-8"))
     ]
     assert not found
