@@ -36,13 +36,13 @@ from .fixed_point import (
     weak_residual,
 )
 from .certificates import (
-    admissible_sr,
     estimate_constants,
     smallness_check,
     uniqueness_certificate,
 )
 from .spectrum import (
     SpectrumResult,
+    admissible_sr,
     compute_spectrum,
     find_roots,
     mellin_symbol,

@@ -26,7 +26,7 @@ import numpy as np
 from . import forms
 from .linsolve import WallCG
 from .material import density
-from .spectrum import regularity_exponent_bound
+from .spectrum import admissible_sr, regularity_exponent_bound
 
 __all__ = [
     "ConstantEstimates",
@@ -35,8 +35,7 @@ __all__ = [
     "smallness_check",
     "CertificateReport",
     "uniqueness_certificate",
-    "admissible_sr",
-    "ExponentRange",
+    "check_exponents",
 ]
 
 
@@ -388,17 +387,25 @@ def state_norms(space, state, s, r):
     return u_norm, th_norm
 
 
+def check_exponents(s, r):
+    """ValueError unless s in [4/3, s0), r in ``admissible_sr(s)``, r > 3/2
+    (sup-norm embedding) and r < s0 (range of the W^{2,r} norm)."""
+    allowed, s0 = admissible_sr(s), regularity_exponent_bound()
+    if not (r in allowed and 1.5 < r < s0):
+        raise ValueError(f"r={r} outside the range s={s} admits: r > 3/2, "
+                         f"r <= {allowed.hi} and r < s0 = {s0:.6f}")
+
+
 def uniqueness_certificate(problem, estimates, state1, state2=None, r=None, s=None):
     """Uniqueness coefficients R1, R2 for a pair of states (or one state twice).
 
     Computed symbol-for-symbol from the a priori difference estimates; the
-    verdict is uniqueness_ok iff both are below one.  Requires r > 3/2
-    (sup-norm embedding of the temperature difference).
+    verdict is uniqueness_ok iff both are below one.  The exponents must
+    pass ``check_exponents``.
     """
     s = estimates.s if s is None else s
     r = estimates.r if r is None else r
-    if r <= 1.5:
-        raise ValueError("uniqueness certificate requires r > 3/2")
+    check_exponents(s, r)
     if state2 is None:
         state2 = state1
     space, model = problem.space, problem.model
@@ -449,32 +456,3 @@ def body_force_norm(problem, s):
     space = problem.space
     gq = np.broadcast_to(forms.quad_values(space, problem.g), (space.n_cells, space.nq, 3))
     return forms.lp_norm_of_values(space, gq, s)
-
-
-# -- exponent ranges ---------------------------------------------------------------
-
-
-@dataclass
-class ExponentRange:
-    lo: float
-    hi: float
-    hi_closed: bool
-
-    def __contains__(self, r):
-        if r < self.lo:
-            return False
-        return r <= self.hi if self.hi_closed else r < self.hi
-
-
-def admissible_sr(s):
-    """Admissible heat exponent interval r for a given momentum exponent s.
-
-    [6/5, 3s / (2(3-s))] for s in [4/3, 3), and [6/5, inf) for s in
-    [3, s0); rejects s outside [4/3, s0).
-    """
-    s0 = regularity_exponent_bound()
-    if not (4.0 / 3.0 <= s < s0):
-        raise ValueError(f"s={s} outside the admissible range [4/3, {s0:.6f})")
-    if s < 3.0:
-        return ExponentRange(lo=6.0 / 5.0, hi=3.0 * s / (2.0 * (3.0 - s)), hi_closed=True)
-    return ExponentRange(lo=6.0 / 5.0, hi=math.inf, hi_closed=False)

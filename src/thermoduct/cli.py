@@ -21,7 +21,8 @@ import numpy as np
 from . import certificates as cert
 from . import spectrum as spec
 from . import verification as verif
-from .config import ConfigError, build_problem_parts, emit_config, parse_config
+from .config import (ConfigError, build_body_force, build_model, build_problem_parts,
+                     emit_config, parse_config)
 from .fixed_point import CoupledProblem, DivergenceError, outer_loop, write_trace_csv
 from .io_vtk import write_boundary_vtk, write_state_vtk
 from .linsolve import LinearSolveError
@@ -40,10 +41,6 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj
@@ -59,9 +56,9 @@ def _load(args):
     text = Path(args.config).read_text(encoding="utf-8")
     config = parse_config(text)
     if args.seed is not None:
-        config.sections["run"]["seed"] = args.seed
+        config["run"]["seed"] = args.seed
     if args.out is not None:
-        config.sections["run"]["out_dir"] = args.out
+        config["run"]["out_dir"] = args.out
     out = Path(config["run"]["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     # echo the normalized configuration next to the artifacts
@@ -134,7 +131,7 @@ def run_spectrum(config, out):
         k_max=sc["k_max"],
     )
     payload = {
-        "stokes_roots": [{"re": z.real, "im": z.imag} for z in result.stokes_roots],
+        "stokes_roots": result.stokes_roots,
         "residuals": result.residuals,
         "scalar_roots": result.scalar_roots,
         "mu_M": result.mu_M,
@@ -157,15 +154,14 @@ def run_mms(config, out):
     dims = (geo["Lx"], geo["Ly"], geo["Lz"])
     base = (geo["nx"], geo["ny"], geo["nz"])
     m = config["mms"]
-    factories = {
-        "trig_smooth": verif.trig_case,
-        "poly_quadratic": verif.poly_case,
-        "trig_incompatible": verif.incompatible_heat_case,
-        "coupled_smooth": lambda d, nu: verif.coupled_case(d, nu=nu),
-    }
-    factory = factories[m["case"]]
     quad_order = config["solver"]["quad_order"]
     if m["study"] in ("stokes", "heat"):
+        factory = {
+            "trig_smooth": verif.trig_case,
+            "poly_quadratic": verif.poly_case,
+            "trig_incompatible": verif.incompatible_heat_case,
+            "coupled_smooth": verif.coupled_case,
+        }[m["case"]]
         study, coefficient = {
             "stokes": (verif.mms_stokes_study, {"nu": config["material"]["nu"]}),
             "heat": (verif.mms_heat_study, {"lam": config["material"]["lambda"]}),
@@ -176,14 +172,10 @@ def run_mms(config, out):
         payload = {"study": m["study"], "errors": table.errors, "orders": table.orders,
                    "monotone": table.monotone}
     else:
-        from .config import build_model
-        from .fields import body_force_registry
-
+        # parse_config admits no other case and no other level count here
         model = build_model(config)
-        g = body_force_registry()[config["body_force"]["field"]](config["body_force"])
-        case = verif.coupled_case(dims, nu=model.nu)
         report = verif.coupled_mms(
-            case, dims, base, model, g,
+            verif.coupled_case(dims, nu=model.nu), dims, base, model, build_body_force(config),
             outer_tol=config["solver"]["outer_tol"], quad_order=quad_order,
         )
         payload = {
@@ -216,10 +208,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config, out = _load(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
+    except (FileNotFoundError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -3,21 +3,25 @@
 The format is deliberately small: ``[section]`` headers, one ``key =
 value`` pair per line, ``#`` comment lines and blank lines.  Parsing
 validates against a fixed schema, collects every violation with its line
-number instead of failing fast, and fills defaults.  ``emit`` writes the
+number instead of failing fast, fills defaults, and then rejects the key
+combinations that a run would reject or ignore.  ``emit`` writes the
 canonical form (fixed section and key order, lossless float formatting),
-so parse -> emit -> parse is a fixpoint.
+so parse -> emit -> parse is a fixpoint.  Configuration names become
+objects in one place, the builders at the end of this module.
 """
 
 import math
 from dataclasses import dataclass
 
-from .fields import body_force_registry, theta_field_registry
+from .certificates import check_exponents
+from .fields import constant_scalar, span_scalar
 from .material import clamped_boussinesq, constant_density, make_material
 from .mesh import build_channel_mesh
 from .spaces import build_spaces
+from .spectrum import admissible_sr
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "emit_config",
-           "build_model", "build_problem_parts"]
+__all__ = ["ConfigError", "parse_config", "emit_config", "build_model",
+           "build_body_force", "build_problem_parts"]
 
 
 class ConfigError(ValueError):
@@ -120,17 +124,6 @@ SCHEMA = {
 }
 
 
-@dataclass
-class RunConfig:
-    sections: dict
-
-    def __getitem__(self, section):
-        return self.sections[section]
-
-    def get(self, section, key):
-        return self.sections[section][key]
-
-
 def _parse_value(raw, key_spec):
     if key_spec.typ is bool:
         low = raw.lower()
@@ -155,11 +148,33 @@ def _parse_value(raw, key_spec):
     return raw
 
 
+def _combination_errors(values, seen):
+    """(section, keys, message) per key combination a run would reject or ignore."""
+    c, sp, m = values["certificates"], values["spectrum"], values["mms"]
+    found = []
+    keys = ("s",)
+    try:
+        admissible_sr(c["s"])
+        keys = ("r", "s")
+        check_exponents(c["s"], c["r"])
+    except ValueError as exc:
+        found.append(("certificates", keys, str(exc)))
+    if sp["re_min"] >= sp["re_max"]:
+        found.append(("spectrum", ("re_min", "re_max"),
+                      f"{sp['re_min']} must be below re_max = {sp['re_max']}"))
+    # the coupled study runs its one case on the base mesh
+    for key, only in (("case", "coupled_smooth"), ("levels", 1)):
+        if m["study"] == "coupled" and key in seen["mms"] and m[key] != only:
+            found.append(("mms", (key,), f"study = coupled takes only {key} = {only}"))
+    return found
+
+
 def parse_config(text):
-    """Parse and validate; raises ConfigError listing every violation."""
+    """Parse and validate to a dict of sections; raises ConfigError listing
+    every violation, and checks key combinations once every key is valid."""
     errors = []
     values = {s: {} for s in SCHEMA}
-    seen = {s: set() for s in SCHEMA}
+    seen = {s: {} for s in SCHEMA}  # key -> line
     section_lines = {}
     section = None
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -191,7 +206,7 @@ def parse_config(text):
         if key in seen[section]:
             errors.append((ln, f"duplicate key '{key}' in section [{section}]"))
             continue
-        seen[section].add(key)
+        seen[section][key] = ln
         try:
             val = _parse_value(raw_val, spec)
         except ValueError as exc:
@@ -209,7 +224,7 @@ def parse_config(text):
 
     for sname, keys in SCHEMA.items():
         for key, spec in keys.items():
-            if key in values[sname] or key in seen[sname]:
+            if key in seen[sname]:
                 continue
             if spec.required:
                 errors.append(
@@ -218,9 +233,14 @@ def parse_config(text):
             else:
                 values[sname][key] = spec.default
 
+    if not errors:
+        # defaults always pass, so one of the keys is set; name its line
+        for sname, keys, msg in _combination_errors(values, seen):
+            line = next(seen[sname][k] for k in keys if k in seen[sname])
+            errors.append((line, f"{sname}.{keys[0]}: {msg}"))
     if errors:
         raise ConfigError(errors)
-    return RunConfig(sections=values)
+    return values
 
 
 def _emit_value(v):
@@ -237,7 +257,7 @@ def emit_config(config):
     for sname, keys in SCHEMA.items():
         lines.append(f"[{sname}]")
         for key in keys:
-            lines.append(f"{key} = {_emit_value(config.sections[sname][key])}")
+            lines.append(f"{key} = {_emit_value(config[sname][key])}")
         lines.append("")
     return "\n".join(lines)
 
@@ -262,16 +282,25 @@ def build_model(config):
     )
 
 
+def build_body_force(config):
+    """The constant body force (gx, gy, gz); zeros for field = zero."""
+    bf = config["body_force"]
+    if bf["field"] == "zero":
+        return (0.0, 0.0, 0.0)
+    return (bf["gx"], bf["gy"], bf["gz"])
+
+
 def build_problem_parts(config):
-    """(mesh, space, model, g field, theta_D field) from a configuration."""
+    """(mesh, space, model, g, theta_D field) from a configuration."""
     geo = config["geometry"]
     mesh = build_channel_mesh(
         geo["Lx"], geo["Ly"], geo["Lz"], geo["nx"], geo["ny"], geo["nz"]
     )
     space = build_spaces(mesh, quad_order=config["solver"]["quad_order"])
-    model = build_model(config)
-    g = body_force_registry()[config["body_force"]["field"]](config["body_force"])
-    theta_D = theta_field_registry(mesh.dims)[config["temperature_bc"]["field"]](
-        config["temperature_bc"]
-    )
-    return mesh, space, model, g, theta_D
+    bc = config["temperature_bc"]
+    if bc["field"] == "constant":
+        theta_D = constant_scalar(bc["theta0"])
+    else:
+        axis = {"span_y": 1, "span_z": 2}[bc["field"]]
+        theta_D = span_scalar(axis, bc["theta0"], bc["delta"], mesh.dims[axis])
+    return mesh, space, build_model(config), build_body_force(config), theta_D

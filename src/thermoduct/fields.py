@@ -1,4 +1,4 @@
-"""Closed-form fields for boundary data and forces.
+"""Closed-form fields for boundary data, forces and manufactured solutions.
 
 A field is any callable of points ``(n, 3)``; ``forms.quad_values``
 tabulates it once at the quadrature points, and a constant passes through
@@ -16,8 +16,6 @@ __all__ = [
     "constant_scalar",
     "constant_vector",
     "span_scalar",
-    "theta_field_registry",
-    "body_force_registry",
 ]
 
 
@@ -74,21 +72,3 @@ def span_scalar(axis, theta0, delta, length):
         grad=grad,
         laplacian=lambda x: np.zeros(x.shape[0], dtype=x.dtype),
     )
-
-
-def theta_field_registry(dims):
-    """Named boundary-temperature fields available to run configurations."""
-    Lx, Ly, Lz = dims
-    return {
-        "constant": lambda p: constant_scalar(p.get("theta0", 0.0)),
-        "span_y": lambda p: span_scalar(1, p.get("theta0", 0.0), p.get("delta", 1.0), Ly),
-        "span_z": lambda p: span_scalar(2, p.get("theta0", 0.0), p.get("delta", 1.0), Lz),
-    }
-
-
-def body_force_registry():
-    """Named body forces available to run configurations, as constant 3-vectors."""
-    return {
-        "zero": lambda p: (0.0, 0.0, 0.0),
-        "constant": lambda p: (p.get("gx", 0.0), p.get("gy", 0.0), p.get("gz", 0.0)),
-    }

@@ -11,7 +11,8 @@ Loads: convective, dissipative and buoyancy terms are assembled as
 explicit load vectors with every argument frozen, mirroring the
 linearized solve structure of the fixed-point scheme.  Problem data (a
 callable of points, a constant, or values already tabulated) become
-quadrature values in one place, ``quad_values``.
+quadrature values in one place, ``quad_values``.  Norm exponents are
+checked by ``spectrum.admissible_sr``.
 
 All cells are congruent, so one set of reference tables serves every
 cell.  Every field is evaluated at the quadrature points by one kernel,
@@ -29,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .material import density
-from .spectrum import regularity_exponent_bound
+from .spectrum import admissible_sr
 
 __all__ = [
     "assemble_a",
@@ -297,12 +298,6 @@ def field_load_vector(space, fld):
 # -- norms ---------------------------------------------------------------------
 
 
-def _check_exponent(s):
-    s0 = regularity_exponent_bound()
-    if not (4.0 / 3.0 <= s < s0):
-        raise ValueError(f"exponent s={s} outside the admissible range [4/3, {s0:.6f})")
-
-
 def _sobolev_density(space, fld, order):
     """Sum of the squared derivatives of orders 0..order over all components,
     per quadrature point."""
@@ -324,15 +319,15 @@ def discrete_norms(space, fld, which, s=None):
     """Quadrature norms of a dof vector.
 
     which = 'Ls' (requires s), 'H1', or 'W2s' (broken second derivatives of
-    the piecewise-quadratic basis; requires s).  Exponents are restricted
-    to the admissible range [4/3, s0).
+    the piecewise-quadratic basis; requires s).  ``admissible_sr``
+    restricts s to [4/3, s0).
     """
     if which == "H1":
         dens = _sobolev_density(space, fld, 1)
         return float(np.sqrt(np.einsum("q,cq->", space.wq, dens)))
     if s is None:
         raise ValueError(f"norm '{which}' requires the exponent s")
-    _check_exponent(s)
+    admissible_sr(s)
     order = {"Ls": 0, "W2s": 2}.get(which)
     if order is None:
         raise ValueError(f"unknown norm kind '{which}'")

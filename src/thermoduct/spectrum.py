@@ -6,7 +6,8 @@ the roots of a transcendental symbol equation; the companion scalar
 (Poisson-type) problem contributes the odd integers.  ``mu_M`` is the
 width of the strip about the imaginary axis that contains no eigenvalue
 other than z = 1, and the maximal Sobolev exponent for second-derivative
-regularity follows as s0 = 2 / (2 - mu_M).
+regularity follows as s0 = 2 / (2 - mu_M).  ``admissible_sr`` is the
+package's one exponent contract: s in [4/3, s0) and the r each s admits.
 """
 
 import cmath
@@ -23,6 +24,8 @@ __all__ = [
     "compute_spectrum",
     "regularity_bounds",
     "weighted_admissibility",
+    "admissible_sr",
+    "ExponentRange",
     "SpectrumResult",
     "MissedRootError",
 ]
@@ -294,7 +297,31 @@ def weighted_admissibility(delta, p, mu_M):
 
 @functools.cache
 def regularity_exponent_bound():
-    """Cached s0 for exponent-range checks elsewhere in the package."""
-    roots = find_roots(1.05, 1.95, 2.0, tol=1e-12)
-    mu = min(z.real for z in roots if abs(z.imag) < 1e-9)
-    return 2.0 / (2.0 - mu)
+    """s0 of the default strip, computed once per process."""
+    return compute_spectrum().s0
+
+
+@dataclass
+class ExponentRange:
+    lo: float
+    hi: float
+    hi_closed: bool
+
+    def __contains__(self, r):
+        if r < self.lo:
+            return False
+        return r <= self.hi if self.hi_closed else r < self.hi
+
+
+def admissible_sr(s):
+    """Admissible heat exponent interval r for a given momentum exponent s.
+
+    [6/5, 3s / (2(3-s))] for s in [4/3, 3), and [6/5, inf) for s in
+    [3, s0); rejects s outside [4/3, s0).
+    """
+    s0 = regularity_exponent_bound()
+    if not (4.0 / 3.0 <= s < s0):
+        raise ValueError(f"s={s} outside the admissible range [4/3, {s0:.6f})")
+    if s < 3.0:
+        return ExponentRange(lo=6.0 / 5.0, hi=3.0 * s / (2.0 * (3.0 - s)), hi_closed=True)
+    return ExponentRange(lo=6.0 / 5.0, hi=np.inf, hi_closed=False)

@@ -18,7 +18,6 @@ import pytest
 from thermoduct import build_channel_mesh, build_spaces, forms
 from thermoduct import verification as verif
 from thermoduct.certificates import (
-    admissible_sr,
     body_force_norm,
     estimate_constants,
     smallness_check,
@@ -27,7 +26,7 @@ from thermoduct.certificates import (
 from thermoduct.fields import constant_scalar, span_scalar
 from thermoduct.fixed_point import CoupledProblem, inner_momentum_solve, outer_loop
 from thermoduct.material import clamped_boussinesq, constant_density, make_material
-from thermoduct.spectrum import compute_spectrum, find_roots, mellin_symbol
+from thermoduct.spectrum import admissible_sr, compute_spectrum, find_roots, mellin_symbol
 from conftest import divergence_free_samples
 
 Z0_REPORTED = 1.352317

@@ -6,8 +6,8 @@ import pytest
 from thermoduct import build_channel_mesh, build_spaces, forms
 from thermoduct.certificates import (
     ConstantEstimates,
-    admissible_sr,
     body_force_norm,
+    check_exponents,
     estimate_constants,
     smallness_check,
     state_norms,
@@ -17,6 +17,7 @@ from thermoduct.certificates import _HESS, _TensorField, _quad_lines
 from thermoduct.fields import span_scalar
 from thermoduct.fixed_point import CoupledProblem, State, outer_loop
 from thermoduct.material import clamped_boussinesq, make_material
+from thermoduct.spectrum import admissible_sr
 
 
 def small_problem(space, g=(0, 0, -0.3)):
@@ -239,6 +240,21 @@ def test_uniqueness_requires_supnorm_exponent(small_space):
     model, prob = small_problem(small_space)
     with pytest.raises(ValueError):
         uniqueness_certificate(prob, fake_estimates(), zero_state(small_space), r=1.4)
+
+
+def test_uniqueness_rejects_r_outside_admissible_range(small_space):
+    # admissible_sr(2.0) is [1.2, 3.0]; r = 3.05 lies above it although r < s0
+    model, prob = small_problem(small_space)
+    with pytest.raises(ValueError, match="outside the range"):
+        uniqueness_certificate(prob, fake_estimates(s=2.0, r=3.05), zero_state(small_space))
+
+
+def test_check_exponents_contract():
+    check_exponents(2.0, 2.0)
+    check_exponents(3.0, 3.0)
+    for s, r in ((1.0, 2.0), (3.2, 2.0), (2.0, 1.0), (2.0, 1.4), (2.0, 3.05), (3.0, 3.1)):
+        with pytest.raises(ValueError):
+            check_exponents(s, r)
 
 
 def test_uniqueness_formula_pinned_by_hand(small_space):

@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from thermoduct.cli import main
-from thermoduct.config import ConfigError, emit_config, parse_config
+from thermoduct.config import ConfigError, build_model, emit_config, parse_config
+from thermoduct.material import constant_density, density
 
 MINIMAL = """\
 [geometry]
@@ -110,7 +112,15 @@ def test_round_trip_fixpoint(text):
     assert emit_config(parse_config(canonical)) == canonical
     cfg1 = parse_config(text)
     cfg2 = parse_config(emit_config(cfg1))
-    assert cfg1.sections == cfg2.sections
+    assert cfg1 == cfg2
+
+
+def test_constant_law_builds_constant_density():
+    cfg = parse_config(MINIMAL + "\nlaw = constant\n")
+    model = build_model(cfg)
+    assert model.rho_law == constant_density(1.0)
+    assert model.C_rho == 0.0
+    assert density(model, np.array([-5.0, 0.0, 5.0])).tolist() == [1.0, 1.0, 1.0]
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -125,6 +135,34 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
     p = write_cfg(tmp_path, MINIMAL + "\n[body_force]\nfield = constant\ngx = nan\n")
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, section, bad",
+    [
+        ("certify", "[certificates]\ns = 2.0", "r = 3.05"),
+        ("certify", "[certificates]", "r = 1.0"),
+        ("certify", "[certificates]\nr = 2.0", "s = 1.0"),
+        ("spectrum", "[spectrum]", "re_min = 1.96"),
+        ("mms", "[mms]\nstudy = coupled", "case = poly_quadratic"),
+        ("mms", "[mms]\nstudy = coupled", "levels = 4"),
+    ],
+    ids=["r-above-range", "r-below-range", "s-below-range", "empty-strip",
+         "coupled-case", "coupled-levels"],
+)
+def test_cli_rejects_key_combination_at_parse_time(tmp_path, capsys, command, section, bad):
+    text = MINIMAL + f"\n{section}\n{bad}\n"
+    p = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 2
+    line = text.splitlines().index(bad) + 1
+    key = bad.split()[0]
+    assert f"line {line}: " in capsys.readouterr().err
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    (got_line, msg), = err.value.errors
+    assert got_line == line and f".{key}:" in msg
+    assert not out.exists()
 
 
 def test_cli_solve_zero_data(tmp_path):
@@ -192,6 +230,20 @@ def test_cli_mms_poly_quick(tmp_path):
     payload = json.loads((out / "mms_report.json").read_text())
     assert payload["errors"]["u_L2"][0] < 1e-10
     assert (out / "mms_stokes.csv").exists()
+
+
+def test_cli_mms_coupled(tmp_path):
+    text = (MINIMAL.replace("nz = 4", "nz = 8").replace("Lz = 2.0", "Lz = 4.0")
+            + "\n[body_force]\nfield = constant\ngz = -1.0\n\n[mms]\nstudy = coupled\n")
+    p = write_cfg(tmp_path, text)
+    out = tmp_path / "mms"
+    assert main(["mms", "--config", str(p), "--out", str(out)]) == 0
+    payload = json.loads((out / "mms_report.json").read_text())
+    assert payload["study"] == "coupled"
+    assert sorted(payload["errors"]) == ["theta_H1", "theta_L2", "u_H1", "u_L2"]
+    assert all(0 < e < 1 for e in payload["errors"].values())
+    trace = (out / "mms_coupled_trace.csv").read_text().splitlines()
+    assert trace[0].startswith("iter,") and len(trace) == payload["outer_iterations"] + 1
 
 
 def test_cli_runs_as_module(tmp_path):

@@ -7,9 +7,8 @@ as a name somewhere in the same file, or in its ``__all__``.  Package
 ``__init__.py`` files are skipped, since their imports are the exports.
 
 A parameter that its function's body never reads misleads a caller the
-same way, so each parameter of a ``def`` in ``src/thermoduct`` must appear
-as a name in that body.  Lambdas are exempt: registry entries share one
-signature whether or not they read every argument.
+same way, so each parameter of a ``def`` or ``lambda`` in
+``src/thermoduct`` must appear as a name in that body.
 """
 
 import ast
@@ -51,13 +50,15 @@ def unused_parameters(source):
     """(line, "function(parameter)") of each parameter its body never references."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             args = node.args
             params = args.posonlyargs + args.args + args.kwonlyargs
             params += [p for p in (args.vararg, args.kwarg) if p is not None]
-            used = {n.id for stmt in node.body for n in ast.walk(stmt)
+            body = [node.body] if isinstance(node, ast.Lambda) else node.body
+            used = {n.id for stmt in body for n in ast.walk(stmt)
                     if isinstance(n, ast.Name)}
-            found += [(node.lineno, f"{node.name}({p.arg})")
+            name = getattr(node, "name", "lambda")
+            found += [(node.lineno, f"{name}({p.arg})")
                       for p in params if p.arg not in used]
     return found
 
@@ -83,9 +84,10 @@ def test_parameter_scan_flags_only_unread_parameters():
     source = (
         "def f(a, b, *args, c=1, **kw):\n"
         "    def g(x):\n        return a + x\n"
-        "    return g, args, (lambda p, q: p)\n"
+        "    return g, args, (lambda p, q: p), (lambda: 0)\n"
     )
-    assert unused_parameters(source) == [(1, "f(b)"), (1, "f(c)"), (1, "f(kw)")]
+    assert unused_parameters(source) == [
+        (1, "f(b)"), (1, "f(c)"), (1, "f(kw)"), (4, "lambda(q)")]
 
 
 def test_no_unused_parameters():

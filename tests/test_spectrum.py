@@ -50,6 +50,17 @@ def test_find_roots_reference_strip():
         assert abs(mellin_symbol(z)) < 1e-12
 
 
+def test_find_roots_complex_pairs_by_box_subdivision():
+    # no real root in [2.5, 6.5], so every root comes from the box search
+    roots = find_roots(2.5, 6.5, 3.0)
+    expected = (3.8225 - 0.9140j, 3.8225 + 0.9140j, 5.8609 - 1.2095j, 5.8609 + 1.2095j)
+    assert len(roots) == 4
+    for z, ref in zip(roots, expected):
+        assert z == pytest.approx(ref, abs=1e-4)
+        assert abs(mellin_symbol(z)) < 1e-12
+    assert roots[0] == roots[1].conjugate() and roots[2] == roots[3].conjugate()
+
+
 def test_find_roots_around_two():
     roots = find_roots(1.5, 2.5, 1.0)
     assert len(roots) == 1
