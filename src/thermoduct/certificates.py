@@ -16,9 +16,14 @@ with declared discrete surrogate norms:
 The estimates are honest empirical lower bounds of the true suprema and
 are labelled as such in reports.  Given a seed they are deterministic and
 monotone in the sample count.
+
+The sampler evaluates every sample in one preallocated workspace of flat
+rows in quad_points order, which ``estimate_constants`` allocates once:
+each distinct partial derivative of a sample is computed once, and every
+pointwise sum runs in the order of the array expression it stands for, so
+the constants are those of a direct evaluation bit for bit.
 """
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -65,18 +70,25 @@ class ConstantEstimates:
 # refinement by construction.
 #
 # Every sample is a sum of products amp f(x) g(y) h(z), or the curl of one,
-# and the quadrature points form a tensor grid: each 1-D factor and its
-# derivatives of orders 0-3 are tabulated once per sample on one row of
-# cells along its axis, and a partial derivative is the broadcast product
-# ((amp fx) fy) fz, which lands directly in quad_points order.  Coordinates
-# and operation order are those of a pointwise evaluation at quad_points,
-# so every value equals it bitwise.
+# and the quadrature points form a tensor grid: each 1-D factor derivative
+# is tabulated on the distinct coordinates of its axis and copied out to
+# one row of cell blocks along that axis, and a partial derivative is the
+# broadcast product ((amp fx) fy) fz, which lands directly in quad_points
+# order.  Coordinates and operation order are those of a pointwise
+# evaluation at quad_points, so every value equals it bitwise.
 
 _SIN = (np.sin, np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u))
 _COS = (np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u), np.sin)
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # second-derivative orders in (i, j) order; (i, j) and (j, i) coincide
 _HESS = tuple(tuple(a + b for a, b in zip(ei, ej)) for ei in _UNIT for ej in _UNIT)
+_SECOND = tuple(dict.fromkeys(_HESS))  # the six distinct ones
+_HESS_AT = tuple(_SECOND.index(h) for h in _HESS)
+# derivative orders a sample is evaluated at: the value (index 0), the
+# gradient (1-3) and the distinct second partials (4-9)
+_DIRECTIONS = ((0, 0, 0),) + _UNIT + _SECOND
+# the upper triangle of a 3x3 tensor
+_PAIRS = tuple((m, d) for m in range(3) for d in range(m, 3))
 # curl(psi e_axis), per axis: (derivative orders of psi, sign) per
 # component, None for the zero component
 _CURL = {
@@ -85,28 +97,47 @@ _CURL = {
     2: (((0, 1, 0), 1.0), ((1, 0, 0), -1.0), None),
 }
 
+# Summation orders, as nested pairs of leaf indices, of the numpy
+# reductions whose results the sampler reproduces from planar rows; the
+# tests check each against numpy bit for bit.
+_SUM3 = ((0, 1), 2)  # np.sum over a contiguous axis of 3: left to right
+_SUM9 = ((((0, 1), (2, 3)), ((4, 5), (6, 7))), 8)  # of 9: eight-way pairwise, then the last
+# a two-operand einsum contraction of a contiguous axis: two SIMD lanes fed
+# from the back of each block of eight, then pairwise, lanes added last
+_DOT3 = ((0, 2), 1)
+_DOT9 = (((((6, 4), 2), 0), 8), (((7, 5), 3), 1))
 
-def _factor_table(kind, k, t):
-    """d^o/dt^o, o = 0..3, of one 1-D factor at frequency k on the line t;
-    None for a derivative that vanishes identically."""
+
+def _chain(n):
+    """Left-to-right summation order of n leaves."""
+    tree = 0
+    for i in range(1, n):
+        tree = (tree, i)
+    return tree
+
+
+def _factor_table(kind, k, t, o):
+    """d^o/dt^o of one 1-D factor at frequency k on the line t; None when
+    it vanishes identically."""
     if kind == "one":
-        return [np.ones_like(t), None, None, None]
+        return np.ones_like(t) if o == 0 else None
     if kind == "sin2":
-        # sin^2(kt) = (1 - cos(2kt)) / 2
-        two = 2.0 * k
-        return [np.sin(k * t) ** 2] + [0.5 * two**o * _SIN[o - 1](two * t) for o in (1, 2, 3)]
+        if o == 0:
+            return np.sin(k * t) ** 2
+        two = 2.0 * k  # sin^2(kt) = (1 - cos(2kt)) / 2
+        return 0.5 * two**o * _SIN[o - 1](two * t)
     cycle = {"sin": _SIN, "cos": _COS}[kind]
-    return [k**o * cycle[o](k * t) for o in range(4)]
+    return k**o * cycle[o](k * t)
 
 
 def _quad_lines(space):
-    """x, y and z quadrature coordinates on one row of cells per axis, shaped
-    (cells_z, cells_y, cells_x, q, q, q) to broadcast into quad_points order.
-    Whole q^3 cell blocks keep each broadcast product contiguous per cell."""
+    """The distinct x, y and z quadrature coordinates, each on its own axes
+    of quad_points viewed as (cells_z, cells_y, cells_x, q_x, q_y, q_z): a
+    point's x depends only on its x cell and x node, and so on."""
     nx, ny, nz = space.mesh.divisions
     q = space.quad_order
     pts = space.quad_points.reshape(nz, ny, nx, q, q, q, 3)
-    return pts[:1, :1, :, ..., 0], pts[:1, :, :1, ..., 1], pts[:, :1, :1, ..., 2]
+    return pts[:1, :1, :, :, :1, :1, 0], pts[:1, :, :1, :1, :, :1, 1], pts[:, :1, :1, :1, :1, :, 2]
 
 
 class _TensorField:
@@ -115,64 +146,171 @@ class _TensorField:
     of that sum psi, solenoidal and vanishing on the wall closure.
 
     ``terms`` holds (amp, fx, fy, fz), each factor a (kind, frequency) pair
-    with kind "one", "sin", "cos" or "sin2".  Values are flat in quad_points
-    order: (points,) for a scalar, (points, 3) for a vector.
+    with kind "one", "sin", "cos" or "sin2".  ``comps`` holds, per
+    component, the derivative orders of the sum and a scale, or None for
+    an identically zero component.
     """
 
     def __init__(self, lines, terms, curl_axis=None, amp=1.0):
-        self.tables = [
-            (a,) + tuple(_factor_table(kind, float(k), t) for (kind, k), t in zip(fs, lines))
-            for a, *fs in terms
-        ]
-        self.n = math.prod(np.broadcast_shapes(*(t.shape for t in lines)))
-        self.vector = curl_axis is not None
-        if self.vector:
+        self.lines = lines
+        self.terms = terms
+        self.shape = np.broadcast_shapes(*(t.shape for t in lines))
+        # each factor is tabulated on the full q^3 cell block of its row of
+        # cells, so that every broadcast product runs contiguously per cell
+        self.blocks = [t.shape[:3] + self.shape[3:] for t in lines]
+        self.tables = {}
+        if curl_axis is not None:
             self.comps = [None if c is None else (c[0], amp * c[1]) for c in _CURL[curl_axis]]
         else:
             self.comps = [((0, 0, 0), 1.0)]
 
-    def partial(self, orders):
-        """d^orders of the term sum; terms with a vanishing factor are skipped."""
-        ox, oy, oz = orders
-        out = None
-        for amp, fx, fy, fz in self.tables:
-            if fx[ox] is None or fy[oy] is None or fz[oz] is None:
+    def _table(self, term, axis, o):
+        key = (term, axis, o)
+        if key not in self.tables:
+            kind, k = self.terms[term][1 + axis]
+            tab = _factor_table(kind, float(k), self.lines[axis], o)
+            if tab is not None:
+                block = np.empty(self.blocks[axis])
+                np.copyto(block, tab)
+                tab = block
+            self.tables[key] = tab
+        return self.tables[key]
+
+    def partial(self, orders, out, spare):
+        """d^orders of the term sum into the flat row ``out``, adding term
+        by term through ``spare``; None when every term vanishes."""
+        total = None
+        for i, (amp, *_) in enumerate(self.terms):
+            fx, fy, fz = (self._table(i, axis, o) for axis, o in enumerate(orders))
+            if fx is None or fy is None or fz is None:
                 continue
-            term = amp * fx[ox] * fy[oy] * fz[oz]
-            out = term if out is None else out + term
-        return np.zeros(self.n) if out is None else out.ravel()
-
-    def _comp(self, comp, extra):
-        base, scale = comp
-        return scale * self.partial(tuple(b + e for b, e in zip(base, extra)))
-
-    def _stack(self, directions):
-        """(points, components, directions) array of component partials."""
-        out = np.zeros((self.n, len(self.comps), len(directions)))
-        for m, comp in enumerate(self.comps):
-            if comp is not None:
-                for i, e in enumerate(directions):
-                    out[:, m, i] = self._comp(comp, e)
-        return out if self.vector else out[:, 0]
-
-    def value(self):
-        return self._stack([(0, 0, 0)])[..., 0]
-
-    def grad(self):
-        return self._stack(_UNIT)
-
-    def sq_sum(self, directions):
-        """Pointwise sum over components and ``directions`` of squared
-        partials, accumulated one square at a time in that order."""
-        total = 0.0
-        for comp in self.comps:
-            if comp is not None:
-                squares = {}
-                for e in directions:
-                    if e not in squares:
-                        squares[e] = self._comp(comp, e) ** 2
-                    total = total + squares[e]
+            dest = out if total is None else spare
+            np.multiply(amp * fx * fy, fz, out=dest.reshape(self.shape))
+            total = out if total is None else np.add(out, spare, out=out)
         return total
+
+
+class _Workspace:
+    """Every full-size array of one sample, allocated once by
+    ``estimate_constants`` and overwritten by each sample in turn.
+
+    Each array is a flat row in quad_points order.  A sample's derivatives
+    are lists ``parts[m][i]``: component m along ``_DIRECTIONS[i]``, a row
+    of the workspace or None where it vanishes identically.  ``u`` and ``v``
+    hold the values and gradients of the two nonzero curl components of
+    each velocity, ``v`` later those of the temperature and the value of
+    the heat source; ``second`` holds the second partials of the field
+    being normed, and later the C_b and C_e integrands; ``acc`` and
+    ``spares`` hold sums.  The rows take 33 values per quadrature point.
+    """
+
+    def __init__(self, space):
+        n = space.n_cells * space.nq
+        self.space = space
+        self.lines = _quad_lines(space)
+        self.u = np.empty((2, 4, n))
+        self.v = np.empty((2, 4, n))
+        self.second = np.empty((2, 6, n))
+        self.acc = np.empty((2, n))
+        self.spares = list(np.empty((3, n)))
+
+    def evaluate(self, fld, vg, directions=_DIRECTIONS):
+        """parts of ``fld`` along ``directions``; the j-th nonzero component
+        writes its value and gradient into ``vg[j]`` and its second partials
+        into ``second[j]``.  A partial of the term sum that several
+        components share is computed once and scaled into each."""
+        parts = [[None] * len(directions) for _ in fld.comps]
+        users = {}
+        slots = iter([*a, *b] for a, b in zip(vg, self.second))
+        for m, comp in enumerate(fld.comps):
+            if comp is None:
+                continue
+            (base, scale), rows = comp, next(slots)
+            for i, e in enumerate(directions):
+                orders = tuple(b + d for b, d in zip(base, e))
+                users.setdefault(orders, []).append((m, i, scale, rows[i]))
+        for orders, group in users.items():
+            *shared, (m, i, scale, row) = group
+            p = fld.partial(orders, row, self.spares[0])
+            if p is None:
+                continue
+            for mm, ii, sc, dest in shared:
+                parts[mm][ii] = np.multiply(sc, p, out=dest)
+            parts[m][i] = p if scale == 1.0 else np.multiply(scale, p, out=p)
+        return parts
+
+    def sum(self, tree, leaves, out):
+        """Sum of ``leaves`` in the order of ``tree``, into ``out``.
+
+        A leaf is an array, a pair (x, y) whose product is formed in a
+        buffer of the workspace, or None where it vanishes.  A vanishing
+        leaf drops out of its pair: exact for these sums up to the sign of
+        a zero, which every result loses to a square or an absolute value.
+        """
+        total = _tree_sum(tree, leaves, out, self.spares)
+        if total is None:
+            out.fill(0.0)
+        elif total is not out:
+            np.copyto(out, total)
+        return out
+
+    def second_sq_sum(self, parts, out):
+        """Sum over components and ``_HESS`` of the squared second
+        partials, squaring ``parts`` in place."""
+        second = [c[4:] for c in parts]
+        for c in second:
+            for x in c:
+                if x is not None:
+                    np.multiply(x, x, out=x)
+        leaves = [c[i] for c in second for i in _HESS_AT]
+        return self.sum(_chain(len(leaves)), leaves, out)
+
+    def w2s_density(self, parts, s):
+        """Pointwise broken W^{2,s} density (|D^0|^2 + |D^1|^2) + |D^2|^2
+        raised to s/2; |D^1|^2 is summed as np.sum sums the gradient
+        array, the other sums left to right."""
+        dens, tmp = self.acc
+        m = len(parts)
+        self.sum(_chain(m), [(c[0], c[0]) for c in parts], dens)
+        self.sum(_SUM9 if m == 3 else _SUM3, [(g, g) for c in parts for g in c[1:4]], tmp)
+        np.add(dens, tmp, out=dens)
+        np.add(dens, self.second_sq_sum(parts, tmp), out=dens)
+        dens **= s / 2.0
+        return dens
+
+    def w2s_norm(self, parts, s):
+        """Broken W^{2,s} norm of a sample field."""
+        space = self.space
+        dens = self.w2s_density(parts, s).reshape(space.n_cells, space.nq)
+        return float(np.einsum("q,cq->", space.wq, dens) ** (1.0 / s))
+
+
+def _tree_sum(tree, leaves, out, spares):
+    """Sum of ``leaves`` in the order of ``tree``, in ``out`` or in a leaf;
+    None when every leaf vanishes.  Products are formed in ``out`` and,
+    right of a pair, in the first of ``spares``."""
+    if isinstance(tree, int):
+        leaf = leaves[tree]
+        if isinstance(leaf, tuple):
+            x, y = leaf
+            return None if x is None or y is None else np.multiply(x, y, out=out)
+        return leaf
+    a = _tree_sum(tree[0], leaves, out, spares)
+    if a is None:
+        return _tree_sum(tree[1], leaves, out, spares)
+    b = _tree_sum(tree[1], leaves, spares[0], spares[1:])
+    return a if b is None else np.add(a, b, out=out)
+
+
+def _symmetric(grad, m, d, out):
+    """0.5 (grad[m][d] + grad[d][m]) into out, None where it vanishes."""
+    a, b = grad[m][d], grad[d][m]
+    if a is None and b is None:
+        return None
+    if a is None or b is None:
+        return np.multiply(0.5, b if a is None else a, out=out)
+    np.add(a, b, out=out)
+    return np.multiply(0.5, out, out=out)
 
 
 def _draw_velocity(space, rng):
@@ -210,46 +348,48 @@ def _draw_scalar(space, rng, zero_trace):
     return (terms,)
 
 
-def _w2s_norm(space, fld, grad, s):
-    """Broken W^{2,s} norm of a sample field, given its gradient."""
-    g2 = np.sum(grad**2, axis=tuple(range(1, grad.ndim)))
-    dens = (fld.sq_sum([(0, 0, 0)]) + g2 + fld.sq_sum(_HESS)) ** (s / 2.0)
-    dens = dens.reshape(space.n_cells, space.nq)
-    return float(np.einsum("q,cq->", space.wq, dens) ** (1.0 / s))
-
-
-def _sample_ratios(space, model, heat, lines, draw, s, r):
+def _sample_ratios(space, model, heat, ws, draw, s, r):
     """Per-sample ratios (C_b, C_e, C_d, C_eps, C_1); pure given the draw."""
     # tables are built per sample, so memory does not grow with the sample count
-    u, v, theta, f = (_TensorField(lines, *spec) for spec in draw)
+    u, v, theta, f = (_TensorField(ws.lines, *spec) for spec in draw)
+    cells = (space.n_cells, space.nq)
     out = np.zeros(5)
-    uval, ugrad = u.value(), u.grad()
-    vgrad = v.grad()
-    nu_u = _w2s_norm(space, u, ugrad, s)
-    nu_v = _w2s_norm(space, v, vgrad, s)
+    up = ws.evaluate(u, ws.u)
+    nu_u = ws.w2s_norm(up, s)
+    vp = ws.evaluate(v, ws.v)
+    nu_v = ws.w2s_norm(vp, s)
+    uval = [c[0] for c in up]
     if nu_u > 0 and nu_v > 0:
-        adv = np.einsum("nd,nmd->nm", uval, vgrad)
-        out[0] = forms.lp_norm_of_values(
-            space, adv.reshape(space.n_cells, space.nq, 3), s
-        ) / (nu_u * nu_v)
+        ugrad, vgrad = [c[1:4] for c in up], [c[1:4] for c in vp]
+        # the C_b integrand in rows 0-2, strain products in rows 3-8
+        scratch = ws.second.reshape(-1, ws.second.shape[-1])
+        adv = scratch[:3]
+        for m in range(3):
+            ws.sum(_DOT3, [(uval[d], vgrad[m][d]) for d in range(3)], adv[m])
+        out[0] = forms.lp_norm_of_values(space, adv.T.reshape(*cells, 3), s) / (nu_u * nu_v)
         # C_e keeps the alpha1*nu prefactor divided out, so the ratio stays
-        # meaningful when dissipation is switched off
-        eu = 0.5 * (ugrad + np.swapaxes(ugrad, -1, -2))
-        ev = 0.5 * (vgrad + np.swapaxes(vgrad, -1, -2))
-        ee = np.einsum("nmd,nmd->n", eu, ev)
-        out[1] = forms.lp_norm_of_values(
-            space, ee.reshape(space.n_cells, space.nq), r
-        ) / (nu_u * nu_v)
-    th_grad = theta.grad()
-    n_th = _w2s_norm(space, theta, th_grad, r)
+        # meaningful when dissipation is switched off; the strain products
+        # are symmetric in (m, d), so each is formed once
+        ee = {}
+        for k, (m, d) in enumerate(_PAIRS):
+            eu = _symmetric(ugrad, m, d, scratch[9])
+            ev = _symmetric(vgrad, m, d, scratch[10])
+            ee[m, d] = ee[d, m] = (
+                None if eu is None or ev is None else np.multiply(eu, ev, out=scratch[3 + k])
+            )
+        dens = ws.sum(_DOT9, [ee[divmod(k, 3)] for k in range(9)], ws.acc[0])
+        out[1] = forms.lp_norm_of_values(space, dens.reshape(cells), r) / (nu_u * nu_v)
+    (tp,) = ws.evaluate(theta, ws.v)
+    n_th = ws.w2s_norm([tp], r)
     if nu_u > 0 and n_th > 0:
-        dens = density(model, theta.value()) * np.einsum("nd,nd->n", uval, th_grad)
+        dens = ws.sum(_DOT3, [(uval[d], tp[1 + d]) for d in range(3)], ws.acc[0])
+        np.multiply(density(model, tp[0]), dens, out=dens)
         out[2] = forms.lp_norm_of_values(
-            space, dens.reshape(space.n_cells, space.nq), r
+            space, dens.reshape(cells), r
         ) / (model.rho_sharp * nu_u * n_th)
     # embedding constants from a heat solve with a known right-hand side;
     # f is already tabulated at the quadrature points the load is built on
-    fval = f.value().reshape(space.n_cells, space.nq)
+    fval = ws.evaluate(f, ws.v, directions=((0, 0, 0),))[0][0].reshape(cells)
     sol = heat.solve(forms.field_load_scalar(space, fval))
     f_norm = forms.lp_norm_of_values(space, fval, r)
     if f_norm > 0:
@@ -267,15 +407,21 @@ def estimate_constants(space, model, samples=200, seed=0, s=2.0, r=2.0):
     drawn one at a time from the seeded generator and folded into the
     maxima in draw order.  Each sample's 1-D factors are tabulated on the
     quadrature coordinate lines of ``space`` and every partial derivative
-    is broadcast from those tables straight into quad_points order.  The
-    lines and the wall-eliminated heat solver are built once here and
-    reused by every sample.
+    is broadcast from those tables straight into quad_points order.
+
+    One ``_Workspace`` holds every full-size array of a sample and is
+    overwritten by the next, so the sampler allocates no field-sized
+    array per sample beyond those the ``forms`` norms and the heat solve
+    make.  Each distinct partial derivative of a sample is computed once
+    and shared by the value, the gradient, the W^{2,s} density and the
+    C_b, C_e and C_d integrands.  The workspace and the wall-eliminated
+    heat solver are built once here and reused by every sample.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a stable estimate")
     rng = np.random.default_rng(seed)
     heat = WallCG(forms.assemble_kappa(space, model), space.dirichlet_mask_theta, 1e-12)
-    lines = _quad_lines(space)
+    ws = _Workspace(space)
 
     best = np.zeros(5)  # every ratio is >= 0
     for i in range(samples):
@@ -285,7 +431,7 @@ def estimate_constants(space, model, samples=200, seed=0, s=2.0, r=2.0):
             _draw_scalar(space, rng, zero_trace=bool(i % 2)),
             _draw_scalar(space, rng, zero_trace=False),
         )
-        best = np.maximum(best, _sample_ratios(space, model, heat, lines, draw, s, r))
+        best = np.maximum(best, _sample_ratios(space, model, heat, ws, draw, s, r))
 
     return ConstantEstimates(
         C_b=float(best[0]),

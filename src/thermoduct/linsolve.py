@@ -40,15 +40,25 @@ class SingularMatrixError(LinearSolveError):
     pass
 
 
+def _check_finite(rhs):
+    bad = np.flatnonzero(~np.isfinite(rhs))
+    if bad.size:
+        raise LinearSolveError(
+            f"non-finite right-hand side: {bad.size} entries, first at row {bad[0]}"
+        )
+
+
 def solve_spd(A, rhs, tol=1e-13, max_iter=None):
     """Jacobi-preconditioned CG for symmetric positive definite systems.
 
-    Stops at ||A x - rhs|| <= tol * ||rhs||.  Raises LinearSolveError with
-    the residual history on stagnation, iteration exhaustion, or when a
-    direction of nonpositive curvature reveals an indefinite matrix.
+    Stops at ||A x - rhs|| <= tol * ||rhs||.  Raises LinearSolveError on a
+    non-finite right-hand side before iterating, and with the residual
+    history on stagnation, iteration exhaustion, or when a direction of
+    nonpositive curvature reveals an indefinite matrix.
     """
     A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
     rhs = np.asarray(rhs, dtype=float)
+    _check_finite(rhs)
     n = rhs.size
     nb = np.linalg.norm(rhs)
     if nb == 0.0:
@@ -145,11 +155,7 @@ class SaddleFactorization:
         gives the velocity and the pressure.
         """
         load = np.asarray(load, dtype=float)
-        bad = np.flatnonzero(~np.isfinite(load))
-        if bad.size:
-            raise LinearSolveError(
-                f"non-finite right-hand side: {bad.size} entries, first at row {bad[0]}"
-            )
+        _check_finite(load)
         n = load.size
         rhs = np.zeros(self.n_dofs)
         rhs[:n] = load

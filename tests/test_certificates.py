@@ -13,7 +13,16 @@ from thermoduct.certificates import (
     state_norms,
     uniqueness_certificate,
 )
-from thermoduct.certificates import _HESS, _TensorField, _quad_lines
+from thermoduct.certificates import (
+    _DOT3,
+    _DOT9,
+    _HESS,
+    _SUM3,
+    _SUM9,
+    _TensorField,
+    _Workspace,
+    _tree_sum,
+)
 from thermoduct.fields import span_scalar
 from thermoduct.fixed_point import CoupledProblem, State, outer_loop
 from thermoduct.material import clamped_boussinesq, make_material
@@ -80,6 +89,18 @@ def test_estimates_pinned(small_space, boussinesq_model):
     )
 
 
+def test_estimates_pinned_anisotropic(aniso_space, boussinesq_model):
+    # a second exact pin on unequal cell sizes and another seed
+    est = estimate_constants(aniso_space, boussinesq_model, samples=100, seed=3)
+    assert (est.C_b, est.C_d, est.C_e, est.C_eps, est.C_1) == (
+        0.0008740047209357462,
+        0.001988531733807395,
+        0.006570939402636446,
+        0.8814364362124069,
+        0.038322249466717945,
+    )
+
+
 # -- tensor-product sample fields ------------------------------------------------------
 
 
@@ -118,8 +139,14 @@ def closed_partial(terms, orders, pts):
 ORDERS = [(ox, oy, oz) for ox in range(4) for oy in range(4) for oz in range(4)]
 
 
+def dense(part, n):
+    """A sample partial as an array; None stands for an identically zero one."""
+    return np.zeros(n) if part is None else part
+
+
 def test_tensor_scalar_matches_closed_form(aniso_space):
     pts = aniso_space.quad_points.reshape(-1, 3)
+    n = len(pts)
     # every factor kind on every axis
     terms = [
         (0.7, ("one", 1.0), ("sin", 2 * np.pi / 0.7), ("cos", np.pi / 2.3)),
@@ -127,16 +154,20 @@ def test_tensor_scalar_matches_closed_form(aniso_space):
         (0.4, ("cos", 2 * np.pi), ("sin2", np.pi / 0.7), ("one", 1.0)),
         (2.1, ("sin2", np.pi), ("one", 1.0), ("sin", np.pi / 2.3)),
     ]
-    fld = _TensorField(_quad_lines(aniso_space), terms)
+    ws = _Workspace(aniso_space)
+    fld = _TensorField(ws.lines, terms)
+    out, spare = np.empty(n), np.empty(n)
     for orders in ORDERS:
-        assert np.array_equal(fld.partial(orders), closed_partial(terms, orders, pts)), orders
-    assert np.array_equal(fld.value(), closed_partial(terms, (0, 0, 0), pts))
+        part = dense(fld.partial(orders, out, spare), n)
+        assert np.array_equal(part, closed_partial(terms, orders, pts)), orders
+    (parts,) = ws.evaluate(fld, ws.u)
+    assert np.array_equal(parts[0], closed_partial(terms, (0, 0, 0), pts))
     grad = np.stack([closed_partial(terms, o, pts) for o in ((1, 0, 0), (0, 1, 0), (0, 0, 1))], axis=1)
-    assert np.array_equal(fld.grad(), grad)
+    assert np.array_equal(np.stack(parts[1:4], axis=1), grad)
     hess_sq = 0.0
     for orders in _HESS:
         hess_sq = hess_sq + closed_partial(terms, orders, pts) ** 2
-    assert np.array_equal(fld.sq_sum(_HESS), hess_sq)
+    assert np.array_equal(ws.second_sq_sum([parts], np.empty(n)), hess_sq)
 
 
 # curl(amp psi e_axis): per axis, {component: (sign, axis of the derivative of psi)}
@@ -147,9 +178,11 @@ CURL = {0: {1: (1.0, 2), 2: (-1.0, 1)}, 1: {0: (-1.0, 2), 2: (1.0, 0)}, 2: {0: (
 @pytest.mark.parametrize("kind", ["one", "sin", "cos"])
 def test_curl_velocity_matches_closed_form(aniso_space, axis, kind):
     pts = aniso_space.quad_points.reshape(-1, 3)
+    n = len(pts)
     amp = -0.8
     psi = [(1.0, (kind, 2 * np.pi), ("sin2", np.pi / 0.7), ("sin2", 2 * np.pi / 2.3))]
-    fld = _TensorField(_quad_lines(aniso_space), psi, curl_axis=axis, amp=amp)
+    ws = _Workspace(aniso_space)
+    parts = ws.evaluate(_TensorField(ws.lines, psi, curl_axis=axis, amp=amp), ws.u)
 
     def comp(m, extra):
         if m not in CURL[axis]:
@@ -159,15 +192,109 @@ def test_curl_velocity_matches_closed_form(aniso_space, axis, kind):
         return amp * sign * closed_partial(psi, orders, pts)
 
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert np.array_equal(fld.value(), np.stack([comp(m, (0, 0, 0)) for m in range(3)], axis=1))
+    value = np.stack([dense(parts[m][0], n) for m in range(3)], axis=1)
+    assert np.array_equal(value, np.stack([comp(m, (0, 0, 0)) for m in range(3)], axis=1))
     grad = np.stack([np.stack([comp(m, e) for e in unit], axis=1) for m in range(3)], axis=1)
-    assert np.array_equal(fld.grad(), grad)
+    sample_grad = np.stack(
+        [np.stack([dense(p, n) for p in parts[m][1:4]], axis=1) for m in range(3)], axis=1
+    )
+    assert np.array_equal(sample_grad, grad)
     assert np.allclose(np.einsum("nmm->n", grad), 0.0, atol=1e-9)  # solenoidal
     hess_sq = 0.0
     for m in CURL[axis]:
         for orders in _HESS:
             hess_sq = hess_sq + comp(m, orders) ** 2
-    assert np.array_equal(fld.sq_sum(_HESS), hess_sq)
+    assert np.array_equal(ws.second_sq_sum(parts, np.empty(n)), hess_sq)
+
+
+@pytest.mark.parametrize("s", [2.0, 1.5, 3.0])
+def test_w2s_density_matches_array_formula(aniso_space, s):
+    # the density the sampler sums from planar rows equals the array
+    # expression (|v|^2 + np.sum(grad**2) + |hess|^2) ** (s/2) bit for bit
+    pts = aniso_space.quad_points.reshape(-1, 3)
+    ws = _Workspace(aniso_space)
+    psi = [(1.0, ("cos", 2 * np.pi), ("sin2", np.pi / 0.7), ("sin2", 2 * np.pi / 2.3))]
+    parts = ws.evaluate(_TensorField(ws.lines, psi, curl_axis=1, amp=0.6), ws.u)
+    sign = {0: -1.0, 2: 1.0}  # curl(psi e_y) = (-dz psi, 0, dx psi)
+    base = {0: (0, 0, 1), 2: (1, 0, 0)}
+
+    def comp(m, extra):
+        orders = [b + e for b, e in zip(base[m], extra)]
+        return 0.6 * sign[m] * closed_partial(psi, orders, pts)
+
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    grad = np.stack(
+        [np.stack([comp(m, e) if m in base else np.zeros(len(pts)) for e in unit], axis=1)
+         for m in range(3)], axis=1,
+    )
+    sq0 = comp(0, (0, 0, 0)) ** 2 + comp(2, (0, 0, 0)) ** 2
+    hess_sq = 0.0
+    for m in base:
+        for orders in _HESS:
+            hess_sq = hess_sq + comp(m, orders) ** 2
+    expected = (sq0 + np.sum(grad**2, axis=(1, 2)) + hess_sq) ** (s / 2.0)
+    assert np.array_equal(ws.w2s_density(parts, s), expected)
+
+
+# -- summation orders the sampler reproduces ------------------------------------------
+
+
+def tree_sum(tree, leaves):
+    n = len(next(x for x in leaves if x is not None))
+    spares = [np.empty(n) for _ in range(3)]
+    return _tree_sum(tree, leaves, np.empty(n), spares)
+
+
+@pytest.fixture(scope="module")
+def rows():
+    # random (points, 3, 3) tensors and (points, 3) vectors, at as many
+    # points as the benchmark channel (4x4x16, 125 per cell)
+    rng = np.random.default_rng(41)
+    return [rng.normal(size=(32000, 3, 3)) for _ in range(3)] + [
+        rng.normal(size=(32000, 3)) for _ in range(2)
+    ]
+
+
+def test_sum9_is_numpy_sum_over_nine(rows):
+    g = rows[0].copy()
+    expected = np.sum(g**2, axis=(1, 2))
+    assert np.array_equal(tree_sum(_SUM9, [g[:, k // 3, k % 3] ** 2 for k in range(9)]), expected)
+    # a zero component of a curl drops out of the sum without moving a bit
+    g[:, 1] = 0.0
+    leaves = [None if k // 3 == 1 else g[:, k // 3, k % 3] ** 2 for k in range(9)]
+    assert np.array_equal(tree_sum(_SUM9, leaves), np.sum(g**2, axis=(1, 2)))
+
+
+def test_sum3_is_numpy_sum_over_three(rows):
+    g = rows[3]
+    expected = np.sum(g**2, axis=(1,))
+    assert np.array_equal(tree_sum(_SUM3, [g[:, d] ** 2 for d in range(3)]), expected)
+
+
+def test_dot3_is_einsum_contraction_over_three(rows):
+    u, g = rows[3], rows[0]
+    adv = np.einsum("nd,nmd->nm", u, g)
+    for m in range(3):
+        assert np.array_equal(tree_sum(_DOT3, [u[:, d] * g[:, m, d] for d in range(3)]), adv[:, m])
+    t = rows[4]
+    assert np.array_equal(
+        tree_sum(_DOT3, [u[:, d] * t[:, d] for d in range(3)]), np.einsum("nd,nd->n", u, t)
+    )
+
+
+def test_dot9_is_einsum_contraction_over_nine(rows):
+    e, f = rows[1], rows[2]
+    expected = np.einsum("nmd,nmd->n", e, f)
+    products = [e[:, k // 3, k % 3] * f[:, k // 3, k % 3] for k in range(9)]
+    assert np.array_equal(tree_sum(_DOT9, products), expected)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.75, 1.5])
+def test_in_place_power_is_power(rows, p):
+    x = np.abs(rows[3][:, 0])
+    y = x.copy()
+    y **= p
+    assert np.array_equal(y, x**p)
 
 
 # -- smallness -----------------------------------------------------------------------

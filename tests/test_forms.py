@@ -349,6 +349,7 @@ _KERNEL_DIGESTS = """
 import hashlib
 import numpy as np
 from thermoduct import build_channel_mesh, build_spaces, forms
+from thermoduct.certificates import estimate_constants
 from thermoduct.material import clamped_boussinesq, make_material
 
 space = build_spaces(build_channel_mesh(1.0, 1.0, 4.0, 4, 4, 16))
@@ -370,14 +371,18 @@ outputs = {
     "convection_load": forms.convection_load(space, model, u, u),
     "discrete_norms": forms.discrete_norms(space, u, "W2s", s=2.0),
 }
+est = estimate_constants(build_spaces(build_channel_mesh(1.0, 1.0, 4.0, 2, 2, 8)), model,
+                         samples=100, seed=0)
+outputs["estimate_constants"] = np.array([est.C_b, est.C_d, est.C_e, est.C_eps, est.C_1])
 for name, value in outputs.items():
     print(name, hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest())
 """
 
 
 def test_kernels_do_not_depend_on_blas_thread_count():
-    # every quadrature evaluation, both load scatters and the norms give
-    # the same bits with one and with two BLAS threads
+    # every quadrature evaluation, both load scatters, the norms and the
+    # certificate sampler give the same bits with one and with two BLAS
+    # threads
     src = os.path.dirname(os.path.dirname(os.path.abspath(thermoduct.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = []
@@ -389,7 +394,7 @@ def test_kernels_do_not_depend_on_blas_thread_count():
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(dict(line.split() for line in proc.stdout.splitlines()))
-    assert len(digests[0]) == 10
+    assert len(digests[0]) == 11
     assert digests[0] == digests[1]
 
 

@@ -97,6 +97,17 @@ def test_wall_cg_matches_dense_oracle(cube_space, unit_model):
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_wall_cg_rejects_non_finite_load_before_iterating(cube_space, unit_model, bad):
+    K = forms.assemble_kappa(cube_space, unit_model)
+    fixed = cube_space.dirichlet_mask_theta
+    load = np.ones(cube_space.n_scalar)
+    load[cube_space.free_theta[3]] = bad
+    with pytest.raises(LinearSolveError, match="non-finite") as err:
+        WallCG(K, fixed, 1e-13).solve(load)
+    assert err.value.residual_history == []
+
+
 def test_saddle_zero_rhs(cube_space, unit_model):
     K = _saddle(cube_space, unit_model)
     u, P = _factor(K, cube_space).solve(np.zeros(cube_space.n_velocity))
