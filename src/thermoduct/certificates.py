@@ -21,7 +21,10 @@ The sampler evaluates every sample in one preallocated workspace of flat
 rows in quad_points order, which ``estimate_constants`` allocates once:
 each distinct partial derivative of a sample is computed once, and every
 pointwise sum runs in the order of the array expression it stands for, so
-the constants are those of a direct evaluation bit for bit.
+the constants are those of a direct evaluation bit for bit.  The 1-D
+factors of a sample are tabulated on the per-axis quadrature coordinates
+of the space (``DiscreteSpace.quad_lines``), so the sampler makes no
+assumption of its own about the quadrature layout.
 """
 
 from dataclasses import dataclass, asdict
@@ -31,7 +34,7 @@ import numpy as np
 from . import forms
 from .linsolve import WallCG
 from .material import density
-from .spectrum import admissible_sr, regularity_exponent_bound
+from .spectrum import admissible_sr, default_bounds
 
 __all__ = [
     "ConstantEstimates",
@@ -71,11 +74,12 @@ class ConstantEstimates:
 #
 # Every sample is a sum of products amp f(x) g(y) h(z), or the curl of one,
 # and the quadrature points form a tensor grid: each 1-D factor derivative
-# is tabulated on the distinct coordinates of its axis and copied out to
-# one row of cell blocks along that axis, and a partial derivative is the
-# broadcast product ((amp fx) fy) fz, which lands directly in quad_points
-# order.  Coordinates and operation order are those of a pointwise
-# evaluation at quad_points, so every value equals it bitwise.
+# is tabulated on the distinct coordinates of its axis (the space's
+# ``quad_lines``) and copied out to one row of cell blocks along that
+# axis, and a partial derivative is the broadcast product ((amp fx) fy) fz,
+# which lands directly in quad_points order.  Coordinates and operation
+# order are those of a pointwise evaluation at quad_points, so every value
+# equals it bitwise.
 
 _SIN = (np.sin, np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u))
 _COS = (np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u), np.sin)
@@ -128,16 +132,6 @@ def _factor_table(kind, k, t, o):
         return 0.5 * two**o * _SIN[o - 1](two * t)
     cycle = {"sin": _SIN, "cos": _COS}[kind]
     return k**o * cycle[o](k * t)
-
-
-def _quad_lines(space):
-    """The distinct x, y and z quadrature coordinates, each on its own axes
-    of quad_points viewed as (cells_z, cells_y, cells_x, q_x, q_y, q_z): a
-    point's x depends only on its x cell and x node, and so on."""
-    nx, ny, nz = space.mesh.divisions
-    q = space.quad_order
-    pts = space.quad_points.reshape(nz, ny, nx, q, q, q, 3)
-    return pts[:1, :1, :, :, :1, :1, 0], pts[:1, :, :1, :1, :, :1, 1], pts[:, :1, :1, :1, :1, :, 2]
 
 
 class _TensorField:
@@ -207,7 +201,6 @@ class _Workspace:
     def __init__(self, space):
         n = space.n_cells * space.nq
         self.space = space
-        self.lines = _quad_lines(space)
         self.u = np.empty((2, 4, n))
         self.v = np.empty((2, 4, n))
         self.second = np.empty((2, 6, n))
@@ -351,7 +344,7 @@ def _draw_scalar(space, rng, zero_trace):
 def _sample_ratios(space, model, heat, ws, draw, s, r):
     """Per-sample ratios (C_b, C_e, C_d, C_eps, C_1); pure given the draw."""
     # tables are built per sample, so memory does not grow with the sample count
-    u, v, theta, f = (_TensorField(ws.lines, *spec) for spec in draw)
+    u, v, theta, f = (_TensorField(space.quad_lines, *spec) for spec in draw)
     cells = (space.n_cells, space.nq)
     out = np.zeros(5)
     up = ws.evaluate(u, ws.u)
@@ -536,7 +529,8 @@ def state_norms(space, state, s, r):
 def check_exponents(s, r):
     """ValueError unless s in [4/3, s0), r in ``admissible_sr(s)``, r > 3/2
     (sup-norm embedding) and r < s0 (range of the W^{2,r} norm)."""
-    allowed, s0 = admissible_sr(s), regularity_exponent_bound()
+    allowed = admissible_sr(s)
+    _, s0 = default_bounds()
     if not (r in allowed and 1.5 < r < s0):
         raise ValueError(f"r={r} outside the range s={s} admits: r > 3/2, "
                          f"r <= {allowed.hi} and r < s0 = {s0:.6f}")

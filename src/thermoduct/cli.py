@@ -21,8 +21,8 @@ import numpy as np
 from . import certificates as cert
 from . import spectrum as spec
 from . import verification as verif
-from .config import (ConfigError, build_body_force, build_model, build_problem_parts,
-                     emit_config, parse_config)
+from .config import (SCHEMA, ConfigError, build_body_force, build_model,
+                     build_problem_parts, emit_config, parse_config)
 from .fixed_point import CoupledProblem, DivergenceError, outer_loop, write_trace_csv
 from .io_vtk import write_boundary_vtk, write_state_vtk
 from .linsolve import LinearSolveError
@@ -53,6 +53,9 @@ def _write_json(path, payload):
 
 
 def _load(args):
+    seed = SCHEMA["run"]["seed"]
+    if args.seed is not None and not seed.check(args.seed):
+        raise ConfigError([(None, f"--seed: value {args.seed} must be {seed.hint}")])
     text = Path(args.config).read_text(encoding="utf-8")
     config = parse_config(text)
     if args.seed is not None:

@@ -18,7 +18,7 @@ from .fields import constant_scalar, span_scalar
 from .material import clamped_boussinesq, constant_density, make_material
 from .mesh import build_channel_mesh
 from .spaces import build_spaces
-from .spectrum import admissible_sr
+from .spectrum import admissible_sr, default_bounds
 
 __all__ = ["ConfigError", "parse_config", "emit_config", "build_model",
            "build_body_force", "build_problem_parts"]
@@ -162,6 +162,10 @@ def _combination_errors(values, seen):
     if sp["re_min"] >= sp["re_max"]:
         found.append(("spectrum", ("re_min", "re_max"),
                       f"{sp['re_min']} must be below re_max = {sp['re_max']}"))
+    mu_M, _ = default_bounds()
+    if sp["re_max"] < mu_M:
+        found.append(("spectrum", ("re_max",),
+                      f"{sp['re_max']} stops below mu_M = {mu_M:.6f}, which the strip must reach"))
     # the coupled study runs its one case on the base mesh
     for key, only in (("case", "coupled_smooth"), ("levels", 1)):
         if m["study"] == "coupled" and key in seen["mms"] and m[key] != only:

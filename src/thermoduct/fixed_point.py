@@ -270,9 +270,7 @@ def weak_residual(problem, state):
         - problem.buoyancy_load(theta)
         - problem.f_extra_load
     )
-    free_u = np.ones(space.n_velocity, dtype=bool)
-    free_u[space.dirichlet_mask_u] = False
-    r_mom = float(np.sqrt(np.sum(mom[free_u] ** 2) + np.sum((problem.D @ u) ** 2)))
+    r_mom = float(np.sqrt(np.sum(mom[space.free_u] ** 2) + np.sum((problem.D @ u) ** 2)))
 
     heat = (
         problem.kappa @ theta

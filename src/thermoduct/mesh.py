@@ -5,7 +5,8 @@ normal to the x axis are the open ends (tag ``GAMMA_N``, natural/do-nothing
 boundary); the four lateral walls are no-slip/fixed-temperature walls
 (tag ``GAMMA_D``).  The junction edges, where the boundary condition
 changes type, meet at a dihedral angle of pi/2 and are collected in
-``edges_M``.
+``edges_M``.  The grid is numbered per axis: every id of it, here and in
+``spaces``, is a ``lattice`` sum of per-axis indices times strides.
 """
 
 from dataclasses import dataclass
@@ -19,9 +20,15 @@ __all__ = [
     "build_channel_mesh",
     "junction_angle",
     "facet_areas",
+    "lattice",
+    "grid_points",
 ]
 
 FACE_NAMES = ("x0", "x1", "y0", "y1", "z0", "z1")
+# lattice order (x fastest) of the corners of a hexahedron in VTK order,
+# and of a face quad in cyclic order
+_HEX = [0, 1, 3, 2, 4, 5, 7, 6]
+_QUAD = [0, 1, 3, 2]
 
 
 class FacetTag(IntEnum):
@@ -64,11 +71,37 @@ class ChannelMesh:
         return L / np.asarray(self.divisions, dtype=float)
 
 
+def lattice(*axes):
+    """Ids of a tensor-product lattice, one row per cell.
+
+    Each axis is a (cells, k) array: the index of each of a cell's k local
+    points along that axis, already multiplied by the axis stride.  Returns
+    the (cells, k_x k_y ...) array of their sums, cells and local points
+    both counted with the first axis fastest.
+    """
+    d = len(axes)
+    ids = 0
+    for a, ax in enumerate(axes):
+        shape = [1] * (2 * d)
+        shape[d - 1 - a], shape[2 * d - 1 - a] = ax.shape
+        ids = ids + ax.reshape(shape)
+    return ids.reshape(-1, np.prod(ids.shape[d:], dtype=int))
+
+
+def grid_points(spacing, shape):
+    """Coordinates i * spacing of the points of a grid of ``shape``, x fastest."""
+    # arange * h keeps coarse points bit-identical under division doubling
+    X, Y, Z = np.meshgrid(*[np.arange(n) * h for n, h in zip(shape, spacing)], indexing="ij")
+    return np.stack([X.ravel(order="F"), Y.ravel(order="F"), Z.ravel(order="F")], axis=1)
+
+
 def build_channel_mesh(Lx, Ly, Lz, nx, ny, nz):
     """Build the box-channel mesh with divisions (nx, ny, nz).
 
     Raises ValueError for non-positive lengths or counts.  Vertex ids run
-    x fastest, then y, then z; cell (i, j, k) has id i + nx*(j + ny*k).
+    x fastest, then y, then z; cell (i, j, k) has id i + nx*(j + ny*k), and
+    the facets of each face are numbered the same way over its two tangent
+    axes.
     """
     dims = (float(Lx), float(Ly), float(Lz))
     divisions = (int(nx), int(ny), int(nz))
@@ -76,79 +109,26 @@ def build_channel_mesh(Lx, Ly, Lz, nx, ny, nz):
         raise ValueError(f"channel dimensions must be positive, got {dims}")
     if any(n < 1 for n in divisions) or (nx, ny, nz) != divisions:
         raise ValueError(f"divisions must be integers >= 1, got {(nx, ny, nz)}")
-    nx, ny, nz = divisions
+    shape = tuple(n + 1 for n in divisions)
+    vertices = grid_points(np.array(dims) / np.array(divisions), shape)
 
-    h = np.array(dims) / np.array(divisions)
-    # arange * h keeps coarse vertices bit-identical under division doubling
-    xs = np.arange(nx + 1) * h[0]
-    ys = np.arange(ny + 1) * h[1]
-    zs = np.arange(nz + 1) * h[2]
-    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
-    vertices = np.stack(
-        [X.ravel(order="F"), Y.ravel(order="F"), Z.ravel(order="F")], axis=1
-    )
+    # each axis: the vertex index of both ends of every cell, times its stride
+    strides = np.cumprod((1,) + shape[:2])
+    ends = [(np.arange(n)[:, None] + np.arange(2)) * s for n, s in zip(divisions, strides)]
+    cells = lattice(*ends)[:, _HEX]
 
-    px, py = nx + 1, ny + 1
-
-    def vid(i, j, k):
-        return i + px * (j + py * k)
-
-    ci, cj, ck = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-    )
-    ci = ci.ravel(order="F")
-    cj = cj.ravel(order="F")
-    ck = ck.ravel(order="F")
-    cells = np.stack(
-        [
-            vid(ci, cj, ck),
-            vid(ci + 1, cj, ck),
-            vid(ci + 1, cj + 1, ck),
-            vid(ci, cj + 1, ck),
-            vid(ci, cj, ck + 1),
-            vid(ci + 1, cj, ck + 1),
-            vid(ci + 1, cj + 1, ck + 1),
-            vid(ci, cj + 1, ck + 1),
-        ],
-        axis=1,
-    )
-
+    # per face: the quads of the cells on it, with a single vertex plane
+    # along its normal axis, in the order x0, x1, y0, y1, z0, z1
     facets = []
-    tags = []
-    faces = []
-
-    def add_face(face, quads, tag):
-        facets.extend(quads)
-        tags.extend([tag] * len(quads))
-        faces.extend([FACE_NAMES.index(face)] * len(quads))
-
-    # open ends, x = 0 and x = Lx
-    for face, i in (("x0", 0), ("x1", nx)):
-        quads = [
-            [vid(i, j, k), vid(i, j + 1, k), vid(i, j + 1, k + 1), vid(i, j, k + 1)]
-            for k in range(nz)
-            for j in range(ny)
-        ]
-        add_face(face, quads, FacetTag.GAMMA_N)
-    # lateral walls
-    for face, j in (("y0", 0), ("y1", ny)):
-        quads = [
-            [vid(i, j, k), vid(i + 1, j, k), vid(i + 1, j, k + 1), vid(i, j, k + 1)]
-            for k in range(nz)
-            for i in range(nx)
-        ]
-        add_face(face, quads, FacetTag.GAMMA_D)
-    for face, k in (("z0", 0), ("z1", nz)):
-        quads = [
-            [vid(i, j, k), vid(i + 1, j, k), vid(i + 1, j + 1, k), vid(i, j + 1, k)]
-            for j in range(ny)
-            for i in range(nx)
-        ]
-        add_face(face, quads, FacetTag.GAMMA_D)
-
-    facets = np.asarray(facets, dtype=np.int64)
-    facet_tags = np.asarray(tags, dtype=np.int64)
-    facet_faces = np.asarray(faces, dtype=np.int64)
+    for axis, (n, s) in enumerate(zip(divisions, strides)):
+        for plane in (0, n):
+            on_face = ends[:axis] + [np.array([[plane * s]])] + ends[axis + 1:]
+            facets.append(lattice(*on_face)[:, _QUAD])
+    counts = [len(f) for f in facets]
+    facets = np.concatenate(facets)
+    facet_faces = np.repeat(np.arange(len(FACE_NAMES)), counts)
+    # the two faces normal to x are the open ends
+    facet_tags = np.where(facet_faces < 2, FacetTag.GAMMA_N, FacetTag.GAMMA_D)
 
     edges_M, edge_facets = _junction_edges(facets, facet_tags)
     return ChannelMesh(
@@ -165,30 +145,21 @@ def build_channel_mesh(Lx, Ly, Lz, nx, ny, nz):
 
 
 def _junction_edges(facets, facet_tags):
-    """Edges shared by exactly one GAMMA_D facet and one GAMMA_N facet."""
-    edge_owner = {}
-    for f, quad in enumerate(facets):
-        for a in range(4):
-            v0, v1 = quad[a], quad[(a + 1) % 4]
-            key = (min(v0, v1), max(v0, v1))
-            edge_owner.setdefault(key, []).append(f)
-    edges = []
-    pairs = []
-    for key in sorted(edge_owner):
-        owners = edge_owner[key]
-        if len(owners) != 2:
-            continue
-        t0, t1 = facet_tags[owners[0]], facet_tags[owners[1]]
-        if {int(t0), int(t1)} == {int(FacetTag.GAMMA_D), int(FacetTag.GAMMA_N)}:
-            edges.append(key)
-            if t0 == FacetTag.GAMMA_D:
-                pairs.append((owners[0], owners[1]))
-            else:
-                pairs.append((owners[1], owners[0]))
-    return (
-        np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-        np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
-    )
+    """Edges shared by exactly one GAMMA_D facet and one GAMMA_N facet, in
+    ascending order of their sorted vertex pairs."""
+    n = facets.max() + 1
+    sides = np.sort(np.stack([facets, np.roll(facets, -1, axis=1)], axis=-1), axis=-1)
+    key = (sides[..., 0] * n + sides[..., 1]).ravel()
+    # the facet sides grouped by edge, each edge's owners in facet order
+    order = np.argsort(key, kind="stable")
+    keys, counts = np.unique(key, return_counts=True)
+    start = (np.cumsum(counts) - counts)[counts == 2]
+    owners = np.stack([order[start], order[start + 1]], axis=1) // 4
+    tags = facet_tags[owners]
+    junction = tags[:, 0] != tags[:, 1]
+    owners, d_first = owners[junction], tags[junction, :1] == FacetTag.GAMMA_D
+    edges = np.stack(np.divmod(keys[counts == 2][junction], n), axis=1)
+    return edges, np.where(d_first, owners, owners[:, ::-1])
 
 
 def facet_areas(mesh):

@@ -7,12 +7,20 @@ component-blocked: dof(m, node) = m * n_scalar + node.
 
 All cells of the structured mesh are congruent axis-aligned boxes, so one
 set of reference basis tables serves every cell and element matrices are
-cell-independent.
+cell-independent.  The element is a tensor product along x, y and z, and
+so is everything here: each id is a ``mesh.lattice`` sum of per-axis
+indices, and each table (basis values and derivatives, weights, the
+open-end basis) is the broadcast product of 1-D tables tabulated once at
+the 1-D Gauss nodes.  The quadrature points are the broadcast of their
+per-axis coordinates ``quad_lines``; this module is the one that knows
+their layout.
 """
 
 import functools
 
 import numpy as np
+
+from .mesh import grid_points, lattice
 
 __all__ = ["DiscreteSpace", "build_spaces", "gauss_01"]
 
@@ -24,24 +32,37 @@ def gauss_01(n):
 
 
 def _q2_1d(t):
-    t = np.asarray(t)
     return np.stack([2 * t * t - 3 * t + 1, 4 * t - 4 * t * t, 2 * t * t - t])
 
 
 def _dq2_1d(t):
-    t = np.asarray(t)
     return np.stack([4 * t - 3, 4 - 8 * t, 4 * t - 1])
 
 
 def _d2q2_1d(t):
-    t = np.asarray(t)
     one = np.ones_like(t)
     return np.stack([4 * one, -8 * one, 4 * one])
 
 
 def _q1_1d(t):
-    t = np.asarray(t)
     return np.stack([1 - t, t])
+
+
+def _on_axis(table, a, d):
+    """The (k, q) ``table`` of axis ``a`` of ``d``, shaped to broadcast over
+    (k_d, ..., k_1, q_1, ..., q_d): k counted with the first axis fastest,
+    q with the last axis fastest."""
+    shape = [1] * (2 * d)
+    shape[d - 1 - a], shape[d + a] = table.shape
+    return table.reshape(shape)
+
+
+def _tensor(*tables):
+    """Product of the 1-D ``tables``, multiplied left to right, as one
+    (k_1 k_2 ..., q_1 q_2 ...) table in the order of ``_on_axis``."""
+    d = len(tables)
+    prod = functools.reduce(np.multiply, (_on_axis(t, a, d) for a, t in enumerate(tables)))
+    return prod.reshape(np.prod(prod.shape[:d]), -1)
 
 
 class DiscreteSpace:
@@ -52,12 +73,20 @@ class DiscreteSpace:
     - ``n_scalar``: triquadratic scalar dof count (temperature and one
       velocity component share this layout),
     - ``n_velocity = 3 * n_scalar``, ``n_pressure`` (trilinear),
-    - ``conn_q2``/``conn_q1``: cell-to-dof connectivity,
+    - ``conn_q2``/``conn_q1``: cell-to-dof connectivity, local nodes x
+      fastest; ``vertex_to_q2``: the Q2 node of each mesh vertex,
     - ``dirichlet_mask_theta``/``dirichlet_mask_u``: dofs on the closure
-      of the lateral walls (junction edges included),
-    - reference basis tables at the volume quadrature points and, per
-      open end (``faces["x0"]``, ``faces["x1"]``), surface quadrature
-      tables with outward normals.
+      of the lateral walls (junction edges included), and their
+      complements ``free_theta``/``free_u``, all ascending,
+    - reference basis tables ``N2``, ``dN2``, ``d2N2``, ``N1`` at the
+      ``nq`` volume quadrature points of a cell, point index z fastest,
+      with weights ``wq``,
+    - ``quad_lines``: the x, y and z quadrature coordinates, shaped to
+      broadcast against ``quad_points`` viewed as (cells_z, cells_y,
+      cells_x, q_x, q_y, q_z); ``quad_points`` is their (n_cells, nq, 3)
+      broadcast,
+    - per open end (``faces["x0"]``, ``faces["x1"]``): facet connectivity,
+      surface quadrature tables and the outward normal.
     """
 
     def __init__(self, mesh, quad_order=5):
@@ -67,153 +96,89 @@ class DiscreteSpace:
             )
         self.mesh = mesh
         self.quad_order = int(quad_order)
-        nx, ny, nz = mesh.divisions
         self.h = mesh.spacing
 
-        self.q2_shape = (2 * nx + 1, 2 * ny + 1, 2 * nz + 1)
-        self.q1_shape = (nx + 1, ny + 1, nz + 1)
+        self.q2_shape = tuple(2 * n + 1 for n in mesh.divisions)
+        self.q1_shape = tuple(n + 1 for n in mesh.divisions)
         self.n_scalar = int(np.prod(self.q2_shape))
         self.n_pressure = int(np.prod(self.q1_shape))
         self.n_velocity = 3 * self.n_scalar
         self.n_cells = mesh.n_cells
 
-        self._build_connectivity(nx, ny)
-        self._build_nodes()
+        self._build_numbering()
         self._build_masks()
-        self._build_volume_tables()
-        self._build_surface_tables()
+        self._build_tables()
 
     # -- construction -----------------------------------------------------
 
-    def _build_connectivity(self, nx, ny):
-        sx, sy, _ = self.q2_shape
-
-        cells = np.arange(self.n_cells)
-        ci = cells % nx
-        cj = (cells // nx) % ny
-        ck = cells // (nx * ny)
-        self.cell_ijk = np.stack([ci, cj, ck], axis=1)
-
-        loc = np.arange(27)
-        la, lb, lc = loc % 3, (loc // 3) % 3, loc // 9
-        gx = 2 * ci[:, None] + la[None, :]
-        gy = 2 * cj[:, None] + lb[None, :]
-        gz = 2 * ck[:, None] + lc[None, :]
-        self.conn_q2 = gx + sx * (gy + sy * gz)
-
-        px, py, _ = self.q1_shape
-        loc1 = np.arange(8)
-        ma, mb, mc = loc1 % 2, (loc1 // 2) % 2, loc1 // 4
-        self.conn_q1 = (
-            (ci[:, None] + ma[None, :])
-            + px * ((cj[:, None] + mb[None, :]) + py * (ck[:, None] + mc[None, :]))
+    def _build_numbering(self):
+        """Connectivity and Q2 nodes; every id is a lattice sum per axis."""
+        cells = self.mesh.divisions
+        s2 = np.cumprod((1,) + self.q2_shape[:2])
+        s1 = np.cumprod((1,) + self.q1_shape[:2])
+        q2 = [(2 * np.arange(n)[:, None] + np.arange(3)) * s for n, s in zip(cells, s2)]
+        self.conn_q2 = lattice(*q2)
+        self.conn_q1 = lattice(
+            *[(np.arange(n)[:, None] + np.arange(2)) * s for n, s in zip(cells, s1)]
         )
-
-    def _build_nodes(self):
-        half = self.h / 2.0
-        axes = [np.arange(n) * half[d] for d, n in enumerate(self.q2_shape)]
-        X, Y, Z = np.meshgrid(*axes, indexing="ij")
-        self.q2_nodes = np.stack(
-            [X.ravel(order="F"), Y.ravel(order="F"), Z.ravel(order="F")], axis=1
-        )
-        # q2 grid index of each mesh vertex (even strides along each axis)
-        sx, sy, _ = self.q2_shape
-        px, py, pz = self.q1_shape
-        vi, vj, vk = np.meshgrid(
-            np.arange(px), np.arange(py), np.arange(pz), indexing="ij"
-        )
-        self.vertex_to_q2 = (
-            2 * vi.ravel(order="F")
-            + sx * (2 * vj.ravel(order="F") + sy * 2 * vk.ravel(order="F"))
-        )
+        # a vertex sits at the even Q2 grid index along each axis
+        self.vertex_to_q2 = lattice(
+            *[2 * np.arange(n + 1)[:, None] * s for n, s in zip(cells, s2)]
+        ).ravel()
+        # an open end is the lattice of its facets with one grid plane in x
+        self.faces = {
+            name: {"conn": lattice(np.array([[i]]), *q2[1:]), "normal": np.array([normal, 0, 0])}
+            for name, i, normal in (("x0", 0, -1.0), ("x1", self.q2_shape[0] - 1, 1.0))
+        }
+        self.q2_nodes = grid_points(self.h / 2.0, self.q2_shape)
 
     def _build_masks(self):
-        sx, sy, sz = self.q2_shape
-        gi, gj, gk = np.meshgrid(
-            np.arange(sx), np.arange(sy), np.arange(sz), indexing="ij"
+        _, sy, sz = self.q2_shape
+        _, j, k = np.unravel_index(np.arange(self.n_scalar), self.q2_shape, order="F")
+        on_wall = (j == 0) | (j == sy - 1) | (k == 0) | (k == sz - 1)
+        self.dirichlet_mask_theta, self.free_theta = np.nonzero(on_wall)[0], np.nonzero(~on_wall)[0]
+        self.dirichlet_mask_u, self.free_u = (
+            np.concatenate([m * self.n_scalar + dofs for m in range(3)])
+            for dofs in (self.dirichlet_mask_theta, self.free_theta)
         )
-        on_wall = (gj == 0) | (gj == sy - 1) | (gk == 0) | (gk == sz - 1)
-        self.dirichlet_mask_theta = np.nonzero(on_wall.ravel(order="F"))[0]
-        self.dirichlet_mask_u = np.concatenate(
-            [m * self.n_scalar + self.dirichlet_mask_theta for m in range(3)]
-        )
-        free = np.ones(self.n_scalar, dtype=bool)
-        free[self.dirichlet_mask_theta] = False
-        self.free_theta = np.nonzero(free)[0]
 
-    def _build_volume_tables(self):
+    def _build_tables(self):
+        """Volume and open-end tables, each a product of 1-D tables at the
+        Gauss nodes."""
         g, w = gauss_01(self.quad_order)
-        QX, QY, QZ = np.meshgrid(g, g, g, indexing="ij")
-        tx, ty, tz = QX.ravel(), QY.ravel(), QZ.ravel()
-        self.nq = tx.size
-        wq = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-        self.wq = wq * float(np.prod(self.h))
+        h = self.h
+        self.nq = g.size**3
+        self.wq = _tensor(w[None], w[None], w[None]).ravel() * float(np.prod(h))
 
-        bx, by, bz = _q2_1d(tx), _q2_1d(ty), _q2_1d(tz)
-        dbx, dby, dbz = _dq2_1d(tx), _dq2_1d(ty), _dq2_1d(tz)
-        d2bx, d2by, d2bz = _d2q2_1d(tx), _d2q2_1d(ty), _d2q2_1d(tz)
-        hx, hy, hz = self.h
+        q2 = (_q2_1d(g), _dq2_1d(g), _d2q2_1d(g))
 
-        N2 = np.empty((27, self.nq))
-        dN2 = np.empty((27, self.nq, 3))
-        d2N2 = np.empty((27, self.nq, 3, 3))
-        for n in range(27):
-            a, b, c = n % 3, (n // 3) % 3, n // 9
-            N2[n] = bx[a] * by[b] * bz[c]
-            dN2[n, :, 0] = dbx[a] * by[b] * bz[c] / hx
-            dN2[n, :, 1] = bx[a] * dby[b] * bz[c] / hy
-            dN2[n, :, 2] = bx[a] * by[b] * dbz[c] / hz
-            d2N2[n, :, 0, 0] = d2bx[a] * by[b] * bz[c] / hx**2
-            d2N2[n, :, 1, 1] = bx[a] * d2by[b] * bz[c] / hy**2
-            d2N2[n, :, 2, 2] = bx[a] * by[b] * d2bz[c] / hz**2
-            d2N2[n, :, 0, 1] = d2N2[n, :, 1, 0] = dbx[a] * dby[b] * bz[c] / (hx * hy)
-            d2N2[n, :, 0, 2] = d2N2[n, :, 2, 0] = dbx[a] * by[b] * dbz[c] / (hx * hz)
-            d2N2[n, :, 1, 2] = d2N2[n, :, 2, 1] = bx[a] * dby[b] * dbz[c] / (hy * hz)
-        self.N2, self.dN2, self.d2N2 = N2, dN2, d2N2
+        def partial(orders):
+            return _tensor(*(q2[o] for o in orders))
 
-        b1x, b1y, b1z = _q1_1d(tx), _q1_1d(ty), _q1_1d(tz)
-        N1 = np.empty((8, self.nq))
-        for n in range(8):
-            a, b, c = n % 2, (n // 2) % 2, n // 4
-            N1[n] = b1x[a] * b1y[b] * b1z[c]
-        self.N1 = N1
+        unit = np.eye(3, dtype=int)
+        self.N2 = partial((0, 0, 0))
+        self.dN2 = np.stack([partial(unit[i]) / h[i] for i in range(3)], axis=-1)
+        # the scalar power h**2 is not always the rounded product h*h
+        self.d2N2 = np.stack([
+            np.stack([partial(unit[i] + unit[j]) / (h[i] ** 2 if i == j else h[i] * h[j])
+                      for j in range(3)], axis=-1)
+            for i in range(3)
+        ], axis=-2)
+        self.N1 = _tensor(*[_q1_1d(g)] * 3)
 
-        origins = self.cell_ijk * self.h[None, :]
-        ref = np.stack([tx, ty, tz], axis=1)
-        self.quad_points = (
-            origins[:, None, :] + ref[None, :, :] * self.h[None, None, :]
+        self.quad_lines = tuple(
+            _on_axis(np.arange(n)[:, None] * h[a] + g * h[a], a, 3)
+            for a, n in enumerate(self.mesh.divisions)
         )
-
-    def _build_surface_tables(self):
-        """Per open end: facet connectivity, quadrature, outward normal."""
-        _, ny, nz = self.mesh.divisions
-        sx, sy, _ = self.q2_shape
-        _, hy, hz = self.h
-        g, w = gauss_01(self.quad_order)
-        TA, TB = np.meshgrid(g, g, indexing="ij")
-        ta, tb = TA.ravel(), TB.ravel()
-        w2 = (w[:, None] * w[None, :]).ravel()
-        ba, bb = _q2_1d(ta), _q2_1d(tb)
-        NS = np.empty((9, ta.size))
-        for n in range(9):
-            a, b = n % 3, n // 3
-            NS[n] = ba[a] * bb[b]
+        self.quad_points = np.stack(np.broadcast_arrays(*self.quad_lines), axis=-1).reshape(
+            self.n_cells, self.nq, 3
+        )
 
         # the tangent axes of an x face are (y, z)
-        loc = np.arange(9)
-        self.faces = {}
-        for name, i, normal in (("x0", 0, -1.0), ("x1", sx - 1, 1.0)):
-            conn = [
-                i + sx * ((2 * j + loc % 3) + sy * (2 * k + loc // 3))
-                for k in range(nz)
-                for j in range(ny)
-            ]
-            self.faces[name] = {
-                "conn": np.asarray(conn, dtype=np.int64),
-                "weights": w2 * (hy * hz),
-                "normal": np.array([normal, 0, 0]),
-                "basis": NS,
-            }
+        face_weights = _tensor(w[None], w[None]).ravel() * (h[1] * h[2])
+        face_basis = _tensor(q2[0], q2[0])
+        for face in self.faces.values():
+            face.update(weights=face_weights, basis=face_basis)
 
     # -- queries -----------------------------------------------------------
 

@@ -23,6 +23,7 @@ __all__ = [
     "scalar_exponents",
     "compute_spectrum",
     "regularity_bounds",
+    "default_bounds",
     "weighted_admissibility",
     "admissible_sr",
     "ExponentRange",
@@ -266,7 +267,9 @@ def regularity_bounds(spectrum):
     """(mu_M, s0) from the computed eigenvalue set.
 
     mu_M is the smallest real part above 1 among all eigenvalues; the
-    strip (0, mu_M) must contain no eigenvalue other than z = 1.
+    strip (0, mu_M) must contain no eigenvalue other than z = 1.  A mu_M
+    beyond the searched strip is rejected: the search cannot rule out a
+    symbol root between the strip's re_max and it.
     """
     eigen = [complex(z) for z in spectrum.stokes_roots]
     eigen += [complex(z, 0.0) for z in np.atleast_1d(spectrum.scalar_roots)]
@@ -274,6 +277,9 @@ def regularity_bounds(spectrum):
     if not above:
         raise ValueError("no eigenvalue with real part above 1; strip too narrow")
     mu = min(above)
+    re_max = spectrum.strip[1]
+    if mu > re_max + 1e-9:
+        raise ValueError(f"mu_M = {mu} lies beyond the searched strip's re_max = {re_max}")
     for z in eigen:
         if 1e-9 < z.real < mu - 1e-9 and abs(z - 1.0) > 1e-8:
             raise ValueError(f"eigenvalue {z} inside the strip (0, mu_M)")
@@ -296,9 +302,10 @@ def weighted_admissibility(delta, p, mu_M):
 
 
 @functools.cache
-def regularity_exponent_bound():
-    """s0 of the default strip, computed once per process."""
-    return compute_spectrum().s0
+def default_bounds():
+    """(mu_M, s0) of the default strip, computed once per process."""
+    result = compute_spectrum()
+    return result.mu_M, result.s0
 
 
 @dataclass
@@ -319,7 +326,7 @@ def admissible_sr(s):
     [6/5, 3s / (2(3-s))] for s in [4/3, 3), and [6/5, inf) for s in
     [3, s0); rejects s outside [4/3, s0).
     """
-    s0 = regularity_exponent_bound()
+    _, s0 = default_bounds()
     if not (4.0 / 3.0 <= s < s0):
         raise ValueError(f"s={s} outside the admissible range [4/3, {s0:.6f})")
     if s < 3.0:

@@ -155,7 +155,7 @@ def test_tensor_scalar_matches_closed_form(aniso_space):
         (2.1, ("sin2", np.pi), ("one", 1.0), ("sin", np.pi / 2.3)),
     ]
     ws = _Workspace(aniso_space)
-    fld = _TensorField(ws.lines, terms)
+    fld = _TensorField(aniso_space.quad_lines, terms)
     out, spare = np.empty(n), np.empty(n)
     for orders in ORDERS:
         part = dense(fld.partial(orders, out, spare), n)
@@ -182,7 +182,7 @@ def test_curl_velocity_matches_closed_form(aniso_space, axis, kind):
     amp = -0.8
     psi = [(1.0, (kind, 2 * np.pi), ("sin2", np.pi / 0.7), ("sin2", 2 * np.pi / 2.3))]
     ws = _Workspace(aniso_space)
-    parts = ws.evaluate(_TensorField(ws.lines, psi, curl_axis=axis, amp=amp), ws.u)
+    parts = ws.evaluate(_TensorField(aniso_space.quad_lines, psi, curl_axis=axis, amp=amp), ws.u)
 
     def comp(m, extra):
         if m not in CURL[axis]:
@@ -214,7 +214,7 @@ def test_w2s_density_matches_array_formula(aniso_space, s):
     pts = aniso_space.quad_points.reshape(-1, 3)
     ws = _Workspace(aniso_space)
     psi = [(1.0, ("cos", 2 * np.pi), ("sin2", np.pi / 0.7), ("sin2", 2 * np.pi / 2.3))]
-    parts = ws.evaluate(_TensorField(ws.lines, psi, curl_axis=1, amp=0.6), ws.u)
+    parts = ws.evaluate(_TensorField(aniso_space.quad_lines, psi, curl_axis=1, amp=0.6), ws.u)
     sign = {0: -1.0, 2: 1.0}  # curl(psi e_y) = (-dz psi, 0, dx psi)
     base = {0: (0, 0, 1), 2: (1, 0, 0)}
 

@@ -144,11 +144,13 @@ def test_cli_config_error_exit_code(tmp_path):
         ("certify", "[certificates]", "r = 1.0"),
         ("certify", "[certificates]\nr = 2.0", "s = 1.0"),
         ("spectrum", "[spectrum]", "re_min = 1.96"),
+        ("spectrum", "[spectrum]", "re_max = 1.2"),
+        ("spectrum", "[spectrum]", "re_max = 0.5"),
         ("mms", "[mms]\nstudy = coupled", "case = poly_quadratic"),
         ("mms", "[mms]\nstudy = coupled", "levels = 4"),
     ],
     ids=["r-above-range", "r-below-range", "s-below-range", "empty-strip",
-         "coupled-case", "coupled-levels"],
+         "strip-below-mu-M", "strip-without-roots", "coupled-case", "coupled-levels"],
 )
 def test_cli_rejects_key_combination_at_parse_time(tmp_path, capsys, command, section, bad):
     text = MINIMAL + f"\n{section}\n{bad}\n"
@@ -162,6 +164,14 @@ def test_cli_rejects_key_combination_at_parse_time(tmp_path, capsys, command, se
         parse_config(text)
     (got_line, msg), = err.value.errors
     assert got_line == line and f".{key}:" in msg
+    assert not out.exists()
+
+
+def test_cli_rejects_negative_seed_before_any_work(tmp_path, capsys):
+    p = write_cfg(tmp_path, MINIMAL)
+    out = tmp_path / "o"
+    assert main(["certify", "--config", str(p), "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed: value -1 must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

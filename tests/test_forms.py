@@ -442,8 +442,7 @@ def test_taylor_hood_inf_sup_stable():
         M = forms.assemble_mass(space)
         X = (A + sp_block_diag_mass(M)).toarray()
         D = forms.divergence_matrix(space).toarray()
-        free = np.ones(space.n_velocity, dtype=bool)
-        free[space.dirichlet_mask_u] = False
+        free = space.free_u
         Xff = X[np.ix_(free, free)]
         Df = D[:, free]
         S = Df @ np.linalg.solve(Xff, Df.T)

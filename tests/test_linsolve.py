@@ -242,8 +242,7 @@ def test_assembled_matrices_are_canonical_csr(cube_space, unit_model):
 
 def test_cg_budget_on_viscous_operator(cube_space, unit_model):
     A = forms.assemble_a(cube_space, unit_model)
-    free = np.ones(cube_space.n_velocity, dtype=bool)
-    free[cube_space.dirichlet_mask_u] = False
+    free = cube_space.free_u
     Aff = A[free][:, free].tocsr()
     rhs = np.random.default_rng(8).normal(size=Aff.shape[0])
     x = solve_spd(Aff, rhs, tol=1e-12)   # default budget is 10 sqrt(n)

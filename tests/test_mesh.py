@@ -149,6 +149,11 @@ def test_mask_nodes_lie_on_walls(small_space):
         [m * space.n_scalar + space.dirichlet_mask_theta for m in range(3)]
     )
     assert set(space.dirichlet_mask_u) == set(expected)
+    # the free dofs are the ascending complement of each mask
+    for free, fixed, n in ((space.free_theta, space.dirichlet_mask_theta, space.n_scalar),
+                           (space.free_u, space.dirichlet_mask_u, space.n_velocity)):
+        assert np.all(np.diff(free) > 0)
+        assert np.array_equal(np.sort(np.concatenate([free, fixed])), np.arange(n))
 
 
 def test_deterministic_construction():

@@ -139,6 +139,14 @@ def test_regularity_bounds_rejects_polluted_strip():
         regularity_bounds(bad)
 
 
+@pytest.mark.parametrize("re_max", [1.3, 0.5])
+def test_strip_short_of_mu_M_is_rejected(re_max):
+    # below the Stokes root 1.3523 only the scalar root 3 lies above 1,
+    # and the strip cannot rule out a root between re_max and 3
+    with pytest.raises(ValueError, match="beyond the searched strip"):
+        compute_spectrum(re_max=re_max)
+
+
 def test_weighted_admissibility_reference_cases():
     mu = compute_spectrum().mu_M
     assert weighted_admissibility([0.0], 2.0, mu) == [True]

@@ -1,0 +1,178 @@
+"""The box grid's ids and reference tables against per-node formulas.
+
+The mesh and the spaces build every id as a lattice sum per axis
+(``mesh.lattice``) and every reference table as a product of 1-D tables.
+The formulas here are the oracle: they number one node, and evaluate one
+basis function, at a time, and each array must equal them bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from thermoduct import build_channel_mesh, build_spaces
+from thermoduct.mesh import FACE_NAMES, FacetTag
+from thermoduct.spaces import _d2q2_1d, _dq2_1d, _q1_1d, _q2_1d, gauss_01
+
+MESHES = {
+    "1x1x1": ((1.0, 1.0, 1.0), (1, 1, 1)),
+    "3x2x5": ((1.3, 0.7, 2.9), (3, 2, 5)),
+    "4x4x16": ((1.0, 1.0, 4.0), (4, 4, 16)),
+}
+
+
+@pytest.fixture(scope="module", params=list(MESHES))
+def mesh(request):
+    dims, divisions = MESHES[request.param]
+    return build_channel_mesh(*dims, *divisions)
+
+
+@pytest.fixture(scope="module", params=[3, 4, 5])
+def space(mesh, request):
+    return build_spaces(mesh, quad_order=request.param)
+
+
+def cell_ijk(divisions):
+    nx, ny, _ = divisions
+    c = np.arange(np.prod(divisions))
+    return c % nx, (c // nx) % ny, c // (nx * ny)
+
+
+def reference_mesh_ids(divisions):
+    """Cells in VTK order, and the quads, faces and tags of the six faces."""
+    nx, ny, nz = divisions
+    px, py = nx + 1, ny + 1
+
+    def vid(i, j, k):
+        return i + px * (j + py * k)
+
+    ci, cj, ck = cell_ijk(divisions)
+    cells = np.stack([
+        vid(ci, cj, ck), vid(ci + 1, cj, ck), vid(ci + 1, cj + 1, ck), vid(ci, cj + 1, ck),
+        vid(ci, cj, ck + 1), vid(ci + 1, cj, ck + 1), vid(ci + 1, cj + 1, ck + 1),
+        vid(ci, cj + 1, ck + 1),
+    ], axis=1)
+    quads, faces = [], []
+    for face, i in (("x0", 0), ("x1", nx)):
+        for k in range(nz):
+            for j in range(ny):
+                quads.append([vid(i, j, k), vid(i, j + 1, k), vid(i, j + 1, k + 1), vid(i, j, k + 1)])
+                faces.append(FACE_NAMES.index(face))
+    for face, j in (("y0", 0), ("y1", ny)):
+        for k in range(nz):
+            for i in range(nx):
+                quads.append([vid(i, j, k), vid(i + 1, j, k), vid(i + 1, j, k + 1), vid(i, j, k + 1)])
+                faces.append(FACE_NAMES.index(face))
+    for face, k in (("z0", 0), ("z1", nz)):
+        for j in range(ny):
+            for i in range(nx):
+                quads.append([vid(i, j, k), vid(i + 1, j, k), vid(i + 1, j + 1, k), vid(i, j + 1, k)])
+                faces.append(FACE_NAMES.index(face))
+    tags = [FacetTag.GAMMA_N if f < 2 else FacetTag.GAMMA_D for f in faces]
+    return cells, np.array(quads), np.array(faces), np.array(tags)
+
+
+def reference_junction(facets, tags):
+    """Edges owned by one GAMMA_D and one GAMMA_N facet, (D, N) owners."""
+    owners = {}
+    for f, quad in enumerate(facets):
+        for a in range(4):
+            v0, v1 = int(quad[a]), int(quad[(a + 1) % 4])
+            owners.setdefault((min(v0, v1), max(v0, v1)), []).append(f)
+    edges, pairs = [], []
+    for key in sorted(owners):
+        f = owners[key]
+        if len(f) == 2 and tags[f[0]] != tags[f[1]]:
+            edges.append(key)
+            pairs.append(tuple(f) if tags[f[0]] == FacetTag.GAMMA_D else tuple(f[::-1]))
+    return np.array(edges).reshape(-1, 2), np.array(pairs).reshape(-1, 2)
+
+
+def test_mesh_ids_match_vertex_formulas(mesh):
+    cells, facets, faces, tags = reference_mesh_ids(mesh.divisions)
+    assert np.array_equal(mesh.cells, cells)
+    assert np.array_equal(mesh.facets, facets)
+    assert np.array_equal(mesh.facet_faces, faces)
+    assert np.array_equal(mesh.facet_tags, tags)
+    edges, pairs = reference_junction(facets, tags)
+    assert np.array_equal(mesh.edges_M, edges)
+    assert np.array_equal(mesh.edge_facets, pairs)
+
+
+def test_space_ids_match_node_formulas(space):
+    sx, sy, _ = space.q2_shape
+    px, py, pz = space.q1_shape
+    ci, cj, ck = cell_ijk(space.mesh.divisions)
+    loc = np.arange(27)
+    la, lb, lc = loc % 3, (loc // 3) % 3, loc // 9
+    conn_q2 = (2 * ci[:, None] + la) + sx * ((2 * cj[:, None] + lb) + sy * (2 * ck[:, None] + lc))
+    assert np.array_equal(space.conn_q2, conn_q2)
+    loc = np.arange(8)
+    ma, mb, mc = loc % 2, (loc // 2) % 2, loc // 4
+    conn_q1 = (ci[:, None] + ma) + px * ((cj[:, None] + mb) + py * (ck[:, None] + mc))
+    assert np.array_equal(space.conn_q1, conn_q1)
+    v = np.arange(px * py * pz)
+    vi, vj, vk = v % px, (v // px) % py, v // (px * py)
+    assert np.array_equal(space.vertex_to_q2, 2 * vi + sx * (2 * vj + sy * 2 * vk))
+    _, ny, nz = space.mesh.divisions
+    loc = np.arange(9)
+    for name, i in (("x0", 0), ("x1", sx - 1)):
+        conn = [i + sx * ((2 * j + loc % 3) + sy * (2 * k + loc // 3))
+                for k in range(nz) for j in range(ny)]
+        assert np.array_equal(space.faces[name]["conn"], np.array(conn))
+
+
+def test_tables_match_per_function_products(space):
+    g, w = gauss_01(space.quad_order)
+    QX, QY, QZ = np.meshgrid(g, g, g, indexing="ij")
+    tx, ty, tz = QX.ravel(), QY.ravel(), QZ.ravel()
+    hx, hy, hz = space.h
+    bx, by, bz = _q2_1d(tx), _q2_1d(ty), _q2_1d(tz)
+    dbx, dby, dbz = _dq2_1d(tx), _dq2_1d(ty), _dq2_1d(tz)
+    d2bx, d2by, d2bz = _d2q2_1d(tx), _d2q2_1d(ty), _d2q2_1d(tz)
+    N2 = np.empty((27, tx.size))
+    dN2 = np.empty((27, tx.size, 3))
+    d2N2 = np.empty((27, tx.size, 3, 3))
+    for n in range(27):
+        a, b, c = n % 3, (n // 3) % 3, n // 9
+        N2[n] = bx[a] * by[b] * bz[c]
+        dN2[n, :, 0] = dbx[a] * by[b] * bz[c] / hx
+        dN2[n, :, 1] = bx[a] * dby[b] * bz[c] / hy
+        dN2[n, :, 2] = bx[a] * by[b] * dbz[c] / hz
+        d2N2[n, :, 0, 0] = d2bx[a] * by[b] * bz[c] / hx**2
+        d2N2[n, :, 1, 1] = bx[a] * d2by[b] * bz[c] / hy**2
+        d2N2[n, :, 2, 2] = bx[a] * by[b] * d2bz[c] / hz**2
+        d2N2[n, :, 0, 1] = d2N2[n, :, 1, 0] = dbx[a] * dby[b] * bz[c] / (hx * hy)
+        d2N2[n, :, 0, 2] = d2N2[n, :, 2, 0] = dbx[a] * by[b] * dbz[c] / (hx * hz)
+        d2N2[n, :, 1, 2] = d2N2[n, :, 2, 1] = bx[a] * dby[b] * dbz[c] / (hy * hz)
+    assert np.array_equal(space.N2, N2)
+    assert np.array_equal(space.dN2, dN2)
+    assert np.array_equal(space.d2N2, d2N2)
+    b1x, b1y, b1z = _q1_1d(tx), _q1_1d(ty), _q1_1d(tz)
+    N1 = np.array([b1x[n % 2] * b1y[(n // 2) % 2] * b1z[n // 4] for n in range(8)])
+    assert np.array_equal(space.N1, N1)
+    wq = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel() * float(np.prod(space.h))
+    assert np.array_equal(space.wq, wq)
+
+    TA, TB = np.meshgrid(g, g, indexing="ij")
+    ba, bb = _q2_1d(TA.ravel()), _q2_1d(TB.ravel())
+    basis = np.array([ba[n % 3] * bb[n // 3] for n in range(9)])
+    weights = (w[:, None] * w[None, :]).ravel() * (hy * hz)
+    for face in space.faces.values():
+        assert np.array_equal(face["basis"], basis)
+        assert np.array_equal(face["weights"], weights)
+
+
+def test_quad_points_and_lines_match_cell_origins(space):
+    g, _ = gauss_01(space.quad_order)
+    QX, QY, QZ = np.meshgrid(g, g, g, indexing="ij")
+    ref = np.stack([QX.ravel(), QY.ravel(), QZ.ravel()], axis=1)
+    origins = np.stack(cell_ijk(space.mesh.divisions), axis=1) * space.h
+    points = origins[:, None, :] + ref[None, :, :] * space.h
+    assert np.array_equal(space.quad_points, points)
+    nx, ny, nz = space.mesh.divisions
+    q = space.quad_order
+    grid = points.reshape(nz, ny, nx, q, q, q, 3)
+    shapes = [(1, 1, nx, q, 1, 1), (1, ny, 1, 1, q, 1), (nz, 1, 1, 1, 1, q)]
+    for axis, line in enumerate(space.quad_lines):
+        assert line.shape == shapes[axis]
+        assert np.array_equal(np.broadcast_to(line, grid.shape[:-1]), grid[..., axis])
