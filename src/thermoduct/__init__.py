@@ -21,7 +21,6 @@ from .material import (
     MaterialModel,
     clamped_boussinesq,
     constant_density,
-    density,
     make_material,
 )
 from . import forms, linsolve

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import forms
 from .linsolve import WallCG
-from .material import density
 from .spectrum import admissible_sr, default_bounds
 
 __all__ = [
@@ -376,7 +375,7 @@ def _sample_ratios(space, model, heat, ws, draw, s, r):
     n_th = ws.w2s_norm([tp], r)
     if nu_u > 0 and n_th > 0:
         dens = ws.sum(_DOT3, [(uval[d], tp[1 + d]) for d in range(3)], ws.acc[0])
-        np.multiply(density(model, tp[0]), dens, out=dens)
+        np.multiply(model.rho_law(tp[0]), dens, out=dens)
         out[2] = forms.lp_norm_of_values(
             space, dens.reshape(cells), r
         ) / (model.rho_sharp * nu_u * n_th)

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver divergence,
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -133,20 +134,11 @@ def run_spectrum(config, out):
         im_max=sc["im_max"],
         k_max=sc["k_max"],
     )
-    payload = {
-        "stokes_roots": result.stokes_roots,
-        "residuals": result.residuals,
-        "scalar_roots": result.scalar_roots,
-        "mu_M": result.mu_M,
-        "s0": result.s0,
-        "strip": result.strip,
-        "metadata": result.metadata,
-        "z0": max(z.real for z in result.stokes_roots),
-    }
-    _write_json(out / "spectrum.json", payload)
+    z0 = max(z.real for z in result.stokes_roots)
+    _write_json(out / "spectrum.json", {**asdict(result), "z0": z0})
     if sc["samples_csv"]:
         xs = np.linspace(sc["re_min"], sc["re_max"], 2001)
-        vals = [spec.mellin_symbol(complex(x)).real for x in xs]
+        vals = spec.mellin_symbol(xs).real
         lines = ["z,f"] + [f"{x:.17g},{v:.17g}" for x, v in zip(xs, vals)]
         (out / "mellin_samples.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return EXIT_OK
@@ -175,7 +167,7 @@ def run_mms(config, out):
         payload = {"study": m["study"], "errors": table.errors, "orders": table.orders,
                    "monotone": table.monotone}
     else:
-        # parse_config admits no other case and no other level count here
+        # one case on the base mesh; parse_config keeps case and levels at their defaults
         model = build_model(config)
         report = verif.coupled_mms(
             verif.coupled_case(dims, nu=model.nu), dims, base, model, build_body_force(config),

@@ -4,10 +4,12 @@ The format is deliberately small: ``[section]`` headers, one ``key =
 value`` pair per line, ``#`` comment lines and blank lines.  Parsing
 validates against a fixed schema, collects every violation with its line
 number instead of failing fast, fills defaults, and then rejects the key
-combinations that a run would reject or ignore.  ``emit`` writes the
-canonical form (fixed section and key order, lossless float formatting),
-so parse -> emit -> parse is a fixpoint.  Configuration names become
-objects in one place, the builders at the end of this module.
+combinations that a run would reject or ignore; a key that the chosen
+option does not read (``UNREAD``) must stay at its default.  ``emit``
+writes the canonical form (fixed section and key order, lossless float
+formatting), so parse -> emit -> parse is a fixpoint.  Configuration
+names become objects in one place, the builders at the end of this
+module.
 """
 
 import math
@@ -148,9 +150,18 @@ def _parse_value(raw, key_spec):
     return raw
 
 
-def _combination_errors(values, seen):
+# the keys of its section that each choice does not read; they stay at their defaults
+UNREAD = {
+    ("material", "law", "constant"): ("alpha_v", "theta_ref", "rho_min_factor"),
+    ("body_force", "field", "zero"): ("gx", "gy", "gz"),
+    ("temperature_bc", "field", "constant"): ("delta",),
+    ("mms", "study", "coupled"): ("case", "levels"),  # one case, on the base mesh
+}
+
+
+def _combination_errors(values):
     """(section, keys, message) per key combination a run would reject or ignore."""
-    c, sp, m = values["certificates"], values["spectrum"], values["mms"]
+    c, sp = values["certificates"], values["spectrum"]
     found = []
     keys = ("s",)
     try:
@@ -162,14 +173,19 @@ def _combination_errors(values, seen):
     if sp["re_min"] >= sp["re_max"]:
         found.append(("spectrum", ("re_min", "re_max"),
                       f"{sp['re_min']} must be below re_max = {sp['re_max']}"))
+    elif sp["re_min"] > 1.0:
+        found.append(("spectrum", ("re_min",),
+                      f"{sp['re_min']} starts above z = 1, which the strip must hold"))
     mu_M, _ = default_bounds()
     if sp["re_max"] < mu_M:
         found.append(("spectrum", ("re_max",),
                       f"{sp['re_max']} stops below mu_M = {mu_M:.6f}, which the strip must reach"))
-    # the coupled study runs its one case on the base mesh
-    for key, only in (("case", "coupled_smooth"), ("levels", 1)):
-        if m["study"] == "coupled" and key in seen["mms"] and m[key] != only:
-            found.append(("mms", (key,), f"study = coupled takes only {key} = {only}"))
+    for (sname, choice, option), keys in UNREAD.items():
+        for key in keys:
+            default = SCHEMA[sname][key].default
+            if values[sname][choice] == option and values[sname][key] != default:
+                found.append((sname, (key,), f"{choice} = {option} does not read {key}; "
+                                             f"leave it at {_emit_value(default)}"))
     return found
 
 
@@ -239,7 +255,7 @@ def parse_config(text):
 
     if not errors:
         # defaults always pass, so one of the keys is set; name its line
-        for sname, keys, msg in _combination_errors(values, seen):
+        for sname, keys, msg in _combination_errors(values):
             line = next(seen[sname][k] for k in keys if k in seen[sname])
             errors.append((line, f"{sname}.{keys[0]}: {msg}"))
     if errors:

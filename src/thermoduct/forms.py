@@ -29,7 +29,6 @@ assemblies are bit-identical.
 import numpy as np
 import scipy.sparse as sp
 
-from .material import density
 from .spectrum import admissible_sr
 
 __all__ = [
@@ -259,7 +258,7 @@ def assemble_e_load(space, model, u, v):
 
 def heat_convection_value(space, model, theta_freeze, u, theta_transport):
     """c_V rho(theta_freeze) u . grad(theta_transport) at quadrature points."""
-    rho = density(model, eval_scalar(space, theta_freeze))
+    rho = model.rho_law(eval_scalar(space, theta_freeze))
     uq = eval_velocity(space, u)
     gth = eval_scalar_grad(space, theta_transport)
     return model.cV * rho * np.einsum("cqd,cqd->cq", uq, gth)
@@ -274,7 +273,7 @@ def assemble_d_load(space, model, theta_freeze, u, theta_transport):
 
 def buoyancy_value(space, model, theta, g):
     """rho(theta) g at quadrature points; g is any data ``quad_values`` takes."""
-    rho = density(model, eval_scalar(space, theta))
+    rho = model.rho_law(eval_scalar(space, theta))
     return rho[:, :, None] * quad_values(space, g)
 
 

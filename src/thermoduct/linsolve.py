@@ -16,7 +16,6 @@ All paths are deterministic: identical inputs give bit-identical outputs.
 """
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 _RESIDUAL_TOL = 1e-10  # relative residual a refined saddle solve must reach
@@ -56,7 +55,7 @@ def solve_spd(A, rhs, tol=1e-13, max_iter=None):
     history on stagnation, iteration exhaustion, or when a direction of
     nonpositive curvature reveals an indefinite matrix.
     """
-    A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
+    A = A.tocsr()
     rhs = np.asarray(rhs, dtype=float)
     _check_finite(rhs)
     n = rhs.size

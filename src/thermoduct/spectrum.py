@@ -6,11 +6,13 @@ the roots of a transcendental symbol equation; the companion scalar
 (Poisson-type) problem contributes the odd integers.  ``mu_M`` is the
 width of the strip about the imaginary axis that contains no eigenvalue
 other than z = 1, and the maximal Sobolev exponent for second-derivative
-regularity follows as s0 = 2 / (2 - mu_M).  ``admissible_sr`` is the
-package's one exponent contract: s in [4/3, s0) and the r each s admits.
+regularity follows as s0 = 2 / (2 - mu_M); the searched strip must
+start at or below z = 1 and reach mu_M for that claim to hold.  The
+symbol and its derivative have one numpy formula for scalars and arrays
+alike.  ``admissible_sr`` is the package's one exponent contract: s in
+[4/3, s0) and the r each s admits.
 """
 
-import cmath
 import functools
 from dataclasses import dataclass, field
 
@@ -38,20 +40,15 @@ class MissedRootError(RuntimeError):
 
 def mellin_symbol(z):
     """Symbol determinant f(z) = z^2 - 4 cos^2(z pi/2) - sin^2(z pi/2)."""
-    z = np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
+    z = np.asarray(z, dtype=complex)
     w = z * (np.pi / 2)
-    if isinstance(z, complex):
-        return z * z - 4 * cmath.cos(w) ** 2 - cmath.sin(w) ** 2
     return z * z - 4 * np.cos(w) ** 2 - np.sin(w) ** 2
 
 
 def mellin_symbol_deriv(z):
     """d/dz of the symbol determinant, 2z + (3 pi / 2) sin(pi z)."""
-    if np.ndim(z):
-        z = np.asarray(z, dtype=complex)
-        return 2 * z + 1.5 * np.pi * np.sin(np.pi * z)
-    z = complex(z)
-    return 2 * z + 1.5 * np.pi * cmath.sin(np.pi * z)
+    z = np.asarray(z, dtype=complex)
+    return 2 * z + 1.5 * np.pi * np.sin(np.pi * z)
 
 
 def _winding_number(re_min, re_max, im_min, im_max, pts_per_side=1000):
@@ -93,11 +90,8 @@ def _safe_winding(re_min, re_max, im_min, im_max, pts_per_side=1000):
     for bump in (0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2):
         eps = bump * width
         try:
-            return (
-                _winding_number(
-                    re_min - eps, re_max + eps, im_min - eps, im_max + eps, pts_per_side
-                ),
-                eps,
+            return _winding_number(
+                re_min - eps, re_max + eps, im_min - eps, im_max + eps, pts_per_side
             )
         except ValueError:
             continue
@@ -143,7 +137,7 @@ def find_roots(re_min, re_max, im_max, tol=1e-12, max_depth=40):
         raise ValueError("re_min must be below re_max")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    total, _ = _safe_winding(re_min, re_max, -im_max, im_max)
+    total = _safe_winding(re_min, re_max, -im_max, im_max)
     if total == 0:
         return []
 
@@ -267,17 +261,20 @@ def regularity_bounds(spectrum):
     """(mu_M, s0) from the computed eigenvalue set.
 
     mu_M is the smallest real part above 1 among all eigenvalues; the
-    strip (0, mu_M) must contain no eigenvalue other than z = 1.  A mu_M
-    beyond the searched strip is rejected: the search cannot rule out a
-    symbol root between the strip's re_max and it.
+    strip (0, mu_M) must contain no eigenvalue other than z = 1.  A
+    searched strip must start at or below z = 1 and reach mu_M: otherwise
+    the search cannot rule out a symbol root between 1 and its re_min, or
+    between its re_max and mu_M.
     """
+    re_min, re_max = spectrum.strip[:2]
+    if re_min > 1.0:
+        raise ValueError(f"the searched strip starts at re_min = {re_min}, above z = 1")
     eigen = [complex(z) for z in spectrum.stokes_roots]
     eigen += [complex(z, 0.0) for z in np.atleast_1d(spectrum.scalar_roots)]
     above = [z.real for z in eigen if z.real > 1.0 + 1e-9]
     if not above:
         raise ValueError("no eigenvalue with real part above 1; strip too narrow")
     mu = min(above)
-    re_max = spectrum.strip[1]
     if mu > re_max + 1e-9:
         raise ValueError(f"mu_M = {mu} lies beyond the searched strip's re_max = {re_max}")
     for z in eigen:

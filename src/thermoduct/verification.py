@@ -17,7 +17,7 @@ from . import forms
 from .fields import Field, constant_scalar
 from .fixed_point import CoupledProblem, outer_loop
 from .linsolve import SaddleFactorization, WallCG
-from .material import constant_density, density, make_material
+from .material import constant_density, make_material
 from .mesh import build_channel_mesh
 from .spaces import build_spaces
 
@@ -260,7 +260,7 @@ def coupled_momentum_forcing(case, model, g):
         u = case.u.value(x)
         G = case.u.grad(x)
         adv = model.rho0 * np.einsum("nd,nmd->nm", u, G)
-        rho = density(model, case.theta.value(x))
+        rho = model.rho_law(case.theta.value(x))
         return adv - model.nu * case.u.laplacian(x) + case.p.grad(x) - rho[:, None] * g
 
     return val
@@ -272,7 +272,7 @@ def coupled_heat_forcing(case, model):
     def val(x):
         u = case.u.value(x)
         G = case.u.grad(x)
-        rho = density(model, case.theta.value(x))
+        rho = model.rho_law(case.theta.value(x))
         conv = model.cV * rho * np.einsum("nd,nd->n", u, case.theta.grad(x))
         E = 0.5 * (G + np.swapaxes(G, -1, -2))
         diss = model.alpha1 * model.nu * np.einsum("nmd,nmd->n", E, E)

@@ -1,13 +1,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thermoduct.cli import main
-from thermoduct.config import ConfigError, build_model, emit_config, parse_config
-from thermoduct.material import constant_density, density
+from thermoduct.config import (SCHEMA, UNREAD, ConfigError, build_model, emit_config,
+                               parse_config)
+from thermoduct.material import constant_density
+
+REPO = Path(__file__).resolve().parent.parent
 
 MINIMAL = """\
 [geometry]
@@ -106,7 +110,11 @@ def test_unknown_field_names_rejected():
     assert any("not one of" in m for _, m in err.value.errors)
 
 
-@pytest.mark.parametrize("text", [MINIMAL, FULL])
+@pytest.mark.parametrize(
+    "text",
+    [MINIMAL, FULL, MINIMAL + "\n[mms]\nstudy = coupled\n", MINIMAL + "law = constant\n",
+     MINIMAL + "\n[body_force]\nfield = zero\n"],
+)
 def test_round_trip_fixpoint(text):
     canonical = emit_config(parse_config(text))
     assert emit_config(parse_config(canonical)) == canonical
@@ -115,12 +123,57 @@ def test_round_trip_fixpoint(text):
     assert cfg1 == cfg2
 
 
+SHIPPED = sorted(
+    p.relative_to(REPO).as_posix()
+    for d in ("demos/configs", "tests/golden", "perfbench/configs")
+    for p in (REPO / d).glob("*.cfg")
+)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_config_round_trips(name):
+    cfg = parse_config((REPO / name).read_text(encoding="utf-8"))
+    canonical = emit_config(cfg)
+    assert parse_config(canonical) == cfg
+    assert emit_config(parse_config(canonical)) == canonical
+
+
+def test_shipped_configs_found():
+    assert len(SHIPPED) >= 8
+
+
+def _off_default(spec):
+    if spec.choices is not None:
+        return next(c for c in spec.choices if c != spec.default)
+    return spec.default + 1 if spec.typ is int else spec.default + 0.5
+
+
+UNREAD_KEYS = [(s, c, o, k) for (s, c, o), keys in UNREAD.items() for k in keys]
+
+
+@pytest.mark.parametrize("section, choice, option, key", UNREAD_KEYS,
+                         ids=[f"{s}.{k}" for s, _, _, k in UNREAD_KEYS])
+def test_unread_key_must_stay_at_default(section, choice, option, key):
+    # a key the chosen option does not read passes at its default and is
+    # rejected, at its own line, anywhere else
+    spec = SCHEMA[section][key]
+    head = MINIMAL + f"\n[{section}]\n{choice} = {option}\n"
+    assert parse_config(head + f"{key} = {spec.default}\n")[section][key] == spec.default
+    bad = f"{key} = {_off_default(spec)}"
+    text = head + bad + "\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    (line, msg), = err.value.errors
+    assert line == text.splitlines().index(bad) + 1
+    assert msg.startswith(f"{section}.{key}: {choice} = {option} does not read {key}")
+
+
 def test_constant_law_builds_constant_density():
     cfg = parse_config(MINIMAL + "\nlaw = constant\n")
     model = build_model(cfg)
     assert model.rho_law == constant_density(1.0)
     assert model.C_rho == 0.0
-    assert density(model, np.array([-5.0, 0.0, 5.0])).tolist() == [1.0, 1.0, 1.0]
+    assert model.rho_law(np.array([-5.0, 0.0, 5.0])).tolist() == [1.0, 1.0, 1.0]
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -148,9 +201,17 @@ def test_cli_config_error_exit_code(tmp_path):
         ("spectrum", "[spectrum]", "re_max = 0.5"),
         ("mms", "[mms]\nstudy = coupled", "case = poly_quadratic"),
         ("mms", "[mms]\nstudy = coupled", "levels = 4"),
+        ("mms", "[mms]\nstudy = coupled", "case = coupled_smooth"),
+        ("spectrum", "[spectrum]", "re_min = 1.4"),
+        ("spectrum", "[spectrum]\nre_max = 2.5", "re_min = 1.4"),
+        ("solve", "law = constant", "alpha_v = 0.3"),
+        ("solve", "[body_force]\nfield = zero", "gz = -9.7"),
+        ("solve", "[temperature_bc]\nfield = constant", "delta = 0.5"),
     ],
     ids=["r-above-range", "r-below-range", "s-below-range", "empty-strip",
-         "strip-below-mu-M", "strip-without-roots", "coupled-case", "coupled-levels"],
+         "strip-below-mu-M", "strip-without-roots", "coupled-case", "coupled-levels",
+         "coupled-explicit-case", "strip-above-one", "wide-strip-above-one",
+         "constant-law-alpha_v", "zero-force-gz", "constant-bc-delta"],
 )
 def test_cli_rejects_key_combination_at_parse_time(tmp_path, capsys, command, section, bad):
     text = MINIMAL + f"\n{section}\n{bad}\n"
@@ -254,6 +315,9 @@ def test_cli_mms_coupled(tmp_path):
     assert all(0 < e < 1 for e in payload["errors"].values())
     trace = (out / "mms_coupled_trace.csv").read_text().splitlines()
     assert trace[0].startswith("iter,") and len(trace) == payload["outer_iterations"] + 1
+    # the run's own normalized configuration parses back to itself
+    normalized = (out / "config.normalized.txt").read_text()
+    assert emit_config(parse_config(normalized)) == normalized
 
 
 def test_cli_runs_as_module(tmp_path):

@@ -147,6 +147,19 @@ def test_strip_short_of_mu_M_is_rejected(re_max):
         compute_spectrum(re_max=re_max)
 
 
+@pytest.mark.parametrize("re_max", [1.95, 2.5])
+def test_strip_above_one_is_rejected(re_max):
+    # a strip from 1.4 misses the Stokes root 1.3523; reaching past 2 it
+    # would take the root z = 2 as mu_M and divide by 2 - mu_M = 0
+    with pytest.raises(ValueError, match="above z = 1"):
+        compute_spectrum(re_min=1.4, re_max=re_max)
+
+
+@pytest.mark.parametrize("re_min", [0.99, 1.0])
+def test_strip_starting_at_or_below_one_is_accepted(re_min):
+    assert compute_spectrum(re_min=re_min).mu_M == pytest.approx(1.352317, abs=1e-6)
+
+
 def test_weighted_admissibility_reference_cases():
     mu = compute_spectrum().mu_M
     assert weighted_admissibility([0.0], 2.0, mu) == [True]
