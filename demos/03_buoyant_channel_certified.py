@@ -22,19 +22,19 @@ from thermoduct.material import clamped_boussinesq, make_material
 
 mesh = build_channel_mesh(1.0, 1.0, 4.0, 4, 4, 16)
 space = build_spaces(mesh)
-model = make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=0.1,
+model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.1,
                       law=clamped_boussinesq(1.0, alpha_v=0.1))
 theta_D = span_scalar(1, 1.0, 0.5, 1.0)        # wall temperature 1 + 0.5 y
 problem = CoupledProblem(space, model, (0.0, 0.0, -9.7), theta_D)
 
-state, trace = outer_loop(problem, outer_tol=1e-10)
-print(f"converged in {len(trace.records)} outer iterations")
-for rec in trace.records:
+state, records = outer_loop(problem, outer_tol=1e-10)
+print(f"converged in {len(records)} outer iterations")
+for rec in records:
     print(f"  it {rec.iteration}: inner {rec.inner_iters}, "
           f"beta_hat {rec.beta_hat:.3f}, |d theta| {rec.d_theta_norm:.2e}, "
           f"residuals ({rec.r_momentum:.1e}, {rec.r_heat:.1e})")
 
-write_trace_csv(trace, "trace.csv")
+write_trace_csv(records, "trace.csv")
 write_state_vtk(space, state, "solution.vtk")
 print("wrote trace.csv and solution.vtk")
 

@@ -8,7 +8,8 @@ configuration and seed the CSV/JSON artifacts are byte-identical across
 runs, so reports carry no timing or host information.
 
 Exit codes: 0 success, 2 configuration error, 3 solver divergence,
-4 certificate verdict failure, 5 internal error.
+4 certificate verdict failure, 5 internal error.  A divergence that
+completed outer steps leaves their records in ``trace.csv``.
 """
 
 import argparse
@@ -70,31 +71,25 @@ def _load(args):
     return config, out
 
 
-def _solve(config):
-    mesh, space, model, g, theta_D = build_problem_parts(config)
-    problem = CoupledProblem(space, model, g, theta_D)
-    sol = config["solver"]
-    state, trace = outer_loop(
-        problem,
-        outer_tol=sol["outer_tol"],
-        max_outer=sol["max_outer"],
-        inner_tol=sol["inner_tol"],
-        max_inner=sol["max_inner"],
-    )
-    return mesh, space, model, problem, state, trace
+def _solve(config, out):
+    """The coupled solve of ``config``; writes ``trace.csv`` and ``solution.vtk``."""
+    problem = CoupledProblem(*build_problem_parts(config))
+    keys = ("outer_tol", "max_outer", "inner_tol", "max_inner")
+    state, records = outer_loop(problem, **{k: config["solver"][k] for k in keys})
+    write_trace_csv(records, out / "trace.csv")
+    write_state_vtk(problem.space, state, out / "solution.vtk")
+    return problem, state, records
 
 
 def run_solve(config, out):
-    mesh, space, model, problem, state, trace = _solve(config)
-    write_trace_csv(trace, out / "trace.csv")
-    write_state_vtk(space, state, out / "solution.vtk")
-    write_boundary_vtk(mesh, out / "solution_boundary.vtk")
-    last = trace.records[-1]
+    problem, state, records = _solve(config, out)
+    write_boundary_vtk(problem.space.mesh, out / "solution_boundary.vtk")
+    last = records[-1]
     flow = last.flow
     _write_json(
         out / "solve_report.json",
         {
-            "outer_iterations": len(trace.records),
+            "outer_iterations": len(records),
             "d_theta_norm": last.d_theta_norm,
             "r_momentum": last.r_momentum,
             "r_heat": last.r_heat,
@@ -107,13 +102,11 @@ def run_solve(config, out):
 
 
 def run_certify(config, out):
-    mesh, space, model, problem, state, trace = _solve(config)
-    write_trace_csv(trace, out / "trace.csv")
-    write_state_vtk(space, state, out / "solution.vtk")
+    problem, state, _ = _solve(config, out)
     c = config["certificates"]
     estimates = cert.estimate_constants(
-        space,
-        model,
+        problem.space,
+        problem.model,
         samples=c["samples"],
         seed=config["run"]["seed"],
         s=c["s"],
@@ -176,9 +169,9 @@ def run_mms(config, out):
         payload = {
             "study": "coupled",
             "errors": {k: report[k] for k in ("u_L2", "u_H1", "theta_L2", "theta_H1")},
-            "outer_iterations": report["outer_iterations"],
+            "outer_iterations": len(report["records"]),
         }
-        write_trace_csv(report["trace"], out / "mms_coupled_trace.csv")
+        write_trace_csv(report["records"], out / "mms_coupled_trace.csv")
     _write_json(out / "mms_report.json", payload)
     return EXIT_OK
 
@@ -216,6 +209,8 @@ def main(argv=None):
     try:
         return runner(config, out)
     except DivergenceError as exc:
+        if exc.records:
+            write_trace_csv(exc.records, out / "trace.csv")
         print(f"error: solver diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except LinearSolveError as exc:

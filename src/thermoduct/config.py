@@ -79,7 +79,8 @@ SCHEMA = {
                     choices=("clamped_boussinesq", "constant")),
         "alpha_v": _Key(float, default=0.1, check=_nonnegative, hint=">= 0"),
         "theta_ref": _Key(float, default=0.0),
-        "rho_min_factor": _Key(float, default=0.5, check=_positive, hint="> 0"),
+        "rho_min_factor": _Key(float, default=0.5, check=lambda v: 0 < v <= 1,
+                               hint="in (0, 1]"),
     },
     "body_force": {
         "field": _Key(str, default="zero", choices=("zero", "constant")),
@@ -296,10 +297,8 @@ def build_model(config):
             theta_ref=m["theta_ref"],
             rho_min=m["rho_min_factor"] * m["rho0"],
         )
-    return make_material(
-        nu=m["nu"], rho0=m["rho0"], cV=m["c_v"], lam=m["lambda"],
-        alpha1=m["alpha1"], law=law,
-    )
+    return make_material(nu=m["nu"], cV=m["c_v"], lam=m["lambda"], alpha1=m["alpha1"],
+                         law=law)
 
 
 def build_body_force(config):
@@ -311,7 +310,7 @@ def build_body_force(config):
 
 
 def build_problem_parts(config):
-    """(mesh, space, model, g, theta_D field) from a configuration."""
+    """(space, model, g, theta_D field) for ``CoupledProblem`` from a configuration."""
     geo = config["geometry"]
     mesh = build_channel_mesh(
         geo["Lx"], geo["Ly"], geo["Lz"], geo["nx"], geo["ny"], geo["nz"]
@@ -323,4 +322,4 @@ def build_problem_parts(config):
     else:
         axis = {"span_y": 1, "span_z": 2}[bc["field"]]
         theta_D = span_scalar(axis, bc["theta0"], bc["delta"], mesh.dims[axis])
-    return mesh, space, build_model(config), build_body_force(config), theta_D
+    return space, build_model(config), build_body_force(config), theta_D

@@ -7,12 +7,13 @@ Banach contraction for small data.  The linearized heat equation is then
 solved with frozen convection and dissipation loads, and the outer loop
 composes the two maps until the homogeneous temperature part stops
 moving.  Stopping norms for both loops are discrete H1 norms of the
-increments.
+increments; each outer step keeps its inner increments in one plain
+``OuterRecord``, from which its contraction ratios are read.
 """
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +22,9 @@ from .linsolve import SaddleFactorization, WallCG
 
 __all__ = [
     "State",
-    "InnerTrace",
     "OuterRecord",
-    "IterationTrace",
     "CoupledProblem",
+    "contraction_ratios",
     "inner_momentum_solve",
     "heat_solve",
     "outer_loop",
@@ -37,39 +37,29 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Iteration failure; carries the trace collected so far."""
+    """Iteration failure.  ``records``: the outer steps completed before it;
+    ``increments``: those of a failed momentum solve.  Both are lists."""
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, records=(), increments=()):
         super().__init__(message)
-        self.trace = trace
+        self.records = list(records)
+        self.increments = list(increments)
 
 
 @dataclass
 class State:
     """One iterate of the coupled system.
 
-    ``vartheta`` is the wall-homogeneous temperature part; the full
-    temperature is ``theta = theta_D + vartheta``.  Wall rows of ``u`` and
-    ``vartheta`` are exactly zero.  Converged states cache the pointwise
-    momentum source field so that the load (graph) norm is available.
+    ``theta`` is the full temperature, the lifting ``theta_D`` plus a
+    wall-homogeneous part.  Wall rows of ``u`` are exactly zero.  Converged
+    states cache the pointwise momentum source field so that the load
+    (graph) norm is available.
     """
 
     u: np.ndarray
     P: np.ndarray
-    vartheta: np.ndarray
-    theta_D: np.ndarray
+    theta: np.ndarray
     momentum_source: np.ndarray = None   # (ncells, nq, 3) or None
-
-    @property
-    def theta(self):
-        return self.theta_D + self.vartheta
-
-
-@dataclass
-class InnerTrace:
-    increments: list
-    ratios: list
-    converged: bool
 
 
 @dataclass
@@ -79,22 +69,32 @@ class BackwardFlowReport:
     per_face: dict
 
 
+def contraction_ratios(increments):
+    """Empirical contraction ratios ``increment_k / increment_{k-1}``."""
+    return [b / a for a, b in zip(increments, increments[1:])]
+
+
 @dataclass
 class OuterRecord:
     iteration: int
-    inner_iters: int
-    beta_hat: float
+    increments: list          # H1 norms of the momentum solve's updates
     d_theta_norm: float
     r_momentum: float
     r_heat: float
     flow: BackwardFlowReport
     wall_time: float
-    inner_ratios: list
 
+    @property
+    def inner_iters(self):
+        return len(self.increments)
 
-@dataclass
-class IterationTrace:
-    records: list = field(default_factory=list)
+    @property
+    def inner_ratios(self):
+        return contraction_ratios(self.increments)
+
+    @property
+    def beta_hat(self):       # the largest inner contraction ratio
+        return max(self.inner_ratios, default=0.0)
 
 
 class CoupledProblem:
@@ -105,31 +105,33 @@ class CoupledProblem:
     ``f_extra`` are stored as quadrature values (``forms.quad_values``);
     ``theta_D``, a field lifting of the wall temperature, is interpolated
     onto the temperature space; the optional heat forcing ``h_extra`` is
-    kept as its load vector.  The heat CG solve runs to a relative
-    tolerance of 1e-13.
+    kept as its load vector.  Data that are not finite where they are
+    tabulated raise ValueError naming the datum.  The heat CG solve runs
+    to a relative tolerance of 1e-13.
     """
 
     def __init__(self, space, model, g, theta_D, f_extra=None, h_extra=None):
         self.space = space
         self.model = model
-        self.g = forms.quad_values(space, g)
+        self.g = _finite("g", forms.quad_values(space, g))
 
         self.A = forms.assemble_a(space, model)
         self.D = forms.divergence_matrix(space)
         self.kappa = forms.assemble_kappa(space, model)
         self.heat = WallCG(self.kappa, space.dirichlet_mask_theta, 1e-13)
 
-        self.theta_D = forms.interpolate_scalar(space, theta_D)
+        self.theta_D = _finite("theta_D", forms.interpolate_scalar(space, theta_D))
         self.lifting_load = self.kappa @ self.theta_D
 
         if f_extra is None:
             self.f_extra = None
             self.f_extra_load = np.zeros(space.n_velocity)
         else:
-            self.f_extra = forms.quad_values(space, f_extra)
+            self.f_extra = _finite("f_extra", forms.quad_values(space, f_extra))
             self.f_extra_load = forms.field_load_vector(space, self.f_extra)
         self.h_extra_load = (
-            forms.field_load_scalar(space, h_extra)
+            forms.field_load_scalar(
+                space, _finite("h_extra", forms.quad_values(space, h_extra)))
             if h_extra is not None
             else np.zeros(space.n_scalar)
         )
@@ -141,59 +143,60 @@ class CoupledProblem:
         space = self.space
         return SaddleFactorization(K, space.dirichlet_mask_u, space.saddle_order)
 
-    def buoyancy_load(self, theta_full):
-        return forms.assemble_buoyancy(self.space, self.model, theta_full, self.g)
+    def buoyancy_load(self, theta):
+        return forms.assemble_buoyancy(self.space, self.model, theta, self.g)
 
 
-def inner_momentum_solve(problem, theta_full, u_init=None, tol=1e-12, max_iter=50):
-    """Contraction iteration for momentum at frozen temperature.
+def _finite(name, values):
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise ValueError(f"{name} is not finite at {bad} of {values.size} values")
+    return values
 
-    Returns (u, P, InnerTrace).  The empirical contraction ratio
-    ``increment_k / increment_{k-1}`` is recorded for every step whose
-    predecessor is above the tolerance; three consecutive ratios >= 1
-    raise DivergenceError (violated smallness).
+
+def inner_momentum_solve(problem, theta, u_init=None, tol=1e-12, max_iter=50):
+    """Contraction iteration for momentum at the frozen temperature ``theta``.
+
+    Returns (u, P, increments), the H1 norms of the successive updates.
+    Every increment but the last is above ``tol``, so their
+    ``contraction_ratios`` are the empirical contraction ratios; three
+    consecutive ratios >= 1 raise DivergenceError (violated smallness).
     """
     space, model = problem.space, problem.model
-    load = problem.buoyancy_load(theta_full) + problem.f_extra_load
+    load = problem.buoyancy_load(theta) + problem.f_extra_load
     u = np.zeros(space.n_velocity) if u_init is None else np.array(u_init, dtype=float)
-    increments, ratios = [], []
-    bad_streak = 0
+    increments = []
     for _ in range(max_iter):
         conv = forms.convection_load(space, model, u, u)
         w, P = problem.saddle.solve(load - conv)
-        inc = forms.discrete_norms(space, w - u, "H1")
-        if increments and increments[-1] > tol:
-            ratio = inc / increments[-1]
-            ratios.append(ratio)
-            bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
-            if bad_streak >= 3:
-                raise DivergenceError(
-                    "momentum iteration expanding for 3 consecutive steps "
-                    f"(last ratio {ratio:.3f}); smallness condition violated?",
-                    trace=InnerTrace(increments + [inc], ratios, False),
-                )
-        increments.append(inc)
+        increments.append(forms.discrete_norms(space, w - u, "H1"))
         u = w
-        if inc <= tol:
-            return u, P, InnerTrace(increments, ratios, True)
+        if increments[-1] <= tol:
+            return u, P, increments
+        last = contraction_ratios(increments[-4:])
+        if len(last) == 3 and all(r >= 1.0 for r in last):
+            raise DivergenceError(
+                "momentum iteration expanding for 3 consecutive steps "
+                f"(last ratio {last[-1]:.3f}); smallness condition violated?",
+                increments=increments,
+            )
     raise DivergenceError(
         f"momentum iteration did not contract below {tol:g} in {max_iter} steps",
-        trace=InnerTrace(increments, ratios, False),
+        increments=increments,
     )
 
 
-def heat_solve(problem, u, vartheta_frozen):
+def heat_solve(problem, u, theta):
     """Linearized heat solve with frozen convection and dissipation.
 
     Solves kappa(vartheta, phi) = e(u,u,phi) - d(theta, u, theta, phi)
-    - kappa(theta_D, phi) with theta = theta_D + vartheta_frozen; returns
-    the wall-homogeneous temperature part.
+    - kappa(theta_D, phi) at the frozen full temperature ``theta``; returns
+    the wall-homogeneous temperature part vartheta.
     """
     space, model = problem.space, problem.model
-    theta_full = problem.theta_D + vartheta_frozen
     rhs = (
         forms.assemble_e_load(space, model, u, u)
-        - forms.assemble_d_load(space, model, theta_full, u, theta_full)
+        - forms.assemble_d_load(space, model, theta, u, theta)
         - problem.lifting_load
         + problem.h_extra_load
     )
@@ -206,45 +209,49 @@ def outer_loop(problem, outer_tol=1e-10, max_outer=30, inner_tol=1e-12,
 
     Each step takes the heat map's output as the next temperature, without
     relaxation.  Stops when the H1 norm of the temperature update drops
-    below ``outer_tol``; raises DivergenceError (with the trace) on
-    exhaustion or propagated inner divergence.
+    below ``outer_tol`` and returns (state, records), one OuterRecord per
+    step.  Exhaustion, or a momentum solve that fails, raises
+    DivergenceError carrying the records completed so far.
     """
     space = problem.space
     vartheta = np.zeros(space.n_scalar)
+    theta = problem.theta_D + vartheta
     u = np.zeros(space.n_velocity)
-    trace = IterationTrace()
+    records = []
     for n in range(1, max_outer + 1):
         t0 = time.perf_counter()
-        theta_full = problem.theta_D + vartheta
-        u, P, inner = inner_momentum_solve(
-            problem, theta_full, u_init=u, tol=inner_tol, max_iter=max_inner
-        )
-        vartheta_new = heat_solve(problem, u, vartheta)
+        try:
+            u, P, increments = inner_momentum_solve(
+                problem, theta, u_init=u, tol=inner_tol, max_iter=max_inner
+            )
+        except DivergenceError as exc:
+            exc.records = records
+            raise
+        vartheta_new = heat_solve(problem, u, theta)
         d_theta = forms.discrete_norms(space, vartheta_new - vartheta, "H1")
         vartheta = vartheta_new
+        theta = problem.theta_D + vartheta
 
-        state = State(u=u, P=P, vartheta=vartheta, theta_D=problem.theta_D)
+        state = State(u, P, theta)
         r_mom, r_heat = weak_residual(problem, state)
-        trace.records.append(
+        records.append(
             OuterRecord(
                 iteration=n,
-                inner_iters=len(inner.increments),
-                beta_hat=max(inner.ratios) if inner.ratios else 0.0,
+                increments=increments,
                 d_theta_norm=d_theta,
                 r_momentum=r_mom,
                 r_heat=r_heat,
                 flow=backward_flow_measure(space, u),
                 wall_time=time.perf_counter() - t0,
-                inner_ratios=list(inner.ratios),
             )
         )
         if d_theta <= outer_tol:
             _attach_sources(problem, state)
-            return state, trace
+            return state, records
     raise DivergenceError(
         f"outer loop did not converge in {max_outer} iterations "
-        f"(last update {trace.records[-1].d_theta_norm:.3e})",
-        trace=trace,
+        f"(last update {records[-1].d_theta_norm:.3e})",
+        records=records,
     )
 
 
@@ -288,35 +295,27 @@ def backward_flow_measure(space, u):
     Inflow (u.n < 0) through the do-nothing boundary is admissible
     'backward flow'; reported per face and aggregated.
     """
-    u = np.asarray(u, dtype=float)
-    per_face = {}
-    total_area = 0.0
-    total_inflow = 0.0
-    global_min = np.inf
+    faces = {}   # name -> (min u.n, inflow area, area)
     for name in ("x0", "x1"):
         un, wts = forms.surface_velocity_normal(space, u, name)
-        area = float(wts.sum() * un.shape[0])
-        inflow = float(np.einsum("q,cq->", wts, (un < 0).astype(float)))
-        face_min = float(un.min()) if un.size else 0.0
-        per_face[name] = (face_min, inflow / area)
-        total_area += area
-        total_inflow += inflow
-        global_min = min(global_min, face_min)
+        inflow = np.einsum("q,cq->", wts, (un < 0).astype(float))
+        faces[name] = (float(un.min()), float(inflow), float(wts.sum() * un.shape[0]))
+    mins, inflows, areas = zip(*faces.values())
     return BackwardFlowReport(
-        min_flux=float(global_min),
-        inflow_fraction=total_inflow / total_area,
-        per_face=per_face,
+        min_flux=min(mins),
+        inflow_fraction=sum(inflows) / sum(areas),
+        per_face={name: (m, i / a) for name, (m, i, a) in faces.items()},
     )
 
 
-def write_trace_csv(trace, path):
-    """Iteration trace as CSV; columns are fixed, floats use 17 digits."""
+def write_trace_csv(records, path):
+    """Outer records as CSV; columns are fixed, floats use 17 digits."""
     cols = (
         "iter,inner_iters,beta_hat,d_theta_norm,r_momentum,r_heat,"
         "min_flux,inflow_fraction"
     )
     lines = [cols]
-    for r in trace.records:
+    for r in records:
         lines.append(
             f"{r.iteration},{r.inner_iters},"
             f"{r.beta_hat:.17g},{r.d_theta_norm:.17g},{r.r_momentum:.17g},"

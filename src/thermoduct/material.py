@@ -3,8 +3,9 @@
 The density law is one formula, rho0 (1 - alpha_v (theta - theta_ref))
 clamped to [rho_min, rho0]; the constant law is its alpha_v = 0,
 rho_min = rho0 case.  ``DensityLaw`` rejects parameters that would make
-the law nonpositive or increasing, so every law is strictly positive,
-nonincreasing and continuous.  Its upper bound rho_sharp = rho0 and its
+the law nonpositive or increasing, or its clamp empty (rho_min > rho0),
+so every law is strictly positive, nonincreasing and continuous.  The
+reference density rho0, the upper bound rho_sharp = rho0 and the
 Lipschitz constant C_rho = rho0 alpha_v are read from the law by
 ``MaterialModel``, never stored beside it.  The law multiplies gravity in
 the momentum equation and the convective term of the heat equation,
@@ -28,8 +29,8 @@ __all__ = [
 class DensityLaw:
     """rho0 * (1 - alpha_v * (theta - theta_ref)), clamped to [rho_min, rho0].
 
-    Requires rho0 > 0, alpha_v >= 0 (nonincreasing) and rho_min > 0
-    (strictly positive); raises ValueError otherwise.
+    Requires rho0 > 0, alpha_v >= 0 (nonincreasing) and 0 < rho_min <= rho0
+    (strictly positive, a nonempty clamp); raises ValueError otherwise.
     """
 
     rho0: float
@@ -44,6 +45,8 @@ class DensityLaw:
             raise ValueError("alpha_v must be nonnegative (a nonincreasing law)")
         if not self.rho_min > 0:
             raise ValueError("rho_min must be positive")
+        if not self.rho_min <= self.rho0:
+            raise ValueError("rho_min must not exceed rho0")
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -65,18 +68,21 @@ def constant_density(rho0):
 @dataclass(frozen=True)
 class MaterialModel:
     nu: float                 # kinematic viscosity
-    rho0: float               # reference density
     cV: float                 # specific heat at constant volume
     lam: float                # heat conductivity
     alpha1: float             # dissipation coefficient
     rho_law: DensityLaw
 
     def __post_init__(self):
-        for name in ("nu", "rho0", "cV", "lam"):
+        for name in ("nu", "cV", "lam"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.alpha1 < 0:
             raise ValueError("alpha1 must be nonnegative")
+
+    @property
+    def rho0(self):           # reference density
+        return self.rho_law.rho0
 
     @property
     def rho_sharp(self):      # upper bound of the density law
@@ -87,5 +93,5 @@ class MaterialModel:
         return self.rho_law.rho0 * self.rho_law.alpha_v
 
 
-def make_material(nu, rho0, cV, lam, alpha1, law):
-    return MaterialModel(float(nu), float(rho0), float(cV), float(lam), float(alpha1), law)
+def make_material(nu, cV, lam, alpha1, law):
+    return MaterialModel(float(nu), float(cV), float(lam), float(alpha1), law)

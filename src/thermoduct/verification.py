@@ -458,6 +458,7 @@ def mms_heat_study(case_factory, dims, base_divisions, n_levels=3, lam=1.0,
                    quad_order=5):
     """Convergence of the mixed Poisson heat solve against a manufactured case."""
     case = case_factory(dims, 1.0)
+    validate_case(case, dims)
     model = _unit_model(1.0, lam=lam)
     forcing = heat_forcing_linear(case, lam)
 
@@ -478,7 +479,7 @@ def coupled_mms(case, dims, divisions, model, g, outer_tol=1e-10, max_outer=40,
 
     ``g`` is the constant body force, a 3-vector.  The momentum and heat
     forcings carry the nonlinear correction terms; convergence failures
-    propagate with their trace attached.
+    propagate as DivergenceError with the records completed so far.
     """
     validate_case(case, dims)
     mesh = build_channel_mesh(*dims, *divisions)
@@ -491,7 +492,7 @@ def coupled_mms(case, dims, divisions, model, g, outer_tol=1e-10, max_outer=40,
         f_extra=coupled_momentum_forcing(case, model, g),
         h_extra=coupled_heat_forcing(case, model),
     )
-    state, trace = outer_loop(problem, outer_tol=outer_tol, max_outer=max_outer)
+    state, records = outer_loop(problem, outer_tol=outer_tol, max_outer=max_outer)
     ul2, uh1 = _error_norms(space, state.u, case.u)
     tl2, th1 = _error_norms(space, state.theta, case.theta)
     return {
@@ -499,13 +500,12 @@ def coupled_mms(case, dims, divisions, model, g, outer_tol=1e-10, max_outer=40,
         "u_H1": uh1,
         "theta_L2": tl2,
         "theta_H1": th1,
-        "outer_iterations": len(trace.records),
         "state": state,
-        "trace": trace,
+        "records": records,
         "problem": problem,
     }
 
 
 def _unit_model(nu, lam=1.0):
-    return make_material(nu=nu, rho0=1.0, cV=1.0, lam=lam, alpha1=0.0,
+    return make_material(nu=nu, cV=1.0, lam=lam, alpha1=0.0,
                          law=constant_density(1.0))

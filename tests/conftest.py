@@ -29,13 +29,13 @@ def small_space():
 
 @pytest.fixture(scope="session")
 def unit_model():
-    return make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=1.0,
+    return make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=1.0,
                          law=constant_density(1.0))
 
 
 @pytest.fixture(scope="session")
 def boussinesq_model():
-    return make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=0.1,
+    return make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.1,
                          law=clamped_boussinesq(1.0, alpha_v=0.1))
 
 

@@ -45,7 +45,7 @@ def _report(num, ok, detail):
 def acceptance_setup():
     mesh = build_channel_mesh(1.0, 1.0, 4.0, 4, 4, 16)
     space = build_spaces(mesh)
-    model = make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=0.1,
+    model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.1,
                           law=clamped_boussinesq(1.0, alpha_v=0.1))
     theta_D = span_scalar(1, 1.0, 0.5, 1.0)
     problem = CoupledProblem(space, model, (0.0, 0.0, -ACCEPT_G0), theta_D)
@@ -56,8 +56,8 @@ def acceptance_setup():
 def acceptance_run(acceptance_setup):
     _, _, _, problem = acceptance_setup
     t0 = time.perf_counter()
-    state, trace = outer_loop(problem, outer_tol=1e-10, max_outer=30)
-    return state, trace, time.perf_counter() - t0
+    state, records = outer_loop(problem, outer_tol=1e-10, max_outer=30)
+    return state, records, time.perf_counter() - t0
 
 
 def test_criterion_01_spectrum_anchor():
@@ -102,7 +102,7 @@ def test_criterion_04_duct_benchmark():
     F = 2.0
     mesh = build_channel_mesh(2.0, 1.0, 1.0, 4, 8, 8)
     space = build_spaces(mesh)
-    model = make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=0.0,
+    model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.0,
                           law=constant_density(1.0))
     problem = CoupledProblem(space, model, (F, 0.0, 0.0), constant_scalar(0.0))
     u, P, _ = inner_momentum_solve(problem, np.zeros(space.n_scalar), tol=1e-12)
@@ -116,26 +116,26 @@ def test_criterion_04_duct_benchmark():
 
 
 def test_criterion_05_fixed_point_contraction(acceptance_run):
-    state, trace, elapsed = acceptance_run
-    ratios = [r for rec in trace.records for r in rec.inner_ratios]
+    state, records, elapsed = acceptance_run
+    ratios = [r for rec in records for r in rec.inner_ratios]
     ok = (
-        len(trace.records) <= 30
-        and trace.records[-1].d_theta_norm <= 1e-10
+        len(records) <= 30
+        and records[-1].d_theta_norm <= 1e-10
         and all(r < 1.0 for r in ratios)
         and elapsed < 300.0
     )
-    _report(5, ok, f"{len(trace.records)} outer iterations (<=30), "
-                   f"final update {trace.records[-1].d_theta_norm:.2e} (<=1e-10), "
+    _report(5, ok, f"{len(records)} outer iterations (<=30), "
+                   f"final update {records[-1].d_theta_norm:.2e} (<=1e-10), "
                    f"max inner ratio {max(ratios):.3f} (<1), {elapsed:.0f}s (<300s)")
 
 
 def test_criterion_06_zero_data_exactness(acceptance_setup):
     _, space, model, _ = acceptance_setup
     problem = CoupledProblem(space, model, (0.0, 0.0, 0.0), constant_scalar(2.0))
-    state, trace = outer_loop(problem, outer_tol=1e-10)
+    state, records = outer_loop(problem, outer_tol=1e-10)
     u_norm = float(np.linalg.norm(state.u))
     th_err = float(np.abs(state.theta - 2.0).max())
-    ok = len(trace.records) == 1 and u_norm == 0.0 and th_err < 1e-10
+    ok = len(records) == 1 and u_norm == 0.0 and th_err < 1e-10
     _report(6, ok, f"one outer iteration, ||u||={u_norm:.1e} (=0), "
                    f"max|theta - theta_D|={th_err:.1e} (<1e-10)")
 
@@ -159,12 +159,12 @@ def test_criterion_07_outflow_identity(acceptance_setup):
 
 def test_criterion_08_dissipation_sign_and_effect(acceptance_setup, acceptance_run):
     mesh, space, model, _ = acceptance_setup
-    state, trace, _ = acceptance_run
+    state, _, _ = acceptance_run
     diss = forms.dissipation_value(space, model, state.u, state.u)
     total = float(np.einsum("q,cq->", space.wq, diss))
     vol = float(np.prod(mesh.dims))
 
-    model0 = make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=0.0,
+    model0 = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.0,
                            law=clamped_boussinesq(1.0, alpha_v=0.1))
     prob0 = CoupledProblem(space, model0, (0.0, 0.0, -ACCEPT_G0),
                            span_scalar(1, 1.0, 0.5, 1.0))

@@ -30,7 +30,7 @@ from thermoduct.spectrum import admissible_sr
 
 
 def small_problem(space, g=(0, 0, -0.3)):
-    model = make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=0.1,
+    model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.1,
                           law=clamped_boussinesq(1.0, alpha_v=0.1))
     return model, CoupledProblem(space, model, g, span_scalar(1, 1.0, 0.5, 1.0))
 
@@ -332,7 +332,7 @@ def test_smallness_half_threshold_direct_substitution(boussinesq_model):
 
 
 def test_smallness_formula_pinned_by_hand():
-    m = make_material(nu=1.0, rho0=2.0, cV=3.0, lam=1.0, alpha1=0.0,
+    m = make_material(nu=1.0, cV=3.0, lam=1.0, alpha1=0.0,
                       law=clamped_boussinesq(2.0, alpha_v=0.1))
     est = fake_estimates(C_b=0.5, C_d=0.25, C_eps=2.0)
     res = smallness_check(est, m, 0.05)
@@ -346,12 +346,11 @@ def test_smallness_formula_pinned_by_hand():
 # -- uniqueness ----------------------------------------------------------------------
 
 
-def zero_state(space, theta_D=None):
+def zero_state(space, theta=None):
     return State(
         u=np.zeros(space.n_velocity),
         P=np.zeros(space.n_pressure),
-        vartheta=np.zeros(space.n_scalar),
-        theta_D=np.zeros(space.n_scalar) if theta_D is None else theta_D,
+        theta=np.zeros(space.n_scalar) if theta is None else theta,
     )
 
 
@@ -388,8 +387,7 @@ def test_uniqueness_formula_pinned_by_hand(small_space):
     # states with hand-computable surrogate norms: u = 0, theta constant
     model, prob = small_problem(small_space, g=(0, 0, -2.0))
     c = 3.0
-    theta_D = np.full(small_space.n_scalar, c)
-    st = zero_state(small_space, theta_D=theta_D)
+    st = zero_state(small_space, theta=np.full(small_space.n_scalar, c))
     est = fake_estimates()
     rep = uniqueness_certificate(prob, est, st)
     # ||theta||_{W2r} for a constant field over |Omega| = 2 is c * 2^(1/2)

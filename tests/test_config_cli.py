@@ -272,6 +272,29 @@ def test_cli_solve_diverged_exit_code(tmp_path):
     text = FULL.replace("gz = -0.4", "gz = -1e6")
     p = write_cfg(tmp_path, text)
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+    # the momentum solve of the first outer step fails: no step completed
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_cli_diverged_run_keeps_its_trace(tmp_path):
+    text = FULL.replace("outer_tol = 1e-10", "outer_tol = 1e-16\nmax_outer = 2")
+    p = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(p), "--out", str(out)]) == 3
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0].startswith("iter,inner_iters,beta_hat,")
+    assert [row.split(",")[0] for row in lines[1:]] == ["1", "2"]
+
+
+def test_cli_rejects_rho_min_factor_above_one(tmp_path, capsys):
+    # a floor above rho0 would leave the clamp empty and the law constant
+    bad = "rho_min_factor = 2.0"
+    text = MINIMAL + bad + "\n"
+    p = write_cfg(tmp_path, text)
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    line = text.splitlines().index(bad) + 1
+    err = capsys.readouterr().err
+    assert f"line {line}: material.rho_min_factor" in err and "in (0, 1]" in err
 
 
 def test_cli_certify_exit_codes(tmp_path):

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from thermoduct import build_channel_mesh, build_spaces, forms
+from thermoduct import build_channel_mesh, build_spaces, fixed_point, forms
 from thermoduct.certificates import body_force_norm
 from thermoduct.fields import Field, constant_scalar, constant_vector, span_scalar
 from thermoduct.fixed_point import (
@@ -11,6 +11,7 @@ from thermoduct.fixed_point import (
     DivergenceError,
     State,
     backward_flow_measure,
+    contraction_ratios,
     heat_solve,
     inner_momentum_solve,
     outer_loop,
@@ -28,7 +29,7 @@ DUCT_CENTER_SPEED = 0.0736713512666702   # series solution of -lap w = 1 on the 
 def duct_problem(F, divisions=(2, 4, 4), alpha1=0.0, g=None):
     mesh = build_channel_mesh(2.0, 1.0, 1.0, *divisions)
     space = build_spaces(mesh)
-    model = make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=alpha1,
+    model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=alpha1,
                           law=constant_density(1.0))
     g = (F, 0.0, 0.0) if g is None else g
     return space, model, CoupledProblem(space, model, g, constant_scalar(0.0))
@@ -39,16 +40,16 @@ def duct_problem(F, divisions=(2, 4, 4), alpha1=0.0, g=None):
 
 def test_inner_zero_data_one_iteration(small_space, boussinesq_model):
     prob = CoupledProblem(small_space, boussinesq_model, (0, 0, 0), constant_scalar(1.0))
-    u, P, trace = inner_momentum_solve(prob, prob.theta_D, tol=1e-12)
-    assert len(trace.increments) == 1
+    u, P, increments = inner_momentum_solve(prob, prob.theta_D, tol=1e-12)
+    assert len(increments) == 1
     assert np.all(u == 0.0)
     assert np.all(P == 0.0)
-    assert trace.converged
+    assert increments[-1] <= 1e-12
 
 
 def test_inner_reproduces_duct_profile():
     space, model, prob = duct_problem(F=2.0)
-    u, P, trace = inner_momentum_solve(prob, np.zeros(space.n_scalar), tol=1e-12)
+    u, P, _ = inner_momentum_solve(prob, np.zeros(space.n_scalar), tol=1e-12)
     sx, sy, sz = space.q2_shape
     center = (sx // 2) + sx * ((sy // 2) + sy * (sz // 2))
     assert u[center] == pytest.approx(DUCT_CENTER_SPEED * 2.0, rel=1e-2)
@@ -62,10 +63,10 @@ def test_inner_contraction_ratio_scales_with_load():
     norms = {}
     for F in (4.0, 2.0, 1.0, 0.5):
         space, model, prob = duct_problem(F, g=(F, 0.3 * F, 0.0))
-        u, _, trace = inner_momentum_solve(
+        u, _, increments = inner_momentum_solve(
             prob, np.zeros(space.n_scalar), tol=1e-13, max_iter=60
         )
-        betas[F] = max(trace.ratios)
+        betas[F] = max(contraction_ratios(increments))
         norms[F] = forms.discrete_norms(space, u, "H1")
     # contraction factor decreases with the load and scales like ||u||
     assert betas[4.0] > betas[2.0] > betas[1.0] > betas[0.5]
@@ -78,8 +79,9 @@ def test_inner_divergence_reported_with_trace():
     space, model, prob = duct_problem(F=1e4, g=(1e4, 3e3, 0.0))
     with pytest.raises(DivergenceError) as err:
         inner_momentum_solve(prob, np.zeros(space.n_scalar), tol=1e-12, max_iter=40)
-    assert err.value.trace is not None
-    assert len(err.value.trace.ratios) >= 3
+    assert len(err.value.increments) >= 4
+    assert all(r >= 1.0 for r in contraction_ratios(err.value.increments)[-3:])
+    assert err.value.records == []
 
 
 # -- linearized heat solve ----------------------------------------------------------
@@ -87,7 +89,7 @@ def test_inner_divergence_reported_with_trace():
 
 def test_heat_solve_constant_boundary_data(small_space, boussinesq_model):
     prob = CoupledProblem(small_space, boussinesq_model, (0, 0, 0), constant_scalar(2.0))
-    vt = heat_solve(prob, np.zeros(small_space.n_velocity), np.zeros(small_space.n_scalar))
+    vt = heat_solve(prob, np.zeros(small_space.n_velocity), prob.theta_D)
     assert np.abs(vt).max() < 1e-10
 
 
@@ -96,7 +98,7 @@ def test_heat_solve_matches_direct_solve_linear_lifting(small_space, unit_model)
     # problem with trace x, independently computed by direct elimination
     lift = Field(lambda x: x[:, 0])
     prob = CoupledProblem(small_space, unit_model, (0, 0, 0), lift)
-    vt = heat_solve(prob, np.zeros(small_space.n_velocity), np.zeros(small_space.n_scalar))
+    vt = heat_solve(prob, np.zeros(small_space.n_velocity), prob.theta_D)
     theta = prob.theta_D + vt
 
     kappa = prob.kappa
@@ -114,7 +116,7 @@ def test_heat_solve_matches_direct_solve_with_dissipation(small_space, unit_mode
     # direct Poisson solve with that constant source plus the convection load
     u = linear_field_dofs(small_space, 0, 1)
     prob = CoupledProblem(small_space, unit_model, (0, 0, 0), constant_scalar(1.0))
-    vt = heat_solve(prob, u, np.zeros(small_space.n_scalar))
+    vt = heat_solve(prob, u, prob.theta_D)
 
     space = small_space
     free = space.free_theta
@@ -131,8 +133,8 @@ def test_heat_solve_matches_direct_solve_with_dissipation(small_space, unit_mode
 
 def test_outer_zero_data_exact(small_space, boussinesq_model):
     prob = CoupledProblem(small_space, boussinesq_model, (0, 0, 0), constant_scalar(3.0))
-    state, trace = outer_loop(prob)
-    assert len(trace.records) == 1
+    state, records = outer_loop(prob)
+    assert len(records) == 1
     assert np.linalg.norm(state.u) == 0.0
     assert np.abs(state.theta - 3.0).max() < 1e-10
 
@@ -143,7 +145,8 @@ def test_outer_dirichlet_rows_exactly_zero(small_space, boussinesq_model):
     )
     state, _ = outer_loop(prob)
     assert np.all(state.u[small_space.dirichlet_mask_u] == 0.0)
-    assert np.all(state.vartheta[small_space.dirichlet_mask_theta] == 0.0)
+    wall = small_space.dirichlet_mask_theta
+    assert np.all(state.theta[wall] == prob.theta_D[wall])
 
 
 def test_dissipation_heats_the_channel():
@@ -152,7 +155,7 @@ def test_dissipation_heats_the_channel():
     space = build_spaces(mesh)
     means = {}
     for alpha1 in (0.0, 0.05):
-        model = make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=alpha1,
+        model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=alpha1,
                               law=clamped_boussinesq(1.0, alpha_v=0.1))
         prob = CoupledProblem(space, model, (0, 0, -1.0), span_scalar(1, 1.0, 0.5, 1.0))
         state, _ = outer_loop(prob)
@@ -160,7 +163,7 @@ def test_dissipation_heats_the_channel():
         means[alpha1] = np.einsum("q,cq->", space.wq, vals) / 2.0   # |Omega| = 2
     assert means[0.05] >= means[0.0] - 1e-13
     # and the dissipation source itself is pointwise nonnegative
-    model = make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=0.05,
+    model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.05,
                           law=clamped_boussinesq(1.0, alpha_v=0.1))
     prob = CoupledProblem(space, model, (0, 0, -1.0), span_scalar(1, 1.0, 0.5, 1.0))
     state, _ = outer_loop(prob)
@@ -172,7 +175,7 @@ def test_dissipation_heats_the_channel():
 def test_translation_consistency_constant_density(small_space):
     # with a shift-invariant density law, shifting theta_D by a constant
     # shifts theta by exactly that constant and leaves the flow unchanged
-    model = make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=0.1,
+    model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.1,
                           law=constant_density(1.0))
     g = (0, 0, -0.5)
     base = CoupledProblem(small_space, model, g, span_scalar(1, 1.0, 0.5, 1.0))
@@ -187,7 +190,7 @@ def test_outer_converged_residuals(small_space, boussinesq_model):
     prob = CoupledProblem(
         small_space, boussinesq_model, (0, 0, -0.4), span_scalar(1, 1.0, 0.5, 1.0)
     )
-    state, trace = outer_loop(prob, outer_tol=1e-10)
+    state, _ = outer_loop(prob, outer_tol=1e-10)
     r_mom, r_heat = weak_residual(prob, state)
     assert r_mom <= 1e-9
     assert r_heat <= 1e-9
@@ -209,10 +212,23 @@ def test_problem_data_evaluated_once(small_space, boussinesq_model):
         small_space, boussinesq_model, counted("g", (0.0, 0.0, -0.4)),
         span_scalar(1, 1.0, 0.5, 1.0), f_extra=counted("f", (0.01, 0.0, 0.0)),
     )
-    state, trace = outer_loop(prob, outer_tol=1e-10)
+    state, records = outer_loop(prob, outer_tol=1e-10)
     weak_residual(prob, state)
-    assert len(trace.records) > 1
+    assert len(records) > 1
     assert calls == {"g": 1, "f": 1}
+
+
+@pytest.mark.parametrize("datum", ["g", "theta_D", "f_extra", "h_extra"])
+def test_nonfinite_problem_data_named(datum, small_space, boussinesq_model):
+    data = {"g": (0.0, 0.0, -0.4), "theta_D": span_scalar(1, 1.0, 0.5, 1.0)}
+    data[datum] = {
+        "g": (0.0, 0.0, np.inf),
+        "theta_D": Field(lambda x: np.where(x[:, 1] > 0.5, np.nan, 1.0)),
+        "f_extra": constant_vector((0.0, -np.inf, 0.0)),
+        "h_extra": Field(lambda x: np.full(x.shape[0], np.nan)),
+    }[datum]
+    with pytest.raises(ValueError, match=f"^{datum} is not finite"):
+        CoupledProblem(small_space, boussinesq_model, **data)
 
 
 def test_constant_body_force_matches_field_bitwise(small_space, boussinesq_model):
@@ -232,8 +248,7 @@ def test_weak_residual_of_rest_state_is_load_norm(small_space, boussinesq_model)
     rest = State(
         u=np.zeros(small_space.n_velocity),
         P=np.zeros(small_space.n_pressure),
-        vartheta=np.zeros(small_space.n_scalar),
-        theta_D=prob.theta_D,
+        theta=prob.theta_D,
     )
     r_mom, r_heat = weak_residual(prob, rest)
     load = prob.buoyancy_load(prob.theta_D)
@@ -247,8 +262,46 @@ def test_outer_exhaustion_carries_trace(small_space, boussinesq_model):
     )
     with pytest.raises(DivergenceError) as err:
         outer_loop(prob, outer_tol=1e-16, max_outer=2)
-    assert err.value.trace is not None
-    assert len(err.value.trace.records) == 2
+    assert [r.iteration for r in err.value.records] == [1, 2]
+    assert err.value.increments == []
+
+
+def test_outer_keeps_records_on_inner_divergence(monkeypatch, small_space, boussinesq_model):
+    # an inner failure in step 3 re-raises with steps 1 and 2 and its own increments
+    prob = CoupledProblem(
+        small_space, boussinesq_model, (0, 0, -0.4), span_scalar(1, 1.0, 0.5, 1.0)
+    )
+    solve = fixed_point.inner_momentum_solve
+    calls = []
+
+    def fail_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise DivergenceError("expanding", increments=[1.0, 2.0, 4.0, 8.0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fixed_point, "inner_momentum_solve", fail_third)
+    with pytest.raises(DivergenceError) as err:
+        outer_loop(prob, outer_tol=1e-16, max_outer=5)
+    assert [r.iteration for r in err.value.records] == [1, 2]
+    assert err.value.increments == [1.0, 2.0, 4.0, 8.0]
+
+
+def test_record_quantities_read_from_increments(small_space, boussinesq_model):
+    prob = CoupledProblem(
+        small_space, boussinesq_model, (0, 0, -0.4), span_scalar(1, 1.0, 0.5, 1.0)
+    )
+    _, records = outer_loop(prob, inner_tol=1e-12)
+    for rec in records:
+        # every increment but the last is above the tolerance, so all the
+        # successive quotients are contraction ratios
+        assert rec.increments[-1] <= 1e-12
+        assert all(inc > 1e-12 for inc in rec.increments[:-1])
+        assert rec.inner_iters == len(rec.increments)
+        assert rec.inner_ratios == [b / a for a, b in zip(rec.increments, rec.increments[1:])]
+        assert rec.beta_hat == max(rec.inner_ratios, default=0.0)
+    assert contraction_ratios([2.0]) == []
+    assert contraction_ratios([4.0, 2.0, 1.0]) == [0.5, 0.5]
 
 
 # -- backward flow ------------------------------------------------------------------
@@ -295,18 +348,18 @@ def test_trace_csv_format(tmp_path, small_space, boussinesq_model):
     prob = CoupledProblem(
         small_space, boussinesq_model, (0, 0, -0.4), span_scalar(1, 1.0, 0.5, 1.0)
     )
-    state, trace = outer_loop(prob)
+    _, records = outer_loop(prob)
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
+    write_trace_csv(records, path)
     with open(path) as f:
         rows = list(csv.DictReader(f))
     assert list(rows[0].keys()) == [
         "iter", "inner_iters", "beta_hat", "d_theta_norm",
         "r_momentum", "r_heat", "min_flux", "inflow_fraction",
     ]
-    assert len(rows) == len(trace.records)
+    assert len(rows) == len(records)
     assert float(rows[-1]["d_theta_norm"]) <= 1e-10
-    for rec in trace.records:
+    for rec in records:
         assert rec.d_theta_norm >= 0
         assert all(r >= 0 for r in rec.inner_ratios)
 
@@ -315,7 +368,7 @@ def test_trace_iteration_index_monotone(small_space, boussinesq_model):
     prob = CoupledProblem(
         small_space, boussinesq_model, (0, 0, -0.4), span_scalar(1, 1.0, 0.5, 1.0)
     )
-    _, trace = outer_loop(prob)
-    its = [r.iteration for r in trace.records]
+    _, records = outer_loop(prob)
+    its = [r.iteration for r in records]
     assert its == list(range(1, len(its) + 1))
-    assert all(r.wall_time >= 0 for r in trace.records)
+    assert all(r.wall_time >= 0 for r in records)

@@ -40,8 +40,8 @@ def test_a_symmetry(cube_space, unit_model):
 
 
 def test_a_scales_with_viscosity(cube_space):
-    m1 = make_material(nu=1.0, rho0=1, cV=1, lam=1, alpha1=0, law=constant_density(1))
-    m2 = make_material(nu=2.5, rho0=1, cV=1, lam=1, alpha1=0, law=constant_density(1))
+    m1 = make_material(nu=1.0, cV=1, lam=1, alpha1=0, law=constant_density(1))
+    m2 = make_material(nu=2.5, cV=1, lam=1, alpha1=0, law=constant_density(1))
     A1 = forms.assemble_a(cube_space, m1)
     A2 = forms.assemble_a(cube_space, m2)
     assert abs((A2 - 2.5 * A1)).max() < 1e-14
@@ -145,7 +145,7 @@ def test_kappa_constant_zero(cube_space, unit_model):
 
 
 def test_kappa_linear_energy(cube_space):
-    model = make_material(nu=1, rho0=1, cV=1, lam=2.0, alpha1=0, law=constant_density(1))
+    model = make_material(nu=1, cV=1, lam=2.0, alpha1=0, law=constant_density(1))
     K = forms.assemble_kappa(cube_space, model)
     th = cube_space.q2_nodes[:, 0].copy()
     assert th @ (K @ th) == pytest.approx(2.0, rel=1e-12)
@@ -237,7 +237,7 @@ def test_buoyancy_total_weight(cube_space, unit_model):
 
 def test_buoyancy_clamped_scaling(cube_space):
     model = make_material(
-        nu=1, rho0=2.0, cV=1, lam=1, alpha1=0,
+        nu=1, cV=1, lam=1, alpha1=0,
         law=clamped_boussinesq(2.0, alpha_v=0.5, rho_min=0.6),
     )
     hot = np.full(cube_space.n_scalar, 1e6)
@@ -353,7 +353,7 @@ from thermoduct.certificates import estimate_constants
 from thermoduct.material import clamped_boussinesq, make_material
 
 space = build_spaces(build_channel_mesh(1.0, 1.0, 4.0, 4, 4, 16))
-model = make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=0.1,
+model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.1,
                       law=clamped_boussinesq(1.0, alpha_v=0.1))
 rng = np.random.default_rng(37)
 th = rng.normal(size=space.n_scalar)
@@ -434,7 +434,7 @@ def test_taylor_hood_inf_sup_stable():
 
     from thermoduct.material import constant_density, make_material
 
-    model = make_material(nu=1.0, rho0=1, cV=1, lam=1, alpha1=0, law=constant_density(1))
+    model = make_material(nu=1.0, cV=1, lam=1, alpha1=0, law=constant_density(1))
 
     def inf_sup(divs):
         space = build_spaces(build_channel_mesh(1, 1, 1, *divs), quad_order=3)

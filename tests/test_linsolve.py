@@ -78,7 +78,7 @@ def test_cg_reports_history_on_exhaustion():
 def test_cg_iteration_budget_on_heat_operator():
     # Jacobi-preconditioned CG stays within the default 10*sqrt(n) budget
     space = build_spaces(build_channel_mesh(1, 1, 2, 3, 3, 6))
-    model = make_material(nu=1, rho0=1, cV=1, lam=1, alpha1=0, law=constant_density(1))
+    model = make_material(nu=1, cV=1, lam=1, alpha1=0, law=constant_density(1))
     K = forms.assemble_kappa(space, model)
     free = space.free_theta
     Kff = K[free][:, free].tocsr()

@@ -14,7 +14,7 @@ from thermoduct.material import (
 
 
 def model_with(law):
-    return make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=0.0, law=law)
+    return make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.0, law=law)
 
 
 def test_density_at_reference_point():
@@ -64,10 +64,10 @@ def test_vectorized_evaluation():
 
 def test_invalid_constants_rejected():
     with pytest.raises(ValueError):
-        make_material(nu=-1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=0.0,
+        make_material(nu=-1.0, cV=1.0, lam=1.0, alpha1=0.0,
                       law=constant_density(1.0))
     with pytest.raises(ValueError):
-        make_material(nu=1.0, rho0=1.0, cV=1.0, lam=1.0, alpha1=-0.5,
+        make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=-0.5,
                       law=constant_density(1.0))
     with pytest.raises(ValueError, match="rho0"):
         constant_density(0.0)
@@ -75,12 +75,21 @@ def test_invalid_constants_rejected():
         clamped_boussinesq(1.0, alpha_v=0.1, rho_min=0.0)
 
 
+@pytest.mark.parametrize("rho_min", [2.0, np.nan])
+def test_floor_above_reference_density_rejected(rho_min):
+    # rho_min > rho0 would clamp every theta to one value while C_rho stays
+    # rho0 alpha_v
+    with pytest.raises(ValueError, match="rho_min"):
+        clamped_boussinesq(1.0, 0.1, rho_min=rho_min)
+    assert clamped_boussinesq(1.0, 0.1, rho_min=1.0)(5.0) == 1.0
+
+
 def test_constants_follow_a_replaced_law():
     # rho_sharp and C_rho are read from the law, so replacing it moves both
     m = model_with(clamped_boussinesq(1.0, alpha_v=0.1))
     assert (m.rho_sharp, m.C_rho) == (1.0, 0.1)
     m2 = dataclasses.replace(m, rho_law=clamped_boussinesq(2.0, 0.5))
-    assert (m2.rho_sharp, m2.C_rho) == (2.0, 1.0)
+    assert (m2.rho0, m2.rho_sharp, m2.C_rho) == (2.0, 2.0, 1.0)
 
 
 def test_constant_density_is_the_formula_at_zero_slope():
