@@ -412,7 +412,7 @@ def estimate_constants(space, model, samples=200, seed=0, s=2.0, r=2.0):
     if samples < 100:
         raise ValueError("need at least 100 samples for a stable estimate")
     rng = np.random.default_rng(seed)
-    heat = WallCG(forms.assemble_kappa(space, model), space.dirichlet_mask_theta, 1e-12)
+    heat = WallCG(forms.assemble_kappa(space, model), space, 1e-12)
     ws = _Workspace(space)
 
     best = np.zeros(5)  # every ratio is >= 0

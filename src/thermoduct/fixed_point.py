@@ -2,13 +2,17 @@
 
 The momentum equation is solved for a frozen temperature by successive
 substitution (the convective term is re-evaluated at the previous
-velocity iterate, the viscous saddle factorization is reused), which is a
-Banach contraction for small data.  The linearized heat equation is then
-solved with frozen convection and dissipation loads, and the outer loop
-composes the two maps until the homogeneous temperature part stops
-moving.  Stopping norms for both loops are discrete H1 norms of the
-increments; each outer step keeps its inner increments in one plain
-``OuterRecord``, from which its contraction ratios are read.
+velocity iterate, the viscous saddle solver is reused), which is a Banach
+contraction for small data.  Each step solves for the correction to the
+current iterate, whose right-hand side is the iterate's residual, so the
+saddle solver's relative tolerance scales with the increment; the outer
+loop carries the velocity and the pressure from step to step.  The
+linearized heat equation is then solved with frozen convection and
+dissipation loads, and the outer loop composes the two maps until the
+homogeneous temperature part stops moving.  Stopping norms for both
+loops are discrete H1 norms of the increments; each outer step keeps its
+inner increments in one plain ``OuterRecord``, from which its contraction
+ratios are read.
 """
 
 import functools
@@ -118,7 +122,7 @@ class CoupledProblem:
         self.A = forms.assemble_a(space, model)
         self.D = forms.divergence_matrix(space)
         self.kappa = forms.assemble_kappa(space, model)
-        self.heat = WallCG(self.kappa, space.dirichlet_mask_theta, 1e-13)
+        self.heat = WallCG(self.kappa, space, 1e-13)
 
         self.theta_D = _finite("theta_D", forms.interpolate_scalar(space, theta_D))
         self.lifting_load = self.kappa @ self.theta_D
@@ -138,10 +142,9 @@ class CoupledProblem:
 
     @functools.cached_property
     def saddle(self):
-        """The wall-eliminated saddle factorization, built on first use."""
+        """The wall-eliminated saddle solver, built on first use."""
         K = forms.assemble_saddle(self.A, self.D)
-        space = self.space
-        return SaddleFactorization(K, space.dirichlet_mask_u, space.saddle_order)
+        return SaddleFactorization(K, self.space, self.model.nu)
 
     def buoyancy_load(self, theta):
         return forms.assemble_buoyancy(self.space, self.model, theta, self.g)
@@ -154,10 +157,13 @@ def _finite(name, values):
     return values
 
 
-def inner_momentum_solve(problem, theta, u_init=None, tol=1e-12, max_iter=50):
+def inner_momentum_solve(problem, theta, u_init=None, P_init=None, tol=1e-12,
+                         max_iter=50):
     """Contraction iteration for momentum at the frozen temperature ``theta``.
 
-    Returns (u, P, increments), the H1 norms of the successive updates.
+    Each step solves ``K [du; dP] = [load - conv(u); 0] - K [u; P]`` for the
+    update of the iterate (from ``u_init``, ``P_init``, zero when omitted).
+    Returns (u, P, increments), the H1 norms of the successive updates du.
     Every increment but the last is above ``tol``, so their
     ``contraction_ratios`` are the empirical contraction ratios; three
     consecutive ratios >= 1 raise DivergenceError (violated smallness).
@@ -165,12 +171,15 @@ def inner_momentum_solve(problem, theta, u_init=None, tol=1e-12, max_iter=50):
     space, model = problem.space, problem.model
     load = problem.buoyancy_load(theta) + problem.f_extra_load
     u = np.zeros(space.n_velocity) if u_init is None else np.array(u_init, dtype=float)
+    P = np.zeros(space.n_pressure) if P_init is None else np.array(P_init, dtype=float)
     increments = []
     for _ in range(max_iter):
         conv = forms.convection_load(space, model, u, u)
-        w, P = problem.saddle.solve(load - conv)
-        increments.append(forms.discrete_norms(space, w - u, "H1"))
-        u = w
+        du, dP = problem.saddle.solve(
+            load - conv - problem.A @ u + problem.D.T @ P, problem.D @ u
+        )
+        increments.append(forms.discrete_norms(space, du, "H1"))
+        u, P = u + du, P + dP
         if increments[-1] <= tol:
             return u, P, increments
         last = contraction_ratios(increments[-4:])
@@ -216,13 +225,13 @@ def outer_loop(problem, outer_tol=1e-10, max_outer=30, inner_tol=1e-12,
     space = problem.space
     vartheta = np.zeros(space.n_scalar)
     theta = problem.theta_D + vartheta
-    u = np.zeros(space.n_velocity)
+    u, P = np.zeros(space.n_velocity), np.zeros(space.n_pressure)
     records = []
     for n in range(1, max_outer + 1):
         t0 = time.perf_counter()
         try:
             u, P, increments = inner_momentum_solve(
-                problem, theta, u_init=u, tol=inner_tol, max_iter=max_inner
+                problem, theta, u_init=u, P_init=P, tol=inner_tol, max_iter=max_inner
             )
         except DivergenceError as exc:
             exc.records = records

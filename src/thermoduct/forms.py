@@ -5,7 +5,10 @@ stiffness kappa(t,p) = lambda (grad t, grad p), the frozen-transport
 convection operator b(u0, ., .) and the Taylor-Hood saddle block system
 [[A, -D^T], [-D, 0]] with D the discrete divergence (q, div u).  The
 do-nothing outflow condition is natural for this weak form, so no
-boundary terms are added on the open ends.
+boundary terms are added on the open ends.  On the box grid the
+stiffness, the divergence and the pressure mass are also Kronecker
+products of 1-D matrices (``axis_matrices``), from which ``linsolve``
+builds its solvers; the assembled operators give the residuals.
 
 Loads: convective, dissipative and buoyancy terms are assembled as
 explicit load vectors with every argument frozen, mirroring the
@@ -26,9 +29,12 @@ count; ``bincount`` adds the contributions in a fixed order, so repeated
 assemblies are bit-identical.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 
+from .spaces import _dq2_1d, _q1_1d, _q2_1d, gauss_01
 from .spectrum import admissible_sr
 
 __all__ = [
@@ -37,6 +43,8 @@ __all__ = [
     "assemble_mass",
     "assemble_saddle",
     "assemble_b",
+    "AxisMatrices",
+    "axis_matrices",
     "convection_load",
     "assemble_d_load",
     "assemble_e_load",
@@ -211,6 +219,50 @@ def assemble_saddle(A, D):
     pressure is not pinned.
     """
     return sp.bmat([[A, -D.T], [-D, None]], format="csr")
+
+
+class AxisMatrices(NamedTuple):
+    """The 1-D matrices of one axis, on its grid nodes in order (dense)."""
+
+    K: np.ndarray    # Q2 stiffness (phi_i', phi_j')
+    M: np.ndarray    # Q2 mass (phi_i, phi_j)
+    Mp: np.ndarray   # Q1 mass (psi_p, psi_q)
+    B: np.ndarray    # Q1 x Q2 values (psi_p, phi_j)
+    dB: np.ndarray   # Q1 x Q2 derivatives (psi_p, phi_j')
+
+
+def axis_matrices(space):
+    """The (x, y, z) ``AxisMatrices`` whose Kronecker products are the operators.
+
+    Every cell is a box and the quadrature a tensor Gauss rule, so each
+    3-D integral is the product of 1-D integrals on the three axes.  With
+    the grid numbered x fastest, ``kron(a_z, kron(a_y, a_x))`` of the
+    factors below gives:
+
+    - ``_scalar_stiffness``: the sum over axes d of K on axis d and M on
+      the other two;
+    - component d of ``divergence_matrix``: dB on axis d and B on the other
+      two;
+    - the Q1 pressure mass: Mp on every axis.
+    """
+    g, w = gauss_01(space.quad_order)
+    q2, dq2, q1 = _q2_1d(g), _dq2_1d(g), _q1_1d(g)
+
+    def gram(rows, left, cols, right, scale):
+        """Sum over cells of the 1-D element matrices scale * (left, right)."""
+        mat = np.zeros((rows[-1, -1] + 1, cols[-1, -1] + 1))
+        np.add.at(mat, (rows[:, :, None], cols[:, None, :]), scale * (left * w) @ right.T)
+        return mat
+
+    out = []
+    for n, h in zip(space.mesh.divisions, space.h):
+        c2 = 2 * np.arange(n)[:, None] + np.arange(3)   # Q2 nodes of each cell
+        c1 = np.arange(n)[:, None] + np.arange(2)       # Q1 nodes of each cell
+        out.append(AxisMatrices(
+            K=gram(c2, dq2, c2, dq2, 1.0 / h), M=gram(c2, q2, c2, q2, h),
+            Mp=gram(c1, q1, c1, q1, h), B=gram(c1, q1, c2, q2, h), dB=gram(c1, q1, c2, dq2, 1.0),
+        ))
+    return tuple(out)
 
 
 def assemble_b(space, model, u0):

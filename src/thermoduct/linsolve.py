@@ -1,24 +1,43 @@
-"""Sparse linear algebra: direct saddle-point solves and preconditioned CG.
+"""Tensor-product linear solves on the box channel.
 
-One solver per system type, each built once from the unconstrained
-operator and its wall (Dirichlet) dofs and reused across loads; ``solve``
-returns full-length fields whose wall rows are exactly zero.
+Every cell is a box, so the scalar stiffness is the Kronecker sum
+``Kz⊗My⊗Mx + Mz⊗Ky⊗Mx + Mz⊗My⊗Kx`` of 1-D matrices
+(``forms.axis_matrices``), and its free block, on the tensor product of
+the free nodes of each axis (every x node, the interior y and z nodes), is
+one too.  Its inverse is exact through three 1-D generalized
+eigenproblems ``K v = λ M v`` (fast diagonalization: Lynch, Rice & Thomas,
+Numer. Math. 6, 1964; Deville, Fischer & Mund, 2002, §4.3): with
+``V = Vz⊗Vy⊗Vx``, ``S_ff⁻¹ = V diag(1 / (λz + λy + λx)) Vᵀ``, applied as
+three batched matrix products each way.
 
-- ``SaddleFactorization``: the Taylor-Hood saddle system, through a sparse
-  LU factorization of its free block (SuperLU in a caller-given
-  fill-reducing order, such as the grid's nested dissection, with no row
-  interchanges) and one step of iterative refinement.
-- ``WallCG``: a symmetric positive definite system, through
-  Jacobi-preconditioned conjugate gradients (``solve_spd``) on its free
-  block.
+One solver per system type, each built once from the space and the
+operator's scale and reused across loads; ``solve`` returns full-length
+fields whose wall rows are exactly zero.  Each solve's residual is
+measured against the assembled operator the solver was handed.
 
-All paths are deterministic: identical inputs give bit-identical outputs.
+- ``SaddleFactorization``: the Taylor-Hood saddle system
+  ``[[A, -Dᵀ], [-D, 0]]``, through conjugate gradients on the pressure
+  Schur complement ``D A⁻¹ Dᵀ``, preconditioned by the Q1 pressure mass.
+  Each divergence block ``D_d`` is a Kronecker product of 1-D matrices,
+  so ``D_d V`` is one of small dense matrices and the Schur complement is
+  applied without an assembled matrix.  A solution whose residual on the
+  assembled system exceeds ``_RESIDUAL_TOL`` relative raises
+  SingularMatrixError.
+- ``WallCG``: the heat stiffness ``λ S``, through conjugate gradients
+  preconditioned by the exact tensor inverse (one iteration).
+
+Both run the one preconditioned CG, ``solve_spd``.  All paths are
+deterministic: identical inputs give bit-identical outputs.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-_RESIDUAL_TOL = 1e-10  # relative residual a refined saddle solve must reach
+from . import forms
+
+_RESIDUAL_TOL = 1e-10  # relative residual a saddle solve must reach on the assembled K
+_SCHUR_TOL = 1e-13     # relative residual of the pressure Schur CG
 
 __all__ = [
     "LinearSolveError",
@@ -36,7 +55,7 @@ class LinearSolveError(RuntimeError):
 
 
 class SingularMatrixError(LinearSolveError):
-    pass
+    """The operator, not the load or the iteration budget, is at fault."""
 
 
 def _check_finite(rhs):
@@ -47,15 +66,17 @@ def _check_finite(rhs):
         )
 
 
-def solve_spd(A, rhs, tol=1e-13, max_iter=None):
-    """Jacobi-preconditioned CG for symmetric positive definite systems.
+def solve_spd(apply, rhs, precond, tol=1e-13, max_iter=None):
+    """Preconditioned CG for symmetric positive definite systems.
 
+    ``apply`` is a function applying the operator A, ``precond`` a function
+    applying a symmetric positive definite approximation of its inverse.
     Stops at ||A x - rhs|| <= tol * ||rhs||.  Raises LinearSolveError on a
     non-finite right-hand side before iterating, and with the residual
-    history on stagnation, iteration exhaustion, or when a direction of
-    nonpositive curvature reveals an indefinite matrix.
+    history on iteration exhaustion; a direction of nonpositive curvature
+    reveals a matrix that is not positive definite and raises
+    SingularMatrixError.
     """
-    A = A.tocsr()
     rhs = np.asarray(rhs, dtype=float)
     _check_finite(rhs)
     n = rhs.size
@@ -64,22 +85,17 @@ def solve_spd(A, rhs, tol=1e-13, max_iter=None):
         return np.zeros(n)
     if max_iter is None:
         max_iter = max(200, int(np.ceil(10.0 * np.sqrt(n))))
-    d = A.diagonal()
-    if np.any(d <= 0):
-        raise SingularMatrixError(
-            f"nonpositive diagonal entry at row {int(np.argmin(d))}; matrix is not SPD"
-        )
     x = np.zeros(n)
     r = rhs.copy()
-    z = r / d
+    z = precond(r)
     p = z.copy()
     rz = r @ z
     history = [nb]
     for _ in range(max_iter):
-        Ap = A @ p
+        Ap = apply(p)
         pAp = p @ Ap
         if pAp <= 0:
-            raise LinearSolveError(
+            raise SingularMatrixError(
                 "nonpositive curvature encountered; matrix is not positive definite",
                 residual_history=history,
             )
@@ -90,7 +106,7 @@ def solve_spd(A, rhs, tol=1e-13, max_iter=None):
         history.append(rn)
         if rn <= tol * nb:
             return x
-        z = r / d
+        z = precond(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -101,92 +117,153 @@ def solve_spd(A, rhs, tol=1e-13, max_iter=None):
     )
 
 
-class WallCG:
-    """Jacobi-CG for an SPD operator with zero values on the wall dofs.
+def _kron3(z, y, x, X):
+    """``(z ⊗ y ⊗ x) X`` for X shaped (..., n_z, n_y, n_x): each 1-D matrix
+    acts on its own axis, the leading axes are a batch."""
+    X = y @ (X @ x.T)
+    lead = X.shape[:-3]
+    return (z @ X.reshape(*lead, X.shape[-3], -1)).reshape(*lead, z.shape[0], *X.shape[-2:])
 
-    The free block of ``A`` is extracted once and reused by every solve.
+
+class _TensorInverse:
+    """``(scale · S_ff)⁻¹`` of the scalar stiffness by fast diagonalization.
+
+    ``V[a]`` holds axis a's eigenvectors of ``K v = λ M v`` on its free
+    nodes, normalized so that ``Vᵀ M V = I``; ``inv_lam`` is
+    ``1 / (scale (λz + λy + λx))`` on the (z, y, x) grid of free nodes.
+    The free x nodes include the open ends, where ``λx`` has its zero
+    (the constants); ``λy`` and ``λz`` are positive.
     """
 
-    def __init__(self, A, fixed, tol):
-        free = np.ones(A.shape[0], dtype=bool)
-        free[np.asarray(fixed, dtype=int)] = False
-        self.free = np.flatnonzero(free)
-        self.A_ff = A.tocsr()[self.free][:, self.free]
+    def __init__(self, axes, free_lines, scale):
+        self.V, lams = [], []
+        for ax, free in zip(axes, free_lines):
+            L = np.linalg.cholesky(ax.M[np.ix_(free, free)])
+            C = np.linalg.solve(L, np.linalg.solve(L, ax.K[np.ix_(free, free)]).T)
+            lam, W = np.linalg.eigh(C)
+            self.V.append(np.linalg.solve(L.T, W))
+            lams.append(lam)
+        lx, ly, lz = lams
+        self.inv_lam = 1.0 / (scale * (lz[:, None, None] + ly[:, None] + lx))
+
+    def to_eigen(self, X):
+        Vx, Vy, Vz = self.V
+        return _kron3(Vz.T, Vy.T, Vx.T, X)
+
+    def from_eigen(self, X):
+        Vx, Vy, Vz = self.V
+        return _kron3(Vz, Vy, Vx, X)
+
+    def apply(self, x):
+        """The inverse applied to free-node values, flat or batched."""
+        X = np.reshape(x, (-1, *self.inv_lam.shape))
+        return self.from_eigen(self.to_eigen(X) * self.inv_lam).reshape(np.shape(x))
+
+
+class WallCG:
+    """CG for the heat stiffness ``kappa = lam · S`` with zero wall values.
+
+    Preconditioned by the exact tensor inverse of ``S_ff``, CG converges in
+    one iteration for any ``lam > 0``: a constant factor on the
+    preconditioner cancels in the CG iterates.  Its residual is measured
+    against the assembled ``kappa``, so a ``kappa`` that is not a multiple
+    of ``S`` on ``space`` takes more iterations, or fails, rather than
+    returning a wrong solution.
+    """
+
+    def __init__(self, kappa, space, tol):
+        self.kappa = kappa.tocsr()
+        self.free = space.free_theta
+        self.inverse = _TensorInverse(forms.axis_matrices(space), space.free_lines, 1.0)
         self.tol = tol
+
+    def _apply(self, y):
+        x = np.zeros(self.kappa.shape[0])
+        x[self.free] = y
+        return (self.kappa @ x)[self.free]
 
     def solve(self, load):
         """Full-length solution of the free rows of ``load``; wall rows are 0."""
         x = np.zeros(np.size(load))
-        x[self.free] = solve_spd(self.A_ff, np.asarray(load)[self.free], tol=self.tol)
+        x[self.free] = solve_spd(
+            self._apply, np.asarray(load)[self.free], self.inverse.apply, tol=self.tol
+        )
         return x
 
 
 class SaddleFactorization:
-    """Sparse LU of the free block of a saddle system, in a given order.
+    """Pressure-Schur solve of the saddle system ``K = [[A, -Dᵀ], [-D, 0]]``.
 
-    ``K`` is the unconstrained operator, ``fixed`` its wall dofs (their
-    solution values are exactly zero) and ``order`` a fill-reducing
-    permutation of all its dofs, such as ``DiscreteSpace.saddle_order``.
-    The free dofs are factored in that order with no row interchanges, so
-    a zero pressure diagonal must follow a coupled velocity dof; each solve
-    takes one step of iterative refinement, as static pivoting does.  The
-    LU is reused across loads.
+    ``K`` is the unconstrained operator assembled on ``space``
+    (``forms.assemble_saddle``) with ``A`` the viscous block of viscosity
+    ``nu``; the wall velocity dofs (``space.dirichlet_mask_u``) are fixed at
+    zero and the do-nothing ends fix the pressure level.  The solver is
+    built from the 1-D factors of ``space`` and ``nu`` alone: ``K`` is kept
+    only to check each solution's residual.
+
+    With ``A⁻¹`` exact, the Schur complement ``S = Σ_d D_d A⁻¹ D_dᵀ`` is
+    solved by CG preconditioned with the Q1 pressure mass ``Mp``, whose
+    SuperLU factor is ``lu``; ``max_iter`` caps that CG.
     """
 
-    def __init__(self, K, fixed, order):
-        self.n_dofs = K.shape[0]
-        free = np.ones(self.n_dofs, dtype=bool)
-        free[np.asarray(fixed, dtype=int)] = False
-        self.dofs = order[free[order]]
-        self.K = K.tocsr()[self.dofs][:, self.dofs].tocsc()
-        try:
-            self.lu = splu(
-                self.K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            )
-        except RuntimeError as exc:
-            raise SingularMatrixError(f"factorization failed: {exc}") from exc
-
-    def solve(self, load):
-        """Solve with ``load`` on the leading rows and zeros below them.
-
-        Returns ``(x[:n], x[n:])`` with ``n = load.size``: a velocity load
-        gives the velocity and the pressure.
-        """
-        load = np.asarray(load, dtype=float)
-        _check_finite(load)
-        n = load.size
-        rhs = np.zeros(self.n_dofs)
-        rhs[:n] = load
-        b = rhs[self.dofs]
-        nb = np.linalg.norm(b)
-        x = np.zeros(self.n_dofs)
-        if nb == 0.0:
-            return x[:n], x[n:]
-        y = self.lu.solve(b)
-        y += self.lu.solve(b - self.K @ y)
-        res = np.linalg.norm(b - self.K @ y)
-        if not np.isfinite(res) or res > _RESIDUAL_TOL * nb:
-            self._raise_singular(res / nb)
-        x[self.dofs] = y
-        return x[:n], x[n:]
-
-    def _raise_singular(self, rel_res):
-        # factorization survived but cannot reproduce the load: in practice a
-        # (numerically) singular system, e.g. an unfixed pressure level.  The
-        # natural column order keeps factor row i at dof ``dofs[i]``.  Every
-        # pressure dof is free and has a zero diagonal, so the zero
-        # diagonals of the free block count them.
-        pivots = np.abs(self.lu.U.diagonal())
-        row = int(np.argmin(pivots))
-        dof = int(self.dofs[row])
-        n_velocity = self.n_dofs - int(np.count_nonzero(self.K.diagonal() == 0.0))
-        if dof >= n_velocity:
-            where = f"pressure dof {dof - n_velocity}"
-        else:
-            where = f"velocity dof {dof} (component {dof // (n_velocity // 3)})"
-        raise SingularMatrixError(
-            f"saddle solve failed (relative residual {rel_res:.3e}); "
-            f"smallest pivot {pivots[row]:.3e} at {where} "
-            "suggests a singular system (pressure nullspace?)"
+    def __init__(self, K, space, nu, max_iter=None):
+        self.K = K.tocsr()
+        self.space = space
+        self.max_iter = max_iter
+        axes = forms.axis_matrices(space)
+        self.inverse = _TensorInverse(axes, space.free_lines, nu)
+        # D_d V on each axis: the derivative on axis d, the value elsewhere
+        self.C = [
+            [(ax.dB if a == d else ax.B)[:, free] @ V
+             for a, (ax, free, V) in enumerate(zip(axes, space.free_lines, self.inverse.V))]
+            for d in range(3)
+        ]
+        Mx, My, Mz = (ax.Mp for ax in axes)
+        self.lu = splu(sp.kron(sp.kron(Mz, My), Mx, format="csc"))
+        self.p_shape = space.q1_shape[::-1]
+        self.rows = np.concatenate(
+            [space.free_u, space.n_velocity + np.arange(space.n_pressure)]
         )
+
+    def _divergence(self, U):
+        """``Σ_d D_d V U_d`` of eigen-coordinate velocities U (3, z, y, x)."""
+        return sum(_kron3(Cz, Cy, Cx, U[d]) for d, (Cx, Cy, Cz) in enumerate(self.C))
+
+    def _gradient(self, p):
+        """``(V_dᵀ D_dᵀ p)_d`` of a pressure dof vector p."""
+        p = p.reshape(self.p_shape)
+        return np.stack([_kron3(Cz.T, Cy.T, Cx.T, p) for Cx, Cy, Cz in self.C])
+
+    def _schur(self, p):
+        return self._divergence(self.inverse.inv_lam * self._gradient(p)).ravel()
+
+    def solve(self, load, pressure_load=None):
+        """Solve ``K [u; P] = [load; pressure_load]`` on the free rows.
+
+        ``load`` is a velocity load and ``pressure_load`` (zeros when
+        omitted) the right-hand side of the mass rows; returns ``(u, P)``.
+        """
+        space = self.space
+        rhs = np.zeros(self.K.shape[0])
+        rhs[:space.n_velocity] = load
+        if pressure_load is not None:
+            rhs[space.n_velocity:] = pressure_load
+        _check_finite(rhs)
+        u, P = np.zeros(space.n_velocity), np.zeros(space.n_pressure)
+        if not rhs[self.rows].any():
+            return u, P
+        # u = A⁻¹ (f + Dᵀ P), with P from the Schur system S P = -g - D A⁻¹ f
+        inverse = self.inverse
+        Af = inverse.inv_lam * inverse.to_eigen(
+            rhs[space.free_u].reshape(3, *inverse.inv_lam.shape))
+        b = -rhs[space.n_velocity:] - self._divergence(Af).ravel()
+        P = solve_spd(self._schur, b, self.lu.solve, tol=_SCHUR_TOL, max_iter=self.max_iter)
+        u[space.free_u] = inverse.from_eigen(Af + inverse.inv_lam * self._gradient(P)).ravel()
+        nb = np.linalg.norm(rhs[self.rows])
+        res = np.linalg.norm((self.K @ np.concatenate([u, P]) - rhs)[self.rows])
+        if not np.isfinite(res) or res > _RESIDUAL_TOL * nb:
+            raise SingularMatrixError(
+                f"saddle solve failed on the assembled operator (relative residual "
+                f"{res / nb:.3e}); was K assembled on this space with this nu?"
+            )
+        return u, P

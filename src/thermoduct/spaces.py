@@ -77,7 +77,8 @@ class DiscreteSpace:
       fastest; ``vertex_to_q2``: the Q2 node of each mesh vertex,
     - ``dirichlet_mask_theta``/``dirichlet_mask_u``: dofs on the closure
       of the lateral walls (junction edges included), and their
-      complements ``free_theta``/``free_u``, all ascending,
+      complements ``free_theta``/``free_u``, all ascending; ``free_lines``:
+      the free Q2 grid indices of each axis, whose lattice is ``free_theta``,
     - reference basis tables ``N2``, ``dN2``, ``d2N2``, ``N1`` at the
       ``nq`` volume quadrature points of a cell, point index z fastest,
       with weights ``wq``,
@@ -133,10 +134,15 @@ class DiscreteSpace:
         self.q2_nodes = grid_points(self.h / 2.0, self.q2_shape)
 
     def _build_masks(self):
-        _, sy, sz = self.q2_shape
-        _, j, k = np.unravel_index(np.arange(self.n_scalar), self.q2_shape, order="F")
-        on_wall = (j == 0) | (j == sy - 1) | (k == 0) | (k == sz - 1)
-        self.dirichlet_mask_theta, self.free_theta = np.nonzero(on_wall)[0], np.nonzero(~on_wall)[0]
+        """The free nodes are a lattice: every x node (the open ends) and
+        the interior y and z nodes; the wall is their complement."""
+        sx, sy, sz = self.q2_shape
+        self.free_lines = (np.arange(sx), np.arange(1, sy - 1), np.arange(1, sz - 1))
+        strides = np.cumprod((1,) + self.q2_shape[:2])
+        free = lattice(*[(f * s)[None] for f, s in zip(self.free_lines, strides)]).ravel()
+        on_wall = np.ones(self.n_scalar, dtype=bool)
+        on_wall[free] = False
+        self.dirichlet_mask_theta, self.free_theta = np.flatnonzero(on_wall), free
         self.dirichlet_mask_u, self.free_u = (
             np.concatenate([m * self.n_scalar + dofs for m in range(3)])
             for dofs in (self.dirichlet_mask_theta, self.free_theta)
@@ -181,40 +187,6 @@ class DiscreteSpace:
             face.update(weights=face_weights, basis=face_basis)
 
     # -- queries -----------------------------------------------------------
-
-    @functools.cached_property
-    def saddle_order(self):
-        """Nested-dissection order of the ``n_velocity + n_pressure`` saddle dofs.
-
-        Each dof sits at a Q2 grid point: a velocity dof at its node, a
-        pressure dof at its vertex.  A box of cells is split at the cell
-        face (an even grid plane) nearest the middle of its longest side;
-        the two halves come first and the plane last, so the plane is a
-        separator.  A box one cell wide is a leaf.  Within a leaf or a plane
-        velocity comes before pressure: the zero diagonal of a pressure row
-        gets a pivot only once a coupled velocity dof is eliminated.
-        """
-        nodes = np.concatenate([np.tile(np.arange(self.n_scalar), 3), self.vertex_to_q2])
-        grid = np.stack(np.unravel_index(nodes, self.q2_shape, order="F"), axis=1)
-
-        def dissect(dofs, lo, hi):
-            # dofs stay ascending, and velocity dofs number below pressure dofs
-            widths = hi - lo
-            axis = int(np.argmax(widths))
-            if widths[axis] <= 1:
-                return [dofs]
-            mid = lo[axis] + widths[axis] // 2
-            g = grid[dofs, axis]
-            left_hi, right_lo = hi.copy(), lo.copy()
-            left_hi[axis] = right_lo[axis] = mid
-            return (
-                dissect(dofs[g < 2 * mid], lo, left_hi)
-                + dissect(dofs[g > 2 * mid], right_lo, hi)
-                + [dofs[g == 2 * mid]]
-            )
-
-        cells = np.asarray(self.mesh.divisions)
-        return np.concatenate(dissect(np.arange(nodes.size), np.zeros(3, int), cells))
 
     def split_velocity(self, u):
         """View a velocity dof vector as (n_scalar, 3) nodal values."""

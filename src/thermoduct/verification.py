@@ -430,6 +430,8 @@ def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0,
                      quad_order=5):
     """Convergence of the mixed Stokes solve against a manufactured case.
 
+    Each level makes one ``SaddleFactorization`` solve of the forcing's
+    load, its residual checked against the assembled saddle system.
     ``case_factory(dims, nu)`` builds the case; per level the H1/L2
     velocity errors and the L2 pressure error are recorded with observed
     orders from successive log2 ratios.
@@ -442,10 +444,8 @@ def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0,
     def level_errors(space):
         K = forms.assemble_saddle(forms.assemble_a(space, model), forms.divergence_matrix(space))
         load = forms.field_load_vector(space, forcing)
-        # a temporary: one level's factor is freed before the next is built
-        u, P = SaddleFactorization(
-            K, space.dirichlet_mask_u, space.saddle_order
-        ).solve(load)
+        # a temporary: one level's solver is freed before the next is built
+        u, P = SaddleFactorization(K, space, nu).solve(load)
         u_l2, u_h1 = _error_norms(space, u, case.u)
         dp = forms.eval_pressure(space, P) - forms.quad_values(space, case.p)
         p_l2 = float(np.sqrt(np.einsum("q,cq->", space.wq, dp ** 2)))
@@ -456,7 +456,7 @@ def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0,
 
 def mms_heat_study(case_factory, dims, base_divisions, n_levels=3, lam=1.0,
                    quad_order=5):
-    """Convergence of the mixed Poisson heat solve against a manufactured case."""
+    """Convergence of the heat solve (``WallCG``) against a manufactured case."""
     case = case_factory(dims, 1.0)
     validate_case(case, dims)
     model = _unit_model(1.0, lam=lam)
@@ -466,7 +466,7 @@ def mms_heat_study(case_factory, dims, base_divisions, n_levels=3, lam=1.0,
         kappa = forms.assemble_kappa(space, model)
         theta_D = forms.interpolate_scalar(space, case.theta)
         rhs = forms.field_load_scalar(space, forcing) - kappa @ theta_D
-        theta = theta_D + WallCG(kappa, space.dirichlet_mask_theta, 1e-13).solve(rhs)
+        theta = theta_D + WallCG(kappa, space, 1e-13).solve(rhs)
         l2, h1 = _error_norms(space, theta, case.theta)
         return {"theta_L2": l2, "theta_H1": h1}
 

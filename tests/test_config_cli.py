@@ -114,6 +114,7 @@ def test_unknown_field_names_rejected():
     "text",
     [MINIMAL, FULL, MINIMAL + "\n[mms]\nstudy = coupled\n", MINIMAL + "law = constant\n",
      MINIMAL + "\n[body_force]\nfield = zero\n"],
+    ids=["minimal", "full", "coupled_mms", "constant_law", "zero_body_force"],
 )
 def test_round_trip_fixpoint(text):
     canonical = emit_config(parse_config(text))

@@ -70,7 +70,7 @@ def test_saddle_zero_load_zero_solution(cube_space, unit_model):
     K = forms.assemble_saddle(
         forms.assemble_a(cube_space, unit_model), forms.divergence_matrix(cube_space)
     )
-    fac = SaddleFactorization(K, cube_space.dirichlet_mask_u, cube_space.saddle_order)
+    fac = SaddleFactorization(K, cube_space, unit_model.nu)
     u, P = fac.solve(np.zeros(cube_space.n_velocity))
     assert np.all(u == 0.0) and np.all(P == 0.0)
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from thermoduct import build_channel_mesh, build_spaces, forms
 from thermoduct.linsolve import (
@@ -9,6 +8,7 @@ from thermoduct.linsolve import (
     SaddleFactorization,
     SingularMatrixError,
     WallCG,
+    _TensorInverse,
     solve_spd,
 )
 from thermoduct.material import constant_density, make_material
@@ -29,41 +29,46 @@ def _saddle(space, model):
     return forms.assemble_saddle(forms.assemble_a(space, model), forms.divergence_matrix(space))
 
 
-def _factor(K, space, fixed=None):
-    fixed = space.dirichlet_mask_u if fixed is None else fixed
-    return SaddleFactorization(K, fixed, space.saddle_order)
+def _factor(K, space, nu=1.0, max_iter=None):
+    return SaddleFactorization(K, space, nu, max_iter=max_iter)
+
+
+def _jacobi(A):
+    """The diagonal (Jacobi) preconditioner of A."""
+    d = A.diagonal()
+    return lambda r: r / d
 
 
 def test_cg_identity():
     A = sp.identity(5, format="csr")
     r = np.arange(1.0, 6.0)
-    assert np.allclose(solve_spd(A, r), r, atol=1e-14)
+    assert np.allclose(solve_spd(A.__matmul__, r, precond=_jacobi(A)), r, atol=1e-14)
 
 
 def test_cg_tridiagonal_hand_solution():
     # tridiag(-1, 2, -1), rhs (1,1,1): elimination gives (1.5, 2, 1.5)
     A = sp.diags([[-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0]], offsets=[-1, 0, 1], format="csr")
-    x = solve_spd(A, np.ones(3))
+    x = solve_spd(A.__matmul__, np.ones(3), precond=_jacobi(A))
     assert np.allclose(x, [1.5, 2.0, 1.5], atol=1e-12)
 
 
 def test_cg_zero_rhs():
     A = sp.identity(4, format="csr")
-    assert np.all(solve_spd(A, np.zeros(4)) == 0.0)
+    assert np.all(solve_spd(A.__matmul__, np.zeros(4), precond=_jacobi(A)) == 0.0)
 
 
 def test_cg_rejects_indefinite_matrix():
     # positive diagonal but indefinite: curvature check must trip
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(LinearSolveError) as err:
-        solve_spd(A, np.array([1.0, -1.0]))
+        solve_spd(A.__matmul__, np.array([1.0, -1.0]), precond=_jacobi(A))
     assert err.value.residual_history
 
 
 def test_cg_rejects_negative_diagonal():
     A = sp.csr_matrix(np.diag([1.0, -1.0]))
     with pytest.raises(SingularMatrixError):
-        solve_spd(A, np.ones(2))
+        solve_spd(A.__matmul__, np.ones(2), precond=_jacobi(A))
 
 
 def test_cg_reports_history_on_exhaustion():
@@ -71,7 +76,7 @@ def test_cg_reports_history_on_exhaustion():
     M = rng.normal(size=(30, 30))
     A = sp.csr_matrix(M @ M.T + 30 * np.eye(30))
     with pytest.raises(LinearSolveError) as err:
-        solve_spd(A, rng.normal(size=30), tol=1e-13, max_iter=2)
+        solve_spd(A.__matmul__, rng.normal(size=30), precond=_jacobi(A), tol=1e-13, max_iter=2)
     assert len(err.value.residual_history) == 3
 
 
@@ -83,7 +88,7 @@ def test_cg_iteration_budget_on_heat_operator():
     free = space.free_theta
     Kff = K[free][:, free].tocsr()
     rhs = np.random.default_rng(1).normal(size=Kff.shape[0])
-    x = solve_spd(Kff, rhs, tol=1e-12)
+    x = solve_spd(Kff.__matmul__, rhs, precond=_jacobi(Kff), tol=1e-12)
     assert np.linalg.norm(Kff @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
@@ -91,7 +96,7 @@ def test_wall_cg_matches_dense_oracle(cube_space, unit_model):
     K = forms.assemble_kappa(cube_space, unit_model)
     fixed = cube_space.dirichlet_mask_theta
     load = np.random.default_rng(2).normal(size=cube_space.n_scalar)
-    x = WallCG(K, fixed, 1e-13).solve(load)
+    x = WallCG(K, cube_space, 1e-13).solve(load)
     assert np.all(x[fixed] == 0.0)
     x_ref = np.linalg.solve(*_eliminated(K, fixed, load))
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
@@ -104,7 +109,7 @@ def test_wall_cg_rejects_non_finite_load_before_iterating(cube_space, unit_model
     load = np.ones(cube_space.n_scalar)
     load[cube_space.free_theta[3]] = bad
     with pytest.raises(LinearSolveError, match="non-finite") as err:
-        WallCG(K, fixed, 1e-13).solve(load)
+        WallCG(K, cube_space, 1e-13).solve(load)
     assert err.value.residual_history == []
 
 
@@ -117,7 +122,7 @@ def test_saddle_zero_rhs(cube_space, unit_model):
 
 @pytest.fixture(scope="module")
 def uneven_space():
-    """Odd, unequal divisions of non-cubic cells: uneven dissection splits."""
+    """Odd, unequal divisions of non-cubic cells."""
     return build_spaces(build_channel_mesh(1.0, 0.7, 2.3, 3, 2, 5))
 
 
@@ -145,72 +150,60 @@ def test_saddle_matches_dense_oracle_on_manufactured_load(space_name, unit_model
     assert np.linalg.norm(P + x_ref[n:]) <= 1e-8 * np.linalg.norm(x_ref[n:])
 
 
-def test_pressure_nullspace_detected_without_open_ends(cube_space, unit_model):
-    # constraining every boundary velocity dof removes the do-nothing ends,
-    # leaving the constant-pressure nullspace: the solve must fail loudly
-    space = cube_space
-    K = _saddle(space, unit_model)
-    nodes = space.q2_nodes
-    Lx = space.mesh.dims[0]
-    on_any = (
-        (nodes[:, 0] == 0) | (nodes[:, 0] == Lx)
-        | (nodes[:, 1] == 0) | (nodes[:, 1] == space.mesh.dims[1])
-        | (nodes[:, 2] == 0) | (nodes[:, 2] == space.mesh.dims[2])
-    )
-    all_dirichlet = np.concatenate(
-        [m * space.n_scalar + np.nonzero(on_any)[0] for m in range(3)]
-    )
-    # the load fills the mass rows too: with a velocity-only load the
-    # all-wall system is consistent and hides the nullspace
-    with pytest.raises(SingularMatrixError) as err:
-        _factor(K, space, all_dirichlet).solve(np.ones(K.shape[0]))
-    assert "pivot" in str(err.value)
-    assert "pressure" in str(err.value)
-
-    # with the open ends present no fix is needed
-    x, rest = _factor(K, space).solve(np.ones(K.shape[0]))
-    assert np.isfinite(x).all() and rest.size == 0
-
-
 def test_saddle_factorization_reuse(cube_space, unit_model):
     K = _saddle(cube_space, unit_model)
     fixed = cube_space.dirichlet_mask_u
     fac = _factor(K, cube_space)
     rng = np.random.default_rng(4)
-    for _ in range(3):
+    for pressure_load in (None, rng.normal(size=cube_space.n_pressure)):
         load = rng.normal(size=cube_space.n_velocity)
-        u, P = fac.solve(load)
+        u, P = fac.solve(load, pressure_load)
         assert np.all(u[fixed] == 0.0)
-        Kc, rhs = _eliminated(K, fixed, np.concatenate([load, np.zeros(P.size)]))
+        g = np.zeros(P.size) if pressure_load is None else pressure_load
+        Kc, rhs = _eliminated(K, fixed, np.concatenate([load, g]))
         x = np.concatenate([u, P])
         assert np.linalg.norm(Kc @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
-
-
-def test_saddle_order_is_a_fill_reducing_permutation(unit_model):
-    for divisions in ((1, 1, 1), (3, 2, 5), (2, 2, 8)):
-        space = build_spaces(build_channel_mesh(1, 1, 2, *divisions))
-        order = space.saddle_order
-        assert np.array_equal(np.sort(order), np.arange(space.n_velocity + space.n_pressure))
-
-    # counts, not timings: the factor moves no row or column, and the grid's
-    # nested dissection stores fewer entries than SuperLU's minimum degree
-    space = build_spaces(build_channel_mesh(1, 1, 4, 4, 4, 16))
-    fac = _factor(_saddle(space, unit_model), space)
-    identity = np.arange(fac.dofs.size)
-    assert np.array_equal(fac.lu.perm_r, identity)
-    assert np.array_equal(fac.lu.perm_c, identity)
-    assert fac.lu.nnz < splu(fac.K, permc_spec="MMD_AT_PLUS_A").nnz
 
 
 def test_non_finite_load_is_not_reported_as_singular(cube_space, unit_model):
     K = _saddle(cube_space, unit_model)
     fac = _factor(K, cube_space)
-    rhs = np.zeros(K.shape[0])
-    rhs[7] = np.nan
+    load, pressure_load = np.zeros(cube_space.n_velocity), np.zeros(cube_space.n_pressure)
+    for rhs in (load, pressure_load):
+        rhs[7] = np.nan
+        with pytest.raises(LinearSolveError) as err:
+            fac.solve(load, pressure_load)
+        assert not isinstance(err.value, SingularMatrixError)
+        assert "non-finite right-hand side" in str(err.value)
+        rhs[7] = 0.0
+
+
+def test_saddle_solve_rejects_a_foreign_operator(cube_space, unit_model):
+    # built for nu = 1, handed an operator assembled with nu = 2
+    model = make_material(nu=2.0, cV=1.0, lam=1.0, alpha1=1.0, law=constant_density(1.0))
+    fac = _factor(_saddle(cube_space, model), cube_space, nu=1.0)
+    load = np.random.default_rng(9).normal(size=cube_space.n_velocity)
+    with pytest.raises(SingularMatrixError, match="relative residual"):
+        fac.solve(load)
+
+
+def test_schur_cg_reports_history_on_exhaustion(cube_space, unit_model):
+    fac = _factor(_saddle(cube_space, unit_model), cube_space, max_iter=2)
+    load = np.random.default_rng(10).normal(size=cube_space.n_velocity)
     with pytest.raises(LinearSolveError) as err:
-        fac.solve(rhs)
+        fac.solve(load)
     assert not isinstance(err.value, SingularMatrixError)
-    assert "non-finite right-hand side" in str(err.value)
+    assert len(err.value.residual_history) == 3
+
+
+@pytest.mark.parametrize("divisions", [(2, 2, 8), (4, 4, 16)])
+def test_tensor_inverse_inverts_the_free_stiffness(divisions):
+    space = build_spaces(build_channel_mesh(1.0, 1.0, 4.0, *divisions))
+    free = space.free_theta
+    S_ff = forms._scalar_stiffness(space)[free][:, free].toarray()
+    inverse = _TensorInverse(forms.axis_matrices(space), space.free_lines, 2.5)
+    product = inverse.apply(2.5 * S_ff)   # row by row; S_ff is symmetric
+    assert np.abs(product - np.eye(free.size)).max() <= 1e-13
 
 
 def test_solves_are_bit_identical(cube_space, unit_model):
@@ -222,7 +215,8 @@ def test_solves_are_bit_identical(cube_space, unit_model):
 
     A = sp.diags([2.0] * 50, format="csr") + sp.diags([0.5] * 49, 1) + sp.diags([0.5] * 49, -1)
     b = np.random.default_rng(6).normal(size=50)
-    assert np.array_equal(solve_spd(A.tocsr(), b), solve_spd(A.tocsr(), b))
+    A = A.tocsr()
+    assert np.array_equal(solve_spd(A.__matmul__, b, _jacobi(A)), solve_spd(A.__matmul__, b, _jacobi(A)))
 
 
 def test_assembled_matrices_are_canonical_csr(cube_space, unit_model):
@@ -245,5 +239,5 @@ def test_cg_budget_on_viscous_operator(cube_space, unit_model):
     free = cube_space.free_u
     Aff = A[free][:, free].tocsr()
     rhs = np.random.default_rng(8).normal(size=Aff.shape[0])
-    x = solve_spd(Aff, rhs, tol=1e-12)   # default budget is 10 sqrt(n)
+    x = solve_spd(Aff.__matmul__, rhs, precond=_jacobi(Aff), tol=1e-12)   # default budget is 10 sqrt(n)
     assert np.linalg.norm(Aff @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)

@@ -4,12 +4,16 @@ The mesh and the spaces build every id as a lattice sum per axis
 (``mesh.lattice``) and every reference table as a product of 1-D tables.
 The formulas here are the oracle: they number one node, and evaluate one
 basis function, at a time, and each array must equal them bit for bit.
+The 1-D operator factors (``forms.axis_matrices``) are checked against the
+assembled 3-D operators, which sum in another order, to a relative 1e-14.
 """
 
 import numpy as np
 import pytest
 
-from thermoduct import build_channel_mesh, build_spaces
+import scipy.sparse as sp
+
+from thermoduct import build_channel_mesh, build_spaces, forms
 from thermoduct.mesh import FACE_NAMES, FacetTag
 from thermoduct.spaces import _d2q2_1d, _dq2_1d, _q1_1d, _q2_1d, gauss_01
 
@@ -113,6 +117,11 @@ def test_space_ids_match_node_formulas(space):
     v = np.arange(px * py * pz)
     vi, vj, vk = v % px, (v // px) % py, v // (px * py)
     assert np.array_equal(space.vertex_to_q2, 2 * vi + sx * (2 * vj + sy * 2 * vk))
+    n = np.arange(space.n_scalar)
+    j, k = (n // sx) % sy, n // (sx * sy)
+    interior = (j > 0) & (j < sy - 1) & (k > 0) & (k < 2 * space.mesh.divisions[2])
+    assert np.array_equal(space.free_theta, np.flatnonzero(interior))
+    assert np.array_equal(space.dirichlet_mask_theta, np.flatnonzero(~interior))
     _, ny, nz = space.mesh.divisions
     loc = np.arange(9)
     for name, i in (("x0", 0), ("x1", sx - 1)):
@@ -176,3 +185,22 @@ def test_quad_points_and_lines_match_cell_origins(space):
     for axis, line in enumerate(space.quad_lines):
         assert line.shape == shapes[axis]
         assert np.array_equal(np.broadcast_to(line, grid.shape[:-1]), grid[..., axis])
+
+
+def test_axis_matrices_are_kronecker_factors(space):
+    def kron(z, y, x):
+        return sp.kron(sp.kron(z, y), x, format="csr")
+
+    def rel(a, b):
+        return abs(a - b).max() / abs(b).max()
+
+    X, Y, Z = forms.axis_matrices(space)
+    S = kron(Z.M, Y.M, X.K) + kron(Z.M, Y.K, X.M) + kron(Z.K, Y.M, X.M)
+    assert rel(S, forms._scalar_stiffness(space)) <= 1e-14
+    D = forms.divergence_matrix(space)
+    n = space.n_scalar
+    for d, D_d in enumerate((kron(Z.B, Y.B, X.dB), kron(Z.B, Y.dB, X.B), kron(Z.dB, Y.B, X.B))):
+        assert rel(D_d, D[:, d * n:(d + 1) * n]) <= 1e-14
+    local = np.einsum("q,iq,jq->ij", space.wq, space.N1, space.N1)
+    Mp = forms._scatter_matrix(space.conn_q1, space.conn_q1, local, (space.n_pressure,) * 2)
+    assert rel(kron(Z.Mp, Y.Mp, X.Mp), Mp) <= 1e-14
