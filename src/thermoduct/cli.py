@@ -9,7 +9,10 @@ runs, so reports carry no timing or host information.
 
 Exit codes: 0 success, 2 configuration error, 3 solver divergence,
 4 certificate verdict failure, 5 internal error.  A divergence that
-completed outer steps leaves their records in ``trace.csv``.
+completed outer steps leaves their records in ``trace.csv``.  Running out
+of memory is an internal error whose message names the command, the
+``[geometry]`` divisions and the innermost thermoduct function that was
+running.
 """
 
 import argparse
@@ -176,6 +179,17 @@ def run_mms(config, out):
     return EXIT_OK
 
 
+def _innermost(tb):
+    """``module.qualname`` of the innermost traceback frame inside thermoduct."""
+    where = None
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.split(".")[0] == __package__:
+            where = f"{module}.{tb.tb_frame.f_code.co_qualname}"
+        tb = tb.tb_next
+    return where
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="thermoduct",
@@ -216,6 +230,13 @@ def main(argv=None):
     except LinearSolveError as exc:
         print(f"error: linear solve failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except MemoryError as exc:
+        geo = config["geometry"]
+        detail = f": {exc}" if str(exc) else ""
+        print(f"internal error: MemoryError: out of memory in {args.command} with [geometry] "
+              f"{geo['nx']}x{geo['ny']}x{geo['nz']}, in {_innermost(exc.__traceback__)}{detail}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - map anything else to the internal code
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -17,12 +17,14 @@ measured against the assembled operator the solver was handed.
 
 - ``SaddleFactorization``: the Taylor-Hood saddle system
   ``[[A, -Dᵀ], [-D, 0]]``, through conjugate gradients on the pressure
-  Schur complement ``D A⁻¹ Dᵀ``, preconditioned by the Q1 pressure mass.
-  Each divergence block ``D_d`` is a Kronecker product of 1-D matrices,
-  so ``D_d V`` is one of small dense matrices and the Schur complement is
-  applied without an assembled matrix.  A solution whose residual on the
-  assembled system exceeds ``_RESIDUAL_TOL`` relative raises
-  SingularMatrixError.
+  Schur complement ``D A⁻¹ Dᵀ``, preconditioned by the inverse of the Q1
+  pressure mass ``Mp = Mz⊗My⊗Mx``, which is ``Mz⁻¹⊗My⁻¹⊗Mx⁻¹`` of three
+  small dense inverses; no sparse factorization is made.  Each divergence
+  block ``D_d`` is a Kronecker product of 1-D matrices, so ``D_d V`` is
+  one of small dense matrices, and the Schur complement is applied
+  without an assembled matrix, all three directions at once.  A solution
+  whose residual on the assembled system exceeds ``_RESIDUAL_TOL``
+  relative raises SingularMatrixError.
 - ``WallCG``: the heat stiffness ``λ S``, through conjugate gradients
   preconditioned by the exact tensor inverse (one iteration).
 
@@ -31,8 +33,6 @@ deterministic: identical inputs give bit-identical outputs.
 """
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import forms
 
@@ -119,10 +119,14 @@ def solve_spd(apply, rhs, precond, tol=1e-13, max_iter=None):
 
 def _kron3(z, y, x, X):
     """``(z ⊗ y ⊗ x) X`` for X shaped (..., n_z, n_y, n_x): each 1-D matrix
-    acts on its own axis, the leading axes are a batch."""
-    X = y @ (X @ x.T)
+    acts on its own axis, the leading axes are a batch.
+
+    Stacks of matrices, shaped (b, m, n), apply one Kronecker product per
+    slice of a leading batch axis of length b (broadcast from X if absent).
+    """
+    X = y[..., None, :, :] @ (X @ np.swapaxes(x, -1, -2)[..., None, :, :])
     lead = X.shape[:-3]
-    return (z @ X.reshape(*lead, X.shape[-3], -1)).reshape(*lead, z.shape[0], *X.shape[-2:])
+    return (z @ X.reshape(*lead, X.shape[-3], -1)).reshape(*lead, z.shape[-2], *X.shape[-2:])
 
 
 class _TensorInverse:
@@ -191,6 +195,25 @@ class WallCG:
         return x
 
 
+class _MassInverse:
+    """``Mp⁻¹ = Mz⁻¹⊗My⁻¹⊗Mx⁻¹`` of the Q1 pressure mass, from its 1-D factors.
+
+    ``SaddleFactorization.lu`` holds it under the name of the sparse LU
+    factor it replaced, with that factor's ``solve(r)`` and ``nnz``: the
+    benchmark's tracer reads ``.lu.nnz`` (as ``linsolve.lu_nnz``) until its
+    spans are named by role (ROADMAP item 1).  ``nnz`` counts the entries
+    stored in the three 1-D inverses.
+    """
+
+    def __init__(self, masses):
+        self.inv = [np.linalg.inv(M) for M in masses]   # x, y, z
+        self.nnz = sum(a.size for a in self.inv)
+
+    def solve(self, r):
+        ix, iy, iz = self.inv
+        return _kron3(iz, iy, ix, r.reshape(len(iz), len(iy), len(ix))).ravel()
+
+
 class SaddleFactorization:
     """Pressure-Schur solve of the saddle system ``K = [[A, -Dᵀ], [-D, 0]]``.
 
@@ -202,8 +225,10 @@ class SaddleFactorization:
     only to check each solution's residual.
 
     With ``A⁻¹`` exact, the Schur complement ``S = Σ_d D_d A⁻¹ D_dᵀ`` is
-    solved by CG preconditioned with the Q1 pressure mass ``Mp``, whose
-    SuperLU factor is ``lu``; ``max_iter`` caps that CG.
+    solved by CG preconditioned with the inverse of the Q1 pressure mass,
+    the Kronecker product ``lu`` (``_MassInverse``) of the three 1-D
+    inverses; ``max_iter`` caps that CG.  ``C`` stacks ``D_d V`` per axis:
+    ``C[a][d]`` is axis a's factor of direction d.
     """
 
     def __init__(self, K, space, nu, max_iter=None):
@@ -212,14 +237,12 @@ class SaddleFactorization:
         self.max_iter = max_iter
         axes = forms.axis_matrices(space)
         self.inverse = _TensorInverse(axes, space.free_lines, nu)
-        # D_d V on each axis: the derivative on axis d, the value elsewhere
+        # D_d V on each axis a: the derivative if a == d, the value elsewhere
         self.C = [
-            [(ax.dB if a == d else ax.B)[:, free] @ V
-             for a, (ax, free, V) in enumerate(zip(axes, space.free_lines, self.inverse.V))]
-            for d in range(3)
+            np.stack([(ax.dB if a == d else ax.B)[:, free] @ V for d in range(3)])
+            for a, (ax, free, V) in enumerate(zip(axes, space.free_lines, self.inverse.V))
         ]
-        Mx, My, Mz = (ax.Mp for ax in axes)
-        self.lu = splu(sp.kron(sp.kron(Mz, My), Mx, format="csc"))
+        self.lu = _MassInverse([ax.Mp for ax in axes])
         self.p_shape = space.q1_shape[::-1]
         self.rows = np.concatenate(
             [space.free_u, space.n_velocity + np.arange(space.n_pressure)]
@@ -227,12 +250,13 @@ class SaddleFactorization:
 
     def _divergence(self, U):
         """``Σ_d D_d V U_d`` of eigen-coordinate velocities U (3, z, y, x)."""
-        return sum(_kron3(Cz, Cy, Cx, U[d]) for d, (Cx, Cy, Cz) in enumerate(self.C))
+        Cx, Cy, Cz = self.C
+        return _kron3(Cz, Cy, Cx, U).sum(axis=0)
 
     def _gradient(self, p):
         """``(V_dᵀ D_dᵀ p)_d`` of a pressure dof vector p."""
-        p = p.reshape(self.p_shape)
-        return np.stack([_kron3(Cz.T, Cy.T, Cx.T, p) for Cx, Cy, Cz in self.C])
+        Cx, Cy, Cz = (np.swapaxes(C, 1, 2) for C in self.C)
+        return _kron3(Cz, Cy, Cx, p.reshape(self.p_shape))
 
     def _schur(self, p):
         return self._divergence(self.inverse.inv_lam * self._gradient(p)).ravel()

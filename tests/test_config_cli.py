@@ -374,3 +374,18 @@ def test_cli_internal_error_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_spectrum", boom)
     p = write_cfg(tmp_path, MINIMAL)
     assert cli.main(["spectrum", "--config", str(p), "--out", str(tmp_path / "o")]) == 5
+
+
+def test_cli_memory_error_names_command_mesh_and_function(tmp_path, monkeypatch, capsys):
+    from thermoduct import forms
+
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(forms, "assemble_saddle", exhausted)
+    p = write_cfg(tmp_path, MINIMAL.replace("nz = 4", "nz = 8"))
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: MemoryError: out of memory in solve ")
+    assert "[geometry] 2x2x8" in err
+    assert "in thermoduct.fixed_point.CoupledProblem.saddle" in err

@@ -8,6 +8,7 @@ from thermoduct.linsolve import (
     SaddleFactorization,
     SingularMatrixError,
     WallCG,
+    _kron3,
     _TensorInverse,
     solve_spd,
 )
@@ -148,6 +149,32 @@ def test_saddle_matches_dense_oracle_on_manufactured_load(space_name, unit_model
     u, P = _factor(K, space).solve(load)
     assert np.linalg.norm(u - x_ref[:n]) <= 1e-8 * np.linalg.norm(x_ref[:n])
     assert np.linalg.norm(P + x_ref[n:]) <= 1e-8 * np.linalg.norm(x_ref[n:])
+
+
+@pytest.mark.parametrize("space_name", ["cube_space", "uneven_space"])
+def test_pressure_mass_inverse_matches_the_assembled_mass(space_name, unit_model, request):
+    # oracle: the 3-D Q1 mass assembled as a sparse Kronecker product
+    space = request.getfixturevalue(space_name)
+    Mx, My, Mz = (ax.Mp for ax in forms.axis_matrices(space))
+    Mp = sp.kron(sp.kron(Mz, My), Mx, format="csr")
+    lu = _factor(_saddle(space, unit_model), space).lu
+    x = np.random.default_rng(11).normal(size=space.n_pressure)
+    assert np.linalg.norm(lu.solve(Mp @ x) - x) <= 1e-13 * np.linalg.norm(x)
+    assert lu.nnz == sum(M.shape[0] ** 2 for M in (Mx, My, Mz))
+
+
+def test_batched_schur_apply_matches_the_per_direction_loop(uneven_space, unit_model):
+    # reference: one Kronecker product per direction d, summed in order
+    fac = _factor(_saddle(uneven_space, unit_model), uneven_space)
+    Cx, Cy, Cz = fac.C
+    rng = np.random.default_rng(12)
+    p = rng.normal(size=uneven_space.n_pressure)
+    U = rng.normal(size=(3, *fac.inverse.inv_lam.shape))
+    P = p.reshape(fac.p_shape)
+    gradient = np.stack([_kron3(Cz[d].T, Cy[d].T, Cx[d].T, P) for d in range(3)])
+    divergence = sum(_kron3(Cz[d], Cy[d], Cx[d], U[d]) for d in range(3))
+    assert np.array_equal(fac._gradient(p), gradient)
+    assert np.array_equal(fac._divergence(U), divergence)
 
 
 def test_saddle_factorization_reuse(cube_space, unit_model):
