@@ -8,7 +8,11 @@ do-nothing outflow condition is natural for this weak form, so no
 boundary terms are added on the open ends.  On the box grid the
 stiffness, the divergence and the pressure mass are also Kronecker
 products of 1-D matrices (``axis_matrices``), from which ``linsolve``
-builds its solvers; the assembled operators give the residuals.
+builds its solvers; the assembled operators give the residuals.  The
+cell scatter, ``_scatter_matrix``, is the one COO-to-CSR conversion:
+the block matrices (``assemble_a``'s diag(S, S, S) and
+``assemble_saddle``'s K) are written in CSR directly from their CSR
+blocks, array for array identical to scipy's ``block_diag`` and ``bmat``.
 
 Loads: convective, dissipative and buoyancy terms are assembled as
 explicit load vectors with every argument frozen, mirroring the
@@ -69,7 +73,7 @@ __all__ = [
 
 
 def _scatter_matrix(conn_rows, conn_cols, local, shape):
-    """COO scatter of identical (or per-cell) local blocks."""
+    """COO scatter of identical (or per-cell) local blocks, to canonical CSR."""
     ncell = conn_rows.shape[0]
     nr, nc = local.shape[-2], local.shape[-1]
     rows = np.repeat(conn_rows, nc, axis=1).ravel()
@@ -88,8 +92,16 @@ def _scalar_stiffness(space):
     )
 
 
-def _velocity_block(scalar_matrix):
-    return sp.block_diag([scalar_matrix] * 3, format="csr")
+def _velocity_block(S):
+    """diag(S, S, S), written in CSR from ``S``'s arrays.
+
+    The arrays are those of ``sp.block_diag([S] * 3, format="csr")`` for a
+    canonical (sorted, duplicate-free) ``S``, without its COO round trip.
+    """
+    n, nnz = S.shape[0], S.nnz
+    indptr = np.concatenate([S.indptr[:-1] + k * nnz for k in range(3)] + [[3 * nnz]])
+    indices = np.concatenate([S.indices + k * n for k in range(3)])
+    return sp.csr_matrix((np.tile(S.data, 3), indices, indptr), shape=(3 * n, 3 * n))
 
 
 def _local_index(conn, n, m):
@@ -217,8 +229,31 @@ def assemble_saddle(A, D):
     terms are added on the open ends: the do-nothing condition is the
     natural condition of this form and fixes the pressure level, so the
     pressure is not pinned.
+
+    ``A`` and ``D`` are canonical CSR, as their assemblers return them.  K
+    is written in CSR in place, without scipy's COO round trip, and its
+    ``indptr``, ``indices`` and ``data`` are those of
+    ``sp.bmat([[A, -D.T], [-D, None]], format="csr")``, bit for bit.
     """
-    return sp.bmat([[A, -D.T], [-D, None]], format="csr")
+    m, n = D.shape
+    Bt = D.T.tocsr()                   # the rows of D^T, sorted
+    top = A.nnz + Bt.nnz
+    indptr = np.concatenate([A.indptr + Bt.indptr, top + D.indptr[1:]])
+    indices = np.empty(top + D.nnz, dtype=indptr.dtype)
+    data = np.empty(top + D.nnz)
+    # each velocity row is A's row followed by the row of -D^T
+    from_d = np.repeat(np.tile([False, True], n),
+                       np.column_stack([np.diff(A.indptr), np.diff(Bt.indptr)]).ravel())
+    Bt.indices += n
+    np.negative(Bt.data, out=Bt.data)
+    indices[:top][from_d] = Bt.indices
+    data[:top][from_d] = Bt.data
+    np.logical_not(from_d, out=from_d)
+    indices[:top][from_d] = A.indices
+    data[:top][from_d] = A.data
+    indices[top:] = D.indices
+    np.negative(D.data, out=data[top:])
+    return sp.csr_matrix((data, indices, indptr), shape=(n + m, n + m))
 
 
 class AxisMatrices(NamedTuple):
@@ -294,12 +329,16 @@ def convection_load(space, model, u0, u1):
     return _scatter_load(space, convection_value(space, model, u0, u1))
 
 
+def _strain(space, u):
+    """Symmetric gradient e(u) at quadrature points, (cells, nq, 3, 3)."""
+    g = eval_velocity_grad(space, u)
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
 def dissipation_value(space, model, u, v):
-    """alpha1 * nu * e(u) : e(v) at quadrature points."""
-    gu = eval_velocity_grad(space, u)
-    gv = eval_velocity_grad(space, v)
-    eu = 0.5 * (gu + np.swapaxes(gu, -1, -2))
-    ev = 0.5 * (gv + np.swapaxes(gv, -1, -2))
+    """alpha1 * nu * e(u) : e(v) at quadrature points; e(u) once if ``v is u``."""
+    eu = _strain(space, u)
+    ev = eu if v is u else _strain(space, v)
     return model.alpha1 * model.nu * np.einsum("cqmd,cqmd->cq", eu, ev)
 
 

@@ -389,3 +389,12 @@ def test_cli_memory_error_names_command_mesh_and_function(tmp_path, monkeypatch,
     assert err.startswith("internal error: MemoryError: out of memory in solve ")
     assert "[geometry] 2x2x8" in err
     assert "in thermoduct.fixed_point.CoupledProblem.saddle" in err
+
+
+def test_declared_python_floor_has_code_qualname():
+    # cli._innermost names the failing frame by f_code.co_qualname (3.11+)
+    import tomllib
+
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        floor = tomllib.load(fh)["project"]["requires-python"]
+    assert floor == ">=3.11"

@@ -86,6 +86,56 @@ def test_saddle_no_open_end_boundary_rows(cube_space, unit_model):
     assert abs(K - ref).max() == 0.0
 
 
+def _same_csr(X, Y):
+    return (
+        type(X) is type(Y)
+        and X.shape == Y.shape
+        and X.indptr.dtype == Y.indptr.dtype
+        and X.indices.dtype == Y.indices.dtype
+        and np.array_equal(X.indptr, Y.indptr)
+        and np.array_equal(X.indices, Y.indices)
+        and X.data.tobytes() == Y.data.tobytes()
+    )
+
+
+@pytest.mark.parametrize(
+    "box",
+    [(1, 1, 1, 2, 2, 2), (1.0, 0.7, 2.3, 3, 2, 5), (1, 1, 4, 2, 2, 8)],
+    ids=["cube", "skewed", "channel"],
+)
+def test_block_builders_match_scipy(box):
+    # scipy's COO block constructors are the oracle, array for array
+    import scipy.sparse as sp
+
+    space = build_spaces(build_channel_mesh(*box))
+    model = make_material(nu=0.37, cV=1.0, lam=1.0, alpha1=1.0,
+                          law=constant_density(1.0))
+    S = forms._scalar_stiffness(space)
+    A = forms.assemble_a(space, model)
+    D = forms.divergence_matrix(space)
+    K = forms.assemble_saddle(A, D)
+    assert _same_csr(A, model.nu * sp.block_diag([S] * 3, format="csr"))
+    assert _same_csr(K, sp.bmat([[A, -D.T], [-D, None]], format="csr"))
+
+
+def test_saddle_assembly_allocates_little_beyond_its_result():
+    # the COO round trip of sp.bmat peaks at 3.0x the stored bytes of K
+    import tracemalloc
+
+    space = build_spaces(build_channel_mesh(1, 1, 4, 4, 4, 16))
+    model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=1.0,
+                          law=constant_density(1.0))
+    A = forms.assemble_a(space, model)
+    D = forms.divergence_matrix(space)
+    tracemalloc.start()
+    try:
+        K = forms.assemble_saddle(A, D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+
+
 # -- convection ------------------------------------------------------------------
 
 
