@@ -39,7 +39,7 @@ write_state_vtk(space, state, "solution.vtk")
 print("wrote trace.csv and solution.vtk")
 
 print("\nestimating form-bound and embedding constants (200 samples)...")
-est = estimate_constants(space, model, samples=200, seed=0)
+est = estimate_constants(problem, samples=200, seed=0)
 print(f"  C_b={est.C_b:.4g}  C_d={est.C_d:.4g}  C_e={est.C_e:.4g}  "
       f"C_eps={est.C_eps:.4g}  C_1={est.C_1:.4g}   (empirical lower bounds)")
 

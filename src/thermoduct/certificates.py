@@ -32,7 +32,6 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import forms
-from .linsolve import WallCG
 from .spectrum import admissible_sr, default_bounds
 
 __all__ = [
@@ -390,8 +389,8 @@ def _sample_ratios(space, model, heat, ws, draw, s, r):
     return out
 
 
-def estimate_constants(space, model, samples=200, seed=0, s=2.0, r=2.0):
-    """Empirical form-bound and embedding constants on the discrete space.
+def estimate_constants(problem, samples=200, seed=0, s=2.0, r=2.0):
+    """Empirical form-bound and embedding constants on ``problem.space``.
 
     Each constant is the running maximum of its defining ratio over
     ``samples`` random fields, so estimates never decrease with more
@@ -406,13 +405,13 @@ def estimate_constants(space, model, samples=200, seed=0, s=2.0, r=2.0):
     array per sample beyond those the ``forms`` norms and the heat solve
     make.  Each distinct partial derivative of a sample is computed once
     and shared by the value, the gradient, the W^{2,s} density and the
-    C_b, C_e and C_d integrands.  The workspace and the wall-eliminated
-    heat solver are built once here and reused by every sample.
+    C_b, C_e and C_d integrands.  The workspace is built once here, and
+    every sample reuses it and the problem's own heat solver ``heat``.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a stable estimate")
+    space, model, heat = problem.space, problem.model, problem.heat
     rng = np.random.default_rng(seed)
-    heat = WallCG(forms.assemble_kappa(space, model), space, 1e-12)
     ws = _Workspace(space)
 
     best = np.zeros(5)  # every ratio is >= 0

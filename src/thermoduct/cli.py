@@ -38,6 +38,9 @@ EXIT_DIVERGED = 3
 EXIT_CERTIFICATE = 4
 EXIT_INTERNAL = 5
 
+# the [solver] keys of the Picard loop, passed on by every command that runs it
+_SOLVER_KEYS = ("outer_tol", "max_outer", "inner_tol", "max_inner")
+
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -77,8 +80,7 @@ def _load(args):
 def _solve(config, out):
     """The coupled solve of ``config``; writes ``trace.csv`` and ``solution.vtk``."""
     problem = CoupledProblem(*build_problem_parts(config))
-    keys = ("outer_tol", "max_outer", "inner_tol", "max_inner")
-    state, records = outer_loop(problem, **{k: config["solver"][k] for k in keys})
+    state, records = outer_loop(problem, **{k: config["solver"][k] for k in _SOLVER_KEYS})
     write_trace_csv(records, out / "trace.csv")
     write_state_vtk(problem.space, state, out / "solution.vtk")
     return problem, state, records
@@ -108,13 +110,7 @@ def run_certify(config, out):
     problem, state, _ = _solve(config, out)
     c = config["certificates"]
     estimates = cert.estimate_constants(
-        problem.space,
-        problem.model,
-        samples=c["samples"],
-        seed=config["run"]["seed"],
-        s=c["s"],
-        r=c["r"],
-    )
+        problem, samples=c["samples"], seed=config["run"]["seed"], s=c["s"], r=c["r"])
     report = cert.uniqueness_certificate(problem, estimates, state)
     _write_json(out / "certificate.json", report.as_dict())
     if not (report.smallness_ok and report.uniqueness_ok):
@@ -167,7 +163,7 @@ def run_mms(config, out):
         model = build_model(config)
         report = verif.coupled_mms(
             verif.coupled_case(dims, nu=model.nu), dims, base, model, build_body_force(config),
-            outer_tol=config["solver"]["outer_tol"], quad_order=quad_order,
+            quad_order=quad_order, **{k: config["solver"][k] for k in _SOLVER_KEYS},
         )
         payload = {
             "study": "coupled",

@@ -102,7 +102,12 @@ class OuterRecord:
 
 
 class CoupledProblem:
-    """Assembled problem: operators, boundary data and extra forcings.
+    """Assembled problem: its two solvers, boundary data and extra forcings.
+
+    Each operator is assembled once and kept in one place: ``kappa`` with
+    its solver ``heat`` (``WallCG``, relative tolerance 1e-13) here, and
+    ``K = [[A, -Dᵀ], [-D, 0]]``, the only copy of ``A`` and ``D``, in
+    ``saddle``, built on first use: a heat-only problem never assembles it.
 
     The data are frozen for the whole iteration, so each is evaluated once.
     ``g`` (a constant 3-vector or a field) and the optional momentum forcing
@@ -110,8 +115,7 @@ class CoupledProblem:
     ``theta_D``, a field lifting of the wall temperature, is interpolated
     onto the temperature space; the optional heat forcing ``h_extra`` is
     kept as its load vector.  Data that are not finite where they are
-    tabulated raise ValueError naming the datum.  The heat CG solve runs
-    to a relative tolerance of 1e-13.
+    tabulated raise ValueError naming the datum.
     """
 
     def __init__(self, space, model, g, theta_D, f_extra=None, h_extra=None):
@@ -119,8 +123,6 @@ class CoupledProblem:
         self.model = model
         self.g = _finite("g", forms.quad_values(space, g))
 
-        self.A = forms.assemble_a(space, model)
-        self.D = forms.divergence_matrix(space)
         self.kappa = forms.assemble_kappa(space, model)
         self.heat = WallCG(self.kappa, space, 1e-13)
 
@@ -142,8 +144,9 @@ class CoupledProblem:
 
     @functools.cached_property
     def saddle(self):
-        """The wall-eliminated saddle solver, built on first use."""
-        K = forms.assemble_saddle(self.A, self.D)
+        """The saddle solver, built on first use; its ``K`` is the one copy of A and D."""
+        K = forms.assemble_saddle(
+            forms.assemble_a(self.space, self.model), forms.divergence_matrix(self.space))
         return SaddleFactorization(K, self.space, self.model.nu)
 
     def buoyancy_load(self, theta):
@@ -175,9 +178,8 @@ def inner_momentum_solve(problem, theta, u_init=None, P_init=None, tol=1e-12,
     increments = []
     for _ in range(max_iter):
         conv = forms.convection_load(space, model, u, u)
-        du, dP = problem.saddle.solve(
-            load - conv - problem.A @ u + problem.D.T @ P, problem.D @ u
-        )
+        KuP = problem.saddle.K @ np.concatenate([u, P])   # [A u - Dᵀ P; -D u]
+        du, dP = problem.saddle.solve(load - conv - KuP[:u.size], -KuP[u.size:])
         increments.append(forms.discrete_norms(space, du, "H1"))
         u, P = u + du, P + dP
         if increments[-1] <= tol:
@@ -279,14 +281,14 @@ def weak_residual(problem, state):
     """Norms of the discrete momentum+mass and heat residuals on free rows."""
     space, model = problem.space, problem.model
     u, P, theta = state.u, state.P, state.theta
+    KuP = problem.saddle.K @ np.concatenate([u, P])       # [A u - Dᵀ P; -D u]
     mom = (
-        problem.A @ u
-        - problem.D.T @ P
+        KuP[:u.size]
         + forms.convection_load(space, model, u, u)
         - problem.buoyancy_load(theta)
         - problem.f_extra_load
     )
-    r_mom = float(np.sqrt(np.sum(mom[space.free_u] ** 2) + np.sum((problem.D @ u) ** 2)))
+    r_mom = float(np.sqrt(np.sum(mom[space.free_u] ** 2) + np.sum(KuP[u.size:] ** 2)))
 
     heat = (
         problem.kappa @ theta

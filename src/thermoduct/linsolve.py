@@ -221,8 +221,9 @@ class SaddleFactorization:
     (``forms.assemble_saddle``) with ``A`` the viscous block of viscosity
     ``nu``; the wall velocity dofs (``space.dirichlet_mask_u``) are fixed at
     zero and the do-nothing ends fix the pressure level.  The solver is
-    built from the 1-D factors of ``space`` and ``nu`` alone: ``K`` is kept
-    only to check each solution's residual.
+    built from the 1-D factors of ``space`` and ``nu`` alone; it uses ``K``
+    only to check each solution's residual, and ``fixed_point.CoupledProblem``
+    keeps no other copy of ``A`` and ``D``: its products with them read ``K``.
 
     With ``A⁻¹`` exact, the Schur complement ``S = Σ_d D_d A⁻¹ D_dᵀ`` is
     solved by CG preconditioned with the inverse of the Q1 pressure mass,

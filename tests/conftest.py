@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from thermoduct import build_channel_mesh, build_spaces
+from thermoduct.fields import constant_scalar
+from thermoduct.fixed_point import CoupledProblem
 from thermoduct.material import (
     clamped_boussinesq,
     constant_density,
@@ -37,6 +39,12 @@ def unit_model():
 def boussinesq_model():
     return make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.1,
                          law=clamped_boussinesq(1.0, alpha_v=0.1))
+
+
+def heat_problem(space, model):
+    """A ``CoupledProblem`` used only for its heat solver: no body force and
+    a zero wall temperature, so no Stokes operator is ever assembled."""
+    return CoupledProblem(space, model, (0.0, 0.0, 0.0), constant_scalar(0.0))
 
 
 def linear_field_dofs(space, component, axis):

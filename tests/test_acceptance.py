@@ -27,7 +27,7 @@ from thermoduct.fields import constant_scalar, span_scalar
 from thermoduct.fixed_point import CoupledProblem, inner_momentum_solve, outer_loop
 from thermoduct.material import clamped_boussinesq, constant_density, make_material
 from thermoduct.spectrum import admissible_sr, compute_spectrum, find_roots, mellin_symbol
-from conftest import divergence_free_samples
+from conftest import divergence_free_samples, heat_problem
 
 Z0_REPORTED = 1.352317
 S0_REPORTED = 3.087930
@@ -179,7 +179,7 @@ def test_criterion_08_dissipation_sign_and_effect(acceptance_setup, acceptance_r
 def test_criterion_09_certificates(acceptance_setup, acceptance_run):
     _, space, model, problem = acceptance_setup
     state, _, _ = acceptance_run
-    estimates = estimate_constants(space, model, samples=200, seed=0)
+    estimates = estimate_constants(heat_problem(space, model), samples=200, seed=0)
     g_norm = body_force_norm(problem, 2.0)
     small = smallness_check(estimates, model, g_norm)
     report = uniqueness_certificate(problem, estimates, state)

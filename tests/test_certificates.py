@@ -27,6 +27,7 @@ from thermoduct.fields import span_scalar
 from thermoduct.fixed_point import CoupledProblem, State, outer_loop
 from thermoduct.material import clamped_boussinesq, make_material
 from thermoduct.spectrum import admissible_sr
+from conftest import heat_problem
 
 
 def small_problem(space, g=(0, 0, -0.3)):
@@ -47,12 +48,12 @@ def fake_estimates(**kw):
 
 def test_estimate_requires_enough_samples(small_space, boussinesq_model):
     with pytest.raises(ValueError):
-        estimate_constants(small_space, boussinesq_model, samples=50)
+        estimate_constants(heat_problem(small_space, boussinesq_model), samples=50)
 
 
 def test_estimates_deterministic_and_positive(small_space, boussinesq_model):
-    a = estimate_constants(small_space, boussinesq_model, samples=100, seed=7)
-    b = estimate_constants(small_space, boussinesq_model, samples=100, seed=7)
+    a = estimate_constants(heat_problem(small_space, boussinesq_model), samples=100, seed=7)
+    b = estimate_constants(heat_problem(small_space, boussinesq_model), samples=100, seed=7)
     for name in ("C_b", "C_d", "C_e", "C_eps", "C_1"):
         va, vb = getattr(a, name), getattr(b, name)
         assert va == vb
@@ -60,8 +61,8 @@ def test_estimates_deterministic_and_positive(small_space, boussinesq_model):
 
 
 def test_estimates_monotone_in_samples(small_space, boussinesq_model):
-    a = estimate_constants(small_space, boussinesq_model, samples=100, seed=3)
-    b = estimate_constants(small_space, boussinesq_model, samples=150, seed=3)
+    a = estimate_constants(heat_problem(small_space, boussinesq_model), samples=100, seed=3)
+    b = estimate_constants(heat_problem(small_space, boussinesq_model), samples=150, seed=3)
     for name in ("C_b", "C_d", "C_e", "C_eps", "C_1"):
         assert getattr(b, name) >= getattr(a, name)
 
@@ -69,8 +70,8 @@ def test_estimates_monotone_in_samples(small_space, boussinesq_model):
 def test_estimates_stable_under_refinement(boussinesq_model):
     coarse = build_spaces(build_channel_mesh(1, 1, 2, 2, 2, 4))
     fine = build_spaces(build_channel_mesh(1, 1, 2, 4, 4, 8))
-    a = estimate_constants(coarse, boussinesq_model, samples=100, seed=11)
-    b = estimate_constants(fine, boussinesq_model, samples=100, seed=11)
+    a = estimate_constants(heat_problem(coarse, boussinesq_model), samples=100, seed=11)
+    b = estimate_constants(heat_problem(fine, boussinesq_model), samples=100, seed=11)
     for name in ("C_b", "C_d", "C_e", "C_eps", "C_1"):
         va, vb = getattr(a, name), getattr(b, name)
         assert abs(vb - va) / va < 0.2
@@ -79,7 +80,7 @@ def test_estimates_stable_under_refinement(boussinesq_model):
 def test_estimates_pinned(small_space, boussinesq_model):
     # any change to the draws, the sample derivatives or their rounding
     # moves at least one of these
-    est = estimate_constants(small_space, boussinesq_model, samples=100, seed=0)
+    est = estimate_constants(heat_problem(small_space, boussinesq_model), samples=100, seed=0)
     assert (est.C_b, est.C_d, est.C_e, est.C_eps, est.C_1) == (
         0.003172649553602057,
         0.0031063119982081113,
@@ -91,7 +92,7 @@ def test_estimates_pinned(small_space, boussinesq_model):
 
 def test_estimates_pinned_anisotropic(aniso_space, boussinesq_model):
     # a second exact pin on unequal cell sizes and another seed
-    est = estimate_constants(aniso_space, boussinesq_model, samples=100, seed=3)
+    est = estimate_constants(heat_problem(aniso_space, boussinesq_model), samples=100, seed=3)
     assert (est.C_b, est.C_d, est.C_e, est.C_eps, est.C_1) == (
         0.0008740047209357462,
         0.001988531733807395,
@@ -404,7 +405,7 @@ def test_uniqueness_formula_pinned_by_hand(small_space):
 
 def test_uniqueness_monotone_under_load_scaling(small_space):
     model, _ = small_problem(small_space)
-    est = estimate_constants(small_space, model, samples=100, seed=5)
+    est = estimate_constants(heat_problem(small_space, model), samples=100, seed=5)
     reports = []
     for scale in (0.15, 0.3, 0.6):
         prob = CoupledProblem(

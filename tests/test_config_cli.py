@@ -317,6 +317,25 @@ def test_cli_certify_exit_codes(tmp_path):
     assert not report["smallness_ok"]
 
 
+def test_cli_certify_builds_one_heat_solver(tmp_path, monkeypatch):
+    # the sampler reuses the solve's heat solver and its one kappa
+    from thermoduct import forms, linsolve
+
+    calls = {"assemble_kappa": 0, "WallCG": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(forms, "assemble_kappa", counted("assemble_kappa", forms.assemble_kappa))
+    monkeypatch.setattr(linsolve.WallCG, "__init__", counted("WallCG", linsolve.WallCG.__init__))
+    p = write_cfg(tmp_path, FULL)
+    assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"assemble_kappa": 1, "WallCG": 1}
+
+
 def test_cli_mms_poly_quick(tmp_path):
     text = MINIMAL + "\n[mms]\nstudy = stokes\ncase = poly_quadratic\nlevels = 1\n"
     p = write_cfg(tmp_path, text)
@@ -342,6 +361,18 @@ def test_cli_mms_coupled(tmp_path):
     # the run's own normalized configuration parses back to itself
     normalized = (out / "config.normalized.txt").read_text()
     assert emit_config(parse_config(normalized)) == normalized
+
+
+def test_cli_mms_coupled_reads_the_solver_keys(tmp_path):
+    # inner_tol = 1 stops every momentum solve after one step, so max_inner = 1
+    # suffices, and max_outer = 2 ends the Picard loop unconverged
+    text = (MINIMAL + "\n[body_force]\nfield = constant\ngz = -1.0\n\n[mms]\nstudy = coupled\n"
+            "\n[solver]\nmax_outer = 2\nmax_inner = 1\ninner_tol = 1.0\n")
+    p = write_cfg(tmp_path, text)
+    out = tmp_path / "mms"
+    assert main(["mms", "--config", str(p), "--out", str(out)]) == 3
+    rows = [row.split(",") for row in (out / "trace.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[1]) for row in rows] == [("1", "1"), ("2", "1")]
 
 
 def test_cli_runs_as_module(tmp_path):

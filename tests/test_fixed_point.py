@@ -258,6 +258,30 @@ def test_weak_residual_of_rest_state_is_load_norm(small_space, boussinesq_model)
     assert r_heat < 1e-12
 
 
+def test_weak_residual_matches_separately_assembled_operators(small_space, boussinesq_model):
+    # weak_residual reads A u - D^T P and -D u from the saddle operator K;
+    # the oracle applies A and D assembled on their own.  The converged
+    # state is moved off its solution, so that the residual is not rounding
+    # and its mass part is far above the 1e-12 tolerance.
+    space, model = small_space, boussinesq_model
+    prob = CoupledProblem(space, model, (0, 0, -0.3), span_scalar(1, 1.0, 0.5, 1.0),
+                          f_extra=(0.1, 0.0, 0.2))
+    state, _ = outer_loop(prob)
+    rng = np.random.default_rng(41)
+    u, P = state.u.copy(), state.P + rng.normal(size=space.n_pressure)
+    u[space.free_u] += rng.normal(size=space.free_u.size)
+    r_mom, _ = weak_residual(prob, State(u, P, state.theta))
+
+    A, D = forms.assemble_a(space, model), forms.divergence_matrix(space)
+    mom = (A @ u - D.T @ P + forms.convection_load(space, model, u, u)
+           - forms.assemble_buoyancy(space, model, state.theta, prob.g) - prob.f_extra_load)
+    mass = np.linalg.norm(D @ u)
+    oracle = np.hypot(np.linalg.norm(mom[space.free_u]), mass)
+    assert mass > 1e-2 * oracle
+    assert r_mom == pytest.approx(oracle, rel=1e-12)
+    assert not hasattr(prob, "A") and not hasattr(prob, "D")
+
+
 def test_outer_exhaustion_carries_trace(small_space, boussinesq_model):
     prob = CoupledProblem(
         small_space, boussinesq_model, (0, 0, -0.4), span_scalar(1, 1.0, 0.5, 1.0)

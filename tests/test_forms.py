@@ -401,6 +401,7 @@ import numpy as np
 from thermoduct import build_channel_mesh, build_spaces, forms
 from thermoduct.certificates import estimate_constants
 from thermoduct.material import clamped_boussinesq, make_material
+from conftest import heat_problem
 
 space = build_spaces(build_channel_mesh(1.0, 1.0, 4.0, 4, 4, 16))
 model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.1,
@@ -421,8 +422,8 @@ outputs = {
     "convection_load": forms.convection_load(space, model, u, u),
     "discrete_norms": forms.discrete_norms(space, u, "W2s", s=2.0),
 }
-est = estimate_constants(build_spaces(build_channel_mesh(1.0, 1.0, 4.0, 2, 2, 8)), model,
-                         samples=100, seed=0)
+est = estimate_constants(heat_problem(build_spaces(build_channel_mesh(1.0, 1.0, 4.0, 2, 2, 8)),
+                                      model), samples=100, seed=0)
 outputs["estimate_constants"] = np.array([est.C_b, est.C_d, est.C_e, est.C_eps, est.C_1])
 for name, value in outputs.items():
     print(name, hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest())
@@ -434,7 +435,8 @@ def test_kernels_do_not_depend_on_blas_thread_count():
     # certificate sampler give the same bits with one and with two BLAS
     # threads
     src = os.path.dirname(os.path.dirname(os.path.abspath(thermoduct.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    here = os.path.dirname(os.path.abspath(__file__))   # for conftest's heat_problem
+    path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
