@@ -1,6 +1,6 @@
 """Steady buoyancy-driven flow with viscous dissipation in open box channels.
 
-A numpy/scipy library built around three capabilities:
+A numpy library built around three capabilities:
 
 - a Taylor-Hood fixed-point solver for the coupled momentum/temperature
   system with do-nothing open ends (``mesh``, ``spaces``, ``forms``,

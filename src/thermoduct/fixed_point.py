@@ -104,10 +104,11 @@ class OuterRecord:
 class CoupledProblem:
     """Assembled problem: its two solvers, boundary data and extra forcings.
 
-    Each operator is assembled once and kept in one place: ``kappa`` with
-    its solver ``heat`` (``WallCG``, relative tolerance 1e-13) here, and
+    Each operator is built once, as a Kronecker apply of its 1-D factors
+    (``forms``), and kept in one place: ``kappa`` with its solver ``heat``
+    (``WallCG``, relative tolerance 1e-13) here, and
     ``K = [[A, -Dᵀ], [-D, 0]]``, the only copy of ``A`` and ``D``, in
-    ``saddle``, built on first use: a heat-only problem never assembles it.
+    ``saddle``, built on first use: a heat-only problem never builds it.
 
     The data are frozen for the whole iteration, so each is evaluated once.
     ``g`` (a constant 3-vector or a field) and the optional momentum forcing

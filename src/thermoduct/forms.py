@@ -1,18 +1,17 @@
 """Assembly of the discrete operators, load vectors and norms.
 
 Operators: the viscous block a(u,v) = nu (grad u, grad v), the heat
-stiffness kappa(t,p) = lambda (grad t, grad p), the frozen-transport
-convection operator b(u0, ., .) and the Taylor-Hood saddle block system
-[[A, -D^T], [-D, 0]] with D the discrete divergence (q, div u).  The
-do-nothing outflow condition is natural for this weak form, so no
-boundary terms are added on the open ends.  On the box grid the
-stiffness, the divergence and the pressure mass are also Kronecker
-products of 1-D matrices (``axis_matrices``), from which ``linsolve``
-builds its solvers; the assembled operators give the residuals.  The
-cell scatter, ``_scatter_matrix``, is the one COO-to-CSR conversion:
-the block matrices (``assemble_a``'s diag(S, S, S) and
-``assemble_saddle``'s K) are written in CSR directly from their CSR
-blocks, array for array identical to scipy's ``block_diag`` and ``bmat``.
+stiffness kappa(t,p) = lambda (grad t, grad p) and the Taylor-Hood saddle
+block system [[A, -D^T], [-D, 0]] with D the discrete divergence
+(q, div u).  The do-nothing outflow condition is natural for this weak
+form, so no boundary terms are added on the open ends.  Every cell is a
+box and the quadrature a tensor rule, so each operator is a sum of
+Kronecker products of the 1-D matrices of ``axis_matrices``, and it is
+applied as one: ``assemble_a``, ``assemble_kappa``, ``divergence_matrix``
+and ``assemble_saddle`` return small objects with ``shape`` and ``@``
+(the divergence also ``apply_transpose``), and no matrix is assembled.
+``linsolve`` builds its solvers from the same factors; the operators give
+the residuals.  The convection b(u0, v, w) enters only as a load.
 
 Loads: convective, dissipative and buoyancy terms are assembled as
 explicit load vectors with every argument frozen, mirroring the
@@ -28,15 +27,16 @@ with a reference table.  Every load is scattered by one kernel,
 ``_scatter_load``: multiply the weighted quadrature values cell by cell
 with the transposed value table, then sum into the global vector with
 ``np.bincount``.  Each product has a fixed per-cell size, so no BLAS call
-grows with the mesh and the results do not depend on the BLAS thread
-count; ``bincount`` adds the contributions in a fixed order, so repeated
-assemblies are bit-identical.
+of these kernels grows with the mesh and their results do not depend on
+the BLAS thread count; ``bincount`` adds the contributions in a fixed
+order, so repeated assemblies are bit-identical.  The operator applies
+are products of 1-D matrices whose size does grow with the mesh: that
+their bits do not depend on the thread count is tested, not structural.
 """
 
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .spaces import _dq2_1d, _q1_1d, _q2_1d, gauss_01
 from .spectrum import admissible_sr
@@ -44,9 +44,7 @@ from .spectrum import admissible_sr
 __all__ = [
     "assemble_a",
     "assemble_kappa",
-    "assemble_mass",
     "assemble_saddle",
-    "assemble_b",
     "AxisMatrices",
     "axis_matrices",
     "convection_load",
@@ -70,38 +68,6 @@ __all__ = [
 
 
 # -- helpers ----------------------------------------------------------------
-
-
-def _scatter_matrix(conn_rows, conn_cols, local, shape):
-    """COO scatter of identical (or per-cell) local blocks, to canonical CSR."""
-    ncell = conn_rows.shape[0]
-    nr, nc = local.shape[-2], local.shape[-1]
-    rows = np.repeat(conn_rows, nc, axis=1).ravel()
-    cols = np.tile(conn_cols, (1, nr)).ravel()
-    if local.ndim == 2:
-        data = np.tile(local.ravel(), ncell)
-    else:
-        data = local.reshape(ncell, -1).ravel()
-    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
-
-
-def _scalar_stiffness(space):
-    local = np.einsum("q,iqd,jqd->ij", space.wq, space.dN2, space.dN2)
-    return _scatter_matrix(
-        space.conn_q2, space.conn_q2, local, (space.n_scalar, space.n_scalar)
-    )
-
-
-def _velocity_block(S):
-    """diag(S, S, S), written in CSR from ``S``'s arrays.
-
-    The arrays are those of ``sp.block_diag([S] * 3, format="csr")`` for a
-    canonical (sorted, duplicate-free) ``S``, without its COO round trip.
-    """
-    n, nnz = S.shape[0], S.nnz
-    indptr = np.concatenate([S.indptr[:-1] + k * nnz for k in range(3)] + [[3 * nnz]])
-    indices = np.concatenate([S.indices + k * n for k in range(3)])
-    return sp.csr_matrix((np.tile(S.data, 3), indices, indptr), shape=(3 * n, 3 * n))
 
 
 def _local_index(conn, n, m):
@@ -185,77 +151,6 @@ def interpolate_scalar(space, fld):
 # -- operators ----------------------------------------------------------------
 
 
-def assemble_a(space, model):
-    """Viscous operator, nu * (grad u : grad v); SPD after wall elimination."""
-    return model.nu * _velocity_block(_scalar_stiffness(space))
-
-
-def assemble_kappa(space, model):
-    """Heat stiffness, lambda * (grad t . grad p)."""
-    return (model.lam * _scalar_stiffness(space)).tocsr()
-
-
-def assemble_mass(space):
-    """Scalar mass matrix on the quadratic space (oracle and test helper)."""
-    local = np.einsum("q,iq,jq->ij", space.wq, space.N2, space.N2)
-    return _scatter_matrix(
-        space.conn_q2, space.conn_q2, local, (space.n_scalar, space.n_scalar)
-    )
-
-
-def divergence_matrix(space):
-    """D[q, u] = (q, div u) on pressure x velocity."""
-    local = np.einsum("q,pq,jqd->pdj", space.wq, space.N1, space.dN2)  # (8, 3, 27)
-    blocks = []
-    for d in range(3):
-        blocks.append(
-            _scatter_matrix(
-                space.conn_q1,
-                space.conn_q2,
-                local[:, d, :],
-                (space.n_pressure, space.n_scalar),
-            )
-        )
-    return sp.hstack(blocks, format="csr")
-
-
-def assemble_saddle(A, D):
-    """Unconstrained Taylor-Hood block system [[A, -D^T], [-D, 0]].
-
-    ``A`` is the viscous block (``assemble_a``) and ``D`` the divergence
-    (``divergence_matrix``).  This is the weak form's own sign,
-    a(u, v) - (P, div v) and -(q, div u), so the pressure part of a
-    solution is the pressure and the matrix is symmetric.  No boundary
-    terms are added on the open ends: the do-nothing condition is the
-    natural condition of this form and fixes the pressure level, so the
-    pressure is not pinned.
-
-    ``A`` and ``D`` are canonical CSR, as their assemblers return them.  K
-    is written in CSR in place, without scipy's COO round trip, and its
-    ``indptr``, ``indices`` and ``data`` are those of
-    ``sp.bmat([[A, -D.T], [-D, None]], format="csr")``, bit for bit.
-    """
-    m, n = D.shape
-    Bt = D.T.tocsr()                   # the rows of D^T, sorted
-    top = A.nnz + Bt.nnz
-    indptr = np.concatenate([A.indptr + Bt.indptr, top + D.indptr[1:]])
-    indices = np.empty(top + D.nnz, dtype=indptr.dtype)
-    data = np.empty(top + D.nnz)
-    # each velocity row is A's row followed by the row of -D^T
-    from_d = np.repeat(np.tile([False, True], n),
-                       np.column_stack([np.diff(A.indptr), np.diff(Bt.indptr)]).ravel())
-    Bt.indices += n
-    np.negative(Bt.data, out=Bt.data)
-    indices[:top][from_d] = Bt.indices
-    data[:top][from_d] = Bt.data
-    np.logical_not(from_d, out=from_d)
-    indices[:top][from_d] = A.indices
-    data[:top][from_d] = A.data
-    indices[top:] = D.indices
-    np.negative(D.data, out=data[top:])
-    return sp.csr_matrix((data, indices, indptr), shape=(n + m, n + m))
-
-
 class AxisMatrices(NamedTuple):
     """The 1-D matrices of one axis, on its grid nodes in order (dense)."""
 
@@ -274,8 +169,8 @@ def axis_matrices(space):
     the grid numbered x fastest, ``kron(a_z, kron(a_y, a_x))`` of the
     factors below gives:
 
-    - ``_scalar_stiffness``: the sum over axes d of K on axis d and M on
-      the other two;
+    - the scalar stiffness of ``assemble_a`` and ``assemble_kappa``: the
+      sum over axes d of K on axis d and M on the other two;
     - component d of ``divergence_matrix``: dB on axis d and B on the other
       two;
     - the Q1 pressure mass: Mp on every axis.
@@ -300,18 +195,102 @@ def axis_matrices(space):
     return tuple(out)
 
 
-def assemble_b(space, model, u0):
-    """Convection operator frozen at transport field u0.
+def _kron3(z, y, x, X):
+    """``(z ⊗ y ⊗ x) X`` for X shaped (..., n_z, n_y, n_x): each 1-D matrix
+    acts on its own axis, the leading axes are a batch.
 
-    w^T B(u0) v approximates rho0 * ((u0 . grad) v, w); linear in u0 and
-    block-diagonal over velocity components.
+    Stacks of matrices, shaped (b, m, n), apply one Kronecker product per
+    slice of a leading batch axis of length b (broadcast from X if absent).
     """
-    uq = eval_velocity(space, np.asarray(u0, dtype=float))
-    conv = np.einsum("cqd,jqd->cqj", uq, space.dN2)
-    local = model.rho0 * ((space.N2 * space.wq) @ conv)   # (cells, 27, 27)
-    n2 = space.n_scalar
-    Bscal = _scatter_matrix(space.conn_q2, space.conn_q2, local, (n2, n2))
-    return _velocity_block(Bscal)
+    X = y[..., None, :, :] @ (X @ np.swapaxes(x, -1, -2)[..., None, :, :])
+    lead = X.shape[:-3]
+    return (z @ X.reshape(*lead, X.shape[-3], -1)).reshape(*lead, z.shape[-2], *X.shape[-2:])
+
+
+def _terms(axes, on, off):
+    """The (x, y, z) factors of each term d of ``Σ_d z_d ⊗ y_d ⊗ x_d``:
+    the 1-D matrix ``on`` on axis d and ``off`` on the other two."""
+    return [[getattr(ax, on if a == d else off) for a, ax in enumerate(axes)]
+            for d in range(3)]
+
+
+class _Stiffness:
+    """``scale · diag(S, …, S)`` on m component blocks, with the scalar
+    stiffness ``S = Kz⊗My⊗Mx + Mz⊗Ky⊗Mx + Mz⊗My⊗Kx``.
+
+    The terms are applied one at a time: a stack of all three would be a
+    temporary three times the size of the result."""
+
+    def __init__(self, axes, scale, m):
+        self.terms = _terms(axes, "K", "M")
+        self.scale = scale
+        self.blocks = (m, *(len(ax.M) for ax in axes[::-1]))   # (m, z, y, x)
+        self.shape = (int(np.prod(self.blocks)),) * 2
+
+    def __matmul__(self, v):
+        X = np.reshape(v, self.blocks)
+        return self.scale * sum(_kron3(z, y, x, X) for x, y, z in self.terms).ravel()
+
+
+class _Divergence:
+    """``D = [D_x, D_y, D_z]``: ``D_d`` is dB on axis d and B on the other two."""
+
+    def __init__(self, axes):
+        self.terms = _terms(axes, "dB", "B")
+        self.u_blocks = (3, *(ax.B.shape[1] for ax in axes[::-1]))
+        self.p_grid = tuple(ax.B.shape[0] for ax in axes[::-1])
+        self.shape = (int(np.prod(self.p_grid)), int(np.prod(self.u_blocks)))
+
+    def __matmul__(self, u):
+        U = np.reshape(u, self.u_blocks)
+        return sum(_kron3(z, y, x, U[d]) for d, (x, y, z) in enumerate(self.terms)).ravel()
+
+    def apply_transpose(self, p):
+        """``Dᵀ p``: the component blocks ``D_dᵀ p``."""
+        P = np.reshape(p, self.p_grid)
+        return np.concatenate([_kron3(z.T, y.T, x.T, P).ravel() for x, y, z in self.terms])
+
+
+class _Saddle:
+    """``K = [[A, -Dᵀ], [-D, 0]]``, applied block by block."""
+
+    def __init__(self, A, D):
+        self.A, self.D = A, D
+        self.shape = (A.shape[0] + D.shape[0],) * 2
+
+    def __matmul__(self, x):
+        n = self.A.shape[0]
+        u, p = x[:n], x[n:]
+        return np.concatenate([self.A @ u - self.D.apply_transpose(p), -(self.D @ u)])
+
+
+def assemble_a(space, model):
+    """Viscous operator, nu * (grad u : grad v); SPD after wall elimination."""
+    return _Stiffness(axis_matrices(space), model.nu, 3)
+
+
+def assemble_kappa(space, model):
+    """Heat stiffness, lambda * (grad t . grad p)."""
+    return _Stiffness(axis_matrices(space), model.lam, 1)
+
+
+def divergence_matrix(space):
+    """D[q, u] = (q, div u) on pressure x velocity."""
+    return _Divergence(axis_matrices(space))
+
+
+def assemble_saddle(A, D):
+    """Unconstrained Taylor-Hood block system [[A, -D^T], [-D, 0]].
+
+    ``A`` is the viscous block (``assemble_a``) and ``D`` the divergence
+    (``divergence_matrix``).  This is the weak form's own sign,
+    a(u, v) - (P, div v) and -(q, div u), so the pressure part of a
+    solution is the pressure and the operator is symmetric.  No boundary
+    terms are added on the open ends: the do-nothing condition is the
+    natural condition of this form and fixes the pressure level, so the
+    pressure is not pinned.
+    """
+    return _Saddle(A, D)
 
 
 # -- load vectors --------------------------------------------------------------

@@ -13,7 +13,9 @@ three batched matrix products each way.
 One solver per system type, each built once from the space and the
 operator's scale and reused across loads; ``solve`` returns full-length
 fields whose wall rows are exactly zero.  Each solve's residual is
-measured against the assembled operator the solver was handed.
+measured against the operator the solver was handed, of which it uses only
+``@`` and ``shape`` (``forms``' Kronecker applies).  The 1-D factors and
+their Kronecker product, ``_kron3``, come from ``forms``.
 
 - ``SaddleFactorization``: the Taylor-Hood saddle system
   ``[[A, -Dᵀ], [-D, 0]]``, through conjugate gradients on the pressure
@@ -23,8 +25,8 @@ measured against the assembled operator the solver was handed.
   block ``D_d`` is a Kronecker product of 1-D matrices, so ``D_d V`` is
   one of small dense matrices, and the Schur complement is applied
   without an assembled matrix, all three directions at once.  A solution
-  whose residual on the assembled system exceeds ``_RESIDUAL_TOL``
-  relative raises SingularMatrixError.
+  whose residual on the handed ``K`` exceeds ``_RESIDUAL_TOL`` relative
+  raises SingularMatrixError.
 - ``WallCG``: the heat stiffness ``λ S``, through conjugate gradients
   preconditioned by the exact tensor inverse (one iteration).
 
@@ -35,8 +37,9 @@ deterministic: identical inputs give bit-identical outputs.
 import numpy as np
 
 from . import forms
+from .forms import _kron3
 
-_RESIDUAL_TOL = 1e-10  # relative residual a saddle solve must reach on the assembled K
+_RESIDUAL_TOL = 1e-10  # relative residual a saddle solve must reach on the handed K
 _SCHUR_TOL = 1e-13     # relative residual of the pressure Schur CG
 
 __all__ = [
@@ -117,18 +120,6 @@ def solve_spd(apply, rhs, precond, tol=1e-13, max_iter=None):
     )
 
 
-def _kron3(z, y, x, X):
-    """``(z ⊗ y ⊗ x) X`` for X shaped (..., n_z, n_y, n_x): each 1-D matrix
-    acts on its own axis, the leading axes are a batch.
-
-    Stacks of matrices, shaped (b, m, n), apply one Kronecker product per
-    slice of a leading batch axis of length b (broadcast from X if absent).
-    """
-    X = y[..., None, :, :] @ (X @ np.swapaxes(x, -1, -2)[..., None, :, :])
-    lead = X.shape[:-3]
-    return (z @ X.reshape(*lead, X.shape[-3], -1)).reshape(*lead, z.shape[-2], *X.shape[-2:])
-
-
 class _TensorInverse:
     """``(scale · S_ff)⁻¹`` of the scalar stiffness by fast diagonalization.
 
@@ -170,13 +161,14 @@ class WallCG:
     Preconditioned by the exact tensor inverse of ``S_ff``, CG converges in
     one iteration for any ``lam > 0``: a constant factor on the
     preconditioner cancels in the CG iterates.  Its residual is measured
-    against the assembled ``kappa``, so a ``kappa`` that is not a multiple
-    of ``S`` on ``space`` takes more iterations, or fails, rather than
-    returning a wrong solution.
+    against the ``kappa`` it is handed (``forms.assemble_kappa``, or any
+    operator with ``@`` and ``shape``), so a ``kappa`` that is not a
+    multiple of ``S`` on ``space`` takes more iterations, or fails, rather
+    than returning a wrong solution.
     """
 
     def __init__(self, kappa, space, tol):
-        self.kappa = kappa.tocsr()
+        self.kappa = kappa
         self.free = space.free_theta
         self.inverse = _TensorInverse(forms.axis_matrices(space), space.free_lines, 1.0)
         self.tol = tol
@@ -217,13 +209,15 @@ class _MassInverse:
 class SaddleFactorization:
     """Pressure-Schur solve of the saddle system ``K = [[A, -Dᵀ], [-D, 0]]``.
 
-    ``K`` is the unconstrained operator assembled on ``space``
-    (``forms.assemble_saddle``) with ``A`` the viscous block of viscosity
-    ``nu``; the wall velocity dofs (``space.dirichlet_mask_u``) are fixed at
-    zero and the do-nothing ends fix the pressure level.  The solver is
-    built from the 1-D factors of ``space`` and ``nu`` alone; it uses ``K``
-    only to check each solution's residual, and ``fixed_point.CoupledProblem``
-    keeps no other copy of ``A`` and ``D``: its products with them read ``K``.
+    ``K`` is the unconstrained operator on ``space``
+    (``forms.assemble_saddle``, a Kronecker apply with ``@`` and ``shape``)
+    with ``A`` the viscous block of viscosity ``nu``; the wall velocity dofs
+    (``space.dirichlet_mask_u``) are fixed at zero and the do-nothing ends
+    fix the pressure level.  The solver is built from the 1-D factors of
+    ``space`` and ``nu`` alone; it uses ``K`` only to check each solution's
+    residual, so a solve against a ``K`` of another ``nu`` or space raises
+    SingularMatrixError.
+    ``fixed_point.CoupledProblem``'s products with ``A`` and ``D`` read ``K``.
 
     With ``A⁻¹`` exact, the Schur complement ``S = Σ_d D_d A⁻¹ D_dᵀ`` is
     solved by CG preconditioned with the inverse of the Q1 pressure mass,
@@ -233,7 +227,7 @@ class SaddleFactorization:
     """
 
     def __init__(self, K, space, nu, max_iter=None):
-        self.K = K.tocsr()
+        self.K = K
         self.space = space
         self.max_iter = max_iter
         axes = forms.axis_matrices(space)
@@ -288,7 +282,7 @@ class SaddleFactorization:
         res = np.linalg.norm((self.K @ np.concatenate([u, P]) - rhs)[self.rows])
         if not np.isfinite(res) or res > _RESIDUAL_TOL * nb:
             raise SingularMatrixError(
-                f"saddle solve failed on the assembled operator (relative residual "
-                f"{res / nb:.3e}); was K assembled on this space with this nu?"
+                f"saddle solve failed on the operator K (relative residual "
+                f"{res / nb:.3e}); was K built on this space with this nu?"
             )
         return u, P

@@ -431,7 +431,8 @@ def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0,
     """Convergence of the mixed Stokes solve against a manufactured case.
 
     Each level makes one ``SaddleFactorization`` solve of the forcing's
-    load, its residual checked against the assembled saddle system.
+    load, its residual checked against the saddle operator
+    (``forms.assemble_saddle``).
     ``case_factory(dims, nu)`` builds the case; per level the H1/L2
     velocity errors and the L2 pressure error are recorded with observed
     orders from successive log2 ratios.

@@ -1,0 +1,85 @@
+"""Assembled CSR matrices of the discrete operators: the test oracles.
+
+The runtime applies every operator as a sum of Kronecker products of 1-D
+matrices (``forms.axis_matrices``) and assembles no matrix.  Here each one
+is built the classical way instead: one local matrix per cell, from the
+reference tables of ``DiscreteSpace``, scattered in COO form and converted
+to canonical CSR, with the block matrices put together by scipy's
+``block_diag``, ``hstack`` and ``bmat``.  The cell scatter sums in another
+order than the Kronecker products, so the two agree to rounding, not bit
+for bit.  Tests that read matrix entries (slices, ``toarray``, ``nnz``)
+use these.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from thermoduct import forms
+
+
+def scatter_matrix(conn_rows, conn_cols, local, shape):
+    """COO scatter of identical (or per-cell) local blocks, to canonical CSR."""
+    ncell = conn_rows.shape[0]
+    nr, nc = local.shape[-2], local.shape[-1]
+    rows = np.repeat(conn_rows, nc, axis=1).ravel()
+    cols = np.tile(conn_cols, (1, nr)).ravel()
+    if local.ndim == 2:
+        data = np.tile(local.ravel(), ncell)
+    else:
+        data = local.reshape(ncell, -1).ravel()
+    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+
+
+def scalar_stiffness(space):
+    """(grad phi_i, grad phi_j) on the quadratic space."""
+    local = np.einsum("q,iqd,jqd->ij", space.wq, space.dN2, space.dN2)
+    return scatter_matrix(space.conn_q2, space.conn_q2, local, (space.n_scalar,) * 2)
+
+
+def assemble_mass(space):
+    """Scalar mass matrix (phi_i, phi_j) on the quadratic space."""
+    local = np.einsum("q,iq,jq->ij", space.wq, space.N2, space.N2)
+    return scatter_matrix(space.conn_q2, space.conn_q2, local, (space.n_scalar,) * 2)
+
+
+def pressure_mass(space):
+    """Q1 pressure mass matrix (psi_p, psi_q)."""
+    local = np.einsum("q,iq,jq->ij", space.wq, space.N1, space.N1)
+    return scatter_matrix(space.conn_q1, space.conn_q1, local, (space.n_pressure,) * 2)
+
+
+def assemble_a(space, model):
+    """Viscous block nu * diag(S, S, S)."""
+    return model.nu * sp.block_diag([scalar_stiffness(space)] * 3, format="csr")
+
+
+def assemble_kappa(space, model):
+    """Heat stiffness lambda * S."""
+    return model.lam * scalar_stiffness(space)
+
+
+def divergence_matrix(space):
+    """D[q, u] = (q, div u) on pressure x velocity."""
+    local = np.einsum("q,pq,jqd->pdj", space.wq, space.N1, space.dN2)  # (8, 3, 27)
+    shape = (space.n_pressure, space.n_scalar)
+    return sp.hstack([scatter_matrix(space.conn_q1, space.conn_q2, local[:, d, :], shape)
+                      for d in range(3)], format="csr")
+
+
+def assemble_saddle(A, D):
+    """[[A, -D^T], [-D, 0]] of the assembled ``A`` and ``D``."""
+    return sp.bmat([[A, -D.T], [-D, None]], format="csr")
+
+
+def assemble_b(space, model, u0):
+    """Convection operator frozen at transport field u0.
+
+    w^T B(u0) v approximates rho0 * ((u0 . grad) v, w); linear in u0 and
+    block-diagonal over velocity components.
+    """
+    uq = forms.eval_velocity(space, np.asarray(u0, dtype=float))
+    conv = np.einsum("cqd,jqd->cqj", uq, space.dN2)
+    local = model.rho0 * ((space.N2 * space.wq) @ conv)   # (cells, 27, 27)
+    n2 = space.n_scalar
+    B = scatter_matrix(space.conn_q2, space.conn_q2, local, (n2, n2))
+    return sp.block_diag([B] * 3, format="csr")

@@ -85,8 +85,8 @@ def test_estimates_pinned(small_space, boussinesq_model):
         0.003172649553602057,
         0.0031063119982081113,
         0.006890343537899237,
-        0.8628792550678134,
-        0.05888608006742597,
+        0.8628792550678128,
+        0.058886080067425996,
     )
 
 
@@ -97,8 +97,8 @@ def test_estimates_pinned_anisotropic(aniso_space, boussinesq_model):
         0.0008740047209357462,
         0.001988531733807395,
         0.006570939402636446,
-        0.8814364362124067,
-        0.038322249466718764,
+        0.8814364362124076,
+        0.03832224946671875,
     )
 
 

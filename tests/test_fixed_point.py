@@ -21,6 +21,7 @@ from thermoduct.fixed_point import (
 from thermoduct.linsolve import solve_spd
 from thermoduct.material import clamped_boussinesq, constant_density, make_material
 
+import oracles
 from conftest import linear_field_dofs
 
 DUCT_CENTER_SPEED = 0.0736713512666702   # series solution of -lap w = 1 on the unit square
@@ -101,7 +102,7 @@ def test_heat_solve_matches_direct_solve_linear_lifting(small_space, unit_model)
     vt = heat_solve(prob, np.zeros(small_space.n_velocity), prob.theta_D)
     theta = prob.theta_D + vt
 
-    kappa = prob.kappa
+    kappa = oracles.assemble_kappa(small_space, unit_model)
     free = small_space.free_theta
     fixed = small_space.dirichlet_mask_theta
     ref = np.zeros(small_space.n_scalar)
@@ -125,7 +126,7 @@ def test_heat_solve_matches_direct_solve_with_dissipation(small_space, unit_mode
     conv = forms.assemble_d_load(space, unit_model, prob.theta_D, u, prob.theta_D)
     rhs = source - conv - prob.lifting_load
     ref = np.zeros(space.n_scalar)
-    Kff = prob.kappa[free][:, free].tocsr()
+    Kff = oracles.assemble_kappa(space, unit_model)[free][:, free].tocsr()
     ref[free] = solve_spd(Kff.__matmul__, rhs[free], precond=lambda r: r / Kff.diagonal(), tol=1e-14)
     assert np.abs(vt - ref).max() < 1e-10
 
@@ -245,6 +246,21 @@ def test_constant_body_force_matches_field_bitwise(small_space, boussinesq_model
     assert g1 == g2
 
 
+def test_problem_and_saddle_allocate_under_2_mb(boussinesq_model):
+    # the operators keep only their 1-D factors: an assembled CSR K of
+    # 4x4x16 would hold 9.6 MB
+    import tracemalloc
+
+    space = build_spaces(build_channel_mesh(1.0, 1.0, 4.0, 4, 4, 16))
+    tracemalloc.start()
+    try:
+        CoupledProblem(space, boussinesq_model, (0, 0, -1), constant_scalar(1.0)).saddle
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
 def test_weak_residual_of_rest_state_is_load_norm(small_space, boussinesq_model):
     prob = CoupledProblem(small_space, boussinesq_model, (0, 0, -1.0), constant_scalar(0.0))
     rest = State(
@@ -272,7 +288,7 @@ def test_weak_residual_matches_separately_assembled_operators(small_space, bouss
     u[space.free_u] += rng.normal(size=space.free_u.size)
     r_mom, _ = weak_residual(prob, State(u, P, state.theta))
 
-    A, D = forms.assemble_a(space, model), forms.divergence_matrix(space)
+    A, D = oracles.assemble_a(space, model), oracles.divergence_matrix(space)
     mom = (A @ u - D.T @ P + forms.convection_load(space, model, u, u)
            - forms.assemble_buoyancy(space, model, state.theta, prob.g) - prob.f_extra_load)
     mass = np.linalg.norm(D @ u)

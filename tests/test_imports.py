@@ -10,9 +10,9 @@ A parameter that its function's body never reads misleads a caller the
 same way, so each parameter of a ``def`` or ``lambda`` in
 ``src/thermoduct`` must appear as a name in that body.
 
-The runtime needs only ``scipy.sparse``: a ``solve``, ``certify`` or
-``mms`` run must leave ``scipy.linalg`` and ``scipy.sparse.linalg``
-unloaded (about 10 MB of resident memory and 0.1 s of import time).
+The runtime needs no scipy: a ``solve``, ``certify`` or ``mms`` run must
+leave every ``scipy`` module unloaded (``scipy.sparse`` alone took about
+0.2 s to import).  The tests use scipy as an oracle.
 """
 
 import ast
@@ -145,8 +145,8 @@ def test_runs_leave_linalg_modules_unloaded(tmp_path, command, extra):
         "import json, sys\n"
         "from thermoduct.cli import main\n"
         f"status = main({argv!r})\n"
-        "print(json.dumps([status, sorted(m for m in sys.modules if m in "
-        "('scipy.linalg', 'scipy.sparse.linalg'))]))\n"
+        "print(json.dumps([status, sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy')]))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

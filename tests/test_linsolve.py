@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import oracles
 from thermoduct import build_channel_mesh, build_spaces, forms
+from thermoduct.forms import _kron3
 from thermoduct.linsolve import (
     LinearSolveError,
     SaddleFactorization,
     SingularMatrixError,
     WallCG,
-    _kron3,
     _TensorInverse,
     solve_spd,
 )
@@ -16,7 +17,8 @@ from thermoduct.material import constant_density, make_material
 
 
 def _eliminated(K, fixed, rhs):
-    """Dense oracle: identity rows and columns, zero load on the fixed dofs."""
+    """Dense oracle of an assembled K: identity rows and columns, zero load
+    on the fixed dofs."""
     K = K.toarray()
     K[fixed, :] = 0.0
     K[:, fixed] = 0.0
@@ -85,7 +87,7 @@ def test_cg_iteration_budget_on_heat_operator():
     # Jacobi-preconditioned CG stays within the default 10*sqrt(n) budget
     space = build_spaces(build_channel_mesh(1, 1, 2, 3, 3, 6))
     model = make_material(nu=1, cV=1, lam=1, alpha1=0, law=constant_density(1))
-    K = forms.assemble_kappa(space, model)
+    K = oracles.assemble_kappa(space, model)
     free = space.free_theta
     Kff = K[free][:, free].tocsr()
     rhs = np.random.default_rng(1).normal(size=Kff.shape[0])
@@ -99,7 +101,8 @@ def test_wall_cg_matches_dense_oracle(cube_space, unit_model):
     load = np.random.default_rng(2).normal(size=cube_space.n_scalar)
     x = WallCG(K, cube_space, 1e-13).solve(load)
     assert np.all(x[fixed] == 0.0)
-    x_ref = np.linalg.solve(*_eliminated(K, fixed, load))
+    x_ref = np.linalg.solve(*_eliminated(oracles.assemble_kappa(cube_space, unit_model),
+                                         fixed, load))
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
@@ -137,16 +140,15 @@ def test_saddle_matches_dense_oracle_on_manufactured_load(space_name, unit_model
     case = v.trig_case(space.mesh.dims, nu=unit_model.nu)
     load = forms.field_load_vector(space, v.stokes_forcing(case, unit_model.nu))
     fixed = space.dirichlet_mask_u
-    A = forms.assemble_a(space, unit_model)
-    D = forms.divergence_matrix(space)
+    A = oracles.assemble_a(space, unit_model)
+    D = oracles.divergence_matrix(space)
     K_ref, rhs = _eliminated(
         sp.bmat([[A, D.T], [D, None]]), fixed,
         np.concatenate([load, np.zeros(space.n_pressure)]),
     )
     x_ref = np.linalg.solve(K_ref, rhs)
     n = space.n_velocity
-    K = forms.assemble_saddle(A, D)
-    u, P = _factor(K, space).solve(load)
+    u, P = _factor(_saddle(space, unit_model), space).solve(load)
     assert np.linalg.norm(u - x_ref[:n]) <= 1e-8 * np.linalg.norm(x_ref[:n])
     assert np.linalg.norm(P + x_ref[n:]) <= 1e-8 * np.linalg.norm(x_ref[n:])
 
@@ -178,9 +180,10 @@ def test_batched_schur_apply_matches_the_per_direction_loop(uneven_space, unit_m
 
 
 def test_saddle_factorization_reuse(cube_space, unit_model):
-    K = _saddle(cube_space, unit_model)
+    K = oracles.assemble_saddle(oracles.assemble_a(cube_space, unit_model),
+                                oracles.divergence_matrix(cube_space))
     fixed = cube_space.dirichlet_mask_u
-    fac = _factor(K, cube_space)
+    fac = _factor(_saddle(cube_space, unit_model), cube_space)
     rng = np.random.default_rng(4)
     for pressure_load in (None, rng.normal(size=cube_space.n_pressure)):
         load = rng.normal(size=cube_space.n_velocity)
@@ -227,7 +230,7 @@ def test_schur_cg_reports_history_on_exhaustion(cube_space, unit_model):
 def test_tensor_inverse_inverts_the_free_stiffness(divisions):
     space = build_spaces(build_channel_mesh(1.0, 1.0, 4.0, *divisions))
     free = space.free_theta
-    S_ff = forms._scalar_stiffness(space)[free][:, free].toarray()
+    S_ff = oracles.scalar_stiffness(space)[free][:, free].toarray()
     inverse = _TensorInverse(forms.axis_matrices(space), space.free_lines, 2.5)
     product = inverse.apply(2.5 * S_ff)   # row by row; S_ff is symmetric
     assert np.abs(product - np.eye(free.size)).max() <= 1e-13
@@ -246,23 +249,8 @@ def test_solves_are_bit_identical(cube_space, unit_model):
     assert np.array_equal(solve_spd(A.__matmul__, b, _jacobi(A)), solve_spd(A.__matmul__, b, _jacobi(A)))
 
 
-def test_assembled_matrices_are_canonical_csr(cube_space, unit_model):
-    # sorted, duplicate-free column indices per row; finite entries
-    for M in (
-        forms.assemble_a(cube_space, unit_model),
-        forms.assemble_kappa(cube_space, unit_model),
-        _saddle(cube_space, unit_model),
-    ):
-        M = M.tocsr()
-        M.check_format(full_check=True)
-        assert np.all(np.isfinite(M.data))
-        for row in range(min(40, M.shape[0])):
-            cols = M.indices[M.indptr[row]:M.indptr[row + 1]]
-            assert np.all(np.diff(cols) > 0)
-
-
 def test_cg_budget_on_viscous_operator(cube_space, unit_model):
-    A = forms.assemble_a(cube_space, unit_model)
+    A = oracles.assemble_a(cube_space, unit_model)
     free = cube_space.free_u
     Aff = A[free][:, free].tocsr()
     rhs = np.random.default_rng(8).normal(size=Aff.shape[0])

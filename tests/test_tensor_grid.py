@@ -4,8 +4,10 @@ The mesh and the spaces build every id as a lattice sum per axis
 (``mesh.lattice``) and every reference table as a product of 1-D tables.
 The formulas here are the oracle: they number one node, and evaluate one
 basis function, at a time, and each array must equal them bit for bit.
-The 1-D operator factors (``forms.axis_matrices``) are checked against the
-assembled 3-D operators, which sum in another order, to a relative 1e-14.
+The 1-D operator factors (``forms.axis_matrices``), and each runtime
+operator's ``@`` built from them, are checked against the 3-D operators
+assembled by the cell scatter (``oracles``), which sum in another order, to
+a relative 1e-14.
 """
 
 import numpy as np
@@ -13,7 +15,9 @@ import pytest
 
 import scipy.sparse as sp
 
+import oracles
 from thermoduct import build_channel_mesh, build_spaces, forms
+from thermoduct.material import constant_density, make_material
 from thermoduct.mesh import FACE_NAMES, FacetTag
 from thermoduct.spaces import _d2q2_1d, _dq2_1d, _q1_1d, _q2_1d, gauss_01
 
@@ -196,11 +200,26 @@ def test_axis_matrices_are_kronecker_factors(space):
 
     X, Y, Z = forms.axis_matrices(space)
     S = kron(Z.M, Y.M, X.K) + kron(Z.M, Y.K, X.M) + kron(Z.K, Y.M, X.M)
-    assert rel(S, forms._scalar_stiffness(space)) <= 1e-14
-    D = forms.divergence_matrix(space)
+    assert rel(S, oracles.scalar_stiffness(space)) <= 1e-14
+    D = oracles.divergence_matrix(space)
     n = space.n_scalar
     for d, D_d in enumerate((kron(Z.B, Y.B, X.dB), kron(Z.B, Y.dB, X.B), kron(Z.dB, Y.B, X.B))):
         assert rel(D_d, D[:, d * n:(d + 1) * n]) <= 1e-14
-    local = np.einsum("q,iq,jq->ij", space.wq, space.N1, space.N1)
-    Mp = forms._scatter_matrix(space.conn_q1, space.conn_q1, local, (space.n_pressure,) * 2)
-    assert rel(kron(Z.Mp, Y.Mp, X.Mp), Mp) <= 1e-14
+    assert rel(kron(Z.Mp, Y.Mp, X.Mp), oracles.pressure_mass(space)) <= 1e-14
+
+    # each runtime operator's @ against its assembled oracle
+    model = make_material(nu=0.37, cV=1.0, lam=1.7, alpha1=1.0, law=constant_density(1.0))
+    A = oracles.assemble_a(space, model)
+    op_D = forms.divergence_matrix(space)
+    pairs = [
+        (forms.assemble_a(space, model).__matmul__, A),
+        (forms.assemble_kappa(space, model).__matmul__, oracles.assemble_kappa(space, model)),
+        (op_D.__matmul__, D),
+        (op_D.apply_transpose, D.T),
+        (forms.assemble_saddle(forms.assemble_a(space, model), op_D).__matmul__,
+         oracles.assemble_saddle(A, D)),
+    ]
+    rng = np.random.default_rng(3)
+    for apply, M in pairs:
+        v = rng.normal(size=M.shape[1])
+        assert rel(apply(v), M @ v) <= 1e-14
