@@ -18,7 +18,7 @@ are labelled as such in reports.  Given a seed they are deterministic and
 monotone in the sample count.
 
 The sampler evaluates every sample in one preallocated workspace of flat
-rows in quad_points order, which ``estimate_constants`` allocates once:
+rows in quadrature-point order, which ``estimate_constants`` allocates once:
 each distinct partial derivative of a sample is computed once, and every
 pointwise sum runs in the order of the array expression it stands for, so
 the constants are those of a direct evaluation bit for bit.  The 1-D
@@ -75,8 +75,8 @@ class ConstantEstimates:
 # is tabulated on the distinct coordinates of its axis (the space's
 # ``quad_lines``) and copied out to one row of cell blocks along that
 # axis, and a partial derivative is the broadcast product ((amp fx) fy) fz,
-# which lands directly in quad_points order.  Coordinates and operation
-# order are those of a pointwise evaluation at quad_points, so every value
+# which lands directly in quadrature-point order.  Coordinates and operation
+# order are those of a pointwise evaluation at the points, so every value
 # equals it bitwise.
 
 _SIN = (np.sin, np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u))
@@ -186,7 +186,7 @@ class _Workspace:
     """Every full-size array of one sample, allocated once by
     ``estimate_constants`` and overwritten by each sample in turn.
 
-    Each array is a flat row in quad_points order.  A sample's derivatives
+    Each array is a flat row in quadrature-point order.  A sample's derivatives
     are lists ``parts[m][i]``: component m along ``_DIRECTIONS[i]``, a row
     of the workspace or None where it vanishes identically.  ``u`` and ``v``
     hold the values and gradients of the two nonzero curl components of
@@ -398,7 +398,7 @@ def estimate_constants(problem, samples=200, seed=0, s=2.0, r=2.0):
     drawn one at a time from the seeded generator and folded into the
     maxima in draw order.  Each sample's 1-D factors are tabulated on the
     quadrature coordinate lines of ``space`` and every partial derivative
-    is broadcast from those tables straight into quad_points order.
+    is broadcast from those tables straight into quadrature-point order.
 
     One ``_Workspace`` holds every full-size array of a sample and is
     overwritten by the next, so the sampler allocates no field-sized

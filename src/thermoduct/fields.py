@@ -1,12 +1,16 @@
 """Closed-form fields for boundary data, forces and manufactured solutions.
 
-A field is any callable of points ``(n, 3)``; ``forms.quad_values``
-tabulates it once at the quadrature points, and a constant passes through
-as a float array.  ``Field`` adds the optional gradient and Laplacian
-closures that the manufactured-solution oracles need; no solver path
-reads them.  Value callables must accept complex coordinate arrays so
-that manufactured-solution derivatives can be cross-checked by
-complex-step differentiation.
+A field is a callable of ``x``, three broadcastable coordinate arrays
+(``X, Y, Z = x``), that stacks vector components on the last axis.
+``forms.quad_values`` calls it once on the per-axis quadrature coordinates
+(``DiscreteSpace.quad_lines``); a point array ``(n, 3)`` is passed as
+``points.T``.  Elementwise operations give every point the bits of a
+pointwise evaluation.  A constant passes through ``quad_values`` as a
+float array.  ``Field`` adds the optional gradient and Laplacian closures
+that the manufactured-solution oracles need; no solver path reads them.
+Value callables must accept complex coordinates so that
+manufactured-solution derivatives can be cross-checked by complex-step
+differentiation.
 """
 
 import numpy as np
@@ -14,13 +18,13 @@ import numpy as np
 __all__ = [
     "Field",
     "constant_scalar",
-    "constant_vector",
     "span_scalar",
+    "zeros",
 ]
 
 
 class Field:
-    """Scalar or vector field; a vector grad(x) has index order [point, component, direction]."""
+    """Scalar or vector field; a vector grad(x) has index order [..., component, direction]."""
 
     def __init__(self, value, grad=None, laplacian=None):
         self.value = value
@@ -28,24 +32,22 @@ class Field:
         self.laplacian = laplacian
 
     def __call__(self, x):
-        return self.value(np.asarray(x))
+        return self.value(x)
+
+
+def zeros(x, *components):
+    """Zeros on the broadcast shape of the coordinates ``x``, with trailing
+    ``components`` axes, in the coordinates' dtype."""
+    grid = np.broadcast_shapes(*(np.shape(c) for c in x))
+    return np.zeros(grid + components, dtype=np.result_type(*x))
 
 
 def constant_scalar(c):
     c = float(c)
     return Field(
-        value=lambda x: np.full(x.shape[0], c, dtype=x.dtype),
-        grad=lambda x: np.zeros((x.shape[0], 3), dtype=x.dtype),
-        laplacian=lambda x: np.zeros(x.shape[0], dtype=x.dtype),
-    )
-
-
-def constant_vector(v):
-    v = np.asarray(v, dtype=float).reshape(3)
-    return Field(
-        value=lambda x: np.broadcast_to(v.astype(x.dtype), (x.shape[0], 3)).copy(),
-        grad=lambda x: np.zeros((x.shape[0], 3, 3), dtype=x.dtype),
-        laplacian=lambda x: np.zeros((x.shape[0], 3), dtype=x.dtype),
+        value=lambda x: np.full_like(zeros(x), c),
+        grad=lambda x: zeros(x, 3),
+        laplacian=zeros,
     )
 
 
@@ -60,15 +62,11 @@ def span_scalar(axis, theta0, delta, length):
     theta0, delta, length = float(theta0), float(delta), float(length)
 
     def value(x):
-        return theta0 + delta * x[:, axis] / length
+        return theta0 + delta * x[axis] / length
 
     def grad(x):
-        g = np.zeros((x.shape[0], 3), dtype=x.dtype)
-        g[:, axis] = delta / length
+        g = zeros(x, 3)
+        g[..., axis] = delta / length
         return g
 
-    return Field(
-        value=value,
-        grad=grad,
-        laplacian=lambda x: np.zeros(x.shape[0], dtype=x.dtype),
-    )
+    return Field(value=value, grad=grad, laplacian=zeros)

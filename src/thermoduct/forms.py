@@ -6,19 +6,22 @@ block system [[A, -D^T], [-D, 0]] with D the discrete divergence
 (q, div u).  The do-nothing outflow condition is natural for this weak
 form, so no boundary terms are added on the open ends.  Every cell is a
 box and the quadrature a tensor rule, so each operator is a sum of
-Kronecker products of the 1-D matrices of ``axis_matrices``, and it is
-applied as one: ``assemble_a``, ``assemble_kappa``, ``divergence_matrix``
-and ``assemble_saddle`` return small objects with ``shape`` and ``@``
-(the divergence also ``apply_transpose``), and no matrix is assembled.
-``linsolve`` builds its solvers from the same factors; the operators give
-the residuals.  The convection b(u0, v, w) enters only as a load.
+Kronecker products of the 1-D matrices of ``DiscreteSpace.axis_matrices``,
+and it is applied as one: ``assemble_a``, ``assemble_kappa``,
+``divergence_matrix`` and ``assemble_saddle`` return small objects with
+``shape`` and ``@`` (the divergence also ``apply_transpose``), and no
+matrix is assembled.  ``linsolve`` builds its solvers from the same
+factors; the operators give the residuals.  The convection b(u0, v, w)
+enters only as a load.
 
 Loads: convective, dissipative and buoyancy terms are assembled as
 explicit load vectors with every argument frozen, mirroring the
 linearized solve structure of the fixed-point scheme.  Problem data (a
-callable of points, a constant, or values already tabulated) become
-quadrature values in one place, ``quad_values``.  Norm exponents are
-checked by ``spectrum.admissible_sr``.
+``fields`` callable, a constant, or values already tabulated) become
+quadrature values in one place, ``quad_values``: a callable is tabulated
+on the per-axis quadrature coordinates (``DiscreteSpace.quad_lines``) and
+broadcast, not evaluated at a list of points.  Norm exponents are checked
+by ``spectrum.admissible_sr``.
 
 All cells are congruent, so one set of reference tables serves every
 cell.  Every field is evaluated at the quadrature points by one kernel,
@@ -26,27 +29,27 @@ cell.  Every field is evaluated at the quadrature points by one kernel,
 with a reference table.  Every load is scattered by one kernel,
 ``_scatter_load``: multiply the weighted quadrature values cell by cell
 with the transposed value table, then sum into the global vector with
-``np.bincount``.  Each product has a fixed per-cell size, so no BLAS call
-of these kernels grows with the mesh and their results do not depend on
-the BLAS thread count; ``bincount`` adds the contributions in a fixed
-order, so repeated assemblies are bit-identical.  The operator applies
-are products of 1-D matrices whose size does grow with the mesh: that
-their bits do not depend on the thread count is tested, not structural.
+``np.bincount``.  The load kernel and the callable data it tabulates run
+over ``cell_blocks``, blocks of whole z layers of about ``_BLOCK_CELLS``
+cells, so their transients are bounded by the block and not the mesh;
+every step is cell-local, so the result does not depend on the blocking.
+Each product has a fixed per-cell size, so no BLAS call of these kernels
+grows with the mesh and their results do not depend on the BLAS thread
+count; ``bincount`` adds the contributions in a fixed order, so repeated
+assemblies are bit-identical.  The operator applies are products of 1-D
+matrices whose size does grow with the mesh: that their bits do not
+depend on the thread count is tested, not structural.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
-from .spaces import _dq2_1d, _q1_1d, _q2_1d, gauss_01
 from .spectrum import admissible_sr
 
 __all__ = [
     "assemble_a",
     "assemble_kappa",
     "assemble_saddle",
-    "AxisMatrices",
-    "axis_matrices",
+    "cell_blocks",
     "convection_load",
     "assemble_d_load",
     "assemble_e_load",
@@ -70,129 +73,115 @@ __all__ = [
 # -- helpers ----------------------------------------------------------------
 
 
-def _local_index(conn, n, m):
-    """Global dof ids (cells, nloc, m) of m component blocks of n dofs each."""
-    return conn[:, :, None] + n * np.arange(m)
+# cells per block of ``cell_blocks``: a (256, 125, 3, 3) gradient block at
+# quad_order 5 is 2.3 MB
+_BLOCK_CELLS = 256
 
 
-def _contract(dofs, conn, table, m=1):
-    """Values of an m-component dof vector at quadrature points, (cells, nq, ..., m).
+def cell_blocks(space):
+    """Yield ``(cells, lines)`` over the mesh in blocks of whole z layers,
+    about ``_BLOCK_CELLS`` cells each (at least one layer).
 
-    ``table`` is a reference table (nloc, nq, ...) such as N2, dN2 or d2N2.
-    The product runs cell by cell, (nq * k, nloc) @ (nloc, m), so every BLAS
-    call has the same small size on any mesh and any thread count.
+    ``cells`` is the block's slice of the cell numbering (x fastest, z
+    slowest), and ``lines`` is ``space.quad_lines`` with the z line cut to
+    the block's layers, so ``quad_values(space, fld, lines)`` tabulates the
+    block's cells only.
     """
-    dofs = np.asarray(dofs)
-    local = dofs[_local_index(conn, dofs.size // m, m)]
+    nx, ny, nz = space.mesh.divisions
+    layer = nx * ny
+    step = max(1, _BLOCK_CELLS // layer)
+    x, y, z = space.quad_lines
+    for k in range(0, nz, step):
+        end = min(k + step, nz)
+        yield slice(k * layer, end * layer), (x, y, z[k:end])
+
+
+def _contract(dofs, index, table):
+    """Values of a dof vector at quadrature points, (cells, nq, ..., m).
+
+    ``index`` (cells, nloc, m) holds the global dof ids of m components per
+    cell (``DiscreteSpace.conn_u`` or a slice of it), and ``table`` is a
+    reference table (nloc, nq, ...) such as N2, dN2 or d2N2.  The product
+    runs cell by cell, (nq * k, nloc) @ (nloc, m), so every BLAS call has
+    the same small size on any mesh and any thread count.
+    """
+    local = np.asarray(dofs)[index]
     out = table.reshape(table.shape[0], -1).T @ local
-    return out.reshape(conn.shape[0], *table.shape[1:], m)
+    return out.reshape(index.shape[0], *table.shape[1:], index.shape[-1])
 
 
-def _scatter_load(space, values):
-    """values (ncells, nq), or (ncells, nq, 3) for a vector load -> load vector."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 2:
-        values = values[:, :, None]
-    m = values.shape[-1]
-    local = (space.N2 * space.wq) @ values            # (cells, 27, m)
+def _scatter_load(space, values, m):
+    """Load vector of quadrature data in m components.
+
+    ``values`` is (ncells, nq), or (ncells, nq, m) for m > 1, or a callable
+    ``values(cells, lines)`` that gives one ``cell_blocks`` block of it.
+    The (cells, 27, m) local vectors are filled block by block, then summed
+    with one ``bincount``.
+    """
+    local = np.empty((space.n_cells, space.N2.shape[0], m))
+    weighted = space.N2 * space.wq
+    for cells, lines in cell_blocks(space):
+        block = values(cells, lines) if callable(values) else values[cells]
+        block = np.asarray(block, dtype=float)
+        local[cells] = weighted @ (block[:, :, None] if block.ndim == 2 else block)
     return np.bincount(
-        _local_index(space.conn_q2, space.n_scalar, m).ravel(),
+        space.conn_u[..., :m].ravel(),
         weights=local.ravel(),
         minlength=m * space.n_scalar,
     )
 
 
-def eval_scalar(space, dofs):
-    """Values of a scalar dof vector at the quadrature points, (ncells, nq)."""
-    return _contract(dofs, space.conn_q2, space.N2)[..., 0]
+def eval_scalar(space, dofs, cells=slice(None)):
+    """Values of a scalar dof vector at the quadrature points of ``cells``, (cells, nq)."""
+    return _contract(dofs, space.conn_u[cells, :, :1], space.N2)[..., 0]
 
 
-def eval_scalar_grad(space, dofs):
-    return _contract(dofs, space.conn_q2, space.dN2)[..., 0]
+def eval_scalar_grad(space, dofs, cells=slice(None)):
+    return _contract(dofs, space.conn_u[cells, :, :1], space.dN2)[..., 0]
 
 
 def eval_scalar_hess(space, dofs):
-    return _contract(dofs, space.conn_q2, space.d2N2)[..., 0]
+    return _contract(dofs, space.conn_u[..., :1], space.d2N2)[..., 0]
 
 
-def eval_velocity(space, u):
-    """Velocity values at quadrature points, (ncells, nq, 3)."""
-    return _contract(u, space.conn_q2, space.N2, 3)
+def eval_velocity(space, u, cells=slice(None)):
+    """Velocity values at the quadrature points of ``cells``, (cells, nq, 3)."""
+    return _contract(u, space.conn_u[cells], space.N2)
 
 
-def eval_velocity_grad(space, u):
-    """Velocity gradients at quadrature points, (ncells, nq, 3, 3) as [m, d]."""
-    return np.swapaxes(_contract(u, space.conn_q2, space.dN2, 3), -1, -2)
+def eval_velocity_grad(space, u, cells=slice(None)):
+    """Velocity gradients at quadrature points, (cells, nq, 3, 3) as [m, d]."""
+    return np.swapaxes(_contract(u, space.conn_u[cells], space.dN2), -1, -2)
 
 
-def eval_pressure(space, p):
-    """Values of a trilinear pressure dof vector at the quadrature points, (ncells, nq)."""
-    return _contract(p, space.conn_q1, space.N1)[..., 0]
+def eval_pressure(space, p, cells=slice(None)):
+    """Values of a trilinear pressure dof vector at the quadrature points, (cells, nq)."""
+    return _contract(p, space.conn_q1[cells, :, None], space.N1)[..., 0]
 
 
-def quad_values(space, fld):
+def quad_values(space, fld, lines=None):
     """Problem data at the quadrature points.
 
-    A callable of points (n, 3) is evaluated once at every quadrature point
-    and returned as (ncells, nq, ...).  A constant, or values already
-    tabulated this way, is returned as a float array that broadcasts
-    against them.
+    A callable (the ``fields`` convention) is evaluated once on the
+    quadrature lines, ``space.quad_lines`` or one block's ``lines`` from
+    ``cell_blocks``, broadcast to their grid and returned as (cells, nq,
+    ...).  A constant, or values already tabulated this way, is returned
+    as a float array that broadcasts against them.
     """
     if callable(fld):
-        vals = np.asarray(fld(space.quad_points.reshape(-1, 3)), dtype=float)
-        return vals.reshape(space.n_cells, space.nq, *vals.shape[1:])
+        lines = space.quad_lines if lines is None else lines
+        grid = np.broadcast_shapes(*(line.shape for line in lines))
+        vals = np.asarray(fld(lines), dtype=float)
+        comps = vals.shape[len(grid):]
+        return np.broadcast_to(vals, grid + comps).reshape(-1, space.nq, *comps)
     return np.asarray(fld, dtype=float)
 
 
 def interpolate_scalar(space, fld):
-    return np.asarray(fld(space.q2_nodes), dtype=float)
+    return np.asarray(fld(space.q2_nodes.T), dtype=float)
 
 
 # -- operators ----------------------------------------------------------------
-
-
-class AxisMatrices(NamedTuple):
-    """The 1-D matrices of one axis, on its grid nodes in order (dense)."""
-
-    K: np.ndarray    # Q2 stiffness (phi_i', phi_j')
-    M: np.ndarray    # Q2 mass (phi_i, phi_j)
-    Mp: np.ndarray   # Q1 mass (psi_p, psi_q)
-    B: np.ndarray    # Q1 x Q2 values (psi_p, phi_j)
-    dB: np.ndarray   # Q1 x Q2 derivatives (psi_p, phi_j')
-
-
-def axis_matrices(space):
-    """The (x, y, z) ``AxisMatrices`` whose Kronecker products are the operators.
-
-    Every cell is a box and the quadrature a tensor Gauss rule, so each
-    3-D integral is the product of 1-D integrals on the three axes.  With
-    the grid numbered x fastest, ``kron(a_z, kron(a_y, a_x))`` of the
-    factors below gives:
-
-    - the scalar stiffness of ``assemble_a`` and ``assemble_kappa``: the
-      sum over axes d of K on axis d and M on the other two;
-    - component d of ``divergence_matrix``: dB on axis d and B on the other
-      two;
-    - the Q1 pressure mass: Mp on every axis.
-    """
-    g, w = gauss_01(space.quad_order)
-    q2, dq2, q1 = _q2_1d(g), _dq2_1d(g), _q1_1d(g)
-
-    def gram(rows, left, cols, right, scale):
-        """Sum over cells of the 1-D element matrices scale * (left, right)."""
-        mat = np.zeros((rows[-1, -1] + 1, cols[-1, -1] + 1))
-        np.add.at(mat, (rows[:, :, None], cols[:, None, :]), scale * (left * w) @ right.T)
-        return mat
-
-    out = []
-    for n, h in zip(space.mesh.divisions, space.h):
-        c2 = 2 * np.arange(n)[:, None] + np.arange(3)   # Q2 nodes of each cell
-        c1 = np.arange(n)[:, None] + np.arange(2)       # Q1 nodes of each cell
-        out.append(AxisMatrices(
-            K=gram(c2, dq2, c2, dq2, 1.0 / h), M=gram(c2, q2, c2, q2, h),
-            Mp=gram(c1, q1, c1, q1, h), B=gram(c1, q1, c2, q2, h), dB=gram(c1, q1, c2, dq2, 1.0),
-        ))
-    return tuple(out)
 
 
 def _kron3(z, y, x, X):
@@ -266,17 +255,17 @@ class _Saddle:
 
 def assemble_a(space, model):
     """Viscous operator, nu * (grad u : grad v); SPD after wall elimination."""
-    return _Stiffness(axis_matrices(space), model.nu, 3)
+    return _Stiffness(space.axis_matrices, model.nu, 3)
 
 
 def assemble_kappa(space, model):
     """Heat stiffness, lambda * (grad t . grad p)."""
-    return _Stiffness(axis_matrices(space), model.lam, 1)
+    return _Stiffness(space.axis_matrices, model.lam, 1)
 
 
 def divergence_matrix(space):
     """D[q, u] = (q, div u) on pressure x velocity."""
-    return _Divergence(axis_matrices(space))
+    return _Divergence(space.axis_matrices)
 
 
 def assemble_saddle(A, D):
@@ -305,7 +294,7 @@ def convection_value(space, model, u0, u1):
 
 def convection_load(space, model, u0, u1):
     """Load form of b with both slots frozen: entries rho0 ((u0.grad)u1, v_i)."""
-    return _scatter_load(space, convection_value(space, model, u0, u1))
+    return _scatter_load(space, convection_value(space, model, u0, u1), 3)
 
 
 def _strain(space, u):
@@ -323,7 +312,7 @@ def dissipation_value(space, model, u, v):
 
 def assemble_e_load(space, model, u, v):
     """Dissipation load: entries alpha1 nu (e(u):e(v), phi_i)."""
-    return _scatter_load(space, dissipation_value(space, model, u, v))
+    return _scatter_load(space, dissipation_value(space, model, u, v), 1)
 
 
 def heat_convection_value(space, model, theta_freeze, u, theta_transport):
@@ -337,7 +326,7 @@ def heat_convection_value(space, model, theta_freeze, u, theta_transport):
 def assemble_d_load(space, model, theta_freeze, u, theta_transport):
     """Heat convection load with all three slots frozen."""
     return _scatter_load(
-        space, heat_convection_value(space, model, theta_freeze, u, theta_transport)
+        space, heat_convection_value(space, model, theta_freeze, u, theta_transport), 1
     )
 
 
@@ -349,19 +338,26 @@ def buoyancy_value(space, model, theta, g):
 
 def assemble_buoyancy(space, model, theta, g):
     """Buoyancy load: entries (rho(theta) g, v_i)."""
-    return _scatter_load(space, buoyancy_value(space, model, theta, g))
+    return _scatter_load(space, buoyancy_value(space, model, theta, g), 3)
+
+
+def _field_data(space, fld, comps):
+    """Data ``quad_values`` takes as ``_scatter_load`` data, (b, nq, *comps)
+    per block; a callable is tabulated one block at a time."""
+    if callable(fld):
+        return lambda cells, lines: np.broadcast_to(
+            quad_values(space, fld, lines), (cells.stop - cells.start, space.nq, *comps))
+    return np.broadcast_to(quad_values(space, fld), (space.n_cells, space.nq, *comps))
 
 
 def field_load_scalar(space, fld):
     """(h, phi_i) for scalar data h (see ``quad_values``)."""
-    h = np.broadcast_to(quad_values(space, fld), (space.n_cells, space.nq))
-    return _scatter_load(space, h)
+    return _scatter_load(space, _field_data(space, fld, ()), 1)
 
 
 def field_load_vector(space, fld):
     """(f, v_i) for vector data f (see ``quad_values``)."""
-    f = np.broadcast_to(quad_values(space, fld), (space.n_cells, space.nq, 3))
-    return _scatter_load(space, f)
+    return _scatter_load(space, _field_data(space, fld, (3,)), 3)
 
 
 # -- norms ---------------------------------------------------------------------
@@ -379,7 +375,7 @@ def _sobolev_density(space, fld, order):
         raise ValueError("field length matches neither scalar nor velocity layout")
     dens = 0.0
     for table in (space.N2, space.dN2, space.d2N2)[: order + 1]:
-        vals = _contract(fld, space.conn_q2, table, m).reshape(space.n_cells, space.nq, -1)
+        vals = _contract(fld, space.conn_u[..., :m], table).reshape(space.n_cells, space.nq, -1)
         dens = dens + np.einsum("cqk,cqk->cq", vals, vals)
     return dens
 
@@ -423,7 +419,7 @@ def lp_norm_of_values(space, values, p):
 def surface_velocity_normal(space, u, face_name):
     """(u . n, surface weights per facet) on one boundary face."""
     face = space.faces[face_name]
-    un = _contract(u, face["conn"], face["basis"], 3) @ face["normal"]
+    un = _contract(u, face["conn_u"], face["basis"]) @ face["normal"]
     return un, face["weights"]
 
 
@@ -437,6 +433,6 @@ def outflow_boundary_term(space, model, u0, v):
     for name in ("x0", "x1"):
         face = space.faces[name]
         un, wts = surface_velocity_normal(space, u0, name)
-        vv = _contract(v, face["conn"], face["basis"], 3)
+        vv = _contract(v, face["conn_u"], face["basis"])
         total += np.einsum("q,cq->", wts, un * np.sum(vv**2, axis=-1))
     return 0.5 * model.rho0 * float(total)

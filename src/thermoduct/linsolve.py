@@ -2,9 +2,9 @@
 
 Every cell is a box, so the scalar stiffness is the Kronecker sum
 ``Kz⊗My⊗Mx + Mz⊗Ky⊗Mx + Mz⊗My⊗Kx`` of 1-D matrices
-(``forms.axis_matrices``), and its free block, on the tensor product of
-the free nodes of each axis (every x node, the interior y and z nodes), is
-one too.  Its inverse is exact through three 1-D generalized
+(``DiscreteSpace.axis_matrices``), and its free block, on the tensor
+product of the free nodes of each axis (every x node, the interior y and
+z nodes), is one too.  Its inverse is exact through three 1-D generalized
 eigenproblems ``K v = λ M v`` (fast diagonalization: Lynch, Rice & Thomas,
 Numer. Math. 6, 1964; Deville, Fischer & Mund, 2002, §4.3): with
 ``V = Vz⊗Vy⊗Vx``, ``S_ff⁻¹ = V diag(1 / (λz + λy + λx)) Vᵀ``, applied as
@@ -36,7 +36,6 @@ deterministic: identical inputs give bit-identical outputs.
 
 import numpy as np
 
-from . import forms
 from .forms import _kron3
 
 _RESIDUAL_TOL = 1e-10  # relative residual a saddle solve must reach on the handed K
@@ -170,7 +169,7 @@ class WallCG:
     def __init__(self, kappa, space, tol):
         self.kappa = kappa
         self.free = space.free_theta
-        self.inverse = _TensorInverse(forms.axis_matrices(space), space.free_lines, 1.0)
+        self.inverse = _TensorInverse(space.axis_matrices, space.free_lines, 1.0)
         self.tol = tol
 
     def _apply(self, y):
@@ -230,7 +229,7 @@ class SaddleFactorization:
         self.K = K
         self.space = space
         self.max_iter = max_iter
-        axes = forms.axis_matrices(space)
+        axes = space.axis_matrices
         self.inverse = _TensorInverse(axes, space.free_lines, nu)
         # D_d V on each axis a: the derivative if a == d, the value elsewhere
         self.C = [

@@ -12,17 +12,20 @@ so is everything here: each id is a ``mesh.lattice`` sum of per-axis
 indices, and each table (basis values and derivatives, weights, the
 open-end basis) is the broadcast product of 1-D tables tabulated once at
 the 1-D Gauss nodes.  The quadrature points are the broadcast of their
-per-axis coordinates ``quad_lines``; this module is the one that knows
-their layout.
+per-axis coordinates ``quad_lines``, which is never formed: closed-form
+data are tabulated on the lines themselves (``forms.quad_values``).  This
+module is the one that knows their layout.  The 1-D operator matrices
+(``axis_matrices``) are built once per space, on first use.
 """
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
 from .mesh import grid_points, lattice
 
-__all__ = ["DiscreteSpace", "build_spaces", "gauss_01"]
+__all__ = ["AxisMatrices", "DiscreteSpace", "build_spaces", "gauss_01"]
 
 
 def gauss_01(n):
@@ -65,6 +68,16 @@ def _tensor(*tables):
     return prod.reshape(np.prod(prod.shape[:d]), -1)
 
 
+class AxisMatrices(NamedTuple):
+    """The 1-D matrices of one axis, on its grid nodes in order (dense)."""
+
+    K: np.ndarray    # Q2 stiffness (phi_i', phi_j')
+    M: np.ndarray    # Q2 mass (phi_i, phi_j)
+    Mp: np.ndarray   # Q1 mass (psi_p, psi_q)
+    B: np.ndarray    # Q1 x Q2 values (psi_p, phi_j)
+    dB: np.ndarray   # Q1 x Q2 derivatives (psi_p, phi_j')
+
+
 class DiscreteSpace:
     """Discrete Taylor-Hood + temperature space on a ChannelMesh.
 
@@ -74,7 +87,9 @@ class DiscreteSpace:
       velocity component share this layout),
     - ``n_velocity = 3 * n_scalar``, ``n_pressure`` (trilinear),
     - ``conn_q2``/``conn_q1``: cell-to-dof connectivity, local nodes x
-      fastest; ``vertex_to_q2``: the Q2 node of each mesh vertex,
+      fastest; ``conn_u``: the (cells, 27, 3) velocity dof ids of each
+      cell, component-blocked, whose ``[..., :1]`` is ``conn_q2`` as a
+      gather index; ``vertex_to_q2``: the Q2 node of each mesh vertex,
     - ``dirichlet_mask_theta``/``dirichlet_mask_u``: dofs on the closure
       of the lateral walls (junction edges included), and their
       complements ``free_theta``/``free_u``, all ascending; ``free_lines``:
@@ -83,11 +98,12 @@ class DiscreteSpace:
       ``nq`` volume quadrature points of a cell, point index z fastest,
       with weights ``wq``,
     - ``quad_lines``: the x, y and z quadrature coordinates, shaped to
-      broadcast against ``quad_points`` viewed as (cells_z, cells_y,
-      cells_x, q_x, q_y, q_z); ``quad_points`` is their (n_cells, nq, 3)
-      broadcast,
-    - per open end (``faces["x0"]``, ``faces["x1"]``): facet connectivity,
-      surface quadrature tables and the outward normal.
+      broadcast to the quadrature grid (cells_z, cells_y, cells_x, q_x,
+      q_y, q_z); flattened, that grid is (n_cells, nq) in cell order,
+    - per open end (``faces["x0"]``, ``faces["x1"]``): facet connectivity
+      ``conn`` and its velocity dof ids ``conn_u``, surface quadrature
+      tables and the outward normal,
+    - ``axis_matrices``: the (x, y, z) ``AxisMatrices``.
     """
 
     def __init__(self, mesh, quad_order=5):
@@ -118,7 +134,12 @@ class DiscreteSpace:
         s2 = np.cumprod((1,) + self.q2_shape[:2])
         s1 = np.cumprod((1,) + self.q1_shape[:2])
         q2 = [(2 * np.arange(n)[:, None] + np.arange(3)) * s for n, s in zip(cells, s2)]
+
+        def components(conn):
+            return conn[:, :, None] + self.n_scalar * np.arange(3)
+
         self.conn_q2 = lattice(*q2)
+        self.conn_u = components(self.conn_q2)
         self.conn_q1 = lattice(
             *[(np.arange(n)[:, None] + np.arange(2)) * s for n, s in zip(cells, s1)]
         )
@@ -127,10 +148,11 @@ class DiscreteSpace:
             *[2 * np.arange(n + 1)[:, None] * s for n, s in zip(cells, s2)]
         ).ravel()
         # an open end is the lattice of its facets with one grid plane in x
-        self.faces = {
-            name: {"conn": lattice(np.array([[i]]), *q2[1:]), "normal": np.array([normal, 0, 0])}
-            for name, i, normal in (("x0", 0, -1.0), ("x1", self.q2_shape[0] - 1, 1.0))
-        }
+        self.faces = {}
+        for name, i, normal in (("x0", 0, -1.0), ("x1", self.q2_shape[0] - 1, 1.0)):
+            conn = lattice(np.array([[i]]), *q2[1:])
+            self.faces[name] = {"conn": conn, "conn_u": components(conn),
+                                "normal": np.array([normal, 0, 0])}
         self.q2_nodes = grid_points(self.h / 2.0, self.q2_shape)
 
     def _build_masks(self):
@@ -176,15 +198,49 @@ class DiscreteSpace:
             _on_axis(np.arange(n)[:, None] * h[a] + g * h[a], a, 3)
             for a, n in enumerate(self.mesh.divisions)
         )
-        self.quad_points = np.stack(np.broadcast_arrays(*self.quad_lines), axis=-1).reshape(
-            self.n_cells, self.nq, 3
-        )
 
         # the tangent axes of an x face are (y, z)
         face_weights = _tensor(w[None], w[None]).ravel() * (h[1] * h[2])
         face_basis = _tensor(q2[0], q2[0])
         for face in self.faces.values():
             face.update(weights=face_weights, basis=face_basis)
+
+    @functools.cached_property
+    def axis_matrices(self):
+        """The (x, y, z) ``AxisMatrices`` whose Kronecker products are the
+        operators, built on first use.
+
+        Every cell is a box and the quadrature a tensor Gauss rule, so each
+        3-D integral is the product of 1-D integrals on the three axes.
+        With the grid numbered x fastest, ``kron(a_z, kron(a_y, a_x))`` of
+        the factors gives:
+
+        - the scalar stiffness of ``forms.assemble_a`` and
+          ``forms.assemble_kappa``: the sum over axes d of K on axis d and M
+          on the other two;
+        - component d of ``forms.divergence_matrix``: dB on axis d and B on
+          the other two;
+        - the Q1 pressure mass: Mp on every axis.
+        """
+        g, w = gauss_01(self.quad_order)
+        q2, dq2, q1 = _q2_1d(g), _dq2_1d(g), _q1_1d(g)
+
+        def gram(rows, left, cols, right, scale):
+            """Sum over cells of the 1-D element matrices scale * (left, right)."""
+            mat = np.zeros((rows[-1, -1] + 1, cols[-1, -1] + 1))
+            np.add.at(mat, (rows[:, :, None], cols[:, None, :]), scale * (left * w) @ right.T)
+            return mat
+
+        out = []
+        for n, h in zip(self.mesh.divisions, self.h):
+            c2 = 2 * np.arange(n)[:, None] + np.arange(3)   # Q2 nodes of each cell
+            c1 = np.arange(n)[:, None] + np.arange(2)       # Q1 nodes of each cell
+            out.append(AxisMatrices(
+                K=gram(c2, dq2, c2, dq2, 1.0 / h), M=gram(c2, q2, c2, q2, h),
+                Mp=gram(c1, q1, c1, q1, h), B=gram(c1, q1, c2, q2, h),
+                dB=gram(c1, q1, c2, dq2, 1.0),
+            ))
+        return tuple(out)
 
     # -- queries -----------------------------------------------------------
 

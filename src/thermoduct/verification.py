@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms
-from .fields import Field, constant_scalar
+from .fields import Field, constant_scalar, zeros
 from .fixed_point import CoupledProblem, outer_loop
 from .linsolve import SaddleFactorization
 from .material import constant_density, make_material
@@ -60,7 +60,7 @@ def trig_case(dims, nu=1.0, amplitude=1.0):
     a = float(amplitude)
 
     def parts(x):
-        X, Y, Z = x[:, 0], x[:, 1], x[:, 2]
+        X, Y, Z = x
         return (
             np.sin(ax * X), np.cos(ax * X),
             np.sin(2 * ay * Y), np.cos(2 * ay * Y),
@@ -73,17 +73,17 @@ def trig_case(dims, nu=1.0, amplitude=1.0):
         sx, cx, s2y, c2y, sy2, s2z, c2z, sz2 = parts(x)
         u1 = a * ay * sx * s2y * sz2
         u2 = -a * ax * cx * sy2 * sz2
-        return np.stack([u1, u2, np.zeros_like(u1)], axis=1)
+        return np.stack([u1, u2, np.zeros_like(u1)], axis=-1)
 
     def u_grad(x):
         sx, cx, s2y, c2y, sy2, s2z, c2z, sz2 = parts(x)
-        G = np.zeros((x.shape[0], 3, 3), dtype=x.dtype)
-        G[:, 0, 0] = a * ay * ax * cx * s2y * sz2
-        G[:, 0, 1] = 2 * a * ay * ay * sx * c2y * sz2
-        G[:, 0, 2] = a * ay * az * sx * s2y * s2z
-        G[:, 1, 0] = a * ax * ax * sx * sy2 * sz2
-        G[:, 1, 1] = -a * ax * ay * cx * s2y * sz2
-        G[:, 1, 2] = -a * ax * az * cx * sy2 * s2z
+        G = zeros(x, 3, 3)
+        G[..., 0, 0] = a * ay * ax * cx * s2y * sz2
+        G[..., 0, 1] = 2 * a * ay * ay * sx * c2y * sz2
+        G[..., 0, 2] = a * ay * az * sx * s2y * s2z
+        G[..., 1, 0] = a * ax * ax * sx * sy2 * sz2
+        G[..., 1, 1] = -a * ax * ay * cx * s2y * sz2
+        G[..., 1, 2] = -a * ax * az * cx * sy2 * s2z
         return G
 
     def u_lap(x):
@@ -94,7 +94,7 @@ def trig_case(dims, nu=1.0, amplitude=1.0):
         l2 = a * (ax**3 * cx * sy2 * sz2
                   - 2 * ax * ay * ay * cx * c2y * sz2
                   - 2 * ax * az * az * cx * sy2 * c2z)
-        return np.stack([l1, l2, np.zeros_like(l1)], axis=1)
+        return np.stack([l1, l2, np.zeros_like(l1)], axis=-1)
 
     def p_val(x):
         sx, cx, s2y, c2y, sy2, s2z, c2z, sz2 = parts(x)
@@ -102,10 +102,10 @@ def trig_case(dims, nu=1.0, amplitude=1.0):
 
     def p_grad(x):
         sx, cx, s2y, c2y, sy2, s2z, c2z, sz2 = parts(x)
-        g = np.zeros((x.shape[0], 3), dtype=x.dtype)
-        g[:, 0] = -nu * a * ax * ax * ay * sx * s2y * sz2
-        g[:, 1] = 2 * nu * a * ax * ay * ay * cx * c2y * sz2
-        g[:, 2] = nu * a * ax * ay * az * cx * s2y * s2z
+        g = zeros(x, 3)
+        g[..., 0] = -nu * a * ax * ax * ay * sx * s2y * sz2
+        g[..., 1] = 2 * nu * a * ax * ay * ay * cx * c2y * sz2
+        g[..., 2] = nu * a * ax * ay * az * cx * s2y * s2z
         return g
 
     theta = _compatible_theta(dims, amplitude=0.5 * a)
@@ -125,19 +125,22 @@ def _compatible_theta(dims, amplitude=1.0, offset=1.0):
     a = float(amplitude)
 
     def val(x):
-        return offset + a * np.cos(ax * x[:, 0]) * np.cos(ay * x[:, 1]) * np.cos(az * x[:, 2])
+        X, Y, Z = x
+        return offset + a * np.cos(ax * X) * np.cos(ay * Y) * np.cos(az * Z)
 
     def grad(x):
-        cx, cy, cz = np.cos(ax * x[:, 0]), np.cos(ay * x[:, 1]), np.cos(az * x[:, 2])
-        sx, sy, sz = np.sin(ax * x[:, 0]), np.sin(ay * x[:, 1]), np.sin(az * x[:, 2])
-        g = np.empty((x.shape[0], 3), dtype=x.dtype)
-        g[:, 0] = -a * ax * sx * cy * cz
-        g[:, 1] = -a * ay * cx * sy * cz
-        g[:, 2] = -a * az * cx * cy * sz
+        X, Y, Z = x
+        cx, cy, cz = np.cos(ax * X), np.cos(ay * Y), np.cos(az * Z)
+        sx, sy, sz = np.sin(ax * X), np.sin(ay * Y), np.sin(az * Z)
+        g = zeros(x, 3)
+        g[..., 0] = -a * ax * sx * cy * cz
+        g[..., 1] = -a * ay * cx * sy * cz
+        g[..., 2] = -a * az * cx * cy * sz
         return g
 
     def lap(x):
-        cx, cy, cz = np.cos(ax * x[:, 0]), np.cos(ay * x[:, 1]), np.cos(az * x[:, 2])
+        X, Y, Z = x
+        cx, cy, cz = np.cos(ax * X), np.cos(ay * Y), np.cos(az * Z)
         return -a * (ax * ax + ay * ay + az * az) * cx * cy * cz
 
     return Field(val, grad, lap)
@@ -149,13 +152,15 @@ def incompatible_heat_case(dims, nu=1.0):
     ax, ay, az = 0.5 * np.pi / Lx, np.pi / Ly, np.pi / Lz
 
     def val(x):
-        return np.sin(ax * x[:, 0]) * np.cos(ay * x[:, 1]) * np.cos(az * x[:, 2])
+        X, Y, Z = x
+        return np.sin(ax * X) * np.cos(ay * Y) * np.cos(az * Z)
 
     def grad(x):
-        g = np.empty((x.shape[0], 3), dtype=x.dtype)
-        g[:, 0] = ax * np.cos(ax * x[:, 0]) * np.cos(ay * x[:, 1]) * np.cos(az * x[:, 2])
-        g[:, 1] = -ay * np.sin(ax * x[:, 0]) * np.sin(ay * x[:, 1]) * np.cos(az * x[:, 2])
-        g[:, 2] = -az * np.sin(ax * x[:, 0]) * np.cos(ay * x[:, 1]) * np.sin(az * x[:, 2])
+        X, Y, Z = x
+        g = zeros(x, 3)
+        g[..., 0] = ax * np.cos(ax * X) * np.cos(ay * Y) * np.cos(az * Z)
+        g[..., 1] = -ay * np.sin(ax * X) * np.sin(ay * Y) * np.cos(az * Z)
+        g[..., 2] = -az * np.sin(ax * X) * np.cos(ay * Y) * np.sin(az * Z)
         return g
 
     def lap(x):
@@ -177,35 +182,35 @@ def poly_case(dims, nu=1.0):
     Lx, Ly, Lz = (float(d) for d in dims)
 
     def u_val(x):
-        Y, Z = x[:, 1], x[:, 2]
+        _, Y, Z = x
         u1 = Y * (Ly - Y) * Z * (Lz - Z)
         zero = np.zeros_like(u1)
-        return np.stack([u1, zero, zero], axis=1)
+        return np.stack([u1, zero, zero], axis=-1)
 
     def u_grad(x):
-        Y, Z = x[:, 1], x[:, 2]
-        G = np.zeros((x.shape[0], 3, 3), dtype=x.dtype)
-        G[:, 0, 1] = (Ly - 2 * Y) * Z * (Lz - Z)
-        G[:, 0, 2] = Y * (Ly - Y) * (Lz - 2 * Z)
+        _, Y, Z = x
+        G = zeros(x, 3, 3)
+        G[..., 0, 1] = (Ly - 2 * Y) * Z * (Lz - Z)
+        G[..., 0, 2] = Y * (Ly - Y) * (Lz - 2 * Z)
         return G
 
     def u_lap(x):
-        Y, Z = x[:, 1], x[:, 2]
+        _, Y, Z = x
         l1 = -2 * Z * (Lz - Z) - 2 * Y * (Ly - Y)
         zero = np.zeros_like(l1)
-        return np.stack([l1, zero, zero], axis=1)
+        return np.stack([l1, zero, zero], axis=-1)
 
     def th_val(x):
-        Y = x[:, 1]
+        Y = x[1]
         return Y * (Ly - Y)
 
     def th_grad(x):
-        g = np.zeros((x.shape[0], 3), dtype=x.dtype)
-        g[:, 1] = Ly - 2 * x[:, 1]
+        g = zeros(x, 3)
+        g[..., 1] = Ly - 2 * x[1]
         return g
 
     def th_lap(x):
-        return np.full(x.shape[0], -2.0, dtype=x.dtype)
+        return np.full_like(zeros(x), -2.0)
 
     return ManufacturedCase(
         name="poly_quadratic",
@@ -259,9 +264,9 @@ def coupled_momentum_forcing(case, model, g):
     def val(x):
         u = case.u.value(x)
         G = case.u.grad(x)
-        adv = model.rho0 * np.einsum("nd,nmd->nm", u, G)
+        adv = model.rho0 * np.einsum("...d,...md->...m", u, G)
         rho = model.rho_law(case.theta.value(x))
-        return adv - model.nu * case.u.laplacian(x) + case.p.grad(x) - rho[:, None] * g
+        return adv - model.nu * case.u.laplacian(x) + case.p.grad(x) - rho[..., None] * g
 
     return val
 
@@ -273,9 +278,9 @@ def coupled_heat_forcing(case, model):
         u = case.u.value(x)
         G = case.u.grad(x)
         rho = model.rho_law(case.theta.value(x))
-        conv = model.cV * rho * np.einsum("nd,nd->n", u, case.theta.grad(x))
+        conv = model.cV * rho * np.einsum("...d,...d->...", u, case.theta.grad(x))
         E = 0.5 * (G + np.swapaxes(G, -1, -2))
-        diss = model.alpha1 * model.nu * np.einsum("nmd,nmd->n", E, E)
+        diss = model.alpha1 * model.nu * np.einsum("...md,...md->...", E, E)
         return conv - model.lam * case.theta.laplacian(x) - diss
 
     return val
@@ -290,7 +295,7 @@ def _complex_step(fn, x, h=1e-30):
     for d in range(3):
         xc = x.astype(complex).copy()
         xc[:, d] += 1j * h
-        outs.append(np.imag(fn(xc)) / h)
+        outs.append(np.imag(fn(xc.T)) / h)
     return np.stack(outs, axis=-1)
 
 
@@ -307,21 +312,22 @@ def validate_case(case, dims, n_points=1000, seed=1234, tol=1e-10):
     x = rng.uniform(0.0, 1.0, size=(n_points, 3)) * np.asarray(dims)[None, :]
 
     u, p, theta = case.u, case.p, case.theta
+    xt = x.T
     checks = (
-        ("velocity gradient", _complex_step(u.value, x), u.grad(x)),
+        ("velocity gradient", _complex_step(u.value, x), u.grad(xt)),
         ("velocity laplacian",
-         np.einsum("nmdd->nm", _complex_step(u.grad, x)), u.laplacian(x)),
-        ("pressure gradient", _complex_step(p.value, x), p.grad(x)),
-        ("temperature gradient", _complex_step(theta.value, x), theta.grad(x)),
+         np.einsum("nmdd->nm", _complex_step(u.grad, x)), u.laplacian(xt)),
+        ("pressure gradient", _complex_step(p.value, x), p.grad(xt)),
+        ("temperature gradient", _complex_step(theta.value, x), theta.grad(xt)),
         ("temperature laplacian",
-         np.einsum("ndd->n", _complex_step(theta.grad, x)), theta.laplacian(x)),
+         np.einsum("ndd->n", _complex_step(theta.grad, x)), theta.laplacian(xt)),
     )
     for name, cs, coded in checks:
         err = np.max(np.abs(cs - coded))
         if err > tol:
             raise AssertionError(f"{name} mismatch {err:.3e}")
 
-    div = np.einsum("nmm->n", u.grad(x))
+    div = np.einsum("nmm->n", u.grad(xt))
     if np.max(np.abs(div)) > 1e-12:
         raise AssertionError("manufactured velocity is not divergence-free")
 
@@ -342,18 +348,18 @@ def _check_boundary(case, dims, n=40):
         np.stack([t1 * Lx, t2 * Ly, np.full_like(t1, Lz)], axis=1),
     ]
     for w in walls:
-        if np.max(np.abs(case.u.value(w))) > 1e-12:
+        if np.max(np.abs(case.u.value(w.T))) > 1e-12:
             raise AssertionError("manufactured velocity does not vanish on the walls")
 
     for xval, sign in ((0.0, -1.0), (Lx, 1.0)):
         ends = np.stack([np.full_like(t1, xval), t1 * Ly, t2 * Lz], axis=1)
-        G = case.u.grad(ends)
-        P = case.p.value(ends)
+        G = case.u.grad(ends.T)
+        P = case.p.value(ends.T)
         resid = case.nu * sign * G[:, :, 0]
         resid[:, 0] -= sign * P          # (-P n + nu dn u) . e_m with n = sign e_x
         if np.max(np.abs(resid)) > 1e-12:
             raise AssertionError("do-nothing residual on the open ends is nonzero")
-        flux = sign * case.theta.grad(ends)[:, 0]
+        flux = sign * case.theta.grad(ends.T)[:, 0]
         if case.compatible_heat_flux and np.max(np.abs(flux)) > 1e-12:
             raise AssertionError("normal heat flux on the open ends is nonzero")
 
@@ -389,16 +395,25 @@ class ErrorTable:
         return self.orders[name][-1]
 
 
+def _squared_error(space, evaluate, dofs, exact):
+    """(cells, nq) squared error of ``evaluate(space, dofs, cells)`` against
+    the closed-form ``exact``, summed over components; the discrete and the
+    exact values are formed one ``forms.cell_blocks`` block at a time."""
+    out = np.empty((space.n_cells, space.nq))
+    for cells, lines in forms.cell_blocks(space):
+        diff = evaluate(space, dofs, cells) - forms.quad_values(space, exact, lines)
+        out[cells] = np.sum(diff ** 2, axis=tuple(range(2, diff.ndim)))
+    return out
+
+
 def _error_norms(space, dofs, exact):
     """L2 and H1 errors of a velocity or scalar dof vector against a Field."""
     if dofs.size == space.n_velocity:
-        vals, grads = forms.eval_velocity(space, dofs), forms.eval_velocity_grad(space, dofs)
+        value, grad = forms.eval_velocity, forms.eval_velocity_grad
     else:
-        vals, grads = forms.eval_scalar(space, dofs), forms.eval_scalar_grad(space, dofs)
-    d2 = np.sum((vals - forms.quad_values(space, exact.value)) ** 2,
-                axis=tuple(range(2, vals.ndim)))
-    g2 = np.sum((grads - forms.quad_values(space, exact.grad)) ** 2,
-                axis=tuple(range(2, grads.ndim)))
+        value, grad = forms.eval_scalar, forms.eval_scalar_grad
+    d2 = _squared_error(space, value, dofs, exact.value)
+    g2 = _squared_error(space, grad, dofs, exact.grad)
     l2 = float(np.sqrt(np.einsum("q,cq->", space.wq, d2)))
     h1 = float(np.sqrt(np.einsum("q,cq->", space.wq, d2 + g2)))
     return l2, h1
@@ -448,8 +463,8 @@ def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0,
         # a temporary: one level's solver is freed before the next is built
         u, P = SaddleFactorization(K, space, nu).solve(load)
         u_l2, u_h1 = _error_norms(space, u, case.u)
-        dp = forms.eval_pressure(space, P) - forms.quad_values(space, case.p)
-        p_l2 = float(np.sqrt(np.einsum("q,cq->", space.wq, dp ** 2)))
+        dp2 = _squared_error(space, forms.eval_pressure, P, case.p)
+        p_l2 = float(np.sqrt(np.einsum("q,cq->", space.wq, dp2)))
         return {"u_L2": u_l2, "u_H1": u_h1, "p_L2": p_l2}
 
     return _study(dims, base_divisions, n_levels, quad_order, level_errors)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thermoduct import build_channel_mesh, build_spaces
-from thermoduct.fields import constant_scalar
+from thermoduct.fields import Field, constant_scalar, zeros
 from thermoduct.fixed_point import CoupledProblem
 from thermoduct.material import (
     clamped_boussinesq,
@@ -45,6 +45,16 @@ def heat_problem(space, model):
     """A ``CoupledProblem`` used only for its heat solver: no body force and
     a zero wall temperature, so no Stokes operator is ever assembled."""
     return CoupledProblem(space, model, (0.0, 0.0, 0.0), constant_scalar(0.0))
+
+
+def constant_vector(v):
+    """A constant vector ``Field``, with zero gradient and Laplacian."""
+    v = np.asarray(v, dtype=float).reshape(3)
+    return Field(
+        value=lambda x: zeros(x, 3) + v,
+        grad=lambda x: zeros(x, 3, 3),
+        laplacian=lambda x: zeros(x, 3),
+    )
 
 
 def linear_field_dofs(space, component, axis):

@@ -1,20 +1,30 @@
 """Assembled CSR matrices of the discrete operators: the test oracles.
 
 The runtime applies every operator as a sum of Kronecker products of 1-D
-matrices (``forms.axis_matrices``) and assembles no matrix.  Here each one
-is built the classical way instead: one local matrix per cell, from the
-reference tables of ``DiscreteSpace``, scattered in COO form and converted
-to canonical CSR, with the block matrices put together by scipy's
-``block_diag``, ``hstack`` and ``bmat``.  The cell scatter sums in another
-order than the Kronecker products, so the two agree to rounding, not bit
-for bit.  Tests that read matrix entries (slices, ``toarray``, ``nnz``)
-use these.
+matrices (``DiscreteSpace.axis_matrices``) and assembles no matrix.  Here
+each one is built the classical way instead: one local matrix per cell,
+from the reference tables of ``DiscreteSpace``, scattered in COO form and
+converted to canonical CSR, with the block matrices put together by
+scipy's ``block_diag``, ``hstack`` and ``bmat``.  The cell scatter sums in
+another order than the Kronecker products, so the two agree to rounding,
+not bit for bit.  Tests that read matrix entries (slices, ``toarray``,
+``nnz``) use these.
+
+The runtime never forms the list of quadrature points either: closed-form
+data are tabulated on ``DiscreteSpace.quad_lines``.  ``quad_points`` is
+their broadcast, the point list a pointwise evaluation is checked at.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from thermoduct import forms
+
+
+def quad_points(space):
+    """The (n_cells, nq, 3) quadrature points, the broadcast of ``quad_lines``."""
+    return np.stack(np.broadcast_arrays(*space.quad_lines), axis=-1).reshape(
+        space.n_cells, space.nq, 3)
 
 
 def scatter_matrix(conn_rows, conn_cols, local, shape):

@@ -5,7 +5,7 @@ import pytest
 
 from thermoduct import build_channel_mesh, build_spaces, fixed_point, forms
 from thermoduct.certificates import body_force_norm
-from thermoduct.fields import Field, constant_scalar, constant_vector, span_scalar
+from thermoduct.fields import Field, constant_scalar, span_scalar, zeros
 from thermoduct.fixed_point import (
     CoupledProblem,
     DivergenceError,
@@ -22,7 +22,7 @@ from thermoduct.linsolve import solve_spd
 from thermoduct.material import clamped_boussinesq, constant_density, make_material
 
 import oracles
-from conftest import linear_field_dofs
+from conftest import constant_vector, linear_field_dofs
 
 DUCT_CENTER_SPEED = 0.0736713512666702   # series solution of -lap w = 1 on the unit square
 
@@ -97,7 +97,7 @@ def test_heat_solve_constant_boundary_data(small_space, boussinesq_model):
 def test_heat_solve_matches_direct_solve_linear_lifting(small_space, unit_model):
     # theta_D = x: the corrected temperature solves the homogeneous heat
     # problem with trace x, independently computed by direct elimination
-    lift = Field(lambda x: x[:, 0])
+    lift = Field(lambda x: x[0])
     prob = CoupledProblem(small_space, unit_model, (0, 0, 0), lift)
     vt = heat_solve(prob, np.zeros(small_space.n_velocity), prob.theta_D)
     theta = prob.theta_D + vt
@@ -207,7 +207,7 @@ def test_problem_data_evaluated_once(small_space, boussinesq_model):
     def counted(key, vector):
         def value(x):
             calls[key] += 1
-            return np.broadcast_to(vector, (x.shape[0], 3)).copy()
+            return np.broadcast_to(vector, zeros(x, 3).shape).copy()
 
         return Field(value)
 
@@ -226,9 +226,9 @@ def test_nonfinite_problem_data_named(datum, small_space, boussinesq_model):
     data = {"g": (0.0, 0.0, -0.4), "theta_D": span_scalar(1, 1.0, 0.5, 1.0)}
     data[datum] = {
         "g": (0.0, 0.0, np.inf),
-        "theta_D": Field(lambda x: np.where(x[:, 1] > 0.5, np.nan, 1.0)),
+        "theta_D": Field(lambda x: np.where(x[1] > 0.5, np.nan, 1.0)),
         "f_extra": constant_vector((0.0, -np.inf, 0.0)),
-        "h_extra": Field(lambda x: np.full(x.shape[0], np.nan)),
+        "h_extra": Field(lambda x: np.full_like(zeros(x), np.nan)),
     }[datum]
     with pytest.raises(ValueError, match=f"^{datum} is not finite"):
         CoupledProblem(small_space, boussinesq_model, **data)

@@ -157,7 +157,7 @@ def test_saddle_matches_dense_oracle_on_manufactured_load(space_name, unit_model
 def test_pressure_mass_inverse_matches_the_assembled_mass(space_name, unit_model, request):
     # oracle: the 3-D Q1 mass assembled as a sparse Kronecker product
     space = request.getfixturevalue(space_name)
-    Mx, My, Mz = (ax.Mp for ax in forms.axis_matrices(space))
+    Mx, My, Mz = (ax.Mp for ax in space.axis_matrices)
     Mp = sp.kron(sp.kron(Mz, My), Mx, format="csr")
     lu = _factor(_saddle(space, unit_model), space).lu
     x = np.random.default_rng(11).normal(size=space.n_pressure)
@@ -231,7 +231,7 @@ def test_tensor_inverse_inverts_the_free_stiffness(divisions):
     space = build_spaces(build_channel_mesh(1.0, 1.0, 4.0, *divisions))
     free = space.free_theta
     S_ff = oracles.scalar_stiffness(space)[free][:, free].toarray()
-    inverse = _TensorInverse(forms.axis_matrices(space), space.free_lines, 2.5)
+    inverse = _TensorInverse(space.axis_matrices, space.free_lines, 2.5)
     product = inverse.apply(2.5 * S_ff)   # row by row; S_ff is symmetric
     assert np.abs(product - np.eye(free.size)).max() <= 1e-13
 

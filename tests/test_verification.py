@@ -1,10 +1,13 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
+from thermoduct import build_channel_mesh, build_spaces, forms
 from thermoduct import verification as v
-from thermoduct.fields import Field
+from thermoduct.fields import Field, constant_scalar, span_scalar
 from thermoduct.fixed_point import DivergenceError
 from thermoduct.material import clamped_boussinesq, make_material
 
@@ -62,14 +65,14 @@ def test_forcing_consistent_with_complex_step():
     for d in range(3):
         xc = x.astype(complex)
         xc[:, d] += 1e-30j
-        lap += np.imag(case.u.grad(xc)[:, :, d]) / 1e-30
+        lap += np.imag(case.u.grad(xc.T)[:, :, d]) / 1e-30
     gp = np.zeros((200, 3))
     for d in range(3):
         xc = x.astype(complex)
         xc[:, d] += 1e-30j
-        gp[:, d] = np.imag(case.p.value(xc)) / 1e-30
+        gp[:, d] = np.imag(case.p.value(xc.T)) / 1e-30
     ref = -1.3 * lap + gp
-    assert np.max(np.abs(f(x) - ref)) < 1e-10
+    assert np.max(np.abs(f(x.T) - ref)) < 1e-10
 
 
 def test_stokes_polynomial_case_machine_precision():
@@ -156,7 +159,8 @@ def test_error_table_csv(tmp_path):
 def test_coupled_zero_case_exact():
     # u* = 0, theta* constant: all forcings vanish and the pipeline returns
     # the exact pair in one outer iteration
-    from thermoduct.fields import constant_scalar, constant_vector
+    from conftest import constant_vector
+    from thermoduct.fields import constant_scalar
 
     zero = v.ManufacturedCase(
         name="zero",
@@ -184,3 +188,102 @@ def test_coupled_mms_weak_residuals_small():
     # converged run: residuals at the linear-solver noise scale
     assert r_mom < 1e-11
     assert r_heat < 1e-11
+
+
+# -- tabulation on the quadrature lines, in cell blocks -------------------------
+
+
+def closed_forms(dims):
+    """Every shipped closed-form callable on a channel of ``dims``: the
+    ``fields`` constructors and each case's fields with their derivatives,
+    and the four forcings of each case."""
+    model = make_material(nu=1.3, cV=0.9, lam=1.1, alpha1=0.4,
+                          law=clamped_boussinesq(1.0, alpha_v=0.1))
+    flds = {"constant_scalar": constant_scalar(0.7),
+            "span_scalar": span_scalar(1, 1.0, 0.5, dims[1])}
+    cases = (v.trig_case(dims, nu=1.3), v.poly_case(dims), v.incompatible_heat_case(dims),
+             v.coupled_case(dims))
+    out = {}
+    for case in cases:
+        flds.update({f"{case.name}.{part}": getattr(case, part) for part in ("u", "p", "theta")})
+        out.update({
+            f"{case.name}.stokes_forcing": v.stokes_forcing(case, 1.3),
+            f"{case.name}.heat_forcing_linear": v.heat_forcing_linear(case, 1.1),
+            f"{case.name}.coupled_momentum_forcing":
+                v.coupled_momentum_forcing(case, model, (0.1, 0.0, -0.5)),
+            f"{case.name}.coupled_heat_forcing": v.coupled_heat_forcing(case, model),
+        })
+    for name, fld in flds.items():
+        for kind in ("value", "grad", "laplacian"):
+            if getattr(fld, kind) is not None:
+                out[f"{name}.{kind}"] = getattr(fld, kind)
+    return out
+
+
+@pytest.fixture(scope="module", params=[((1.0, 0.7, 2.3), (3, 2, 5)), (DIMS, (4, 4, 16))],
+                ids=["aniso", "channel"])
+def dims_space(request):
+    dims, divisions = request.param
+    return dims, build_spaces(build_channel_mesh(*dims, *divisions))
+
+
+def test_tabulation_on_lines_matches_pointwise_bitwise(dims_space):
+    dims, space = dims_space
+    points = oracles.quad_points(space).reshape(-1, 3)
+    forms_ = closed_forms(dims)
+    assert len(forms_) == 55
+    for name, fn in forms_.items():
+        pointwise = fn(points.T)
+        pointwise = pointwise.reshape(space.n_cells, space.nq, *pointwise.shape[1:])
+        assert np.array_equal(forms.quad_values(space, fn), pointwise), name
+        for cells, lines in forms.cell_blocks(space):
+            assert np.array_equal(forms.quad_values(space, fn, lines), pointwise[cells]), name
+
+
+def test_blocked_loads_and_norms_match_one_block(monkeypatch):
+    # 8x8x10 cells: blocks of 4, 4 and 2 z layers of 64 cells
+    space = build_spaces(build_channel_mesh(1.0, 1.0, 1.25, 8, 8, 10), quad_order=4)
+    assert [c.stop - c.start for c, _ in forms.cell_blocks(space)] == [256, 256, 128]
+    case = v.trig_case(space.mesh.dims, nu=1.0)
+    model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.3,
+                          law=clamped_boussinesq(1.0, alpha_v=0.1))
+    rng = np.random.default_rng(5)
+    u, th = rng.normal(size=space.n_velocity), rng.normal(size=space.n_scalar)
+    p = rng.normal(size=space.n_pressure)
+
+    def outputs():
+        return [
+            forms.field_load_vector(space, v.stokes_forcing(case, 1.0)),
+            forms.field_load_scalar(space, v.heat_forcing_linear(case, 1.0)),
+            forms.field_load_vector(space, (0.0, 0.2, -1.0)),
+            forms.convection_load(space, model, u, u),
+            forms.assemble_e_load(space, model, u, u),
+            np.array(v._error_norms(space, u, case.u)),
+            np.array(v._error_norms(space, th, case.theta)),
+            v._squared_error(space, forms.eval_pressure, p, case.p),
+        ]
+
+    blocked = outputs()
+    monkeypatch.setattr(forms, "_BLOCK_CELLS", space.n_cells)
+    assert len(list(forms.cell_blocks(space))) == 1
+    for got, want in zip(blocked, outputs()):
+        assert np.array_equal(got, want)
+
+
+def test_mms_data_kernels_allocate_under_16_mib():
+    # the finest mms_stokes level: forcing load and error norms transients
+    # are bounded by the cell block, not by the 256,000 quadrature points
+    dims = (1.0, 1.0, 4.0)
+    space = build_spaces(build_channel_mesh(*dims, 8, 8, 32))
+    case = v.trig_case(dims, nu=1.0)
+    forcing = v.stokes_forcing(case, 1.0)
+    u = np.random.default_rng(2).normal(size=space.n_velocity)
+    for run in (lambda: forms.field_load_vector(space, forcing),
+                lambda: v._error_norms(space, u, case.u)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
