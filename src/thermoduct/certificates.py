@@ -25,6 +25,15 @@ the constants are those of a direct evaluation bit for bit.  The 1-D
 factors of a sample are tabulated on the per-axis quadrature coordinates
 of the space (``DiscreteSpace.quad_lines``), so the sampler makes no
 assumption of its own about the quadrature layout.
+
+At exponent 2 (s = 2 for the velocities, r = 2 for the temperature, the
+default) a sample's W^{2,2} norm needs no pointwise second partials: the
+quadrature is a tensor rule, so the norm is a sum of products of 1-D Gram
+matrices of the sample's factors along the lines
+(``DiscreteSpace.quad_line_weights``), and the sample is evaluated only
+at its value and gradient, which the ratios' numerators read.  It agrees
+with the pointwise sum to rounding, not bit for bit.  The other exponents
+keep the pointwise density.
 """
 
 from dataclasses import dataclass, asdict
@@ -89,6 +98,9 @@ _HESS_AT = tuple(_SECOND.index(h) for h in _HESS)
 # derivative orders a sample is evaluated at: the value (index 0), the
 # gradient (1-3) and the distinct second partials (4-9)
 _DIRECTIONS = ((0, 0, 0),) + _UNIT + _SECOND
+# how often each of them appears among the ordered derivatives of the
+# W^{2,s} density: a mixed second partial twice
+_COUNTS = np.array((1, 1, 1, 1) + tuple(_HESS.count(h) for h in _SECOND))
 # the upper triangle of a 3x3 tensor
 _PAIRS = tuple((m, d) for m in range(3) for d in range(m, 3))
 # curl(psi e_axis), per axis: (derivative orders of psi, sign) per
@@ -168,6 +180,41 @@ class _TensorField:
             self.tables[key] = tab
         return self.tables[key]
 
+    def _grams(self, axis, weights):
+        """(4, terms, terms): for each derivative order 0-3, the Gram of the
+        terms' factors of ``axis`` along its quadrature line, the weighted
+        sums of their pairwise products."""
+        line, w = self.lines[axis].ravel(), weights[axis].ravel()
+        rows = np.zeros((4, len(self.terms), line.size))
+        for i, term in enumerate(self.terms):
+            kind, k = term[1 + axis]
+            for o in range(4):
+                tab = _factor_table(kind, float(k), line, o)
+                if tab is not None:
+                    rows[o, i] = tab
+        return (rows * w) @ np.swapaxes(rows, 1, 2)
+
+    def w22_norm(self, weights):
+        """Broken W^{2,2} quadrature norm of the field, from 1-D Grams.
+
+        ``weights`` are the 1-D weights along ``lines``
+        (``DiscreteSpace.quad_line_weights``).  The rule is a tensor rule on
+        a tensor grid, so the quadrature sum of the product of two terms is
+        the product of three 1-D sums, and the squared norm of a partial is
+        ampᵀ (G_x ∘ G_y ∘ G_z) amp.
+        """
+        amp = np.array([term[0] for term in self.terms])
+        grams = [self._grams(axis, weights) for axis in range(3)]
+        total = 0.0
+        for comp in self.comps:
+            if comp is None:
+                continue
+            base, scale = comp
+            orders = np.add(base, _DIRECTIONS)   # per partial, per axis
+            gram = grams[0][orders[:, 0]] * grams[1][orders[:, 1]] * grams[2][orders[:, 2]]
+            total += scale * scale * (_COUNTS @ (gram @ amp @ amp))
+        return float(np.sqrt(total))
+
     def partial(self, orders, out, spare):
         """d^orders of the term sum into the flat row ``out``, adding term
         by term through ``spare``; None when every term vanishes."""
@@ -191,9 +238,10 @@ class _Workspace:
     of the workspace or None where it vanishes identically.  ``u`` and ``v``
     hold the values and gradients of the two nonzero curl components of
     each velocity, ``v`` later those of the temperature and the value of
-    the heat source; ``second`` holds the second partials of the field
-    being normed, and later the C_b and C_e integrands; ``acc`` and
-    ``spares`` hold sums.  The rows take 33 values per quadrature point.
+    the heat source; ``second`` holds the second partials of a field
+    normed pointwise (exponent other than 2), and later the C_b and C_e
+    integrands; ``acc`` and ``spares`` hold sums.  The rows take 33
+    values per quadrature point.
     """
 
     def __init__(self, space):
@@ -270,7 +318,7 @@ class _Workspace:
         return dens
 
     def w2s_norm(self, parts, s):
-        """Broken W^{2,s} norm of a sample field."""
+        """Broken W^{2,s} norm of a sample field from its pointwise density."""
         space = self.space
         dens = self.w2s_density(parts, s).reshape(space.n_cells, space.nq)
         return float(np.einsum("q,cq->", space.wq, dens) ** (1.0 / s))
@@ -339,16 +387,29 @@ def _draw_scalar(space, rng, zero_trace):
     return (terms,)
 
 
+def _directions(p):
+    """The derivative orders a sample normed in W^{2,p} is evaluated along:
+    at p = 2 its norm comes from 1-D Grams, and the ratios read only its
+    value and gradient."""
+    return _DIRECTIONS[:4] if p == 2 else _DIRECTIONS
+
+
+def _w2_norm(ws, fld, parts, p):
+    """Broken W^{2,p} norm of a sample: from 1-D Grams at p = 2, otherwise
+    from the second partials in ``parts``."""
+    return fld.w22_norm(ws.space.quad_line_weights) if p == 2 else ws.w2s_norm(parts, p)
+
+
 def _sample_ratios(space, model, heat, ws, draw, s, r):
     """Per-sample ratios (C_b, C_e, C_d, C_eps, C_1); pure given the draw."""
     # tables are built per sample, so memory does not grow with the sample count
     u, v, theta, f = (_TensorField(space.quad_lines, *spec) for spec in draw)
     cells = (space.n_cells, space.nq)
     out = np.zeros(5)
-    up = ws.evaluate(u, ws.u)
-    nu_u = ws.w2s_norm(up, s)
-    vp = ws.evaluate(v, ws.v)
-    nu_v = ws.w2s_norm(vp, s)
+    up = ws.evaluate(u, ws.u, _directions(s))
+    nu_u = _w2_norm(ws, u, up, s)
+    vp = ws.evaluate(v, ws.v, _directions(s))
+    nu_v = _w2_norm(ws, v, vp, s)
     uval = [c[0] for c in up]
     if nu_u > 0 and nu_v > 0:
         ugrad, vgrad = [c[1:4] for c in up], [c[1:4] for c in vp]
@@ -370,8 +431,8 @@ def _sample_ratios(space, model, heat, ws, draw, s, r):
             )
         dens = ws.sum(_DOT9, [ee[divmod(k, 3)] for k in range(9)], ws.acc[0])
         out[1] = forms.lp_norm_of_values(space, dens.reshape(cells), r) / (nu_u * nu_v)
-    (tp,) = ws.evaluate(theta, ws.v)
-    n_th = ws.w2s_norm([tp], r)
+    (tp,) = ws.evaluate(theta, ws.v, _directions(r))
+    n_th = _w2_norm(ws, theta, [tp], r)
     if nu_u > 0 and n_th > 0:
         dens = ws.sum(_DOT3, [(uval[d], tp[1 + d]) for d in range(3)], ws.acc[0])
         np.multiply(model.rho_law(tp[0]), dens, out=dens)

@@ -110,13 +110,15 @@ class CoupledProblem:
     ``K = [[A, -Dᵀ], [-D, 0]]``, the only copy of ``A`` and ``D``, in
     ``saddle``, built on first use: a heat-only problem never builds it.
 
-    The data are frozen for the whole iteration, so each is evaluated once.
-    ``g`` (a constant 3-vector or a field) and the optional momentum forcing
-    ``f_extra`` are stored as quadrature values (``forms.quad_values``);
-    ``theta_D``, a field lifting of the wall temperature, is interpolated
-    onto the temperature space; the optional heat forcing ``h_extra`` is
-    kept as its load vector.  Data that are not finite where they are
-    tabulated raise ValueError naming the datum.
+    The data are frozen for the whole iteration, so none is evaluated per
+    step.  ``g`` (a constant 3-vector or a field) is stored as quadrature
+    values (``forms.quad_values``); ``theta_D``, a field lifting of the
+    wall temperature, is interpolated onto the temperature space; the
+    optional forcings ``f_extra`` (momentum) and ``h_extra`` (heat) are
+    kept as their load vectors, which the ``forms`` loads tabulate block
+    by block, and ``f_extra`` also as given, for the pointwise momentum
+    source of a converged state.  Data whose values or loads are not
+    finite raise ValueError naming the datum.
     """
 
     def __init__(self, space, model, g, theta_D, f_extra=None, h_extra=None):
@@ -130,18 +132,11 @@ class CoupledProblem:
         self.theta_D = _finite("theta_D", forms.interpolate_scalar(space, theta_D))
         self.lifting_load = self.kappa @ self.theta_D
 
-        if f_extra is None:
-            self.f_extra = None
-            self.f_extra_load = np.zeros(space.n_velocity)
-        else:
-            self.f_extra = _finite("f_extra", forms.quad_values(space, f_extra))
-            self.f_extra_load = forms.field_load_vector(space, self.f_extra)
-        self.h_extra_load = (
-            forms.field_load_scalar(
-                space, _finite("h_extra", forms.quad_values(space, h_extra)))
-            if h_extra is not None
-            else np.zeros(space.n_scalar)
-        )
+        self.f_extra = f_extra
+        self.f_extra_load = _forcing_load(
+            "f_extra", forms.field_load_vector, space, f_extra, space.n_velocity)
+        self.h_extra_load = _forcing_load(
+            "h_extra", forms.field_load_scalar, space, h_extra, space.n_scalar)
 
     @functools.cached_property
     def saddle(self):
@@ -154,11 +149,22 @@ class CoupledProblem:
         return forms.assemble_buoyancy(self.space, self.model, theta, self.g)
 
 
-def _finite(name, values):
+def _finite(name, values, what="values"):
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
-        raise ValueError(f"{name} is not finite at {bad} of {values.size} values")
+        raise ValueError(f"{name} is not finite at {bad} of {values.size} {what}")
     return values
+
+
+def _forcing_load(name, load, space, fld, n):
+    """``load(space, fld)``, or n zeros without a forcing.  Data that are not
+    finite make a load that is not, which raises ValueError naming the
+    datum; the scatter's floating-point warnings on them give way to it."""
+    if fld is None:
+        return np.zeros(n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = load(space, fld)
+    return _finite(name, values, "load entries")
 
 
 def inner_momentum_solve(problem, theta, u_init=None, P_init=None, tol=1e-12,
@@ -274,7 +280,7 @@ def _attach_sources(problem, state):
         space, model, state.u, state.u
     )
     if problem.f_extra is not None:
-        mom = mom + problem.f_extra
+        mom = mom + forms.quad_values(space, problem.f_extra)
     state.momentum_source = mom
 
 

@@ -20,8 +20,14 @@ linearized solve structure of the fixed-point scheme.  Problem data (a
 ``fields`` callable, a constant, or values already tabulated) become
 quadrature values in one place, ``quad_values``: a callable is tabulated
 on the per-axis quadrature coordinates (``DiscreteSpace.quad_lines``) and
-broadcast, not evaluated at a list of points.  Norm exponents are checked
-by ``spectrum.admissible_sr``.
+broadcast, not evaluated at a list of points.
+
+Norms: the H1 norm, and the Ls and W2s norms at exponent s = 2, are sums
+of squares of Kronecker applies of 1-D factors
+(``DiscreteSpace.norm_factors``), one apply per partial derivative; the
+other exponents raise a pointwise density to s/2 and sum it over the
+quadrature points.  Norm exponents are checked by
+``spectrum.admissible_sr``.
 
 All cells are congruent, so one set of reference tables serves every
 cell.  Every field is evaluated at the quadrature points by one kernel,
@@ -36,10 +42,14 @@ every step is cell-local, so the result does not depend on the blocking.
 Each product has a fixed per-cell size, so no BLAS call of these kernels
 grows with the mesh and their results do not depend on the BLAS thread
 count; ``bincount`` adds the contributions in a fixed order, so repeated
-assemblies are bit-identical.  The operator applies are products of 1-D
-matrices whose size does grow with the mesh: that their bits do not
-depend on the thread count is tested, not structural.
+assemblies are bit-identical.  The operator applies and the exponent-2
+norms are products of 1-D matrices whose size does grow with the mesh:
+that their bits do not depend on the thread count is tested, not
+structural.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -363,16 +373,20 @@ def field_load_vector(space, fld):
 # -- norms ---------------------------------------------------------------------
 
 
+def _components(space, fld):
+    """The component count of a scalar or velocity dof vector."""
+    if fld.size == space.n_scalar:
+        return 1
+    if fld.size == space.n_velocity:
+        return 3
+    raise ValueError("field length matches neither scalar nor velocity layout")
+
+
 def _sobolev_density(space, fld, order):
     """Sum of the squared derivatives of orders 0..order over all components,
     per quadrature point."""
     fld = np.asarray(fld, dtype=float)
-    if fld.size == space.n_scalar:
-        m = 1
-    elif fld.size == space.n_velocity:
-        m = 3
-    else:
-        raise ValueError("field length matches neither scalar nor velocity layout")
+    m = _components(space, fld)
     dens = 0.0
     for table in (space.N2, space.dN2, space.d2N2)[: order + 1]:
         vals = _contract(fld, space.conn_u[..., :m], table).reshape(space.n_cells, space.nq, -1)
@@ -380,22 +394,48 @@ def _sobolev_density(space, fld, order):
     return dens
 
 
+def _partials(order):
+    """(orders, count) of each distinct partial derivative of order at most
+    ``order``: count is how often it appears among the ordered derivatives,
+    so a mixed second partial counts twice, as in ``|D²u|²``."""
+    return [(a, math.factorial(sum(a)) / math.prod(map(math.factorial, a)))
+            for a in itertools.product(range(order + 1), repeat=3) if sum(a) <= order]
+
+
+def _factor_norm(space, fld, order):
+    """The exponent-2 Sobolev norm of ``order`` from the 1-D factors of
+    ``DiscreteSpace.norm_factors``: the squared norm is the sum over
+    partials of count · ‖(R_z ⊗ R_y ⊗ R_x) X‖², a sum of squares, so no
+    term cancels another."""
+    fld = np.asarray(fld, dtype=float)
+    X = fld.reshape(_components(space, fld), *space.q2_shape[::-1])
+    total = 0.0
+    for orders, count in _partials(order):
+        x, y, z = (R[o] for R, o in zip(space.norm_factors, orders))
+        vals = _kron3(z, y, x, X).ravel()
+        total += count * np.einsum("i,i->", vals, vals)
+    return float(np.sqrt(total))
+
+
 def discrete_norms(space, fld, which, s=None):
     """Quadrature norms of a dof vector.
 
     which = 'Ls' (requires s), 'H1', or 'W2s' (broken second derivatives of
     the piecewise-quadratic basis; requires s).  ``admissible_sr``
-    restricts s to [4/3, s0).
+    restricts s to [4/3, s0).  H1, and Ls and W2s at s = 2, are sums of
+    squares of Kronecker applies of 1-D factors (``_factor_norm``); the
+    other exponents take the quadrature kernel.
     """
     if which == "H1":
-        dens = _sobolev_density(space, fld, 1)
-        return float(np.sqrt(np.einsum("q,cq->", space.wq, dens)))
+        return _factor_norm(space, fld, 1)
     if s is None:
         raise ValueError(f"norm '{which}' requires the exponent s")
     admissible_sr(s)
     order = {"Ls": 0, "W2s": 2}.get(which)
     if order is None:
         raise ValueError(f"unknown norm kind '{which}'")
+    if s == 2:
+        return _factor_norm(space, fld, order)
     dens = _sobolev_density(space, fld, order) ** (s / 2.0)
     return float(np.einsum("q,cq->", space.wq, dens) ** (1.0 / s))
 

@@ -99,11 +99,14 @@ class DiscreteSpace:
       with weights ``wq``,
     - ``quad_lines``: the x, y and z quadrature coordinates, shaped to
       broadcast to the quadrature grid (cells_z, cells_y, cells_x, q_x,
-      q_y, q_z); flattened, that grid is (n_cells, nq) in cell order,
+      q_y, q_z); flattened, that grid is (n_cells, nq) in cell order;
+      ``quad_line_weights``: the 1-D weights along each line, shaped like
+      it, whose product is ``wq`` up to rounding,
     - per open end (``faces["x0"]``, ``faces["x1"]``): facet connectivity
       ``conn`` and its velocity dof ids ``conn_u``, surface quadrature
       tables and the outward normal,
-    - ``axis_matrices``: the (x, y, z) ``AxisMatrices``.
+    - ``axis_matrices``: the (x, y, z) ``AxisMatrices``; ``norm_factors``:
+      the (x, y, z) 1-D factors of the exponent-2 Sobolev norms.
     """
 
     def __init__(self, mesh, quad_order=5):
@@ -198,6 +201,10 @@ class DiscreteSpace:
             _on_axis(np.arange(n)[:, None] * h[a] + g * h[a], a, 3)
             for a, n in enumerate(self.mesh.divisions)
         )
+        self.quad_line_weights = tuple(
+            _on_axis(np.broadcast_to(w * h[a], (n, g.size)), a, 3)
+            for a, n in enumerate(self.mesh.divisions)
+        )
 
         # the tangent axes of an x face are (y, z)
         face_weights = _tensor(w[None], w[None]).ravel() * (h[1] * h[2])
@@ -240,6 +247,31 @@ class DiscreteSpace:
                 Mp=gram(c1, q1, c1, q1, h), B=gram(c1, q1, c2, q2, h),
                 dB=gram(c1, q1, c2, dq2, 1.0),
             ))
+        return tuple(out)
+
+    @functools.cached_property
+    def norm_factors(self):
+        """Per axis (x, y, z), the stack ``R`` (3, 3 n, 2 n + 1) of the Q2
+        basis (``R[0]``) and its first and second derivatives at a 3-point
+        Gauss rule per cell, each row scaled by the square root of its
+        weight; built on first use.
+
+        ``(R_z[o_z] ⊗ R_y[o_y] ⊗ R_x[o_x]) X`` holds the partial of orders
+        ``o`` of the grid field ``X`` at the points of that rule, times √w,
+        so its sum of squares is the squared L2 norm of the partial.  The
+        rule is exact for these products of degree ≤ 4, so that is the same
+        quantity as the quadrature norm at any ``quad_order``.
+        """
+        g, w = gauss_01(3)
+        tables = np.stack([_q2_1d(g).T, _dq2_1d(g).T, _d2q2_1d(g).T])   # (order, point, node)
+        out = []
+        for n, h in zip(self.mesh.divisions, self.h):
+            rows = 3 * np.arange(n)[:, None] + np.arange(3)      # the points of each cell
+            cols = 2 * np.arange(n)[:, None] + np.arange(3)      # its Q2 nodes
+            R = np.zeros((3, 3 * n, 2 * n + 1))
+            scale = np.sqrt(w * h)[:, None] / h ** np.arange(3)[:, None, None]
+            R[:, rows[:, :, None], cols[:, None, :]] = (scale * tables)[:, None]
+            out.append(R)
         return tuple(out)
 
     # -- queries -----------------------------------------------------------

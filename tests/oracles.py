@@ -27,6 +27,16 @@ def quad_points(space):
         space.n_cells, space.nq, 3)
 
 
+def quadrature_norm(space, fld, order):
+    """The exponent-2 Sobolev norm of order ``order`` (0, 1 or 2) of a
+    scalar or velocity dof vector, summed over the quadrature points: the
+    squared partials of each component from the ``forms`` evaluations."""
+    evals = (forms.eval_scalar, forms.eval_scalar_grad, forms.eval_scalar_hess)[:order + 1]
+    dens = sum(np.sum(ev(space, comp).reshape(space.n_cells, space.nq, -1) ** 2, axis=-1)
+               for comp in np.reshape(fld, (-1, space.n_scalar)) for ev in evals)
+    return float(np.sqrt(np.einsum("q,cq->", space.wq, dens)))
+
+
 def scatter_matrix(conn_rows, conn_cols, local, shape):
     """COO scatter of identical (or per-cell) local blocks, to canonical CSR."""
     ncell = conn_rows.shape[0]

@@ -21,6 +21,8 @@ from thermoduct.certificates import (
     _SUM9,
     _TensorField,
     _Workspace,
+    _draw_scalar,
+    _draw_velocity,
     _tree_sum,
 )
 from thermoduct.fields import span_scalar
@@ -85,7 +87,7 @@ def test_estimates_pinned(small_space, boussinesq_model):
     assert (est.C_b, est.C_d, est.C_e, est.C_eps, est.C_1) == (
         0.003172649553602057,
         0.0031063119982081113,
-        0.006890343537899237,
+        0.00689034353789924,
         0.8628792550678128,
         0.058886080067425996,
     )
@@ -95,11 +97,25 @@ def test_estimates_pinned_anisotropic(aniso_space, boussinesq_model):
     # a second exact pin on unequal cell sizes and another seed
     est = estimate_constants(heat_problem(aniso_space, boussinesq_model), samples=100, seed=3)
     assert (est.C_b, est.C_d, est.C_e, est.C_eps, est.C_1) == (
-        0.0008740047209357462,
-        0.001988531733807395,
-        0.006570939402636446,
-        0.8814364362124076,
+        0.0008740047209357467,
+        0.0019885317338073963,
+        0.006570939402636448,
+        0.8814364362124083,
         0.03832224946671875,
+    )
+
+
+def test_estimates_pinned_pointwise_exponents(small_space, boussinesq_model):
+    # away from s = r = 2 every norm is summed pointwise over the quadrature
+    # points: an exact pin of that path
+    est = estimate_constants(heat_problem(small_space, boussinesq_model), samples=100, seed=0,
+                             s=1.8, r=1.6)
+    assert (est.C_b, est.C_d, est.C_e, est.C_eps, est.C_1) == (
+        0.0028767984279978527,
+        0.0025714178159063107,
+        0.006716181951542092,
+        0.9121473847859947,
+        0.06131387946616809,
     )
 
 
@@ -236,6 +252,22 @@ def test_w2s_density_matches_array_formula(aniso_space, s):
             hess_sq = hess_sq + comp(m, orders) ** 2
     expected = (sq0 + np.sum(grad**2, axis=(1, 2)) + hess_sq) ** (s / 2.0)
     assert np.array_equal(ws.w2s_density(parts, s), expected)
+
+
+@pytest.mark.parametrize("which", ["aniso", "channel"])
+def test_gram_w22_norm_matches_pointwise_norm(which, aniso_space, small_space):
+    # at s = 2 the sampler norms each field from 1-D Grams; the pointwise
+    # density summed over the quadrature points is the reference
+    space = {"aniso": aniso_space, "channel": small_space}[which]
+    ws = _Workspace(space)
+    rng = np.random.default_rng(19)
+    worst = 0.0
+    for i in range(100):
+        for spec in (_draw_velocity(space, rng), _draw_scalar(space, rng, bool(i % 2))):
+            fld = _TensorField(space.quad_lines, *spec)
+            ref = ws.w2s_norm(ws.evaluate(fld, ws.u), 2.0)
+            worst = max(worst, abs(fld.w22_norm(space.quad_line_weights) - ref) / ref)
+    assert worst <= 1e-14
 
 
 # -- summation orders the sampler reproduces ------------------------------------------

@@ -201,7 +201,9 @@ def test_outer_converged_residuals(small_space, boussinesq_model):
 
 
 def test_problem_data_evaluated_once(small_space, boussinesq_model):
-    # g and f_extra are frozen for the whole iteration: one tabulation each
+    # g and f_extra are frozen for the whole iteration: g is tabulated
+    # once, and f_extra once for its load (one cell block on this mesh) and
+    # once more for the converged state's momentum source, none per step
     calls = {"g": 0, "f": 0}
 
     def counted(key, vector):
@@ -218,7 +220,7 @@ def test_problem_data_evaluated_once(small_space, boussinesq_model):
     state, records = outer_loop(prob, outer_tol=1e-10)
     weak_residual(prob, state)
     assert len(records) > 1
-    assert calls == {"g": 1, "f": 1}
+    assert calls == {"g": 1, "f": 2}
 
 
 @pytest.mark.parametrize("datum", ["g", "theta_D", "f_extra", "h_extra"])
@@ -259,6 +261,27 @@ def test_problem_and_saddle_allocate_under_2_mb(boussinesq_model):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+def test_coupled_problem_tabulates_forcings_per_block():
+    # the forcings become loads block by block, never tabulated on the
+    # whole 8x8x32 quadrature grid (a 57.6 MiB peak)
+    import tracemalloc
+
+    from thermoduct.verification import coupled_case, coupled_heat_forcing, coupled_momentum_forcing
+
+    dims, g = (1.0, 1.0, 4.0), (0.0, 0.0, -1.0)
+    space = build_spaces(build_channel_mesh(*dims, 8, 8, 32))
+    model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.0, law=constant_density(1.0))
+    case = coupled_case(dims)
+    tracemalloc.start()
+    try:
+        CoupledProblem(space, model, g, case.theta, f_extra=coupled_momentum_forcing(case, model, g),
+                       h_extra=coupled_heat_forcing(case, model))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_weak_residual_of_rest_state_is_load_norm(small_space, boussinesq_model):

@@ -373,6 +373,7 @@ outputs = {
     "assemble_d_load": forms.assemble_d_load(space, model, th, u, th),
     "convection_load": forms.convection_load(space, model, u, u),
     "discrete_norms": forms.discrete_norms(space, u, "W2s", s=2.0),
+    "discrete_norms_H1": forms.discrete_norms(space, u, "H1"),
     "kappa": forms.assemble_kappa(space, model) @ th,
     "K": forms.assemble_saddle(forms.assemble_a(space, model), forms.divergence_matrix(space))
          @ np.concatenate([u, p]),
@@ -388,7 +389,8 @@ for name, value in outputs.items():
 def test_kernels_do_not_depend_on_blas_thread_count():
     # every quadrature evaluation, both load scatters, the norms, the
     # Kronecker applies of kappa and K and the certificate sampler give the
-    # same bits with one and with two BLAS threads
+    # same bits with one and with two BLAS threads; the W2s and H1 norms
+    # are Kronecker applies too
     src = os.path.dirname(os.path.dirname(os.path.abspath(thermoduct.__file__)))
     here = os.path.dirname(os.path.abspath(__file__))   # for conftest's heat_problem
     path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
@@ -401,7 +403,7 @@ def test_kernels_do_not_depend_on_blas_thread_count():
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(dict(line.split() for line in proc.stdout.splitlines()))
-    assert len(digests[0]) == 13
+    assert len(digests[0]) == 14
     assert digests[0] == digests[1]
 
 

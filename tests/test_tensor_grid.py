@@ -7,7 +7,8 @@ basis function, at a time, and each array must equal them bit for bit.
 The 1-D operator factors (``DiscreteSpace.axis_matrices``), and each
 runtime operator's ``@`` built from them, are checked against the 3-D
 operators assembled by the cell scatter (``oracles``), which sum in another
-order, to a relative 1e-14.
+order, to a relative 1e-14; so are the exponent-2 norms built from
+``DiscreteSpace.norm_factors``, against the quadrature sums.
 """
 
 import numpy as np
@@ -223,3 +224,21 @@ def test_axis_matrices_are_kronecker_factors(space):
     for apply, M in pairs:
         v = rng.normal(size=M.shape[1])
         assert rel(apply(v), M @ v) <= 1e-14
+
+
+def test_factor_norms_match_quadrature_norms(space):
+    # H1, and Ls and W2s at s = 2, are sums of squares of Kronecker applies
+    # of the 1-D factors; the quadrature sums are the oracle.  The smooth
+    # field is near a constant, where the derivative terms are small
+    # against the value and a quadratic form would lose digits
+    Lx, Ly, Lz = space.mesh.dims
+    x, y, z = space.q2_nodes.T
+    smooth = 1.0 + 0.5 * y + 1e-3 * np.sin(np.pi * x / Lx) * np.sin(np.pi * y / Ly) * np.sin(
+        np.pi * z / Lz)
+    rng = np.random.default_rng(13)
+    fields = [rng.normal(size=space.n_scalar), rng.normal(size=space.n_velocity), smooth,
+              np.concatenate([smooth, -2.0 * smooth, 0.5 * smooth])]
+    for fld in fields:
+        for which, order, s in (("H1", 1, None), ("Ls", 0, 2.0), ("W2s", 2, 2.0)):
+            ref = oracles.quadrature_norm(space, fld, order)
+            assert abs(forms.discrete_norms(space, fld, which, s) - ref) <= 1e-14 * ref
