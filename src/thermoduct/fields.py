@@ -2,15 +2,15 @@
 
 A field is a callable of ``x``, three broadcastable coordinate arrays
 (``X, Y, Z = x``), that stacks vector components on the last axis.
-``forms.quad_values`` calls it once on the per-axis quadrature coordinates
-(``DiscreteSpace.quad_lines``); a point array ``(n, 3)`` is passed as
-``points.T``.  Elementwise operations give every point the bits of a
-pointwise evaluation.  A constant passes through ``quad_values`` as a
-float array.  ``Field`` adds the optional gradient and Laplacian closures
-that the manufactured-solution oracles need; no solver path reads them.
-Value callables must accept complex coordinates so that
-manufactured-solution derivatives can be cross-checked by complex-step
-differentiation.
+``forms.quad_values`` calls it once per cell block on the per-axis
+quadrature coordinates (``DiscreteSpace.quad_lines``, z cut to the block);
+a point array ``(n, 3)`` is passed as ``points.T``.  Elementwise
+operations give every point the bits of a pointwise evaluation.  A
+constant passes through ``quad_values`` as a float array.  ``Field`` adds
+the optional gradient and Laplacian closures that the manufactured-solution
+oracles need; no solver path reads them.  Value callables must accept
+complex coordinates so that manufactured-solution derivatives can be
+cross-checked by complex-step differentiation.
 """
 
 import numpy as np

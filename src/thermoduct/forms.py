@@ -19,8 +19,8 @@ explicit load vectors with every argument frozen, mirroring the
 linearized solve structure of the fixed-point scheme.  Problem data (a
 ``fields`` callable, a constant, or values already tabulated) become
 quadrature values in one place, ``quad_values``: a callable is tabulated
-on the per-axis quadrature coordinates (``DiscreteSpace.quad_lines``) and
-broadcast, not evaluated at a list of points.
+on the per-axis quadrature coordinates of a cell block
+(``DiscreteSpace.quad_lines``) and broadcast, not evaluated at points.
 
 Norms: the H1 norm, and the Ls and W2s norms at exponent s = 2, are sums
 of squares of Kronecker applies of 1-D factors
@@ -35,10 +35,10 @@ cell.  Every field is evaluated at the quadrature points by one kernel,
 with a reference table.  Every load is scattered by one kernel,
 ``_scatter_load``: multiply the weighted quadrature values cell by cell
 with the transposed value table, then sum into the global vector with
-``np.bincount``.  The load kernel and the callable data it tabulates run
-over ``cell_blocks``, blocks of whole z layers of about ``_BLOCK_CELLS``
-cells, so their transients are bounded by the block and not the mesh;
-every step is cell-local, so the result does not depend on the blocking.
+``np.bincount``.  Every quadrature kernel (loads, their data, norms at
+s != 2) runs in one loop, ``fill_blocks``, over ``cell_blocks`` of about
+``_BLOCK_CELLS`` cells, so its transients are bounded by the block; every
+step is cell-local, so the result does not depend on the blocking.
 Each product has a fixed per-cell size, so no BLAS call of these kernels
 grows with the mesh and their results do not depend on the BLAS thread
 count; ``bincount`` adds the contributions in a fixed order, so repeated
@@ -60,6 +60,7 @@ __all__ = [
     "assemble_kappa",
     "assemble_saddle",
     "cell_blocks",
+    "fill_blocks",
     "convection_load",
     "assemble_d_load",
     "assemble_e_load",
@@ -89,21 +90,21 @@ _BLOCK_CELLS = 256
 
 
 def cell_blocks(space):
-    """Yield ``(cells, lines)`` over the mesh in blocks of whole z layers,
-    about ``_BLOCK_CELLS`` cells each (at least one layer).
+    """Yield the mesh's cells as slices of the cell numbering (x fastest, z
+    slowest), in blocks of whole z layers of about ``_BLOCK_CELLS`` cells
+    each (at least one layer)."""
+    nx, ny, _ = space.mesh.divisions
+    step = max(1, _BLOCK_CELLS // (nx * ny)) * nx * ny
+    for start in range(0, space.n_cells, step):
+        yield slice(start, min(start + step, space.n_cells))
 
-    ``cells`` is the block's slice of the cell numbering (x fastest, z
-    slowest), and ``lines`` is ``space.quad_lines`` with the z line cut to
-    the block's layers, so ``quad_values(space, fld, lines)`` tabulates the
-    block's cells only.
-    """
-    nx, ny, nz = space.mesh.divisions
-    layer = nx * ny
-    step = max(1, _BLOCK_CELLS // layer)
-    x, y, z = space.quad_lines
-    for k in range(0, nz, step):
-        end = min(k + step, nz)
-        yield slice(k * layer, end * layer), (x, y, z[k:end])
+
+def fill_blocks(space, shape, block):
+    """The (n_cells, *shape) array whose rows ``cells`` are ``block(cells)``."""
+    out = np.empty((space.n_cells, *shape))
+    for cells in cell_blocks(space):
+        out[cells] = block(cells)
+    return out
 
 
 def _contract(dofs, index, table):
@@ -123,20 +124,20 @@ def _contract(dofs, index, table):
 def _scatter_load(space, values, m):
     """Load vector of quadrature data in m components.
 
-    ``values`` is (ncells, nq), or (ncells, nq, m) for m > 1, or a callable
-    ``values(cells, lines)`` that gives one ``cell_blocks`` block of it.
+    ``values(cells)`` gives the data of one ``cell_blocks`` block, (cells,
+    nq) for m = 1 or (cells, nq, m), or a constant that broadcasts to it.
     The (cells, 27, m) local vectors are filled block by block, then summed
     with one ``bincount``.
     """
-    local = np.empty((space.n_cells, space.N2.shape[0], m))
     weighted = space.N2 * space.wq
-    for cells, lines in cell_blocks(space):
-        block = values(cells, lines) if callable(values) else values[cells]
-        block = np.asarray(block, dtype=float)
-        local[cells] = weighted @ (block[:, :, None] if block.ndim == 2 else block)
+
+    def local(cells):
+        vals = values(cells)[..., None] if m == 1 else values(cells)
+        return weighted @ np.broadcast_to(vals, (cells.stop - cells.start, space.nq, m))
+
     return np.bincount(
         space.conn_u[..., :m].ravel(),
-        weights=local.ravel(),
+        weights=fill_blocks(space, (space.N2.shape[0], m), local).ravel(),
         minlength=m * space.n_scalar,
     )
 
@@ -169,22 +170,28 @@ def eval_pressure(space, p, cells=slice(None)):
     return _contract(p, space.conn_q1[cells, :, None], space.N1)[..., 0]
 
 
-def quad_values(space, fld, lines=None):
-    """Problem data at the quadrature points.
+def quad_values(space, data, cells=slice(None)):
+    """Problem data at the quadrature points of ``cells``, whole z layers.
 
     A callable (the ``fields`` convention) is evaluated once on the
-    quadrature lines, ``space.quad_lines`` or one block's ``lines`` from
-    ``cell_blocks``, broadcast to their grid and returned as (cells, nq,
-    ...).  A constant, or values already tabulated this way, is returned
-    as a float array that broadcasts against them.
+    quadrature lines of those layers, broadcast to their grid and returned
+    as (cells, nq, ...).  Values already tabulated, (n_cells, nq, ...), are
+    sliced to ``cells``; other arrays of two or more axes raise ValueError.
+    A constant is returned as it is, a float array.
     """
-    if callable(fld):
-        lines = space.quad_lines if lines is None else lines
+    if callable(data):
+        x, y, z = space.quad_lines
+        first, stop, _ = cells.indices(space.n_cells)      # whole z layers
+        lines = (x, y, z[first * len(z) // space.n_cells:stop * len(z) // space.n_cells])
         grid = np.broadcast_shapes(*(line.shape for line in lines))
-        vals = np.asarray(fld(lines), dtype=float)
+        vals = np.asarray(data(lines), dtype=float)
         comps = vals.shape[len(grid):]
         return np.broadcast_to(vals, grid + comps).reshape(-1, space.nq, *comps)
-    return np.asarray(fld, dtype=float)
+    vals = np.asarray(data, dtype=float)
+    if vals.ndim > 1 and vals.shape[:2] != (space.n_cells, space.nq):
+        raise ValueError(f"tabulated data of shape {vals.shape} do not match the space's "
+                         f"(n_cells, nq) = {(space.n_cells, space.nq)}")
+    return vals[cells] if vals.ndim > 1 else vals
 
 
 def interpolate_scalar(space, fld):
@@ -295,79 +302,71 @@ def assemble_saddle(A, D):
 # -- load vectors --------------------------------------------------------------
 
 
-def convection_value(space, model, u0, u1):
-    """rho0 (u0 . grad) u1 at quadrature points."""
-    uq = eval_velocity(space, u0)
-    gq = eval_velocity_grad(space, u1)
+def convection_value(space, model, u0, u1, cells=slice(None)):
+    """rho0 (u0 . grad) u1 at the quadrature points of ``cells``."""
+    uq = eval_velocity(space, u0, cells)
+    gq = eval_velocity_grad(space, u1, cells)
     return model.rho0 * np.einsum("cqd,cqmd->cqm", uq, gq)
 
 
 def convection_load(space, model, u0, u1):
     """Load form of b with both slots frozen: entries rho0 ((u0.grad)u1, v_i)."""
-    return _scatter_load(space, convection_value(space, model, u0, u1), 3)
+    return _scatter_load(space, lambda cells: convection_value(space, model, u0, u1, cells), 3)
 
 
-def _strain(space, u):
-    """Symmetric gradient e(u) at quadrature points, (cells, nq, 3, 3)."""
-    g = eval_velocity_grad(space, u)
-    return 0.5 * (g + np.swapaxes(g, -1, -2))
+def _strain(space, u, cells):
+    """Symmetric gradient e(u), (cells, nq, 3, 3), in place: one block array, not three."""
+    g = eval_velocity_grad(space, u, cells)
+    for m, d in itertools.combinations_with_replacement(range(3), 2):
+        g[..., m, d] = g[..., d, m] = 0.5 * (g[..., m, d] + g[..., d, m])
+    return g
 
 
-def dissipation_value(space, model, u, v):
+def dissipation_value(space, model, u, v, cells=slice(None)):
     """alpha1 * nu * e(u) : e(v) at quadrature points; e(u) once if ``v is u``."""
-    eu = _strain(space, u)
-    ev = eu if v is u else _strain(space, v)
+    eu = _strain(space, u, cells)
+    ev = eu if v is u else _strain(space, v, cells)
     return model.alpha1 * model.nu * np.einsum("cqmd,cqmd->cq", eu, ev)
 
 
 def assemble_e_load(space, model, u, v):
     """Dissipation load: entries alpha1 nu (e(u):e(v), phi_i)."""
-    return _scatter_load(space, dissipation_value(space, model, u, v), 1)
+    return _scatter_load(space, lambda cells: dissipation_value(space, model, u, v, cells), 1)
 
 
-def heat_convection_value(space, model, theta_freeze, u, theta_transport):
+def heat_convection_value(space, model, theta_freeze, u, theta_transport, cells=slice(None)):
     """c_V rho(theta_freeze) u . grad(theta_transport) at quadrature points."""
-    rho = model.rho_law(eval_scalar(space, theta_freeze))
-    uq = eval_velocity(space, u)
-    gth = eval_scalar_grad(space, theta_transport)
+    rho = model.rho_law(eval_scalar(space, theta_freeze, cells))
+    uq = eval_velocity(space, u, cells)
+    gth = eval_scalar_grad(space, theta_transport, cells)
     return model.cV * rho * np.einsum("cqd,cqd->cq", uq, gth)
 
 
 def assemble_d_load(space, model, theta_freeze, u, theta_transport):
     """Heat convection load with all three slots frozen."""
-    return _scatter_load(
-        space, heat_convection_value(space, model, theta_freeze, u, theta_transport), 1
-    )
+    return _scatter_load(space, lambda cells: heat_convection_value(
+        space, model, theta_freeze, u, theta_transport, cells), 1)
 
 
-def buoyancy_value(space, model, theta, g):
+def buoyancy_value(space, model, theta, g, cells=slice(None)):
     """rho(theta) g at quadrature points; g is any data ``quad_values`` takes."""
-    rho = model.rho_law(eval_scalar(space, theta))
-    return rho[:, :, None] * quad_values(space, g)
+    rho = model.rho_law(eval_scalar(space, theta, cells))
+    return rho[:, :, None] * quad_values(space, g, cells)
 
 
 def assemble_buoyancy(space, model, theta, g):
     """Buoyancy load: entries (rho(theta) g, v_i)."""
-    return _scatter_load(space, buoyancy_value(space, model, theta, g), 3)
-
-
-def _field_data(space, fld, comps):
-    """Data ``quad_values`` takes as ``_scatter_load`` data, (b, nq, *comps)
-    per block; a callable is tabulated one block at a time."""
-    if callable(fld):
-        return lambda cells, lines: np.broadcast_to(
-            quad_values(space, fld, lines), (cells.stop - cells.start, space.nq, *comps))
-    return np.broadcast_to(quad_values(space, fld), (space.n_cells, space.nq, *comps))
+    return _scatter_load(space, lambda cells: buoyancy_value(space, model, theta, g, cells), 3)
 
 
 def field_load_scalar(space, fld):
     """(h, phi_i) for scalar data h (see ``quad_values``)."""
-    return _scatter_load(space, _field_data(space, fld, ()), 1)
+    return _scatter_load(space, lambda cells: quad_values(space, fld, cells), 1)
 
 
 def field_load_vector(space, fld):
     """(f, v_i) for vector data f (see ``quad_values``)."""
-    return _scatter_load(space, _field_data(space, fld, (3,)), 3)
+    return _scatter_load(space, lambda cells: quad_values(space, fld, cells), 3)
 
 
 # -- norms ---------------------------------------------------------------------
@@ -387,11 +386,15 @@ def _sobolev_density(space, fld, order):
     per quadrature point."""
     fld = np.asarray(fld, dtype=float)
     m = _components(space, fld)
-    dens = 0.0
-    for table in (space.N2, space.dN2, space.d2N2)[: order + 1]:
-        vals = _contract(fld, space.conn_u[..., :m], table).reshape(space.n_cells, space.nq, -1)
-        dens = dens + np.einsum("cqk,cqk->cq", vals, vals)
-    return dens
+
+    def density(cells):
+        index, dens = space.conn_u[cells, :, :m], 0.0
+        for table in (space.N2, space.dN2, space.d2N2)[: order + 1]:
+            vals = _contract(fld, index, table).reshape(len(index), space.nq, -1)
+            dens = dens + np.einsum("cqk,cqk->cq", vals, vals)
+        return dens
+
+    return fill_blocks(space, (space.nq,), density)
 
 
 def _partials(order):

@@ -13,9 +13,9 @@ indices, and each table (basis values and derivatives, weights, the
 open-end basis) is the broadcast product of 1-D tables tabulated once at
 the 1-D Gauss nodes.  The quadrature points are the broadcast of their
 per-axis coordinates ``quad_lines``, which is never formed: closed-form
-data are tabulated on the lines themselves (``forms.quad_values``).  This
-module is the one that knows their layout.  The 1-D operator matrices
-(``axis_matrices``) are built once per space, on first use.
+data are tabulated on the lines, cut to a cell block's z layers
+(``forms.quad_values``).  This module is the one that knows their layout.
+The 1-D operator matrices (``axis_matrices``) are built once, on first use.
 """
 
 import functools

@@ -397,13 +397,13 @@ class ErrorTable:
 
 def _squared_error(space, evaluate, dofs, exact):
     """(cells, nq) squared error of ``evaluate(space, dofs, cells)`` against
-    the closed-form ``exact``, summed over components; the discrete and the
-    exact values are formed one ``forms.cell_blocks`` block at a time."""
-    out = np.empty((space.n_cells, space.nq))
-    for cells, lines in forms.cell_blocks(space):
-        diff = evaluate(space, dofs, cells) - forms.quad_values(space, exact, lines)
-        out[cells] = np.sum(diff ** 2, axis=tuple(range(2, diff.ndim)))
-    return out
+    the closed-form ``exact``, summed over components, one cell block at a time."""
+
+    def block(cells):
+        diff = evaluate(space, dofs, cells) - forms.quad_values(space, exact, cells)
+        return np.sum(diff ** 2, axis=tuple(range(2, diff.ndim)))
+
+    return forms.fill_blocks(space, (space.nq,), block)
 
 
 def _error_norms(space, dofs, exact):

@@ -236,6 +236,21 @@ def test_nonfinite_problem_data_named(datum, small_space, boussinesq_model):
         CoupledProblem(small_space, boussinesq_model, **data)
 
 
+def test_data_tabulated_on_another_mesh_rejected(small_space, boussinesq_model):
+    # values tabulated on 4x4x16 are sliced per cell block of the 2x2x4
+    # space only if their (n_cells, nq) is checked first
+    other = build_spaces(build_channel_mesh(1.0, 1.0, 4.0, 4, 4, 16))
+    h = np.ones((other.n_cells, other.nq))
+    f = np.ones((other.n_cells, other.nq, 3))
+    match = (rf"shape \({other.n_cells}, {other.nq}(, 3)?\) do not match the space's "
+             rf"\(n_cells, nq\) = \({small_space.n_cells}, {small_space.nq}\)")
+    for build in (lambda: forms.field_load_scalar(small_space, h),
+                  lambda: forms.field_load_vector(small_space, f),
+                  lambda: CoupledProblem(small_space, boussinesq_model, f, constant_scalar(0.0))):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+
 def test_constant_body_force_matches_field_bitwise(small_space, boussinesq_model):
     results = []
     for g in ((0, 0, -0.4), constant_vector((0, 0, -0.4))):

@@ -10,6 +10,10 @@ A parameter that its function's body never reads misleads a caller the
 same way, so each parameter of a ``def`` or ``lambda`` in
 ``src/thermoduct`` must appear as a name in that body.
 
+Quadrature work runs over cell blocks through one loop: in
+``src/thermoduct`` only ``forms.fill_blocks`` names ``cell_blocks``, so a
+second block loop cannot come back unnoticed.
+
 The runtime needs no scipy: a ``solve``, ``certify`` or ``mms`` run must
 leave every ``scipy`` module unloaded (``scipy.sparse`` alone took about
 0.2 s to import).  The tests use scipy as an oracle.
@@ -105,6 +109,43 @@ def test_no_unused_parameters():
         f"{path.relative_to(ROOT)}:{line} {name}"
         for path in sorted(ROOT.glob("src/thermoduct/*.py"))
         for line, name in unused_parameters(path.read_text(encoding="utf-8"))
+    ]
+    assert not found
+
+
+def cell_block_loops(source):
+    """(line, function) of each use of ``cell_blocks`` outside ``fill_blocks``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if "cell_blocks" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                if function != "fill_blocks":
+                    found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_block_loop_scan_flags_a_second_loop():
+    source = (
+        "def fill_blocks(space, block):\n"
+        "    return [block(c) for c in cell_blocks(space)]\n"
+        "def _squared_error(space):\n"
+        "    for cells in forms.cell_blocks(space):\n        pass\n"
+    )
+    assert cell_block_loops(source) == [(4, "_squared_error")]
+
+
+def test_one_cell_block_loop():
+    found = [
+        f"{path.relative_to(ROOT)}:{line} {function}"
+        for path in sorted(ROOT.glob("src/thermoduct/*.py"))
+        for line, function in cell_block_loops(path.read_text(encoding="utf-8"))
     ]
     assert not found
 

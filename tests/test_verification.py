@@ -236,28 +236,38 @@ def test_tabulation_on_lines_matches_pointwise_bitwise(dims_space):
         pointwise = fn(points.T)
         pointwise = pointwise.reshape(space.n_cells, space.nq, *pointwise.shape[1:])
         assert np.array_equal(forms.quad_values(space, fn), pointwise), name
-        for cells, lines in forms.cell_blocks(space):
-            assert np.array_equal(forms.quad_values(space, fn, lines), pointwise[cells]), name
+        for cells in forms.cell_blocks(space):
+            assert np.array_equal(forms.quad_values(space, fn, cells), pointwise[cells]), name
 
 
 def test_blocked_loads_and_norms_match_one_block(monkeypatch):
     # 8x8x10 cells: blocks of 4, 4 and 2 z layers of 64 cells
     space = build_spaces(build_channel_mesh(1.0, 1.0, 1.25, 8, 8, 10), quad_order=4)
-    assert [c.stop - c.start for c, _ in forms.cell_blocks(space)] == [256, 256, 128]
+    assert [c.stop - c.start for c in forms.cell_blocks(space)] == [256, 256, 128]
     case = v.trig_case(space.mesh.dims, nu=1.0)
     model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.3,
                           law=clamped_boussinesq(1.0, alpha_v=0.1))
     rng = np.random.default_rng(5)
     u, th = rng.normal(size=space.n_velocity), rng.normal(size=space.n_scalar)
     p = rng.normal(size=space.n_pressure)
+    # tabulated (cells, nq, ...) data, as CoupledProblem and the certificate
+    # sampler pass them
+    g = forms.quad_values(space, v.stokes_forcing(case, 1.0))
+    h = rng.normal(size=(space.n_cells, space.nq))
 
     def outputs():
         return [
             forms.field_load_vector(space, v.stokes_forcing(case, 1.0)),
             forms.field_load_scalar(space, v.heat_forcing_linear(case, 1.0)),
             forms.field_load_vector(space, (0.0, 0.2, -1.0)),
+            forms.field_load_scalar(space, h),
             forms.convection_load(space, model, u, u),
             forms.assemble_e_load(space, model, u, u),
+            forms.assemble_d_load(space, model, th, u, th),
+            forms.assemble_buoyancy(space, model, th, (0.0, 0.0, -1.0)),
+            forms.assemble_buoyancy(space, model, th, g),
+            np.array([forms.discrete_norms(space, u, "W2s", s=1.8),
+                      forms.discrete_norms(space, th, "Ls", s=3)]),
             np.array(v._error_norms(space, u, case.u)),
             np.array(v._error_norms(space, th, case.theta)),
             v._squared_error(space, forms.eval_pressure, p, case.p),
@@ -271,15 +281,24 @@ def test_blocked_loads_and_norms_match_one_block(monkeypatch):
 
 
 def test_mms_data_kernels_allocate_under_16_mib():
-    # the finest mms_stokes level: forcing load and error norms transients
-    # are bounded by the cell block, not by the 256,000 quadrature points
+    # the finest mms_stokes level: the transients of the forcing load, the
+    # error norms, the four Picard loads and an s != 2 norm are bounded by
+    # the cell block, not by the 256,000 quadrature points
     dims = (1.0, 1.0, 4.0)
     space = build_spaces(build_channel_mesh(*dims, 8, 8, 32))
     case = v.trig_case(dims, nu=1.0)
     forcing = v.stokes_forcing(case, 1.0)
-    u = np.random.default_rng(2).normal(size=space.n_velocity)
+    model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.3,
+                          law=clamped_boussinesq(1.0, alpha_v=0.1))
+    rng = np.random.default_rng(2)
+    u, th = rng.normal(size=space.n_velocity), rng.normal(size=space.n_scalar)
     for run in (lambda: forms.field_load_vector(space, forcing),
-                lambda: v._error_norms(space, u, case.u)):
+                lambda: v._error_norms(space, u, case.u),
+                lambda: forms.convection_load(space, model, u, u),
+                lambda: forms.assemble_e_load(space, model, u, u),
+                lambda: forms.assemble_d_load(space, model, th, u, th),
+                lambda: forms.assemble_buoyancy(space, model, th, (0.0, 0.0, -1.0)),
+                lambda: forms.discrete_norms(space, u, "W2s", s=1.8)):
         tracemalloc.start()
         try:
             run()
