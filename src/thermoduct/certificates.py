@@ -17,14 +17,11 @@ The estimates are honest empirical lower bounds of the true suprema and
 are labelled as such in reports.  Given a seed they are deterministic and
 monotone in the sample count.
 
-The sampler evaluates every sample in one preallocated workspace of flat
-rows in quadrature-point order, which ``estimate_constants`` allocates once:
-each distinct partial derivative of a sample is computed once, and every
-pointwise sum runs in the order of the array expression it stands for, so
-the constants are those of a direct evaluation bit for bit.  The 1-D
-factors of a sample are tabulated on the per-axis quadrature coordinates
-of the space (``DiscreteSpace.quad_lines``), so the sampler makes no
-assumption of its own about the quadrature layout.
+The sampler evaluates every sample into one workspace of stacked rows
+that ``estimate_constants`` allocates once, computing each distinct
+partial derivative once from 1-D factors tabulated on the per-axis
+quadrature coordinates (``DiscreteSpace.quad_lines``); the integrands are
+numpy contractions of those rows.
 
 At exponent 2 (s = 2 for the velocities, r = 2 for the temperature, the
 default) a sample's W^{2,2} norm needs no pointwise second partials: the
@@ -94,15 +91,12 @@ _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # second-derivative orders in (i, j) order; (i, j) and (j, i) coincide
 _HESS = tuple(tuple(a + b for a, b in zip(ei, ej)) for ei in _UNIT for ej in _UNIT)
 _SECOND = tuple(dict.fromkeys(_HESS))  # the six distinct ones
-_HESS_AT = tuple(_SECOND.index(h) for h in _HESS)
 # derivative orders a sample is evaluated at: the value (index 0), the
 # gradient (1-3) and the distinct second partials (4-9)
 _DIRECTIONS = ((0, 0, 0),) + _UNIT + _SECOND
 # how often each of them appears among the ordered derivatives of the
 # W^{2,s} density: a mixed second partial twice
 _COUNTS = np.array((1, 1, 1, 1) + tuple(_HESS.count(h) for h in _SECOND))
-# the upper triangle of a 3x3 tensor
-_PAIRS = tuple((m, d) for m in range(3) for d in range(m, 3))
 # curl(psi e_axis), per axis: (derivative orders of psi, sign) per
 # component, None for the zero component
 _CURL = {
@@ -110,24 +104,6 @@ _CURL = {
     1: (((0, 0, 1), -1.0), None, ((1, 0, 0), 1.0)),
     2: (((0, 1, 0), 1.0), ((1, 0, 0), -1.0), None),
 }
-
-# Summation orders, as nested pairs of leaf indices, of the numpy
-# reductions whose results the sampler reproduces from planar rows; the
-# tests check each against numpy bit for bit.
-_SUM3 = ((0, 1), 2)  # np.sum over a contiguous axis of 3: left to right
-_SUM9 = ((((0, 1), (2, 3)), ((4, 5), (6, 7))), 8)  # of 9: eight-way pairwise, then the last
-# a two-operand einsum contraction of a contiguous axis: two SIMD lanes fed
-# from the back of each block of eight, then pairwise, lanes added last
-_DOT3 = ((0, 2), 1)
-_DOT9 = (((((6, 4), 2), 0), 8), (((7, 5), 3), 1))
-
-
-def _chain(n):
-    """Left-to-right summation order of n leaves."""
-    tree = 0
-    for i in range(1, n):
-        tree = (tree, i)
-    return tree
 
 
 def _factor_table(kind, k, t, o):
@@ -206,10 +182,7 @@ class _TensorField:
         amp = np.array([term[0] for term in self.terms])
         grams = [self._grams(axis, weights) for axis in range(3)]
         total = 0.0
-        for comp in self.comps:
-            if comp is None:
-                continue
-            base, scale = comp
+        for base, scale in filter(None, self.comps):
             orders = np.add(base, _DIRECTIONS)   # per partial, per axis
             gram = grams[0][orders[:, 0]] * grams[1][orders[:, 1]] * grams[2][orders[:, 2]]
             total += scale * scale * (_COUNTS @ (gram @ amp @ amp))
@@ -217,139 +190,78 @@ class _TensorField:
 
     def partial(self, orders, out, spare):
         """d^orders of the term sum into the flat row ``out``, adding term
-        by term through ``spare``; None when every term vanishes."""
-        total = None
+        by term through ``spare``; a zero row when every term vanishes."""
+        first = True
         for i, (amp, *_) in enumerate(self.terms):
             fx, fy, fz = (self._table(i, axis, o) for axis, o in enumerate(orders))
             if fx is None or fy is None or fz is None:
                 continue
-            dest = out if total is None else spare
-            np.multiply(amp * fx * fy, fz, out=dest.reshape(self.shape))
-            total = out if total is None else np.add(out, spare, out=out)
-        return total
+            np.multiply(amp * fx * fy, fz, out=(out if first else spare).reshape(self.shape))
+            if not first:
+                out += spare
+            first = False
+        if first:
+            out.fill(0.0)
 
 
 class _Workspace:
-    """Every full-size array of one sample, allocated once by
-    ``estimate_constants`` and overwritten by each sample in turn.
+    """Every full-size array of one sample at norm exponents ``s`` and
+    ``r``, overwritten by each sample in turn.
 
-    Each array is a flat row in quadrature-point order.  A sample's derivatives
-    are lists ``parts[m][i]``: component m along ``_DIRECTIONS[i]``, a row
-    of the workspace or None where it vanishes identically.  ``u`` and ``v``
-    hold the values and gradients of the two nonzero curl components of
-    each velocity, ``v`` later those of the temperature and the value of
-    the heat source; ``second`` holds the second partials of a field
-    normed pointwise (exponent other than 2), and later the C_b and C_e
-    integrands; ``acc`` and ``spares`` hold sums.  The rows take 33
-    values per quadrature point.
+    Partials are stacked rows (component, direction, point), directions as
+    in ``_DIRECTIONS``; one that vanishes identically is a zero row.  ``u``
+    and ``v`` hold the values and gradients of the two velocities, ``v``
+    later those of the temperature and the heat source.  ``second`` holds
+    the second partials of the nonzero components of a field normed
+    pointwise (exponent other than 2), ``out`` the integrands and ``spare``
+    the terms of a partial: 28 rows at s = r = 2, 34 at s = 2 only and 40
+    otherwise.
     """
 
-    def __init__(self, space):
+    def __init__(self, space, s, r):
         n = space.n_cells * space.nq
         self.space = space
-        self.u = np.empty((2, 4, n))
-        self.v = np.empty((2, 4, n))
-        self.second = np.empty((2, 6, n))
-        self.acc = np.empty((2, n))
-        self.spares = list(np.empty((3, n)))
+        self.u = np.empty((3, 4, n))
+        self.v = np.empty((3, 4, n))
+        self.second = np.empty((2 if s != 2 else int(r != 2), 6, n))
+        self.out = np.empty((3, n))
+        self.spare = np.empty(n)
 
-    def evaluate(self, fld, vg, directions=_DIRECTIONS):
-        """parts of ``fld`` along ``directions``; the j-th nonzero component
-        writes its value and gradient into ``vg[j]`` and its second partials
-        into ``second[j]``.  A partial of the term sum that several
-        components share is computed once and scaled into each."""
-        parts = [[None] * len(directions) for _ in fld.comps]
+    def evaluate(self, fld, rows, second=False):
+        """Partials of ``fld`` along the first ``rows.shape[1]`` of
+        ``_DIRECTIONS`` into ``rows``, one per component; with ``second``,
+        also its second partials into ``self.second``, one per nonzero
+        component, and returns those.  A partial of the term sum that
+        several components share is computed once and scaled into each."""
+        second = self.second[:sum(c is not None for c in fld.comps) if second else 0]
         users = {}
-        slots = iter([*a, *b] for a, b in zip(vg, self.second))
-        for m, comp in enumerate(fld.comps):
+        slots = iter(second)
+        for comp, dest in zip(fld.comps, rows):
             if comp is None:
+                dest.fill(0.0)
                 continue
-            (base, scale), rows = comp, next(slots)
-            for i, e in enumerate(directions):
+            base, scale = comp
+            for e, row in zip(_DIRECTIONS, [*dest, *next(slots, ())]):
                 orders = tuple(b + d for b, d in zip(base, e))
-                users.setdefault(orders, []).append((m, i, scale, rows[i]))
-        for orders, group in users.items():
-            *shared, (m, i, scale, row) = group
-            p = fld.partial(orders, row, self.spares[0])
-            if p is None:
-                continue
-            for mm, ii, sc, dest in shared:
-                parts[mm][ii] = np.multiply(sc, p, out=dest)
-            parts[m][i] = p if scale == 1.0 else np.multiply(scale, p, out=p)
-        return parts
+                users.setdefault(orders, []).append((scale, row))
+        for orders, ((scale, row), *shared) in users.items():
+            fld.partial(orders, row, self.spare)
+            for sc, dest in shared:
+                np.multiply(sc, row, out=dest)
+            if scale != 1.0:
+                row *= scale
+        return second
 
-    def sum(self, tree, leaves, out):
-        """Sum of ``leaves`` in the order of ``tree``, into ``out``.
-
-        A leaf is an array, a pair (x, y) whose product is formed in a
-        buffer of the workspace, or None where it vanishes.  A vanishing
-        leaf drops out of its pair: exact for these sums up to the sign of
-        a zero, which every result loses to a square or an absolute value.
-        """
-        total = _tree_sum(tree, leaves, out, self.spares)
-        if total is None:
-            out.fill(0.0)
-        elif total is not out:
-            np.copyto(out, total)
-        return out
-
-    def second_sq_sum(self, parts, out):
-        """Sum over components and ``_HESS`` of the squared second
-        partials, squaring ``parts`` in place."""
-        second = [c[4:] for c in parts]
-        for c in second:
-            for x in c:
-                if x is not None:
-                    np.multiply(x, x, out=x)
-        leaves = [c[i] for c in second for i in _HESS_AT]
-        return self.sum(_chain(len(leaves)), leaves, out)
-
-    def w2s_density(self, parts, s):
-        """Pointwise broken W^{2,s} density (|D^0|^2 + |D^1|^2) + |D^2|^2
-        raised to s/2; |D^1|^2 is summed as np.sum sums the gradient
-        array, the other sums left to right."""
-        dens, tmp = self.acc
-        m = len(parts)
-        self.sum(_chain(m), [(c[0], c[0]) for c in parts], dens)
-        self.sum(_SUM9 if m == 3 else _SUM3, [(g, g) for c in parts for g in c[1:4]], tmp)
-        np.add(dens, tmp, out=dens)
-        np.add(dens, self.second_sq_sum(parts, tmp), out=dens)
+    def w2s_norm(self, rows, second, s):
+        """Broken W^{2,s} norm of a sample from its value and gradient
+        ``rows`` and its second partials ``second``, which it squares in
+        place: the ``_COUNTS``-weighted sum of their squares, raised to s/2,
+        summed over the points."""
+        space, (dens, tmp) = self.space, self.out[:2]
+        np.einsum("min,min->n", rows, rows, out=dens)
+        dens += np.einsum("i,min->n", _COUNTS[4:], np.square(second, out=second), out=tmp)
         dens **= s / 2.0
-        return dens
-
-    def w2s_norm(self, parts, s):
-        """Broken W^{2,s} norm of a sample field from its pointwise density."""
-        space = self.space
-        dens = self.w2s_density(parts, s).reshape(space.n_cells, space.nq)
-        return float(np.einsum("q,cq->", space.wq, dens) ** (1.0 / s))
-
-
-def _tree_sum(tree, leaves, out, spares):
-    """Sum of ``leaves`` in the order of ``tree``, in ``out`` or in a leaf;
-    None when every leaf vanishes.  Products are formed in ``out`` and,
-    right of a pair, in the first of ``spares``."""
-    if isinstance(tree, int):
-        leaf = leaves[tree]
-        if isinstance(leaf, tuple):
-            x, y = leaf
-            return None if x is None or y is None else np.multiply(x, y, out=out)
-        return leaf
-    a = _tree_sum(tree[0], leaves, out, spares)
-    if a is None:
-        return _tree_sum(tree[1], leaves, out, spares)
-    b = _tree_sum(tree[1], leaves, spares[0], spares[1:])
-    return a if b is None else np.add(a, b, out=out)
-
-
-def _symmetric(grad, m, d, out):
-    """0.5 (grad[m][d] + grad[d][m]) into out, None where it vanishes."""
-    a, b = grad[m][d], grad[d][m]
-    if a is None and b is None:
-        return None
-    if a is None or b is None:
-        return np.multiply(0.5, b if a is None else a, out=out)
-    np.add(a, b, out=out)
-    return np.multiply(0.5, out, out=out)
+        return float(np.einsum("q,cq->", space.wq, dens.reshape(-1, space.nq)) ** (1.0 / s))
 
 
 def _draw_velocity(space, rng):
@@ -387,17 +299,12 @@ def _draw_scalar(space, rng, zero_trace):
     return (terms,)
 
 
-def _directions(p):
-    """The derivative orders a sample normed in W^{2,p} is evaluated along:
-    at p = 2 its norm comes from 1-D Grams, and the ratios read only its
-    value and gradient."""
-    return _DIRECTIONS[:4] if p == 2 else _DIRECTIONS
-
-
-def _w2_norm(ws, fld, parts, p):
-    """Broken W^{2,p} norm of a sample: from 1-D Grams at p = 2, otherwise
-    from the second partials in ``parts``."""
-    return fld.w22_norm(ws.space.quad_line_weights) if p == 2 else ws.w2s_norm(parts, p)
+def _evaluate(ws, fld, rows, p):
+    """Evaluate a sample into ``rows`` and return its broken W^{2,p} norm:
+    from 1-D Grams at p = 2, where the ratios read only its value and
+    gradient, otherwise from its second partials."""
+    second = ws.evaluate(fld, rows, second=p != 2)
+    return fld.w22_norm(ws.space.quad_line_weights) if p == 2 else ws.w2s_norm(rows, second, p)
 
 
 def _sample_ratios(space, model, heat, ws, draw, s, r):
@@ -406,42 +313,31 @@ def _sample_ratios(space, model, heat, ws, draw, s, r):
     u, v, theta, f = (_TensorField(space.quad_lines, *spec) for spec in draw)
     cells = (space.n_cells, space.nq)
     out = np.zeros(5)
-    up = ws.evaluate(u, ws.u, _directions(s))
-    nu_u = _w2_norm(ws, u, up, s)
-    vp = ws.evaluate(v, ws.v, _directions(s))
-    nu_v = _w2_norm(ws, v, vp, s)
-    uval = [c[0] for c in up]
+    nu_u = _evaluate(ws, u, ws.u, s)
+    nu_v = _evaluate(ws, v, ws.v, s)
+    uval = ws.u[:, 0]
     if nu_u > 0 and nu_v > 0:
-        ugrad, vgrad = [c[1:4] for c in up], [c[1:4] for c in vp]
-        # the C_b integrand in rows 0-2, strain products in rows 3-8
-        scratch = ws.second.reshape(-1, ws.second.shape[-1])
-        adv = scratch[:3]
-        for m in range(3):
-            ws.sum(_DOT3, [(uval[d], vgrad[m][d]) for d in range(3)], adv[m])
+        gu, gv = ws.u[:, 1:], ws.v[:, 1:]
+        adv = np.einsum("dn,mdn->mn", uval, gv, out=ws.out)
         out[0] = forms.lp_norm_of_values(space, adv.T.reshape(*cells, 3), s) / (nu_u * nu_v)
         # C_e keeps the alpha1*nu prefactor divided out, so the ratio stays
-        # meaningful when dissipation is switched off; the strain products
-        # are symmetric in (m, d), so each is formed once
-        ee = {}
-        for k, (m, d) in enumerate(_PAIRS):
-            eu = _symmetric(ugrad, m, d, scratch[9])
-            ev = _symmetric(vgrad, m, d, scratch[10])
-            ee[m, d] = ee[d, m] = (
-                None if eu is None or ev is None else np.multiply(eu, ev, out=scratch[3 + k])
-            )
-        dens = ws.sum(_DOT9, [ee[divmod(k, 3)] for k in range(9)], ws.acc[0])
+        # meaningful when dissipation is switched off;
+        # e(u):e(v) = (grad u:grad v + grad u:grad v^T) / 2
+        dens, tmp = ws.out[:2]
+        np.einsum("mdn,mdn->n", gu, gv, out=dens)
+        dens += np.einsum("mdn,dmn->n", gu, gv, out=tmp)
+        dens *= 0.5
         out[1] = forms.lp_norm_of_values(space, dens.reshape(cells), r) / (nu_u * nu_v)
-    (tp,) = ws.evaluate(theta, ws.v, _directions(r))
-    n_th = _w2_norm(ws, theta, [tp], r)
+    n_th = _evaluate(ws, theta, ws.v[:1], r)
     if nu_u > 0 and n_th > 0:
-        dens = ws.sum(_DOT3, [(uval[d], tp[1 + d]) for d in range(3)], ws.acc[0])
-        np.multiply(model.rho_law(tp[0]), dens, out=dens)
-        out[2] = forms.lp_norm_of_values(
-            space, dens.reshape(cells), r
-        ) / (model.rho_sharp * nu_u * n_th)
+        dens = np.einsum("dn,dn->n", uval, ws.v[0, 1:], out=ws.out[0])
+        dens *= model.rho_law(ws.v[0, 0])
+        out[2] = forms.lp_norm_of_values(space, dens.reshape(cells), r) / (
+            model.rho_sharp * nu_u * n_th)
     # embedding constants from a heat solve with a known right-hand side;
     # f is already tabulated at the quadrature points the load is built on
-    fval = ws.evaluate(f, ws.v, directions=((0, 0, 0),))[0][0].reshape(cells)
+    ws.evaluate(f, ws.v[:1, :1])
+    fval = ws.v[0, 0].reshape(cells)
     sol = heat.solve(forms.field_load_scalar(space, fval))
     f_norm = forms.lp_norm_of_values(space, fval, r)
     if f_norm > 0:
@@ -457,23 +353,21 @@ def estimate_constants(problem, samples=200, seed=0, s=2.0, r=2.0):
     ``samples`` random fields, so estimates never decrease with more
     samples and are deterministic for a given seed.  Sample fields are
     drawn one at a time from the seeded generator and folded into the
-    maxima in draw order.  Each sample's 1-D factors are tabulated on the
-    quadrature coordinate lines of ``space`` and every partial derivative
-    is broadcast from those tables straight into quadrature-point order.
+    maxima in draw order.
 
-    One ``_Workspace`` holds every full-size array of a sample and is
-    overwritten by the next, so the sampler allocates no field-sized
-    array per sample beyond those the ``forms`` norms and the heat solve
-    make.  Each distinct partial derivative of a sample is computed once
-    and shared by the value, the gradient, the W^{2,s} density and the
-    C_b, C_e and C_d integrands.  The workspace is built once here, and
-    every sample reuses it and the problem's own heat solver ``heat``.
+    One ``_Workspace``, built here, holds every full-size array of a
+    sample (28 rows of quadrature values at s = r = 2, 40 at most) and is
+    overwritten by the next, so the sampler allocates no field-sized array
+    per sample beyond those the ``forms`` norms and the heat solve make.
+    Each distinct partial derivative of a sample is computed once and
+    shared by the W^{2,s} norm and the C_b, C_e and C_d integrands.  Every
+    sample reuses the problem's own heat solver ``heat``.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a stable estimate")
     space, model, heat = problem.space, problem.model, problem.heat
     rng = np.random.default_rng(seed)
-    ws = _Workspace(space)
+    ws = _Workspace(space, s, r)
 
     best = np.zeros(5)  # every ratio is >= 0
     for i in range(samples):

@@ -444,16 +444,22 @@ def discrete_norms(space, fld, which, s=None):
 
 
 def lp_norm_of_values(space, values, p):
-    """L^p quadrature norm of pointwise values (ncells, nq) or (ncells, nq, 3)."""
+    """L^p quadrature norm of pointwise values (ncells, nq) or (ncells, nq, 3):
+    |v|^p is filled per cell block and summed once over the mesh, so a
+    broadcast input is never materialized whole."""
     values = np.asarray(values)
-    if values.ndim == 3:
-        # the same left-to-right sum as np.sum(axis=-1), without numpy's
-        # per-point reduction over the length-3 axis
-        sq = values**2
-        mag = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
-    else:
-        mag = np.abs(values)
-    return float(np.einsum("q,cq->", space.wq, mag**p) ** (1.0 / p))
+
+    def power(cells):
+        v = values[cells]
+        if v.ndim == 2:
+            return np.abs(v) ** p
+        mag = v[..., 0] ** 2  # |v|^2 left to right, as np.sum(axis=-1) sums it
+        mag += v[..., 1] ** 2
+        mag += v[..., 2] ** 2
+        return np.sqrt(mag, out=mag) ** p
+
+    mag = fill_blocks(space, (space.nq,), power)
+    return float(np.einsum("q,cq->", space.wq, mag) ** (1.0 / p))
 
 
 # -- boundary terms --------------------------------------------------------------

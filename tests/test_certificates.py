@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,18 +15,15 @@ from thermoduct.certificates import (
     uniqueness_certificate,
 )
 from thermoduct.certificates import (
-    _DOT3,
-    _DOT9,
     _HESS,
-    _SUM3,
-    _SUM9,
+    _SECOND,
     _TensorField,
     _Workspace,
     _draw_scalar,
     _draw_velocity,
-    _tree_sum,
+    _sample_ratios,
 )
-from thermoduct.fields import span_scalar
+from thermoduct.fields import constant_scalar, span_scalar
 from thermoduct.fixed_point import CoupledProblem, State, outer_loop
 from thermoduct.material import clamped_boussinesq, make_material
 from thermoduct.spectrum import admissible_sr
@@ -87,7 +85,7 @@ def test_estimates_pinned(small_space, boussinesq_model):
     assert (est.C_b, est.C_d, est.C_e, est.C_eps, est.C_1) == (
         0.003172649553602057,
         0.0031063119982081113,
-        0.00689034353789924,
+        0.006890343537899241,
         0.8628792550678128,
         0.058886080067425996,
     )
@@ -157,11 +155,6 @@ def closed_partial(terms, orders, pts):
 ORDERS = [(ox, oy, oz) for ox in range(4) for oy in range(4) for oz in range(4)]
 
 
-def dense(part, n):
-    """A sample partial as an array; None stands for an identically zero one."""
-    return np.zeros(n) if part is None else part
-
-
 def test_tensor_scalar_matches_closed_form(aniso_space):
     pts = oracles.quad_points(aniso_space).reshape(-1, 3)
     n = len(pts)
@@ -172,20 +165,19 @@ def test_tensor_scalar_matches_closed_form(aniso_space):
         (0.4, ("cos", 2 * np.pi), ("sin2", np.pi / 0.7), ("one", 1.0)),
         (2.1, ("sin2", np.pi), ("one", 1.0), ("sin", np.pi / 2.3)),
     ]
-    ws = _Workspace(aniso_space)
+    ws = _Workspace(aniso_space, 1.8, 1.8)
     fld = _TensorField(aniso_space.quad_lines, terms)
     out, spare = np.empty(n), np.empty(n)
     for orders in ORDERS:
-        part = dense(fld.partial(orders, out, spare), n)
-        assert np.array_equal(part, closed_partial(terms, orders, pts)), orders
-    (parts,) = ws.evaluate(fld, ws.u)
-    assert np.array_equal(parts[0], closed_partial(terms, (0, 0, 0), pts))
-    grad = np.stack([closed_partial(terms, o, pts) for o in ((1, 0, 0), (0, 1, 0), (0, 0, 1))], axis=1)
-    assert np.array_equal(np.stack(parts[1:4], axis=1), grad)
-    hess_sq = 0.0
-    for orders in _HESS:
-        hess_sq = hess_sq + closed_partial(terms, orders, pts) ** 2
-    assert np.array_equal(ws.second_sq_sum([parts], np.empty(n)), hess_sq)
+        fld.partial(orders, out, spare)
+        assert np.array_equal(out, closed_partial(terms, orders, pts)), orders
+    rows = ws.u[:1]
+    second = ws.evaluate(fld, rows, second=True)
+    assert np.array_equal(rows[0, 0], closed_partial(terms, (0, 0, 0), pts))
+    grad = np.stack([closed_partial(terms, o, pts) for o in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+    assert np.array_equal(rows[0, 1:], grad)
+    hess = np.stack([closed_partial(terms, o, pts) for o in _SECOND])
+    assert np.array_equal(second[0], hess)
 
 
 # curl(amp psi e_axis): per axis, {component: (sign, axis of the derivative of psi)}
@@ -196,11 +188,11 @@ CURL = {0: {1: (1.0, 2), 2: (-1.0, 1)}, 1: {0: (-1.0, 2), 2: (1.0, 0)}, 2: {0: (
 @pytest.mark.parametrize("kind", ["one", "sin", "cos"])
 def test_curl_velocity_matches_closed_form(aniso_space, axis, kind):
     pts = oracles.quad_points(aniso_space).reshape(-1, 3)
-    n = len(pts)
     amp = -0.8
     psi = [(1.0, (kind, 2 * np.pi), ("sin2", np.pi / 0.7), ("sin2", 2 * np.pi / 2.3))]
-    ws = _Workspace(aniso_space)
-    parts = ws.evaluate(_TensorField(aniso_space.quad_lines, psi, curl_axis=axis, amp=amp), ws.u)
+    ws = _Workspace(aniso_space, 1.8, 1.8)
+    second = ws.evaluate(_TensorField(aniso_space.quad_lines, psi, curl_axis=axis, amp=amp),
+                         ws.u, second=True)
 
     def comp(m, extra):
         if m not in CURL[axis]:
@@ -210,48 +202,46 @@ def test_curl_velocity_matches_closed_form(aniso_space, axis, kind):
         return amp * sign * closed_partial(psi, orders, pts)
 
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    value = np.stack([dense(parts[m][0], n) for m in range(3)], axis=1)
-    assert np.array_equal(value, np.stack([comp(m, (0, 0, 0)) for m in range(3)], axis=1))
-    grad = np.stack([np.stack([comp(m, e) for e in unit], axis=1) for m in range(3)], axis=1)
-    sample_grad = np.stack(
-        [np.stack([dense(p, n) for p in parts[m][1:4]], axis=1) for m in range(3)], axis=1
-    )
-    assert np.array_equal(sample_grad, grad)
-    assert np.allclose(np.einsum("nmm->n", grad), 0.0, atol=1e-9)  # solenoidal
-    hess_sq = 0.0
-    for m in CURL[axis]:
-        for orders in _HESS:
-            hess_sq = hess_sq + comp(m, orders) ** 2
-    assert np.array_equal(ws.second_sq_sum(parts, np.empty(n)), hess_sq)
+    assert np.array_equal(ws.u[:, 0], np.stack([comp(m, (0, 0, 0)) for m in range(3)]))
+    grad = np.stack([np.stack([comp(m, e) for e in unit]) for m in range(3)])
+    assert np.array_equal(ws.u[:, 1:], grad)
+    assert np.allclose(np.einsum("mmn->n", grad), 0.0, atol=1e-9)  # solenoidal
+    # the second partials of the two nonzero components, in component order
+    hess = np.stack([np.stack([comp(m, o) for o in _SECOND]) for m in sorted(CURL[axis])])
+    assert np.array_equal(second, hess)
+
+
+def curl_y_sample(space, amp=0.6):
+    """curl(amp psi e_y) = amp (-dz psi, 0, dx psi), and its closed-form partials."""
+    pts = oracles.quad_points(space).reshape(-1, 3)
+    psi = [(1.0, ("cos", 2 * np.pi), ("sin2", np.pi / 0.7), ("sin2", 2 * np.pi / 2.3))]
+    sign = {0: -1.0, 2: 1.0}
+    base = {0: (0, 0, 1), 2: (1, 0, 0)}
+
+    def comp(m, extra):
+        if m not in base:
+            return np.zeros(len(pts))
+        orders = [b + e for b, e in zip(base[m], extra)]
+        return amp * sign[m] * closed_partial(psi, orders, pts)
+
+    return _TensorField(space.quad_lines, psi, curl_axis=1, amp=amp), comp
 
 
 @pytest.mark.parametrize("s", [2.0, 1.5, 3.0])
 def test_w2s_density_matches_array_formula(aniso_space, s):
-    # the density the sampler sums from planar rows equals the array
-    # expression (|v|^2 + np.sum(grad**2) + |hess|^2) ** (s/2) bit for bit
-    pts = oracles.quad_points(aniso_space).reshape(-1, 3)
-    ws = _Workspace(aniso_space)
-    psi = [(1.0, ("cos", 2 * np.pi), ("sin2", np.pi / 0.7), ("sin2", 2 * np.pi / 2.3))]
-    parts = ws.evaluate(_TensorField(aniso_space.quad_lines, psi, curl_axis=1, amp=0.6), ws.u)
-    sign = {0: -1.0, 2: 1.0}  # curl(psi e_y) = (-dz psi, 0, dx psi)
-    base = {0: (0, 0, 1), 2: (1, 0, 0)}
-
-    def comp(m, extra):
-        orders = [b + e for b, e in zip(base[m], extra)]
-        return 0.6 * sign[m] * closed_partial(psi, orders, pts)
-
+    # the sampler's pointwise norm is the quadrature sum of the array
+    # expression (|v|^2 + np.sum(grad**2) + |hess|^2) ** (s/2)
+    space = aniso_space
+    ws = _Workspace(space, 1.8, 1.8)
+    fld, comp = curl_y_sample(space)
+    second = ws.evaluate(fld, ws.u, second=True)
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    grad = np.stack(
-        [np.stack([comp(m, e) if m in base else np.zeros(len(pts)) for e in unit], axis=1)
-         for m in range(3)], axis=1,
-    )
-    sq0 = comp(0, (0, 0, 0)) ** 2 + comp(2, (0, 0, 0)) ** 2
-    hess_sq = 0.0
-    for m in base:
-        for orders in _HESS:
-            hess_sq = hess_sq + comp(m, orders) ** 2
-    expected = (sq0 + np.sum(grad**2, axis=(1, 2)) + hess_sq) ** (s / 2.0)
-    assert np.array_equal(ws.w2s_density(parts, s), expected)
+    value = np.stack([comp(m, (0, 0, 0)) for m in range(3)], axis=1)
+    grad = np.stack([np.stack([comp(m, e) for e in unit], axis=1) for m in range(3)], axis=1)
+    hess_sq = sum(comp(m, orders) ** 2 for m in range(3) for orders in _HESS)
+    dens = (np.sum(value**2, axis=1) + np.sum(grad**2, axis=(1, 2)) + hess_sq) ** (s / 2.0)
+    expected = np.einsum("q,cq->", space.wq, dens.reshape(space.n_cells, space.nq)) ** (1.0 / s)
+    assert ws.w2s_norm(ws.u, second, s) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("which", ["aniso", "channel"])
@@ -259,76 +249,84 @@ def test_gram_w22_norm_matches_pointwise_norm(which, aniso_space, small_space):
     # at s = 2 the sampler norms each field from 1-D Grams; the pointwise
     # density summed over the quadrature points is the reference
     space = {"aniso": aniso_space, "channel": small_space}[which]
-    ws = _Workspace(space)
+    ws = _Workspace(space, 1.8, 1.8)
     rng = np.random.default_rng(19)
     worst = 0.0
     for i in range(100):
         for spec in (_draw_velocity(space, rng), _draw_scalar(space, rng, bool(i % 2))):
             fld = _TensorField(space.quad_lines, *spec)
-            ref = ws.w2s_norm(ws.evaluate(fld, ws.u), 2.0)
+            rows = ws.u[:len(fld.comps)]
+            second = ws.evaluate(fld, rows, second=True)
+            ref = ws.w2s_norm(rows, second, 2.0)
             worst = max(worst, abs(fld.w22_norm(space.quad_line_weights) - ref) / ref)
     assert worst <= 1e-14
 
 
-# -- summation orders the sampler reproduces ------------------------------------------
+def test_integrands_match_array_formulas(aniso_space, boussinesq_model, monkeypatch):
+    # the C_b and C_e integrands the sampler passes to lp_norm_of_values are
+    # the array expressions (u . grad) v and e(u) : e(v), e = (g + g^T) / 2
+    space = aniso_space
+    seen = []
 
+    def record(space, values, p):
+        seen.append(np.array(values))
+        return 1.0
 
-def tree_sum(tree, leaves):
-    n = len(next(x for x in leaves if x is not None))
-    spares = [np.empty(n) for _ in range(3)]
-    return _tree_sum(tree, leaves, np.empty(n), spares)
-
-
-@pytest.fixture(scope="module")
-def rows():
-    # random (points, 3, 3) tensors and (points, 3) vectors, at as many
-    # points as the benchmark channel (4x4x16, 125 per cell)
-    rng = np.random.default_rng(41)
-    return [rng.normal(size=(32000, 3, 3)) for _ in range(3)] + [
-        rng.normal(size=(32000, 3)) for _ in range(2)
-    ]
-
-
-def test_sum9_is_numpy_sum_over_nine(rows):
-    g = rows[0].copy()
-    expected = np.sum(g**2, axis=(1, 2))
-    assert np.array_equal(tree_sum(_SUM9, [g[:, k // 3, k % 3] ** 2 for k in range(9)]), expected)
-    # a zero component of a curl drops out of the sum without moving a bit
-    g[:, 1] = 0.0
-    leaves = [None if k // 3 == 1 else g[:, k // 3, k % 3] ** 2 for k in range(9)]
-    assert np.array_equal(tree_sum(_SUM9, leaves), np.sum(g**2, axis=(1, 2)))
-
-
-def test_sum3_is_numpy_sum_over_three(rows):
-    g = rows[3]
-    expected = np.sum(g**2, axis=(1,))
-    assert np.array_equal(tree_sum(_SUM3, [g[:, d] ** 2 for d in range(3)]), expected)
-
-
-def test_dot3_is_einsum_contraction_over_three(rows):
-    u, g = rows[3], rows[0]
-    adv = np.einsum("nd,nmd->nm", u, g)
-    for m in range(3):
-        assert np.array_equal(tree_sum(_DOT3, [u[:, d] * g[:, m, d] for d in range(3)]), adv[:, m])
-    t = rows[4]
-    assert np.array_equal(
-        tree_sum(_DOT3, [u[:, d] * t[:, d] for d in range(3)]), np.einsum("nd,nd->n", u, t)
-    )
-
-
-def test_dot9_is_einsum_contraction_over_nine(rows):
-    e, f = rows[1], rows[2]
-    expected = np.einsum("nmd,nmd->n", e, f)
-    products = [e[:, k // 3, k % 3] * f[:, k // 3, k % 3] for k in range(9)]
-    assert np.array_equal(tree_sum(_DOT9, products), expected)
+    monkeypatch.setattr(forms, "lp_norm_of_values", record)
+    problem = heat_problem(space, boussinesq_model)
+    ws, check = _Workspace(space, 2.0, 2.0), _Workspace(space, 2.0, 2.0)
+    rng = np.random.default_rng(23)
+    for i in range(12):
+        draw = (_draw_velocity(space, rng), _draw_velocity(space, rng),
+                _draw_scalar(space, rng, bool(i % 2)), _draw_scalar(space, rng, False))
+        seen.clear()
+        _sample_ratios(space, boussinesq_model, problem.heat, ws, draw, 2.0, 2.0)
+        adv, strain = seen[0].reshape(-1, 3), seen[1].ravel()
+        # the sample velocities again, as (point, component, direction) arrays
+        for spec, rows in zip(draw, (check.u, check.v)):
+            check.evaluate(_TensorField(space.quad_lines, *spec), rows)
+        u = check.u[:, 0].T
+        gu, gv = (np.moveaxis(rows[:, 1:], -1, 0) for rows in (check.u, check.v))
+        sym_u, sym_v = (0.5 * (g + np.swapaxes(g, 1, 2)) for g in (gu, gv))
+        for got, want in ((adv, np.einsum("nd,nmd->nm", u, gv)),
+                          (strain, np.einsum("nmd,nmd->n", sym_u, sym_v))):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("p", [1.0, 0.75, 1.5])
-def test_in_place_power_is_power(rows, p):
-    x = np.abs(rows[3][:, 0])
+def test_in_place_power_is_power(p):
+    # the sampler raises its W^{2,s} density in place
+    x = np.abs(np.random.default_rng(41).normal(size=32000))
     y = x.copy()
     y **= p
     assert np.array_equal(y, x**p)
+
+
+def test_estimate_constants_allocates_under_10_mib(boussinesq_model):
+    # one workspace of 28 rows at s = r = 2 on the benchmark channel
+    space = build_spaces(build_channel_mesh(1.0, 1.0, 4.0, 4, 4, 16))
+    problem = heat_problem(space, boussinesq_model)
+    tracemalloc.start()
+    try:
+        estimate_constants(problem, samples=100, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
+
+
+def test_body_force_norm_allocates_under_2_5_mib(boussinesq_model):
+    # |g|^s of a constant g is filled per cell block: at 8x8x32 the one
+    # whole-mesh row is 1.95 MiB, and a block's transients the rest
+    space = build_spaces(build_channel_mesh(1.0, 1.0, 4.0, 8, 8, 32))
+    problem = CoupledProblem(space, boussinesq_model, (0.0, 0.0, -9.7), constant_scalar(0.0))
+    tracemalloc.start()
+    try:
+        body_force_norm(problem, 1.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
 
 
 # -- smallness -----------------------------------------------------------------------
