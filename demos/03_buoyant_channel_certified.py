@@ -8,7 +8,7 @@ are evaluated from empirically estimated constants, and the run is
 re-checked with the load scaled up until the certificate breaks.
 """
 
-from thermoduct import build_channel_mesh, build_spaces, forms
+from thermoduct import build_channel_mesh, build_spaces
 from thermoduct.certificates import (
     body_force_norm,
     estimate_constants,
@@ -54,4 +54,4 @@ report = uniqueness_certificate(problem, est, state)
 print(f"\nuniqueness certificate: R1 = {report.R1:.3f}, R2 = {report.R2:.3f}, "
       f"ok = {report.uniqueness_ok}")
 print(f"contraction ball radius: {report.ball_radius:.3f}; converged "
-      f"|u| load norm: {forms.lp_norm_of_values(space, state.momentum_source, 2.0):.3f}")
+      f"|u| load norm: {report.inputs['u1_norm']:.3f}")

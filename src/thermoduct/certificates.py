@@ -6,9 +6,10 @@ embedding constant C_1 without giving values.  Here they are estimated as
 running maxima of the defining ratios over random smooth discrete fields,
 with declared discrete surrogate norms:
 
-- velocity/temperature second-order norms: broken W^{2,s} quadrature
-  norms (load/graph norms are used instead when a field comes out of a
-  solve and its pointwise source is known),
+- sample fields: broken W^{2,s} (velocity) and W^{2,r} (temperature)
+  quadrature norms; a solution state in R1/R2: broken W^{2,r} for its
+  temperature, and for its velocity the graph norm, the L^s quadrature
+  norm of its pointwise momentum source,
 - load norms of the trilinear forms: L^p quadrature norms of their
   pointwise densities,
 - the body-force norm: L^s quadrature norm.
@@ -33,6 +34,7 @@ with the pointwise sum to rounding, not bit for bit.  The other exponents
 keep the pointwise density.
 """
 
+import functools
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -311,7 +313,11 @@ def _sample_ratios(space, model, heat, ws, draw, s, r):
     """Per-sample ratios (C_b, C_e, C_d, C_eps, C_1); pure given the draw."""
     # tables are built per sample, so memory does not grow with the sample count
     u, v, theta, f = (_TensorField(space.quad_lines, *spec) for spec in draw)
-    cells = (space.n_cells, space.nq)
+
+    def lp_norm(values, p):     # values at every quadrature point, in point order
+        values = values.reshape(space.n_cells, space.nq, *values.shape[1:])
+        return forms.lp_norm_of_values(space, lambda cells: values[cells], p)
+
     out = np.zeros(5)
     nu_u = _evaluate(ws, u, ws.u, s)
     nu_v = _evaluate(ws, v, ws.v, s)
@@ -319,7 +325,7 @@ def _sample_ratios(space, model, heat, ws, draw, s, r):
     if nu_u > 0 and nu_v > 0:
         gu, gv = ws.u[:, 1:], ws.v[:, 1:]
         adv = np.einsum("dn,mdn->mn", uval, gv, out=ws.out)
-        out[0] = forms.lp_norm_of_values(space, adv.T.reshape(*cells, 3), s) / (nu_u * nu_v)
+        out[0] = lp_norm(adv.T, s) / (nu_u * nu_v)
         # C_e keeps the alpha1*nu prefactor divided out, so the ratio stays
         # meaningful when dissipation is switched off;
         # e(u):e(v) = (grad u:grad v + grad u:grad v^T) / 2
@@ -327,19 +333,18 @@ def _sample_ratios(space, model, heat, ws, draw, s, r):
         np.einsum("mdn,mdn->n", gu, gv, out=dens)
         dens += np.einsum("mdn,dmn->n", gu, gv, out=tmp)
         dens *= 0.5
-        out[1] = forms.lp_norm_of_values(space, dens.reshape(cells), r) / (nu_u * nu_v)
+        out[1] = lp_norm(dens, r) / (nu_u * nu_v)
     n_th = _evaluate(ws, theta, ws.v[:1], r)
     if nu_u > 0 and n_th > 0:
         dens = np.einsum("dn,dn->n", uval, ws.v[0, 1:], out=ws.out[0])
         dens *= model.rho_law(ws.v[0, 0])
-        out[2] = forms.lp_norm_of_values(space, dens.reshape(cells), r) / (
-            model.rho_sharp * nu_u * n_th)
+        out[2] = lp_norm(dens, r) / (model.rho_sharp * nu_u * n_th)
     # embedding constants from a heat solve with a known right-hand side;
     # f is already tabulated at the quadrature points the load is built on
     ws.evaluate(f, ws.v[:1, :1])
-    fval = ws.v[0, 0].reshape(cells)
-    sol = heat.solve(forms.field_load_scalar(space, fval))
-    f_norm = forms.lp_norm_of_values(space, fval, r)
+    fval = ws.v[0, 0]
+    sol = heat.solve(forms.field_load_scalar(space, fval.reshape(space.n_cells, space.nq)))
+    f_norm = lp_norm(fval, r)
     if f_norm > 0:
         out[3] = forms.discrete_norms(space, sol, "W2s", s=r) / f_norm
         out[4] = float(np.max(np.abs(sol))) / f_norm
@@ -465,16 +470,23 @@ class CertificateReport:
         return d
 
 
-def state_norms(space, state, s, r):
-    """Declared surrogate norms of one solution state.
+def state_norms(problem, state, s, r):
+    """Declared surrogate norms (velocity, temperature) of a state solving ``problem``.
 
-    Velocity: load (graph) norm when the converged source field is cached,
-    otherwise broken W^{2,s}.  Temperature: broken W^{2,r} of the full field.
+    Velocity: the load (graph) norm, the L^s quadrature norm of the state's
+    momentum source rho(theta) g - rho0 (u . grad) u (+ f_extra), evaluated
+    per cell block.  Temperature: broken W^{2,r} of the full field.
     """
-    if state.momentum_source is not None:
-        u_norm = forms.lp_norm_of_values(space, state.momentum_source, s)
-    else:
-        u_norm = forms.discrete_norms(space, state.u, "W2s", s=s)
+    space, model = problem.space, problem.model
+
+    def source(cells):
+        mom = forms.buoyancy_value(space, model, state.theta, problem.g, cells)
+        mom -= forms.convection_value(space, model, state.u, state.u, cells)
+        if problem.f_extra is not None:
+            mom += forms.quad_values(space, problem.f_extra, cells)
+        return mom
+
+    u_norm = forms.lp_norm_of_values(space, source, s)
     th_norm = forms.discrete_norms(space, state.theta, "W2s", s=r)
     return u_norm, th_norm
 
@@ -492,7 +504,8 @@ def check_exponents(s, r):
 def uniqueness_certificate(problem, estimates, state1, state2=None, r=None, s=None):
     """Uniqueness coefficients R1, R2 for a pair of states (or one state twice).
 
-    Computed symbol-for-symbol from the a priori difference estimates; the
+    Computed symbol-for-symbol from the a priori difference estimates, with
+    the norms of ``state_norms``, so both states must solve ``problem``; the
     verdict is uniqueness_ok iff both are below one.  The exponents must
     pass ``check_exponents``.
     """
@@ -501,10 +514,10 @@ def uniqueness_certificate(problem, estimates, state1, state2=None, r=None, s=No
     check_exponents(s, r)
     if state2 is None:
         state2 = state1
-    space, model = problem.space, problem.model
+    model = problem.model
 
-    u1, th1 = state_norms(space, state1, s, r)
-    u2, th2 = state_norms(space, state2, s, r)
+    u1, th1 = state_norms(problem, state1, s, r)
+    u2, th2 = state_norms(problem, state2, s, r)
     g_norm = body_force_norm(problem, s)
 
     cV, rs, a1nu = model.cV, model.rho_sharp, model.alpha1 * model.nu
@@ -546,6 +559,5 @@ def uniqueness_certificate(problem, estimates, state1, state2=None, r=None, s=No
 
 def body_force_norm(problem, s):
     """L^s quadrature norm of the body force over the channel."""
-    space = problem.space
-    gq = np.broadcast_to(forms.quad_values(space, problem.g), (space.n_cells, space.nq, 3))
-    return forms.lp_norm_of_values(space, gq, s)
+    g = functools.partial(forms.quad_values, problem.space, problem.g)
+    return forms.lp_norm_of_values(problem.space, g, s)

@@ -55,15 +55,12 @@ class State:
     """One iterate of the coupled system.
 
     ``theta`` is the full temperature, the lifting ``theta_D`` plus a
-    wall-homogeneous part.  Wall rows of ``u`` are exactly zero.  Converged
-    states cache the pointwise momentum source field so that the load
-    (graph) norm is available.
+    wall-homogeneous part.  Wall rows of ``u`` are exactly zero.
     """
 
     u: np.ndarray
     P: np.ndarray
     theta: np.ndarray
-    momentum_source: np.ndarray = None   # (ncells, nq, 3) or None
 
 
 @dataclass
@@ -116,9 +113,10 @@ class CoupledProblem:
     wall temperature, is interpolated onto the temperature space; the
     optional forcings ``f_extra`` (momentum) and ``h_extra`` (heat) are
     kept as their load vectors, which the ``forms`` loads tabulate block
-    by block, and ``f_extra`` also as given, for the pointwise momentum
-    source of a converged state.  Data whose values or loads are not
-    finite raise ValueError naming the datum.
+    by block, and ``f_extra`` also as given, which
+    ``certificates.state_norms`` tabulates block by block into a state's
+    momentum source.  Data whose values or loads are not finite raise
+    ValueError naming the datum.
     """
 
     def __init__(self, space, model, g, theta_D, f_extra=None, h_extra=None):
@@ -264,24 +262,12 @@ def outer_loop(problem, outer_tol=1e-10, max_outer=30, inner_tol=1e-12,
             )
         )
         if d_theta <= outer_tol:
-            _attach_sources(problem, state)
             return state, records
     raise DivergenceError(
         f"outer loop did not converge in {max_outer} iterations "
         f"(last update {records[-1].d_theta_norm:.3e})",
         records=records,
     )
-
-
-def _attach_sources(problem, state):
-    """Cache the pointwise momentum source so the load (graph) norm is available."""
-    space, model = problem.space, problem.model
-    mom = forms.buoyancy_value(space, model, state.theta, problem.g) - forms.convection_value(
-        space, model, state.u, state.u
-    )
-    if problem.f_extra is not None:
-        mom = mom + forms.quad_values(space, problem.f_extra)
-    state.momentum_source = mom
 
 
 def weak_residual(problem, state):

@@ -37,8 +37,9 @@ with a reference table.  Every load is scattered by one kernel,
 with the transposed value table, then sum into the global vector with
 ``np.bincount``.  Every quadrature kernel (loads, their data, norms at
 s != 2) runs in one loop, ``fill_blocks``, over ``cell_blocks`` of about
-``_BLOCK_CELLS`` cells, so its transients are bounded by the block; every
-step is cell-local, so the result does not depend on the blocking.
+``_BLOCK_CELLS`` cells, so its transients are bounded by the block; the
+loads and ``lp_norm_of_values`` take their data per block, ``values(cells)``.
+Every step is cell-local, so the result does not depend on the blocking.
 Each product has a fixed per-cell size, so no BLAS call of these kernels
 grows with the mesh and their results do not depend on the BLAS thread
 count; ``bincount`` adds the contributions in a fixed order, so repeated
@@ -444,19 +445,18 @@ def discrete_norms(space, fld, which, s=None):
 
 
 def lp_norm_of_values(space, values, p):
-    """L^p quadrature norm of pointwise values (ncells, nq) or (ncells, nq, 3):
-    |v|^p is filled per cell block and summed once over the mesh, so a
-    broadcast input is never materialized whole."""
-    values = np.asarray(values)
+    """L^p quadrature norm of pointwise data ``values(cells)``, given per
+    ``cell_blocks`` block as to ``_scatter_load``: (cells, nq), (cells, nq, 3)
+    or a constant that broadcasts.  |v|^p is filled per block, summed once."""
 
     def power(cells):
-        v = values[cells]
-        if v.ndim == 2:
+        v = np.asarray(values(cells), dtype=float)
+        if v.ndim in (0, 2):
             return np.abs(v) ** p
         mag = v[..., 0] ** 2  # |v|^2 left to right, as np.sum(axis=-1) sums it
         mag += v[..., 1] ** 2
         mag += v[..., 2] ** 2
-        return np.sqrt(mag, out=mag) ** p
+        return np.sqrt(mag) ** p
 
     mag = fill_blocks(space, (space.nq,), power)
     return float(np.einsum("q,cq->", space.wq, mag) ** (1.0 / p))

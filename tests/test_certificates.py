@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +24,15 @@ from thermoduct.certificates import (
     _draw_velocity,
     _sample_ratios,
 )
-from thermoduct.fields import constant_scalar, span_scalar
+from thermoduct.config import build_problem_parts, parse_config
+from thermoduct.fields import Field, constant_scalar, span_scalar
 from thermoduct.fixed_point import CoupledProblem, State, outer_loop
 from thermoduct.material import clamped_boussinesq, make_material
 from thermoduct.spectrum import admissible_sr
 from conftest import heat_problem
 import oracles
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def small_problem(space, g=(0, 0, -0.3)):
@@ -269,7 +273,7 @@ def test_integrands_match_array_formulas(aniso_space, boussinesq_model, monkeypa
     seen = []
 
     def record(space, values, p):
-        seen.append(np.array(values))
+        seen.append(np.array(values(slice(None))))
         return 1.0
 
     monkeypatch.setattr(forms, "lp_norm_of_values", record)
@@ -426,11 +430,23 @@ def test_uniqueness_formula_pinned_by_hand(small_space):
     th = c * math.sqrt(2.0)
     g_norm = body_force_norm(prob, 2.0)          # 2 * sqrt(2)
     assert g_norm == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
-    A = 0.0                                       # both terms carry a velocity factor
-    B = model.cV * est.C_eps * model.rho_sharp * est.C_d * th
+    # the velocity's graph norm: with u = 0 the momentum source is the
+    # constant rho(c) g, |rho(c) g| = 2 rho(c), inside the clamp [0.5, 1]
+    rho = float(model.rho_law(c))
+    assert rho == pytest.approx(0.7, rel=1e-15)
+    assert rep.inputs["u1_norm"] == rep.inputs["u2_norm"] == pytest.approx(
+        rho * 2.0 * math.sqrt(2.0), rel=1e-12)
+    assert rep.inputs["theta1_norm"] == rep.inputs["theta2_norm"] == pytest.approx(th, rel=1e-12)
+    # every term of R1 and R2 from those norms; the quadrature norms sit a
+    # few ulps from the hand values, so R1's absolute bound takes them as reported
+    u, th = rep.inputs["u1_norm"], rep.inputs["theta1_norm"]
+    A = (model.cV * est.C_1 * est.C_eps * est.C_d * model.C_rho * u * th
+         + model.cV * est.C_eps * model.rho_sharp * est.C_d * u)
+    B = (model.cV * est.C_eps * model.rho_sharp * est.C_d * th
+         + model.alpha1 * model.nu * est.C_e * (u + u))
     G = est.C_1 * model.C_rho * g_norm
     assert rep.R1 == pytest.approx(A * (1 + G), abs=1e-15)
-    assert rep.R2 == pytest.approx(B * (1 + G), rel=1e-12)
+    assert rep.R2 == pytest.approx(B * (1 + G) + model.rho0 * est.C_b * (u + u), rel=1e-12)
     assert rep.grouping.startswith("R1 = A (1 + C_1 C_rho ||g||)")
 
 
@@ -448,14 +464,43 @@ def test_uniqueness_monotone_under_load_scaling(small_space):
     assert reports[0].R2 <= reports[1].R2 <= reports[2].R2
 
 
-def test_state_norms_prefer_graph_norm(small_space):
-    model, prob = small_problem(small_space)
+def test_state_norms_velocity_is_graph_norm_of_whole_mesh_source(small_space, monkeypatch):
+    # oracle: the momentum source rho(theta) g - rho0 (u . grad) u + f_extra
+    # built on the whole mesh at once; state_norms builds it per cell block
+    model = make_material(nu=1.0, cV=1.0, lam=1.0, alpha1=0.1,
+                          law=clamped_boussinesq(1.0, alpha_v=0.1))
+    f_extra = Field(lambda x: np.stack(np.broadcast_arrays(
+        0.2 * np.sin(np.pi * x[1]), 0.1 * x[2], -0.05 + 0.0 * x[0]), axis=-1))
+    prob = CoupledProblem(small_space, model, (0, 0, -0.3), span_scalar(1, 1.0, 0.5, 1.0),
+                          f_extra=f_extra)
     state, _ = outer_loop(prob)
-    u_norm, th_norm = state_norms(small_space, state, 2.0, 2.0)
-    # the load norm comes from the cached pointwise source
-    direct = forms.lp_norm_of_values(small_space, state.momentum_source, 2.0)
-    assert u_norm == direct
-    assert th_norm > 0
+    mom = (forms.buoyancy_value(small_space, model, state.theta, prob.g)
+           - forms.convection_value(small_space, model, state.u, state.u)
+           + forms.quad_values(small_space, f_extra))
+    monkeypatch.setattr(forms, "_BLOCK_CELLS", 4)
+    assert len(list(forms.cell_blocks(small_space))) == 4
+    for s in (2.0, 1.8):
+        dens = np.sqrt(np.sum(mom**2, axis=-1)) ** s
+        want = float(np.einsum("q,cq->", small_space.wq, dens) ** (1.0 / s))
+        u_norm, th_norm = state_norms(prob, state, s, 2.0)
+        assert u_norm == want
+        assert th_norm == forms.discrete_norms(small_space, state.theta, "W2s", s=2.0)
+
+
+def test_outer_loop_and_state_norms_allocate_under_2_mib(monkeypatch):
+    # the converged state keeps no quadrature array: the certificate's
+    # momentum source is built one cell block at a time
+    config = parse_config((GOLDEN / "channel.cfg").read_text())
+    problem = CoupledProblem(*build_problem_parts(config))
+    monkeypatch.setattr(forms, "_BLOCK_CELLS", 16)
+    tracemalloc.start()
+    try:
+        state, _ = outer_loop(problem)
+        state_norms(problem, state, 2.0, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 # -- exponent ranges ------------------------------------------------------------------
