@@ -6,25 +6,17 @@ where the boundary condition changes type, always meet at a right angle;
 that angle is what the corner-spectrum capability (demo 04) analyzes.
 """
 
-import numpy as np
-
-from thermoduct import build_channel_mesh, build_spaces, facet_areas, junction_angle
+from thermoduct import build_channel_mesh, build_spaces
 from thermoduct.io_vtk import write_boundary_vtk, write_mesh_vtk
-from thermoduct.mesh import FacetTag
+from thermoduct.mesh import FACE_NAMES, FacetTag
 
 mesh = build_channel_mesh(Lx=2.0, Ly=1.0, Lz=1.0, nx=8, ny=4, nz=4)
 print(f"channel {mesh.dims}, divisions {mesh.divisions}")
 print(f"  vertices: {mesh.n_vertices}, cells: {mesh.n_cells}")
 
-areas = facet_areas(mesh)
-open_area = areas[mesh.facet_tags == FacetTag.GAMMA_N].sum()
-wall_area = areas[mesh.facet_tags == FacetTag.GAMMA_D].sum()
-print(f"  open-end area {open_area:.3f} (exact: {2 * 1.0 * 1.0})")
-print(f"  wall area     {wall_area:.3f} (exact: {2 * 2.0 * (1.0 + 1.0)})")
-
-angles = [junction_angle(mesh, i) for i in range(len(mesh.edges_M))]
-print(f"  {len(mesh.edges_M)} junction edges, dihedral angle "
-      f"{min(angles):.6f}..{max(angles):.6f} (pi/2 = {np.pi / 2:.6f})")
+for tag in FacetTag:
+    faces = sorted({FACE_NAMES[f] for f in mesh.facet_faces[mesh.facet_tags == tag]})
+    print(f"  {tag.name}: {(mesh.facet_tags == tag).sum()} facets on faces {', '.join(faces)}")
 
 space = build_spaces(mesh, quad_order=5)
 print(f"  velocity dofs {space.n_velocity}, pressure dofs {space.n_pressure}, "

@@ -15,7 +15,7 @@ configuration and a small CLI (``config``, ``cli``), and legacy VTK
 output (``io_vtk``).
 """
 
-from .mesh import ChannelMesh, FacetTag, build_channel_mesh, facet_areas, junction_angle
+from .mesh import ChannelMesh, FacetTag, build_channel_mesh
 from .spaces import DiscreteSpace, build_spaces
 from .material import (
     MaterialModel,

@@ -501,23 +501,21 @@ def check_exponents(s, r):
                          f"r <= {allowed.hi} and r < s0 = {s0:.6f}")
 
 
-def uniqueness_certificate(problem, estimates, state1, state2=None, r=None, s=None):
-    """Uniqueness coefficients R1, R2 for a pair of states (or one state twice).
+def uniqueness_certificate(problem, estimates, state):
+    """Uniqueness coefficients R1, R2 of ``state``, a state solving ``problem``.
 
-    Computed symbol-for-symbol from the a priori difference estimates, with
-    the norms of ``state_norms``, so both states must solve ``problem``; the
-    verdict is uniqueness_ok iff both are below one.  The exponents must
-    pass ``check_exponents``.
+    Computed symbol-for-symbol from the a priori difference estimates for
+    two solutions, both taken to be ``state``: its norms, from
+    ``state_norms`` at the exponents of ``estimates``, stand for both.  The
+    verdict is uniqueness_ok iff R1 and R2 are below one.  The exponents
+    must pass ``check_exponents``.
     """
-    s = estimates.s if s is None else s
-    r = estimates.r if r is None else r
+    s, r = estimates.s, estimates.r
     check_exponents(s, r)
-    if state2 is None:
-        state2 = state1
     model = problem.model
 
-    u1, th1 = state_norms(problem, state1, s, r)
-    u2, th2 = state_norms(problem, state2, s, r)
+    u1, th1 = state_norms(problem, state, s, r)
+    u2, th2 = u1, th1
     g_norm = body_force_norm(problem, s)
 
     cV, rs, a1nu = model.cV, model.rho_sharp, model.alpha1 * model.nu

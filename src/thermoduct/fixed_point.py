@@ -211,7 +211,7 @@ def heat_solve(problem, u, theta):
     """
     space, model = problem.space, problem.model
     rhs = (
-        forms.assemble_e_load(space, model, u, u)
+        forms.assemble_e_load(space, model, u)
         - forms.assemble_d_load(space, model, theta, u, theta)
         - problem.lifting_load
         + problem.h_extra_load
@@ -286,7 +286,7 @@ def weak_residual(problem, state):
     heat = (
         problem.kappa @ theta
         + forms.assemble_d_load(space, model, theta, u, theta)
-        - forms.assemble_e_load(space, model, u, u)
+        - forms.assemble_e_load(space, model, u)
         - problem.h_extra_load
     )
     r_heat = float(np.linalg.norm(heat[space.free_theta]))

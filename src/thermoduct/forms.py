@@ -323,16 +323,15 @@ def _strain(space, u, cells):
     return g
 
 
-def dissipation_value(space, model, u, v, cells=slice(None)):
-    """alpha1 * nu * e(u) : e(v) at quadrature points; e(u) once if ``v is u``."""
+def dissipation_value(space, model, u, cells=slice(None)):
+    """alpha1 * nu * e(u) : e(u) at quadrature points."""
     eu = _strain(space, u, cells)
-    ev = eu if v is u else _strain(space, v, cells)
-    return model.alpha1 * model.nu * np.einsum("cqmd,cqmd->cq", eu, ev)
+    return model.alpha1 * model.nu * np.einsum("cqmd,cqmd->cq", eu, eu)
 
 
-def assemble_e_load(space, model, u, v):
-    """Dissipation load: entries alpha1 nu (e(u):e(v), phi_i)."""
-    return _scatter_load(space, lambda cells: dissipation_value(space, model, u, v, cells), 1)
+def assemble_e_load(space, model, u):
+    """Dissipation load: entries alpha1 nu (e(u):e(u), phi_i)."""
+    return _scatter_load(space, lambda cells: dissipation_value(space, model, u, cells), 1)
 
 
 def heat_convection_value(space, model, theta_freeze, u, theta_transport, cells=slice(None)):

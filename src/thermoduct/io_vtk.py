@@ -32,16 +32,16 @@ def _write_grid(f, title, mesh, cells, cell_type):
     f.write("\n".join([str(cell_type)] * n) + "\n")
 
 
-def write_mesh_vtk(mesh, path, title="channel mesh"):
+def write_mesh_vtk(mesh, path):
     """Volume mesh with hexahedral cells (VTK cell type 12)."""
     with open(path, "w", encoding="utf-8") as f:
-        _write_grid(f, title, mesh, mesh.cells, 12)
+        _write_grid(f, "channel mesh", mesh, mesh.cells, 12)
 
 
-def write_boundary_vtk(mesh, path, title="channel boundary facets"):
+def write_boundary_vtk(mesh, path):
     """Boundary facets as quads (type 9) with tags as integer cell data."""
     with open(path, "w", encoding="utf-8") as f:
-        _write_grid(f, title, mesh, mesh.facets, 9)
+        _write_grid(f, "channel boundary facets", mesh, mesh.facets, 9)
         nf = len(mesh.facets)
         f.write(f"CELL_DATA {nf}\n")
         f.write("SCALARS facet_tag int 1\nLOOKUP_TABLE default\n")
@@ -50,7 +50,7 @@ def write_boundary_vtk(mesh, path, title="channel boundary facets"):
         f.write("\n".join(str(int(t)) for t in mesh.facet_faces) + "\n")
 
 
-def write_state_vtk(space, state, path, title="solution"):
+def write_state_vtk(space, state, path):
     """Vertex-sampled solution: velocity vector, pressure, temperature."""
     mesh = space.mesh
     vmap = space.vertex_to_q2
@@ -58,7 +58,7 @@ def write_state_vtk(space, state, path, title="solution"):
     theta = state.theta[vmap]
     P = np.asarray(state.P)
     with open(path, "w", encoding="utf-8") as f:
-        _write_grid(f, title, mesh, mesh.cells, 12)
+        _write_grid(f, "solution", mesh, mesh.cells, 12)
         f.write(f"POINT_DATA {mesh.n_vertices}\n")
         f.write("VECTORS velocity double\n")
         for row in u:

@@ -4,9 +4,9 @@ The channel occupies the box [0, Lx] x [0, Ly] x [0, Lz].  The two faces
 normal to the x axis are the open ends (tag ``GAMMA_N``, natural/do-nothing
 boundary); the four lateral walls are no-slip/fixed-temperature walls
 (tag ``GAMMA_D``).  The junction edges, where the boundary condition
-changes type, meet at a dihedral angle of pi/2 and are collected in
-``edges_M``.  The grid is numbered per axis: every id of it, here and in
-``spaces``, is a ``lattice`` sum of per-axis indices times strides.
+changes type, meet at the right angle that ``spectrum`` analyses.  The
+grid is numbered per axis: every id of it, here and in ``spaces``, is a
+``lattice`` sum of per-axis indices times strides.
 """
 
 from dataclasses import dataclass
@@ -18,8 +18,6 @@ __all__ = [
     "FacetTag",
     "ChannelMesh",
     "build_channel_mesh",
-    "junction_angle",
-    "facet_areas",
     "lattice",
     "grid_points",
 ]
@@ -41,10 +39,8 @@ class ChannelMesh:
     """Axis-aligned hexahedral mesh of the box channel.
 
     Vertices are ordered x fastest, then y, then z.  ``facets`` holds the
-    boundary quads (4 vertex ids each), one tag per facet.  ``edges_M`` is
-    the set of mesh edges shared by exactly one GAMMA_D facet and one
-    GAMMA_N facet; ``edge_facets`` stores that (D-facet, N-facet) pair per
-    junction edge.  Instances are immutable after construction.
+    boundary quads (4 vertex ids each), one tag and one face per facet.
+    Instances are immutable after construction.
     """
 
     dims: tuple
@@ -54,8 +50,6 @@ class ChannelMesh:
     facets: np.ndarray          # (nf, 4)
     facet_tags: np.ndarray      # (nf,)
     facet_faces: np.ndarray     # (nf,) index into FACE_NAMES
-    edges_M: np.ndarray         # (ne, 2) sorted vertex pairs
-    edge_facets: np.ndarray     # (ne, 2) facet index of (GAMMA_D, GAMMA_N) side
 
     @property
     def n_vertices(self):
@@ -129,8 +123,6 @@ def build_channel_mesh(Lx, Ly, Lz, nx, ny, nz):
     facet_faces = np.repeat(np.arange(len(FACE_NAMES)), counts)
     # the two faces normal to x are the open ends
     facet_tags = np.where(facet_faces < 2, FacetTag.GAMMA_N, FacetTag.GAMMA_D)
-
-    edges_M, edge_facets = _junction_edges(facets, facet_tags)
     return ChannelMesh(
         dims=dims,
         divisions=divisions,
@@ -139,66 +131,4 @@ def build_channel_mesh(Lx, Ly, Lz, nx, ny, nz):
         facets=facets,
         facet_tags=facet_tags,
         facet_faces=facet_faces,
-        edges_M=edges_M,
-        edge_facets=edge_facets,
     )
-
-
-def _junction_edges(facets, facet_tags):
-    """Edges shared by exactly one GAMMA_D facet and one GAMMA_N facet, in
-    ascending order of their sorted vertex pairs."""
-    n = facets.max() + 1
-    sides = np.sort(np.stack([facets, np.roll(facets, -1, axis=1)], axis=-1), axis=-1)
-    key = (sides[..., 0] * n + sides[..., 1]).ravel()
-    # the facet sides grouped by edge, each edge's owners in facet order
-    order = np.argsort(key, kind="stable")
-    keys, counts = np.unique(key, return_counts=True)
-    start = (np.cumsum(counts) - counts)[counts == 2]
-    owners = np.stack([order[start], order[start + 1]], axis=1) // 4
-    tags = facet_tags[owners]
-    junction = tags[:, 0] != tags[:, 1]
-    owners, d_first = owners[junction], tags[junction, :1] == FacetTag.GAMMA_D
-    edges = np.stack(np.divmod(keys[counts == 2][junction], n), axis=1)
-    return edges, np.where(d_first, owners, owners[:, ::-1])
-
-
-def facet_areas(mesh):
-    """Area of each boundary facet, from vertex coordinates (shoelace)."""
-    quads = mesh.vertices[mesh.facets]             # (nf, 4, 3)
-    d1 = quads[:, 2] - quads[:, 0]
-    d2 = quads[:, 3] - quads[:, 1]
-    return 0.5 * np.linalg.norm(np.cross(d1, d2), axis=1)
-
-
-def junction_angle(mesh, edge):
-    """Dihedral angle between the two facets adjacent to a junction edge.
-
-    ``edge`` is either an index into ``mesh.edges_M`` or a vertex-id pair.
-    Rejects edges that are not on the boundary-condition junction.
-    """
-    if isinstance(edge, (int, np.integer)):
-        idx = int(edge)
-        if not 0 <= idx < len(mesh.edges_M):
-            raise ValueError(f"junction edge index {idx} out of range")
-    else:
-        v0, v1 = int(edge[0]), int(edge[1])
-        key = (min(v0, v1), max(v0, v1))
-        hit = np.nonzero(
-            (mesh.edges_M[:, 0] == key[0]) & (mesh.edges_M[:, 1] == key[1])
-        )[0]
-        if len(hit) == 0:
-            raise ValueError(f"edge {key} is not on the Dirichlet/Neumann junction")
-        idx = int(hit[0])
-
-    v0, v1 = mesh.edges_M[idx]
-    p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
-    mid = 0.5 * (p0 + p1)
-    t = p1 - p0
-    t = t / np.linalg.norm(t)
-    arms = []
-    for facet in mesh.edge_facets[idx]:
-        centroid = mesh.vertices[mesh.facets[facet]].mean(axis=0)
-        w = centroid - mid
-        w = w - (w @ t) * t
-        arms.append(w / np.linalg.norm(w))
-    return float(np.arccos(np.clip(arms[0] @ arms[1], -1.0, 1.0)))

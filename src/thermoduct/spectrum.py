@@ -98,9 +98,9 @@ def _safe_winding(re_min, re_max, im_min, im_max, pts_per_side=1000):
     raise MissedRootError("could not obtain a clean contour around the search box")
 
 
-def _newton_polish(z0, tol, max_iter=60):
+def _newton_polish(z0, tol):
     z = complex(z0)
-    for _ in range(max_iter):
+    for _ in range(60):
         fz = mellin_symbol(z)
         if abs(fz) < tol:
             # one extra step sharpens the residual toward machine precision
@@ -125,7 +125,7 @@ def _real_axis_seeds(re_min, re_max, n=4001):
     return seeds
 
 
-def find_roots(re_min, re_max, im_max, tol=1e-12, max_depth=40):
+def find_roots(re_min, re_max, im_max, tol=1e-12):
     """All roots of the symbol in the closed strip by argument-principle search.
 
     Rectangles are bisected until each contains at most one zero, the zero
@@ -137,6 +137,7 @@ def find_roots(re_min, re_max, im_max, tol=1e-12, max_depth=40):
         raise ValueError("re_min must be below re_max")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    max_depth = 40  # box bisections before a zero count is declared unresolved
     total = _safe_winding(re_min, re_max, -im_max, im_max)
     if total == 0:
         return []

@@ -13,12 +13,20 @@ not bit for bit.  Tests that read matrix entries (slices, ``toarray``,
 The runtime never forms the list of quadrature points either: closed-form
 data are tabulated on ``DiscreteSpace.quad_lines``.  ``quad_points`` is
 their broadcast, the point list a pointwise evaluation is checked at.
+
+Nor does it derive the junction edges, where a wall facet meets an
+open-end facet, or measure the boundary: the box is axis-aligned, so the
+junction is a right angle by construction.  ``reference_junction`` finds
+those edges by a walk over every facet side, and ``junction_angle`` and
+``facet_areas`` measure them from the vertex coordinates, so the tests
+check that construction.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from thermoduct import forms
+from thermoduct.mesh import FacetTag
 
 
 def quad_points(space):
@@ -103,3 +111,44 @@ def assemble_b(space, model, u0):
     n2 = space.n_scalar
     B = scatter_matrix(space.conn_q2, space.conn_q2, local, (n2, n2))
     return sp.block_diag([B] * 3, format="csr")
+
+
+def reference_junction(facets, tags):
+    """Edges owned by one GAMMA_D and one GAMMA_N facet, (D, N) owners."""
+    owners = {}
+    for f, quad in enumerate(facets):
+        for a in range(4):
+            v0, v1 = int(quad[a]), int(quad[(a + 1) % 4])
+            owners.setdefault((min(v0, v1), max(v0, v1)), []).append(f)
+    edges, pairs = [], []
+    for key in sorted(owners):
+        f = owners[key]
+        if len(f) == 2 and tags[f[0]] != tags[f[1]]:
+            edges.append(key)
+            pairs.append(tuple(f) if tags[f[0]] == FacetTag.GAMMA_D else tuple(f[::-1]))
+    return np.array(edges).reshape(-1, 2), np.array(pairs).reshape(-1, 2)
+
+
+def junction_angle(mesh, edge, owners):
+    """Dihedral angle between the facets ``owners`` at the vertex pair
+    ``edge``: the angle between the arms from the edge's midpoint to each
+    facet's centroid, normal to the edge."""
+    p0, p1 = mesh.vertices[edge[0]], mesh.vertices[edge[1]]
+    mid = 0.5 * (p0 + p1)
+    t = p1 - p0
+    t = t / np.linalg.norm(t)
+    arms = []
+    for facet in owners:
+        centroid = mesh.vertices[mesh.facets[facet]].mean(axis=0)
+        w = centroid - mid
+        w = w - (w @ t) * t
+        arms.append(w / np.linalg.norm(w))
+    return float(np.arccos(np.clip(arms[0] @ arms[1], -1.0, 1.0)))
+
+
+def facet_areas(mesh):
+    """Area of each boundary facet, from vertex coordinates (shoelace)."""
+    quads = mesh.vertices[mesh.facets]             # (nf, 4, 3)
+    d1 = quads[:, 2] - quads[:, 0]
+    d2 = quads[:, 3] - quads[:, 1]
+    return 0.5 * np.linalg.norm(np.cross(d1, d2), axis=1)

@@ -161,7 +161,7 @@ def test_criterion_07_outflow_identity(acceptance_setup):
 def test_criterion_08_dissipation_sign_and_effect(acceptance_setup, acceptance_run):
     mesh, space, model, _ = acceptance_setup
     state, _, _ = acceptance_run
-    diss = forms.dissipation_value(space, model, state.u, state.u)
+    diss = forms.dissipation_value(space, model, state.u)
     total = float(np.einsum("q,cq->", space.wq, diss))
     vol = float(np.prod(mesh.dims))
 

@@ -401,7 +401,7 @@ def test_uniqueness_zero_states(small_space):
 def test_uniqueness_requires_supnorm_exponent(small_space):
     model, prob = small_problem(small_space)
     with pytest.raises(ValueError):
-        uniqueness_certificate(prob, fake_estimates(), zero_state(small_space), r=1.4)
+        uniqueness_certificate(prob, fake_estimates(r=1.4), zero_state(small_space))
 
 
 def test_uniqueness_rejects_r_outside_admissible_range(small_space):

@@ -170,7 +170,7 @@ def test_dissipation_heats_the_channel():
                           law=clamped_boussinesq(1.0, alpha_v=0.1))
     prob = CoupledProblem(space, model, (0, 0, -1.0), span_scalar(1, 1.0, 0.5, 1.0))
     state, _ = outer_loop(prob)
-    diss = forms.dissipation_value(space, model, state.u, state.u)
+    diss = forms.dissipation_value(space, model, state.u)
     assert np.all(diss >= 0.0)
     assert np.einsum("q,cq->", space.wq, diss) >= 0.0
 

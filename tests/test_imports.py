@@ -10,6 +10,13 @@ A parameter that its function's body never reads misleads a caller the
 same way, so each parameter of a ``def`` or ``lambda`` in
 ``src/thermoduct`` must appear as a name in that body.
 
+Every name in a ``src/thermoduct`` module's ``__all__`` is read by the
+program: as a name, an attribute or an import, in another module of the
+package (``__init__.py``, whose imports are the exports, does not count),
+in its own module outside its definition, or in ``perfbench``.  A helper
+that only tests read belongs in ``tests/oracles.py``; the few exports that
+stay for another reader are listed with that reader.
+
 Quadrature work runs over cell blocks through one loop: in
 ``src/thermoduct`` only ``forms.fill_blocks`` names ``cell_blocks``, so a
 second block loop cannot come back unnoticed.
@@ -111,6 +118,72 @@ def test_no_unused_parameters():
         for line, name in unused_parameters(path.read_text(encoding="utf-8"))
     ]
     assert not found
+
+
+# exports read only where the scan does not look, each with its reader
+READ_ELSEWHERE = {
+    "forms.outflow_boundary_term": "acceptance criterion 07's oracle of b(u0, v, v)",
+    "forms.eval_scalar_hess": "perfbench/tracer.py traces it by a string, not a name",
+    "spectrum.weighted_admissibility": "the paper's weighted-space verdict, used by demo 04",
+    "io_vtk.write_mesh_vtk": "demo 01's volume export",
+}
+
+
+def _reads(source):
+    """(name, definition) of each name ``source`` reads as a name, an
+    attribute or an import, with the top-level definition it is read in."""
+    found = set()
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add((node.id, owner))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found.add((node.attr, owner))
+            elif isinstance(node, ast.ImportFrom):
+                found.update((alias.name, owner) for alias in node.names)
+    return found
+
+
+def unread_exports(package, readers):
+    """"module.name" of each ``__all__`` name of a ``package`` module (a
+    dict of module name to source) that no other module reads, nor its own
+    module outside its definition, nor any source in ``readers``."""
+    reads = {module: _reads(source) for module, source in package.items()}
+    outside = {name for source in readers for name, _ in _reads(source)}
+    found = []
+    for module, source in package.items():
+        exports = next((ast.literal_eval(node.value) for node in ast.parse(source).body
+                        if isinstance(node, ast.Assign)
+                        and any(getattr(t, "id", None) == "__all__" for t in node.targets)), [])
+        others = {name for m in package if m != module for name, _ in reads[m]}
+        for name in exports:
+            own = any(n == name and owner != name for n, owner in reads[module])
+            if not (own or name in others or name in outside):
+                found.append(f"{module}.{name}")
+    return found
+
+
+def test_export_scan_flags_only_unread_names():
+    package = {
+        "a": ("__all__ = ['f', 'g', 'h', 'r', 't']\n"
+              "def f():\n    return g()\n"
+              "def g():\n    return 0\n"
+              "def r(n):\n    return r(n - 1)\n"
+              "def t():\n    pass\n"
+              "h = 1\n"),
+        "b": "from .a import f\n",
+    }
+    assert unread_exports(package, ["import a\na.t()\n"]) == ["a.h", "a.r"]
+
+
+def test_every_export_is_read_by_the_program():
+    package = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(ROOT.glob("src/thermoduct/*.py"))
+               if path.name != "__init__.py"}
+    readers = [path.read_text(encoding="utf-8")
+               for path in sorted(ROOT.glob("perfbench/**/*.py"))]
+    assert sorted(unread_exports(package, readers)) == sorted(READ_ELSEWHERE)
 
 
 def cell_block_loops(source):

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoduct import build_channel_mesh, facet_areas, junction_angle
+import oracles
+from thermoduct import build_channel_mesh
 from thermoduct.mesh import FacetTag
+
+# several shapes, with equal and unequal divisions and lengths
+JUNCTION_MESHES = [(1, 1, 1, 1, 1, 1), (1, 1, 1, 2, 3, 4), (2, 1, 1, 2, 2, 2),
+                   (1.3, 0.7, 2.9, 3, 2, 5)]
 
 
 def test_unit_cube_counts():
@@ -15,7 +20,7 @@ def test_unit_cube_counts():
     assert m.n_cells == 1
     assert (m.facet_tags == FacetTag.GAMMA_N).sum() == 2
     assert (m.facet_tags == FacetTag.GAMMA_D).sum() == 4
-    assert len(m.edges_M) == 8
+    assert len(oracles.reference_junction(m.facets, m.facet_tags)[0]) == 8
 
 
 def test_two_cell_counts():
@@ -81,7 +86,7 @@ def test_tags_partition_and_planes():
 )
 def test_facet_area_sums(nx, ny, nz, Lx, Ly, Lz):
     m = build_channel_mesh(Lx, Ly, Lz, nx, ny, nz)
-    areas = facet_areas(m)
+    areas = oracles.facet_areas(m)
     gn = areas[m.facet_tags == FacetTag.GAMMA_N].sum()
     gd = areas[m.facet_tags == FacetTag.GAMMA_D].sum()
     assert gn == pytest.approx(2 * Ly * Lz, rel=1e-13)
@@ -97,33 +102,29 @@ def test_refinement_nests_vertices_exactly():
 
 
 def test_junction_edges_are_exactly_the_tag_interfaces():
-    m = build_channel_mesh(1, 1, 1, 2, 3, 4)
-    # 4 junction lines per open end, split into ny or nz segments
-    assert len(m.edges_M) == 2 * (2 * 3 + 2 * 4)
-    for i in range(len(m.edges_M)):
-        d_facet, n_facet = m.edge_facets[i]
-        assert m.facet_tags[d_facet] == FacetTag.GAMMA_D
-        assert m.facet_tags[n_facet] == FacetTag.GAMMA_N
+    for args in JUNCTION_MESHES:
+        m = build_channel_mesh(*args)
+        Lx, Ly, Lz = m.dims
+        _, ny, nz = m.divisions
+        edges, owners = oracles.reference_junction(m.facets, m.facet_tags)
+        # 4 junction lines per open end, split into ny or nz segments
+        assert len(edges) == 2 * (2 * ny + 2 * nz)
+        assert np.all(m.facet_tags[owners[:, 0]] == FacetTag.GAMMA_D)
+        assert np.all(m.facet_tags[owners[:, 1]] == FacetTag.GAMMA_N)
+        for edge, pair in zip(edges, owners):
+            for f in pair:
+                assert set(edge) <= set(m.facets[f])
+            # on an open end and on a wall
+            p = m.vertices[edge]
+            assert np.all(p[:, 0] == p[0, 0]) and p[0, 0] in (0.0, Lx)
+            assert any(np.all(p[:, a] == L) for a, L in ((1, 0.0), (1, Ly), (2, 0.0), (2, Lz)))
 
 
 def test_junction_angle_is_right_angle():
-    m = build_channel_mesh(2, 1, 1, 2, 2, 2)
-    for i in range(len(m.edges_M)):
-        assert junction_angle(m, i) == pytest.approx(np.pi / 2, abs=1e-14)
-    # same through the vertex-pair form
-    assert junction_angle(m, tuple(m.edges_M[0])) == pytest.approx(np.pi / 2)
-
-
-def test_junction_angle_rejects_wall_interior_edge():
-    m = build_channel_mesh(1, 1, 1, 2, 2, 2)
-    # edge on the y=0 wall strictly inside the wall: from (1,0,0) to (1,0,1) grid steps
-    px, py = 3, 3
-    v0 = 1 + px * (0 + py * 0)
-    v1 = 1 + px * (0 + py * 1)
-    with pytest.raises(ValueError):
-        junction_angle(m, (v0, v1))
-    with pytest.raises(ValueError):
-        junction_angle(m, 10_000)
+    for args in JUNCTION_MESHES:
+        m = build_channel_mesh(*args)
+        for edge, owners in zip(*oracles.reference_junction(m.facets, m.facet_tags)):
+            assert oracles.junction_angle(m, edge, owners) == pytest.approx(np.pi / 2, abs=1e-14)
 
 
 def test_junction_angle_detects_perturbed_vertex():
@@ -131,7 +132,8 @@ def test_junction_angle_detects_perturbed_vertex():
     vertices = m.vertices.copy()
     vertices[0] += np.array([0.2, 0.1, 0.0])
     bent = dataclasses.replace(m, vertices=vertices)
-    angles = [junction_angle(bent, i) for i in range(len(bent.edges_M))]
+    angles = [oracles.junction_angle(bent, edge, owners)
+              for edge, owners in zip(*oracles.reference_junction(m.facets, m.facet_tags))]
     assert any(abs(a - np.pi / 2) > 1e-3 for a in angles)
 
 
@@ -162,7 +164,7 @@ def test_deterministic_construction():
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.cells, b.cells)
     assert np.array_equal(a.facets, b.facets)
-    assert np.array_equal(a.edges_M, b.edges_M)
+    assert np.array_equal(a.facet_tags, b.facet_tags)
 
 
 def test_vtk_export(tmp_path):

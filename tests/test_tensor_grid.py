@@ -80,31 +80,12 @@ def reference_mesh_ids(divisions):
     return cells, np.array(quads), np.array(faces), np.array(tags)
 
 
-def reference_junction(facets, tags):
-    """Edges owned by one GAMMA_D and one GAMMA_N facet, (D, N) owners."""
-    owners = {}
-    for f, quad in enumerate(facets):
-        for a in range(4):
-            v0, v1 = int(quad[a]), int(quad[(a + 1) % 4])
-            owners.setdefault((min(v0, v1), max(v0, v1)), []).append(f)
-    edges, pairs = [], []
-    for key in sorted(owners):
-        f = owners[key]
-        if len(f) == 2 and tags[f[0]] != tags[f[1]]:
-            edges.append(key)
-            pairs.append(tuple(f) if tags[f[0]] == FacetTag.GAMMA_D else tuple(f[::-1]))
-    return np.array(edges).reshape(-1, 2), np.array(pairs).reshape(-1, 2)
-
-
 def test_mesh_ids_match_vertex_formulas(mesh):
     cells, facets, faces, tags = reference_mesh_ids(mesh.divisions)
     assert np.array_equal(mesh.cells, cells)
     assert np.array_equal(mesh.facets, facets)
     assert np.array_equal(mesh.facet_faces, faces)
     assert np.array_equal(mesh.facet_tags, tags)
-    edges, pairs = reference_junction(facets, tags)
-    assert np.array_equal(mesh.edges_M, edges)
-    assert np.array_equal(mesh.edge_facets, pairs)
 
 
 def test_space_ids_match_node_formulas(space):

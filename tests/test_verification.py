@@ -262,7 +262,7 @@ def test_blocked_loads_and_norms_match_one_block(monkeypatch):
             forms.field_load_vector(space, (0.0, 0.2, -1.0)),
             forms.field_load_scalar(space, h),
             forms.convection_load(space, model, u, u),
-            forms.assemble_e_load(space, model, u, u),
+            forms.assemble_e_load(space, model, u),
             forms.assemble_d_load(space, model, th, u, th),
             forms.assemble_buoyancy(space, model, th, (0.0, 0.0, -1.0)),
             forms.assemble_buoyancy(space, model, th, g),
@@ -298,7 +298,7 @@ def test_mms_data_kernels_allocate_under_16_mib():
     for run in (lambda: forms.field_load_vector(space, forcing),
                 lambda: v._error_norms(space, u, case.u),
                 lambda: forms.convection_load(space, model, u, u),
-                lambda: forms.assemble_e_load(space, model, u, u),
+                lambda: forms.assemble_e_load(space, model, u),
                 lambda: forms.assemble_d_load(space, model, th, u, th),
                 lambda: forms.assemble_buoyancy(space, model, th, (0.0, 0.0, -1.0)),
                 lambda: forms.discrete_norms(space, u, "W2s", s=1.8)):
