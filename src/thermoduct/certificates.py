@@ -18,6 +18,9 @@ The estimates are honest empirical lower bounds of the true suprema and
 are labelled as such in reports.  Given a seed they are deterministic and
 monotone in the sample count.
 
+Each sample is a ``fields.Separable``, the closed-form field that the
+manufactured solutions of ``verification`` are built from too, with the
+same table of exact 1-D factor derivatives (``fields.factor_table``).
 The sampler evaluates every sample into one workspace of stacked rows
 that ``estimate_constants`` allocates once, computing each distinct
 partial derivative once from 1-D factors tabulated on the per-axis
@@ -40,6 +43,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import forms
+from .fields import _UNIT, CURL, Separable, factor_table
 from .spectrum import admissible_sr, default_bounds
 
 __all__ = [
@@ -78,18 +82,15 @@ class ConstantEstimates:
 # the mesh up to quadrature error: the estimates are stable under
 # refinement by construction.
 #
-# Every sample is a sum of products amp f(x) g(y) h(z), or the curl of one,
-# and the quadrature points form a tensor grid: each 1-D factor derivative
-# is tabulated on the distinct coordinates of its axis (the space's
-# ``quad_lines``) and copied out to one row of cell blocks along that
-# axis, and a partial derivative is the broadcast product ((amp fx) fy) fz,
-# which lands directly in quadrature-point order.  Coordinates and operation
-# order are those of a pointwise evaluation at the points, so every value
-# equals it bitwise.
+# Every sample is a ``fields.Separable``: a sum of products amp f(x) g(y)
+# h(z), or the curl of one.  The quadrature points form a tensor grid, so
+# each 1-D factor derivative is tabulated on the distinct coordinates of
+# its axis (the space's ``quad_lines``) and copied out to one row of cell
+# blocks along that axis, and a partial derivative is the broadcast product
+# ((amp fx) fy) fz, which lands directly in quadrature-point order.
+# Coordinates and operation order are those of a pointwise evaluation at
+# the points, so every value equals it bitwise.
 
-_SIN = (np.sin, np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u))
-_COS = (np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u), np.sin)
-_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # second-derivative orders in (i, j) order; (i, j) and (j, i) coincide
 _HESS = tuple(tuple(a + b for a, b in zip(ei, ej)) for ei in _UNIT for ej in _UNIT)
 _SECOND = tuple(dict.fromkeys(_HESS))  # the six distinct ones
@@ -99,58 +100,32 @@ _DIRECTIONS = ((0, 0, 0),) + _UNIT + _SECOND
 # how often each of them appears among the ordered derivatives of the
 # W^{2,s} density: a mixed second partial twice
 _COUNTS = np.array((1, 1, 1, 1) + tuple(_HESS.count(h) for h in _SECOND))
-# curl(psi e_axis), per axis: (derivative orders of psi, sign) per
-# component, None for the zero component
-_CURL = {
-    0: (None, ((0, 0, 1), 1.0), ((0, 1, 0), -1.0)),
-    1: (((0, 0, 1), -1.0), None, ((1, 0, 0), 1.0)),
-    2: (((0, 1, 0), 1.0), ((1, 0, 0), -1.0), None),
-}
-
-
-def _factor_table(kind, k, t, o):
-    """d^o/dt^o of one 1-D factor at frequency k on the line t; None when
-    it vanishes identically."""
-    if kind == "one":
-        return np.ones_like(t) if o == 0 else None
-    if kind == "sin2":
-        if o == 0:
-            return np.sin(k * t) ** 2
-        two = 2.0 * k  # sin^2(kt) = (1 - cos(2kt)) / 2
-        return 0.5 * two**o * _SIN[o - 1](two * t)
-    cycle = {"sin": _SIN, "cos": _COS}[kind]
-    return k**o * cycle[o](k * t)
 
 
 class _TensorField:
-    """Sum of products amp f(x) g(y) h(z) with exact derivatives at the
-    quadrature points; with ``curl_axis``, the vector curl(amp psi e_axis)
-    of that sum psi, solenoidal and vanishing on the wall closure.
+    """A ``fields.Separable`` at the quadrature points, its 1-D factor
+    tables cached in cell-block layout along ``lines``.
 
-    ``terms`` holds (amp, fx, fy, fz), each factor a (kind, frequency) pair
-    with kind "one", "sin", "cos" or "sin2".  ``comps`` holds, per
-    component, the derivative orders of the sum and a scale, or None for
-    an identically zero component.
+    Its ``terms`` and ``comps`` are those of the field: per component, the
+    derivative orders of the term sum and a scale, or None for an
+    identically zero component.
     """
 
-    def __init__(self, lines, terms, curl_axis=None, amp=1.0):
+    def __init__(self, lines, fld):
         self.lines = lines
-        self.terms = terms
+        self.terms = fld.terms
+        self.comps = fld.comps
         self.shape = np.broadcast_shapes(*(t.shape for t in lines))
         # each factor is tabulated on the full q^3 cell block of its row of
         # cells, so that every broadcast product runs contiguously per cell
         self.blocks = [t.shape[:3] + self.shape[3:] for t in lines]
         self.tables = {}
-        if curl_axis is not None:
-            self.comps = [None if c is None else (c[0], amp * c[1]) for c in _CURL[curl_axis]]
-        else:
-            self.comps = [((0, 0, 0), 1.0)]
 
     def _table(self, term, axis, o):
         key = (term, axis, o)
         if key not in self.tables:
             kind, k = self.terms[term][1 + axis]
-            tab = _factor_table(kind, float(k), self.lines[axis], o)
+            tab = factor_table(kind, float(k), self.lines[axis], o)
             if tab is not None:
                 block = np.empty(self.blocks[axis])
                 np.copyto(block, tab)
@@ -167,7 +142,7 @@ class _TensorField:
         for i, term in enumerate(self.terms):
             kind, k = term[1 + axis]
             for o in range(4):
-                tab = _factor_table(kind, float(k), line, o)
+                tab = factor_table(kind, float(k), line, o)
                 if tab is not None:
                     rows[o, i] = tab
         return (rows * w) @ np.swapaxes(rows, 1, 2)
@@ -267,7 +242,7 @@ class _Workspace:
 
 
 def _draw_velocity(space, rng):
-    """(terms, curl_axis, amp) of a random curl velocity."""
+    """A random curl velocity curl(amp psi e_axis)."""
     Lx, Ly, Lz = space.mesh.dims
     axis = int(rng.integers(0, 3))
     m = int(rng.integers(1, 3))
@@ -276,29 +251,22 @@ def _draw_velocity(space, rng):
     kind = ("one", "sin", "cos")[int(rng.integers(0, 3))]
     amp = float(rng.normal(0.0, 1.0)) + 0.25 * float(rng.standard_normal())
     psi = [(1.0, (kind, k * np.pi / Lx), ("sin2", m * np.pi / Ly), ("sin2", n * np.pi / Lz))]
-    return psi, axis, amp
+    return Separable(psi, [None if c is None else (c[0], amp * c[1]) for c in CURL[axis]])
 
 
 def _draw_scalar(space, rng, zero_trace):
-    """(terms,) of a random scalar."""
+    """A random scalar sum of products."""
     Lx, Ly, Lz = space.mesh.dims
+    yz_kind = "sin" if zero_trace else "cos"
     terms = []
-    n_terms = int(rng.integers(1, 4))
-    for _ in range(n_terms):
+    for _ in range(int(rng.integers(1, 4))):
         k = int(rng.integers(0, 3))
         m = int(rng.integers(1, 3))
         n = int(rng.integers(1, 3))
         amp = float(rng.normal(0.0, 1.0))
-        yz_kind = "sin" if zero_trace else "cos"
-        terms.append(
-            (
-                amp,
-                ("cos" if k else "one", max(k, 1) * np.pi / Lx),
-                (yz_kind, m * np.pi / Ly),
-                (yz_kind, n * np.pi / Lz),
-            )
-        )
-    return (terms,)
+        terms.append((amp, ("cos" if k else "one", max(k, 1) * np.pi / Lx),
+                      (yz_kind, m * np.pi / Ly), (yz_kind, n * np.pi / Lz)))
+    return Separable(terms)
 
 
 def _evaluate(ws, fld, rows, p):
@@ -312,7 +280,7 @@ def _evaluate(ws, fld, rows, p):
 def _sample_ratios(space, model, heat, ws, draw, s, r):
     """Per-sample ratios (C_b, C_e, C_d, C_eps, C_1); pure given the draw."""
     # tables are built per sample, so memory does not grow with the sample count
-    u, v, theta, f = (_TensorField(space.quad_lines, *spec) for spec in draw)
+    u, v, theta, f = (_TensorField(space.quad_lines, fld) for fld in draw)
 
     def lp_norm(values, p):     # values at every quadrature point, in point order
         values = values.reshape(space.n_cells, space.nq, *values.shape[1:])

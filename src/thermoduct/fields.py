@@ -7,20 +7,68 @@ quadrature coordinates (``DiscreteSpace.quad_lines``, z cut to the block);
 a point array ``(n, 3)`` is passed as ``points.T``.  Elementwise
 operations give every point the bits of a pointwise evaluation.  A
 constant passes through ``quad_values`` as a float array.  ``Field`` adds
-the optional gradient and Laplacian closures that the manufactured-solution
-oracles need; no solver path reads them.  Value callables must accept
-complex coordinates so that manufactured-solution derivatives can be
-cross-checked by complex-step differentiation.
+the optional gradient and Laplacian that the manufactured-solution oracles
+need; no solver path reads them.
+
+``Separable`` is the one closed-form field with exact derivatives: a sum
+of products of 1-D factors (``factor_table``: 1, sin, cos, sin² and a
+quadratic bubble) and, per component, one partial derivative of that sum,
+such as the curl of a stream potential (``CURL``).  The manufactured
+cases of ``verification`` and the random samples of ``certificates`` are
+both built from it.  Its values accept complex coordinates, so that
+``verification`` cross-checks every derivative by complex-step
+differentiation.
 """
+
+import itertools
 
 import numpy as np
 
 __all__ = [
+    "CURL",
     "Field",
+    "Separable",
     "constant_scalar",
+    "factor_table",
     "span_scalar",
     "zeros",
 ]
+
+_SIN = (np.sin, np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u))
+_COS = (np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u), np.sin)
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+# curl(psi e_axis), per axis: (derivative orders of psi, sign) per
+# component, None for the zero component
+CURL = {
+    0: (None, ((0, 0, 1), 1.0), ((0, 1, 0), -1.0)),
+    1: (((0, 0, 1), -1.0), None, ((1, 0, 0), 1.0)),
+    2: (((0, 1, 0), 1.0), ((1, 0, 0), -1.0), None),
+}
+
+
+def factor_table(kind, k, t, o):
+    """d^o/dt^o of one 1-D factor on the coordinates t; None when it
+    vanishes identically.
+
+    Kinds: "one" (1), "sin" and "cos" (of k t), "sin2" (sin²(k t)) and
+    "bubble" (t (k - t), zero at t = 0 and t = k).
+    """
+    if kind == "one":
+        return np.ones_like(t) if o == 0 else None
+    if kind == "bubble":
+        if o == 0:
+            return t * (k - t)
+        if o == 1:
+            return k - 2 * t
+        return np.full_like(t, -2.0) if o == 2 else None
+    if kind == "sin2":
+        if o == 0:
+            return np.sin(k * t) ** 2
+        two = 2.0 * k  # sin^2(kt) = (1 - cos(2kt)) / 2
+        return 0.5 * two**o * _SIN[o - 1](two * t)
+    cycle = {"sin": _SIN, "cos": _COS}[kind]
+    return k**o * cycle[o](k * t)
 
 
 class Field:
@@ -35,6 +83,49 @@ class Field:
         return self.value(x)
 
 
+class Separable(Field):
+    """Sum of products amp f(x) g(y) h(z) of ``factor_table`` factors, and
+    per component one partial derivative of that sum, scaled.
+
+    ``terms`` holds (amp, fx, fy, fz), each factor a (kind, k) pair.
+    ``comps`` holds, per component, the derivative orders of the sum and a
+    scale, or None for an identically zero component; one component is a
+    scalar field.  ``value``, ``grad`` and ``laplacian`` are exact partials,
+    written into one array in which each term costs one grid-sized multiply.
+    """
+
+    def __init__(self, terms, comps=(((0, 0, 0), 1.0),)):
+        self.terms, self.comps = terms, comps
+
+    def value(self, x):
+        return self._tabulate(x, [[(0, 0, 0)]])[..., 0]
+
+    def grad(self, x):
+        return self._tabulate(x, [[e] for e in _UNIT])
+
+    def laplacian(self, x):
+        return self._tabulate(x, [[(2, 0, 0), (0, 2, 0), (0, 0, 2)]])[..., 0]
+
+    def _tabulate(self, x, slots):
+        """[..., component, slot]: per slot, the sum of the partials at the
+        extra orders it lists (no component axis for a scalar)."""
+        out = zeros(x, len(self.comps), len(slots))
+        for m, comp in enumerate(self.comps):
+            for j, extras in enumerate(slots if comp else ()):
+                dest, first = out[..., m, j], True
+                for extra, (amp, *factors) in itertools.product(extras, self.terms):
+                    fx, fy, fz = (factor_table(kind, k, t, b + e) for (kind, k), t, b, e
+                                  in zip(factors, x, comp[0], extra))
+                    if fx is None or fy is None or fz is None:
+                        continue
+                    if first:
+                        np.multiply(amp * comp[1] * fx * fy, fz, out=dest)
+                    else:
+                        dest += amp * comp[1] * fx * fy * fz
+                    first = False
+        return out[..., 0, :] if len(self.comps) == 1 else out
+
+
 def zeros(x, *components):
     """Zeros on the broadcast shape of the coordinates ``x``, with trailing
     ``components`` axes, in the coordinates' dtype."""
@@ -43,12 +134,8 @@ def zeros(x, *components):
 
 
 def constant_scalar(c):
-    c = float(c)
-    return Field(
-        value=lambda x: np.full_like(zeros(x), c),
-        grad=lambda x: zeros(x, 3),
-        laplacian=zeros,
-    )
+    one = ("one", 0.0)
+    return Separable([(float(c), one, one, one)])
 
 
 def span_scalar(axis, theta0, delta, length):

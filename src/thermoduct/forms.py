@@ -176,14 +176,18 @@ def quad_values(space, data, cells=slice(None)):
 
     A callable (the ``fields`` convention) is evaluated once on the
     quadrature lines of those layers, broadcast to their grid and returned
-    as (cells, nq, ...).  Values already tabulated, (n_cells, nq, ...), are
+    as (cells, nq, ...); a ``cells`` slice that is not whole z layers
+    raises ValueError.  Values already tabulated, (n_cells, nq, ...), are
     sliced to ``cells``; other arrays of two or more axes raise ValueError.
     A constant is returned as it is, a float array.
     """
     if callable(data):
         x, y, z = space.quad_lines
-        first, stop, _ = cells.indices(space.n_cells)      # whole z layers
-        lines = (x, y, z[first * len(z) // space.n_cells:stop * len(z) // space.n_cells])
+        layer = space.n_cells // len(z)
+        first, stop, step = cells.indices(space.n_cells)
+        if step != 1 or first % layer or stop % layer:
+            raise ValueError(f"cells {cells} are not whole z layers of {layer} cells")
+        lines = (x, y, z[first // layer:stop // layer])
         grid = np.broadcast_shapes(*(line.shape for line in lines))
         vals = np.asarray(data(lines), dtype=float)
         comps = vals.shape[len(grid):]

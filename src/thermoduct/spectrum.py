@@ -51,8 +51,9 @@ def mellin_symbol_deriv(z):
     return 2 * z + 1.5 * np.pi * np.sin(np.pi * z)
 
 
-def _winding_number(re_min, re_max, im_min, im_max, pts_per_side=1000):
-    """Number of zeros inside the rectangle, by total argument change.
+def _winding_number(re_min, re_max, im_min, im_max):
+    """Number of zeros inside the rectangle, by total argument change along
+    its sides, 1000 points each.
 
     Raises ValueError when the contour passes too close to a zero for the
     phase to be tracked reliably.
@@ -66,7 +67,7 @@ def _winding_number(re_min, re_max, im_min, im_max, pts_per_side=1000):
     ]
     zs = []
     for a, b in zip(corners[:-1], corners[1:]):
-        t = np.linspace(0.0, 1.0, pts_per_side, endpoint=False)
+        t = np.linspace(0.0, 1.0, 1000, endpoint=False)
         zs.append(a + (b - a) * t)
     zs = np.concatenate(zs + [np.array([corners[0]])])
     fv = mellin_symbol(zs)
@@ -84,15 +85,13 @@ def _winding_number(re_min, re_max, im_min, im_max, pts_per_side=1000):
     return n_int
 
 
-def _safe_winding(re_min, re_max, im_min, im_max, pts_per_side=1000):
+def _safe_winding(re_min, re_max, im_min, im_max):
     """Winding count with deterministic nudges when a zero sits on the contour."""
     width = max(re_max - re_min, im_max - im_min)
     for bump in (0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2):
         eps = bump * width
         try:
-            return _winding_number(
-                re_min - eps, re_max + eps, im_min - eps, im_max + eps, pts_per_side
-            )
+            return _winding_number(re_min - eps, re_max + eps, im_min - eps, im_max + eps)
         except ValueError:
             continue
     raise MissedRootError("could not obtain a clean contour around the search box")
@@ -115,8 +114,10 @@ def _newton_polish(z0, tol):
     return z if abs(mellin_symbol(z)) < tol else None
 
 
-def _real_axis_seeds(re_min, re_max, n=4001):
-    xs = np.linspace(re_min, re_max, n)
+def _real_axis_seeds(re_min, re_max):
+    """Newton seeds on 4001 real points: the midpoints of sign changes of
+    the symbol and the points where it is below 1e-12."""
+    xs = np.linspace(re_min, re_max, 4001)
     fx = mellin_symbol(xs.astype(complex)).real
     sign = np.sign(fx)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -238,9 +239,10 @@ class SpectrumResult:
     metadata: dict = field(default_factory=dict)
 
 
-def compute_spectrum(re_min=0.02, re_max=1.95, im_max=5.0, k_max=10, tol=1e-12):
-    """Roots in the strip, the scalar family, mu_M and s0."""
-    roots = find_roots(re_min, re_max, im_max, tol=tol)
+def compute_spectrum(re_min=0.02, re_max=1.95, im_max=5.0, k_max=10):
+    """Roots in the strip (``find_roots`` at its tolerance), the scalar
+    family, mu_M and s0."""
+    roots = find_roots(re_min, re_max, im_max)
     scalars = scalar_exponents(k_max)
     result = SpectrumResult(
         stokes_roots=roots,

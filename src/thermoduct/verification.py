@@ -1,20 +1,23 @@
 """Manufactured-solution oracles and convergence studies.
 
-Each manufactured case carries closed-form fields together with
-hand-coded first and second derivatives; the induced forcings are built
-from those closures.  The hand-coded derivatives are cross-checked by
-complex-step differentiation (first derivatives of the values, then of
-the coded gradients), which is exact to machine precision, so a coding
-slip in any derivative is caught before the case is trusted as an oracle.
+Each manufactured case is a list of separable terms (``fields.Separable``),
+its velocity the curl of a stream potential or a product of quadratic
+bubbles; values, gradients and Laplacians are exact partials from the one
+1-D factor table (``fields.factor_table``) that the certificate sampler
+also reads, and the induced forcings are built from them.  Those
+derivatives are cross-checked by complex-step differentiation (first
+derivatives of the values, then of the gradients), which is exact to
+machine precision, so a slip in the table is caught before a case is
+trusted as an oracle.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import forms
-from .fields import Field, constant_scalar, zeros
+from .fields import CURL, Field, Separable, constant_scalar
 from .fixed_point import CoupledProblem, outer_loop
 from .linsolve import SaddleFactorization
 from .material import constant_density, make_material
@@ -52,185 +55,57 @@ def trig_case(dims, nu=1.0, amplitude=1.0):
     """Smooth solenoidal field from a stream potential, with pressure.
 
     psi = a sin(pi x / Lx) sin^2(pi y / Ly) sin^2(pi z / Lz); the velocity
-    (d_y psi, -d_x psi, 0) vanishes on the walls, and the pressure is
-    chosen so the open ends carry no natural-boundary residual.
+    curl(psi e_z) = (d_y psi, -d_x psi, 0) vanishes on the walls, and the
+    pressure nu d_x d_y psi leaves no natural-boundary residual on the
+    open ends.
     """
     Lx, Ly, Lz = (float(d) for d in dims)
-    ax, ay, az = np.pi / Lx, np.pi / Ly, np.pi / Lz
     a = float(amplitude)
-
-    def parts(x):
-        X, Y, Z = x
-        return (
-            np.sin(ax * X), np.cos(ax * X),
-            np.sin(2 * ay * Y), np.cos(2 * ay * Y),
-            np.sin(ay * Y) ** 2,
-            np.sin(2 * az * Z), np.cos(2 * az * Z),
-            np.sin(az * Z) ** 2,
-        )
-
-    def u_val(x):
-        sx, cx, s2y, c2y, sy2, s2z, c2z, sz2 = parts(x)
-        u1 = a * ay * sx * s2y * sz2
-        u2 = -a * ax * cx * sy2 * sz2
-        return np.stack([u1, u2, np.zeros_like(u1)], axis=-1)
-
-    def u_grad(x):
-        sx, cx, s2y, c2y, sy2, s2z, c2z, sz2 = parts(x)
-        G = zeros(x, 3, 3)
-        G[..., 0, 0] = a * ay * ax * cx * s2y * sz2
-        G[..., 0, 1] = 2 * a * ay * ay * sx * c2y * sz2
-        G[..., 0, 2] = a * ay * az * sx * s2y * s2z
-        G[..., 1, 0] = a * ax * ax * sx * sy2 * sz2
-        G[..., 1, 1] = -a * ax * ay * cx * s2y * sz2
-        G[..., 1, 2] = -a * ax * az * cx * sy2 * s2z
-        return G
-
-    def u_lap(x):
-        sx, cx, s2y, c2y, sy2, s2z, c2z, sz2 = parts(x)
-        l1 = a * ay * (-(ax * ax) * sx * s2y * sz2
-                       - 4 * ay * ay * sx * s2y * sz2
-                       + 2 * az * az * sx * s2y * c2z)
-        l2 = a * (ax**3 * cx * sy2 * sz2
-                  - 2 * ax * ay * ay * cx * c2y * sz2
-                  - 2 * ax * az * az * cx * sy2 * c2z)
-        return np.stack([l1, l2, np.zeros_like(l1)], axis=-1)
-
-    def p_val(x):
-        sx, cx, s2y, c2y, sy2, s2z, c2z, sz2 = parts(x)
-        return nu * a * ax * ay * cx * s2y * sz2
-
-    def p_grad(x):
-        sx, cx, s2y, c2y, sy2, s2z, c2z, sz2 = parts(x)
-        g = zeros(x, 3)
-        g[..., 0] = -nu * a * ax * ax * ay * sx * s2y * sz2
-        g[..., 1] = 2 * nu * a * ax * ay * ay * cx * c2y * sz2
-        g[..., 2] = nu * a * ax * ay * az * cx * s2y * s2z
-        return g
-
-    theta = _compatible_theta(dims, amplitude=0.5 * a)
+    psi = [(a, ("sin", np.pi / Lx), ("sin2", np.pi / Ly), ("sin2", np.pi / Lz))]
     return ManufacturedCase(
         name="trig_smooth",
-        u=Field(u_val, u_grad, u_lap),
-        p=Field(p_val, p_grad),
-        theta=theta,
+        u=Separable(psi, CURL[2]),
+        p=Separable(psi, (((1, 1, 0), float(nu)),)),
+        theta=_compatible_theta(dims, 0.5 * a),
         nu=nu,
     )
 
 
-def _compatible_theta(dims, amplitude=1.0, offset=1.0):
-    """Temperature with zero normal derivative on the open (x) ends."""
+def _compatible_theta(dims, amplitude):
+    """1 + a cos(pi x / Lx) cos(pi y / Ly) cos(pi z / Lz): zero normal
+    derivative on the open (x) ends."""
     Lx, Ly, Lz = (float(d) for d in dims)
-    ax, ay, az = np.pi / Lx, np.pi / Ly, np.pi / Lz
-    a = float(amplitude)
-
-    def val(x):
-        X, Y, Z = x
-        return offset + a * np.cos(ax * X) * np.cos(ay * Y) * np.cos(az * Z)
-
-    def grad(x):
-        X, Y, Z = x
-        cx, cy, cz = np.cos(ax * X), np.cos(ay * Y), np.cos(az * Z)
-        sx, sy, sz = np.sin(ax * X), np.sin(ay * Y), np.sin(az * Z)
-        g = zeros(x, 3)
-        g[..., 0] = -a * ax * sx * cy * cz
-        g[..., 1] = -a * ay * cx * sy * cz
-        g[..., 2] = -a * az * cx * cy * sz
-        return g
-
-    def lap(x):
-        X, Y, Z = x
-        cx, cy, cz = np.cos(ax * X), np.cos(ay * Y), np.cos(az * Z)
-        return -a * (ax * ax + ay * ay + az * az) * cx * cy * cz
-
-    return Field(val, grad, lap)
+    one = ("one", 0.0)
+    return Separable([(1.0, one, one, one),
+                      (float(amplitude), ("cos", np.pi / Lx), ("cos", np.pi / Ly),
+                       ("cos", np.pi / Lz))])
 
 
 def incompatible_heat_case(dims, nu=1.0):
     """Negative control: nonzero normal heat flux on the open ends."""
     Lx, Ly, Lz = (float(d) for d in dims)
-    ax, ay, az = 0.5 * np.pi / Lx, np.pi / Ly, np.pi / Lz
-
-    def val(x):
-        X, Y, Z = x
-        return np.sin(ax * X) * np.cos(ay * Y) * np.cos(az * Z)
-
-    def grad(x):
-        X, Y, Z = x
-        g = zeros(x, 3)
-        g[..., 0] = ax * np.cos(ax * X) * np.cos(ay * Y) * np.cos(az * Z)
-        g[..., 1] = -ay * np.sin(ax * X) * np.sin(ay * Y) * np.cos(az * Z)
-        g[..., 2] = -az * np.sin(ax * X) * np.cos(ay * Y) * np.sin(az * Z)
-        return g
-
-    def lap(x):
-        return -(ax * ax + ay * ay + az * az) * val(x)
-
-    base = trig_case(dims, nu=nu)
-    return ManufacturedCase(
-        name="trig_incompatible",
-        u=base.u,
-        p=base.p,
-        theta=Field(val, grad, lap),
-        nu=nu,
-        compatible_heat_flux=False,
-    )
+    theta = Separable([(1.0, ("sin", 0.5 * np.pi / Lx), ("cos", np.pi / Ly), ("cos", np.pi / Lz))])
+    return replace(trig_case(dims, nu=nu), name="trig_incompatible", theta=theta,
+                   compatible_heat_flux=False)
 
 
 def poly_case(dims, nu=1.0):
     """Per-axis-quadratic velocity, zero pressure; reproduced exactly."""
-    Lx, Ly, Lz = (float(d) for d in dims)
-
-    def u_val(x):
-        _, Y, Z = x
-        u1 = Y * (Ly - Y) * Z * (Lz - Z)
-        zero = np.zeros_like(u1)
-        return np.stack([u1, zero, zero], axis=-1)
-
-    def u_grad(x):
-        _, Y, Z = x
-        G = zeros(x, 3, 3)
-        G[..., 0, 1] = (Ly - 2 * Y) * Z * (Lz - Z)
-        G[..., 0, 2] = Y * (Ly - Y) * (Lz - 2 * Z)
-        return G
-
-    def u_lap(x):
-        _, Y, Z = x
-        l1 = -2 * Z * (Lz - Z) - 2 * Y * (Ly - Y)
-        zero = np.zeros_like(l1)
-        return np.stack([l1, zero, zero], axis=-1)
-
-    def th_val(x):
-        Y = x[1]
-        return Y * (Ly - Y)
-
-    def th_grad(x):
-        g = zeros(x, 3)
-        g[..., 1] = Ly - 2 * x[1]
-        return g
-
-    def th_lap(x):
-        return np.full_like(zeros(x), -2.0)
-
+    _, Ly, Lz = (float(d) for d in dims)
+    one = ("one", 0.0)
     return ManufacturedCase(
         name="poly_quadratic",
-        u=Field(u_val, u_grad, u_lap),
+        u=Separable([(1.0, one, ("bubble", Ly), ("bubble", Lz))], (((0, 0, 0), 1.0), None, None)),
         p=constant_scalar(0.0),
-        theta=Field(th_val, th_grad, th_lap),
+        theta=Separable([(1.0, one, ("bubble", Ly), one)]),
         nu=nu,
     )
 
 
-def coupled_case(dims, nu=1.0, amplitude=0.05):
-    """Small-amplitude smooth case for the full nonlinear pipeline."""
-    base = trig_case(dims, nu=nu, amplitude=amplitude)
-    return ManufacturedCase(
-        name="coupled_smooth",
-        u=base.u,
-        p=base.p,
-        theta=_compatible_theta(dims, amplitude=0.1, offset=1.0),
-        nu=nu,
-    )
+def coupled_case(dims, nu=1.0):
+    """Small-amplitude (0.05) smooth case for the full nonlinear pipeline."""
+    return replace(trig_case(dims, nu=nu, amplitude=0.05), name="coupled_smooth",
+                   theta=_compatible_theta(dims, 0.1))
 
 
 # -- induced forcings ---------------------------------------------------------
@@ -289,8 +164,9 @@ def coupled_heat_forcing(case, model):
 # -- case validation -----------------------------------------------------------
 
 
-def _complex_step(fn, x, h=1e-30):
+def _complex_step(fn, x):
     """Derivative of fn along each axis by complex-step; exact to roundoff."""
+    h = 1e-30
     outs = []
     for d in range(3):
         xc = x.astype(complex).copy()
@@ -300,11 +176,11 @@ def _complex_step(fn, x, h=1e-30):
 
 
 def validate_case(case, dims):
-    """Cross-check hand-coded derivatives and boundary compatibility.
+    """Cross-check a case's derivatives and boundary compatibility.
 
     At 1000 seeded random points, gradients are checked against
     complex-step derivatives of the values and Laplacians against the trace
-    of the complex-step Jacobian of the coded gradients, both to 1e-10, and
+    of the complex-step Jacobian of the gradients, both to 1e-10, and
     the divergence of u must vanish identically.  Boundary checks sample
     the walls (u = 0) and the open ends (do-nothing residual, and the
     normal heat flux when the case declares it compatible).
@@ -336,9 +212,10 @@ def validate_case(case, dims):
     return True
 
 
-def _check_boundary(case, dims, n=40):
+def _check_boundary(case, dims):
+    """Wall and open-end conditions on a 40 x 40 grid of each face."""
     Lx, Ly, Lz = dims
-    t = np.linspace(0.0, 1.0, n)
+    t = np.linspace(0.0, 1.0, 40)
     T1, T2 = np.meshgrid(t, t, indexing="ij")
     t1, t2 = T1.ravel(), T2.ravel()
 

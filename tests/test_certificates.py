@@ -25,7 +25,7 @@ from thermoduct.certificates import (
     _sample_ratios,
 )
 from thermoduct.config import build_problem_parts, parse_config
-from thermoduct.fields import Field, constant_scalar, span_scalar
+from thermoduct.fields import CURL, Field, Separable, constant_scalar, span_scalar
 from thermoduct.fixed_point import CoupledProblem, State, outer_loop
 from thermoduct.material import clamped_boussinesq, make_material
 from thermoduct.spectrum import admissible_sr
@@ -133,6 +133,8 @@ def closed_factor(kind, k, t, o):
     """d^o/dt^o of one sample factor, written out."""
     if kind == "one":
         return np.ones_like(t) if o == 0 else np.zeros_like(t)
+    if kind == "bubble":
+        return (t * (k - t), k - 2 * t, np.full_like(t, -2.0), np.zeros_like(t))[o]
     if kind == "sin":
         return (np.sin(k * t), k * np.cos(k * t), k**2 * -np.sin(k * t), k**3 * -np.cos(k * t))[o]
     if kind == "cos":
@@ -168,9 +170,10 @@ def test_tensor_scalar_matches_closed_form(aniso_space):
         (-1.3, ("sin", np.pi), ("cos", np.pi / 0.7), ("sin2", 2 * np.pi / 2.3)),
         (0.4, ("cos", 2 * np.pi), ("sin2", np.pi / 0.7), ("one", 1.0)),
         (2.1, ("sin2", np.pi), ("one", 1.0), ("sin", np.pi / 2.3)),
+        (0.9, ("bubble", 1.0), ("bubble", 0.7), ("bubble", 2.3)),
     ]
     ws = _Workspace(aniso_space, 1.8, 1.8)
-    fld = _TensorField(aniso_space.quad_lines, terms)
+    fld = _TensorField(aniso_space.quad_lines, Separable(terms))
     out, spare = np.empty(n), np.empty(n)
     for orders in ORDERS:
         fld.partial(orders, out, spare)
@@ -185,7 +188,13 @@ def test_tensor_scalar_matches_closed_form(aniso_space):
 
 
 # curl(amp psi e_axis): per axis, {component: (sign, axis of the derivative of psi)}
-CURL = {0: {1: (1.0, 2), 2: (-1.0, 1)}, 1: {0: (-1.0, 2), 2: (1.0, 0)}, 2: {0: (1.0, 1), 1: (-1.0, 0)}}
+CURL_ORACLE = {0: {1: (1.0, 2), 2: (-1.0, 1)}, 1: {0: (-1.0, 2), 2: (1.0, 0)},
+               2: {0: (1.0, 1), 1: (-1.0, 0)}}
+
+
+def curl(psi, axis, amp):
+    """curl(amp psi e_axis) as the sampler draws it: amp scales each component."""
+    return Separable(psi, [None if c is None else (c[0], amp * c[1]) for c in CURL[axis]])
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -195,13 +204,13 @@ def test_curl_velocity_matches_closed_form(aniso_space, axis, kind):
     amp = -0.8
     psi = [(1.0, (kind, 2 * np.pi), ("sin2", np.pi / 0.7), ("sin2", 2 * np.pi / 2.3))]
     ws = _Workspace(aniso_space, 1.8, 1.8)
-    second = ws.evaluate(_TensorField(aniso_space.quad_lines, psi, curl_axis=axis, amp=amp),
+    second = ws.evaluate(_TensorField(aniso_space.quad_lines, curl(psi, axis, amp)),
                          ws.u, second=True)
 
     def comp(m, extra):
-        if m not in CURL[axis]:
+        if m not in CURL_ORACLE[axis]:
             return np.zeros(len(pts))
-        sign, d = CURL[axis][m]
+        sign, d = CURL_ORACLE[axis][m]
         orders = [e + (i == d) for i, e in enumerate(extra)]
         return amp * sign * closed_partial(psi, orders, pts)
 
@@ -209,9 +218,12 @@ def test_curl_velocity_matches_closed_form(aniso_space, axis, kind):
     assert np.array_equal(ws.u[:, 0], np.stack([comp(m, (0, 0, 0)) for m in range(3)]))
     grad = np.stack([np.stack([comp(m, e) for e in unit]) for m in range(3)])
     assert np.array_equal(ws.u[:, 1:], grad)
+    # the pointwise gradient of the unscaled curl, [point, component, direction]
+    pointwise = Separable(psi, CURL[axis]).grad(pts.T)
+    assert np.array_equal(amp * pointwise, np.moveaxis(grad, -1, 0))
     assert np.allclose(np.einsum("mmn->n", grad), 0.0, atol=1e-9)  # solenoidal
     # the second partials of the two nonzero components, in component order
-    hess = np.stack([np.stack([comp(m, o) for o in _SECOND]) for m in sorted(CURL[axis])])
+    hess = np.stack([np.stack([comp(m, o) for o in _SECOND]) for m in sorted(CURL_ORACLE[axis])])
     assert np.array_equal(second, hess)
 
 
@@ -228,7 +240,7 @@ def curl_y_sample(space, amp=0.6):
         orders = [b + e for b, e in zip(base[m], extra)]
         return amp * sign[m] * closed_partial(psi, orders, pts)
 
-    return _TensorField(space.quad_lines, psi, curl_axis=1, amp=amp), comp
+    return _TensorField(space.quad_lines, curl(psi, 1, amp)), comp
 
 
 @pytest.mark.parametrize("s", [2.0, 1.5, 3.0])
@@ -258,7 +270,7 @@ def test_gram_w22_norm_matches_pointwise_norm(which, aniso_space, small_space):
     worst = 0.0
     for i in range(100):
         for spec in (_draw_velocity(space, rng), _draw_scalar(space, rng, bool(i % 2))):
-            fld = _TensorField(space.quad_lines, *spec)
+            fld = _TensorField(space.quad_lines, spec)
             rows = ws.u[:len(fld.comps)]
             second = ws.evaluate(fld, rows, second=True)
             ref = ws.w2s_norm(rows, second, 2.0)
@@ -288,7 +300,7 @@ def test_integrands_match_array_formulas(aniso_space, boussinesq_model, monkeypa
         adv, strain = seen[0].reshape(-1, 3), seen[1].ravel()
         # the sample velocities again, as (point, component, direction) arrays
         for spec, rows in zip(draw, (check.u, check.v)):
-            check.evaluate(_TensorField(space.quad_lines, *spec), rows)
+            check.evaluate(_TensorField(space.quad_lines, spec), rows)
         u = check.u[:, 0].T
         gu, gv = (np.moveaxis(rows[:, 1:], -1, 0) for rows in (check.u, check.v))
         sym_u, sym_v = (0.5 * (g + np.swapaxes(g, 1, 2)) for g in (gu, gv))

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,19 @@ def test_data_tabulated_on_another_mesh_rejected(small_space, boussinesq_model):
                   lambda: CoupledProblem(small_space, boussinesq_model, f, constant_scalar(0.0))):
         with pytest.raises(ValueError, match=match):
             build()
+
+
+def test_closed_form_data_need_whole_z_layers():
+    # a callable is tabulated on the z lines of whole layers of 16 cells:
+    # a slice that cuts a layer would get another block's cells, or none
+    space = build_spaces(build_channel_mesh(1.0, 1.0, 4.0, 4, 4, 16))
+    fld = span_scalar(1, 1.0, 0.5, 1.0)
+    assert np.array_equal(forms.quad_values(space, fld, slice(16, 48)),
+                          forms.quad_values(space, fld)[16:48])
+    for cells in (slice(0, 5), slice(8, 24), slice(0, 32, 2)):
+        with pytest.raises(ValueError, match=rf"cells {re.escape(str(cells))} are not "
+                                             r"whole z layers of 16 cells"):
+            forms.quad_values(space, fld, cells)
 
 
 def test_constant_body_force_matches_field_bitwise(small_space, boussinesq_model):

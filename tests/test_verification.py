@@ -231,7 +231,9 @@ def test_tabulation_on_lines_matches_pointwise_bitwise(dims_space):
     dims, space = dims_space
     points = oracles.quad_points(space).reshape(-1, 3)
     forms_ = closed_forms(dims)
-    assert len(forms_) == 55
+    # the 2 fields constructors and the u, p and theta of the 4 cases, each
+    # with value, grad and laplacian (42), and the 4 forcings of each case
+    assert len(forms_) == 58
     for name, fn in forms_.items():
         pointwise = fn(points.T)
         pointwise = pointwise.reshape(space.n_cells, space.nq, *pointwise.shape[1:])
