@@ -21,11 +21,11 @@ monotone in the sample count.
 Each sample is a ``fields.Separable``, the closed-form field that the
 manufactured solutions of ``verification`` are built from too, with the
 same table of exact 1-D factor derivatives (``fields.factor_table``).
-The sampler evaluates every sample into one workspace of stacked rows
-that ``estimate_constants`` allocates once, computing each distinct
-partial derivative once from 1-D factors tabulated on the per-axis
-quadrature coordinates (``DiscreteSpace.quad_lines``); the integrands are
-numpy contractions of those rows.
+The sampler evaluates every sample with ``Separable.partials``, the one
+evaluator the manufactured solutions use too, into one workspace of
+stacked rows that ``estimate_constants`` allocates once, on the per-axis
+quadrature coordinates (``DiscreteSpace.quad_lines``) laid out in cell
+blocks; the integrands are numpy contractions of those rows.
 
 At exponent 2 (s = 2 for the velocities, r = 2 for the temperature, the
 default) a sample's W^{2,2} norm needs no pointwise second partials: the
@@ -84,12 +84,9 @@ class ConstantEstimates:
 #
 # Every sample is a ``fields.Separable``: a sum of products amp f(x) g(y)
 # h(z), or the curl of one.  The quadrature points form a tensor grid, so
-# each 1-D factor derivative is tabulated on the distinct coordinates of
-# its axis (the space's ``quad_lines``) and copied out to one row of cell
-# blocks along that axis, and a partial derivative is the broadcast product
-# ((amp fx) fy) fz, which lands directly in quadrature-point order.
-# Coordinates and operation order are those of a pointwise evaluation at
-# the points, so every value equals it bitwise.
+# a partial derivative is the broadcast product ((amp fx) fy) fz of 1-D
+# factor tables on the coordinates of each axis, which lands directly in
+# quadrature-point order with the bits of a pointwise evaluation.
 
 # second-derivative orders in (i, j) order; (i, j) and (j, i) coincide
 _HESS = tuple(tuple(a + b for a, b in zip(ei, ej)) for ei in _UNIT for ej in _UNIT)
@@ -102,132 +99,68 @@ _DIRECTIONS = ((0, 0, 0),) + _UNIT + _SECOND
 _COUNTS = np.array((1, 1, 1, 1) + tuple(_HESS.count(h) for h in _SECOND))
 
 
-class _TensorField:
-    """A ``fields.Separable`` at the quadrature points, its 1-D factor
-    tables cached in cell-block layout along ``lines``.
-
-    Its ``terms`` and ``comps`` are those of the field: per component, the
-    derivative orders of the term sum and a scale, or None for an
-    identically zero component.
-    """
-
-    def __init__(self, lines, fld):
-        self.lines = lines
-        self.terms = fld.terms
-        self.comps = fld.comps
-        self.shape = np.broadcast_shapes(*(t.shape for t in lines))
-        # each factor is tabulated on the full q^3 cell block of its row of
-        # cells, so that every broadcast product runs contiguously per cell
-        self.blocks = [t.shape[:3] + self.shape[3:] for t in lines]
-        self.tables = {}
-
-    def _table(self, term, axis, o):
-        key = (term, axis, o)
-        if key not in self.tables:
-            kind, k = self.terms[term][1 + axis]
-            tab = factor_table(kind, float(k), self.lines[axis], o)
+def _grams(fld, axis, space):
+    """(4, terms, terms): for each derivative order 0-3, the Gram of the
+    terms' factors of ``axis`` along its quadrature line on ``space``, the
+    weighted sums of their pairwise products."""
+    line, w = space.quad_lines[axis].ravel(), space.quad_line_weights[axis].ravel()
+    rows = np.zeros((4, len(fld.terms), line.size))
+    for i, term in enumerate(fld.terms):
+        for o in range(4):
+            tab = factor_table(*term[1 + axis], line, o)
             if tab is not None:
-                block = np.empty(self.blocks[axis])
-                np.copyto(block, tab)
-                tab = block
-            self.tables[key] = tab
-        return self.tables[key]
+                rows[o, i] = tab
+    return (rows * w) @ np.swapaxes(rows, 1, 2)
 
-    def _grams(self, axis, weights):
-        """(4, terms, terms): for each derivative order 0-3, the Gram of the
-        terms' factors of ``axis`` along its quadrature line, the weighted
-        sums of their pairwise products."""
-        line, w = self.lines[axis].ravel(), weights[axis].ravel()
-        rows = np.zeros((4, len(self.terms), line.size))
-        for i, term in enumerate(self.terms):
-            kind, k = term[1 + axis]
-            for o in range(4):
-                tab = factor_table(kind, float(k), line, o)
-                if tab is not None:
-                    rows[o, i] = tab
-        return (rows * w) @ np.swapaxes(rows, 1, 2)
 
-    def w22_norm(self, weights):
-        """Broken W^{2,2} quadrature norm of the field, from 1-D Grams.
+def _w22_norm(fld, space):
+    """Broken W^{2,2} quadrature norm of ``fld`` on ``space``, from 1-D Grams.
 
-        ``weights`` are the 1-D weights along ``lines``
-        (``DiscreteSpace.quad_line_weights``).  The rule is a tensor rule on
-        a tensor grid, so the quadrature sum of the product of two terms is
-        the product of three 1-D sums, and the squared norm of a partial is
-        ampᵀ (G_x ∘ G_y ∘ G_z) amp.
-        """
-        amp = np.array([term[0] for term in self.terms])
-        grams = [self._grams(axis, weights) for axis in range(3)]
-        total = 0.0
-        for base, scale in filter(None, self.comps):
-            orders = np.add(base, _DIRECTIONS)   # per partial, per axis
-            gram = grams[0][orders[:, 0]] * grams[1][orders[:, 1]] * grams[2][orders[:, 2]]
-            total += scale * scale * (_COUNTS @ (gram @ amp @ amp))
-        return float(np.sqrt(total))
-
-    def partial(self, orders, out, spare):
-        """d^orders of the term sum into the flat row ``out``, adding term
-        by term through ``spare``; a zero row when every term vanishes."""
-        first = True
-        for i, (amp, *_) in enumerate(self.terms):
-            fx, fy, fz = (self._table(i, axis, o) for axis, o in enumerate(orders))
-            if fx is None or fy is None or fz is None:
-                continue
-            np.multiply(amp * fx * fy, fz, out=(out if first else spare).reshape(self.shape))
-            if not first:
-                out += spare
-            first = False
-        if first:
-            out.fill(0.0)
+    The rule is a tensor rule on a tensor grid (``quad_lines``, weights
+    ``quad_line_weights``), so the quadrature sum of the product of two
+    terms is the product of three 1-D sums, and the squared norm of a
+    partial is ampᵀ (G_x ∘ G_y ∘ G_z) amp.
+    """
+    amp = np.array([term[0] for term in fld.terms])
+    grams = [_grams(fld, axis, space) for axis in range(3)]
+    total = 0.0
+    for base, scale in filter(None, fld.comps):
+        orders = np.add(base, _DIRECTIONS)   # per partial, per axis
+        gram = grams[0][orders[:, 0]] * grams[1][orders[:, 1]] * grams[2][orders[:, 2]]
+        total += scale * scale * (_COUNTS @ (gram @ amp @ amp))
+    return float(np.sqrt(total))
 
 
 class _Workspace:
     """Every full-size array of one sample at norm exponents ``s`` and
-    ``r``, overwritten by each sample in turn.
+    ``r``, overwritten by each sample in turn, and the coordinates ``x``
+    the samples are evaluated on: each axis of ``quad_lines`` copied over
+    the full q^3 block of its row of cells, so that every broadcast
+    product of ``Separable.partials`` runs contiguously per cell.
 
     Partials are stacked rows (component, direction, point), directions as
-    in ``_DIRECTIONS``; one that vanishes identically is a zero row.  ``u``
-    and ``v`` hold the values and gradients of the two velocities, ``v``
-    later those of the temperature and the heat source.  ``second`` holds
-    the second partials of the nonzero components of a field normed
-    pointwise (exponent other than 2), ``out`` the integrands and ``spare``
-    the terms of a partial: 28 rows at s = r = 2, 34 at s = 2 only and 40
+    in ``_DIRECTIONS``.  ``u`` and ``v`` hold the values and gradients of
+    the two velocities, ``v`` later those of the temperature and the heat
+    source.  ``second`` holds the second partials of the nonzero
+    components of a field normed pointwise (exponent other than 2) and
+    ``out`` the integrands: 27 rows at s = r = 2, 33 at s = 2 only and 39
     otherwise.
     """
 
     def __init__(self, space, s, r):
         n = space.n_cells * space.nq
         self.space = space
+        self.grid = np.broadcast_shapes(*(t.shape for t in space.quad_lines))
+        self.x = tuple(np.ascontiguousarray(np.broadcast_to(t, t.shape[:3] + self.grid[3:]))
+                       for t in space.quad_lines)
         self.u = np.empty((3, 4, n))
         self.v = np.empty((3, 4, n))
         self.second = np.empty((2 if s != 2 else int(r != 2), 6, n))
         self.out = np.empty((3, n))
-        self.spare = np.empty(n)
 
-    def evaluate(self, fld, rows, second=False):
-        """Partials of ``fld`` along the first ``rows.shape[1]`` of
-        ``_DIRECTIONS`` into ``rows``, one per component; with ``second``,
-        also its second partials into ``self.second``, one per nonzero
-        component, and returns those.  A partial of the term sum that
-        several components share is computed once and scaled into each."""
-        second = self.second[:sum(c is not None for c in fld.comps) if second else 0]
-        users = {}
-        slots = iter(second)
-        for comp, dest in zip(fld.comps, rows):
-            if comp is None:
-                dest.fill(0.0)
-                continue
-            base, scale = comp
-            for e, row in zip(_DIRECTIONS, [*dest, *next(slots, ())]):
-                orders = tuple(b + d for b, d in zip(base, e))
-                users.setdefault(orders, []).append((scale, row))
-        for orders, ((scale, row), *shared) in users.items():
-            fld.partial(orders, row, self.spare)
-            for sc, dest in shared:
-                np.multiply(sc, row, out=dest)
-            if scale != 1.0:
-                row *= scale
-        return second
+    def evaluate(self, fld, rows, directions):
+        """The partials of ``fld`` along ``directions`` into ``rows``."""
+        fld.partials(self.x, directions, out=rows.reshape(rows.shape[:2] + self.grid, copy=False))
 
     def w2s_norm(self, rows, second, s):
         """Broken W^{2,s} norm of a sample from its value and gradient
@@ -270,17 +203,22 @@ def _draw_scalar(space, rng, zero_trace):
 
 
 def _evaluate(ws, fld, rows, p):
-    """Evaluate a sample into ``rows`` and return its broken W^{2,p} norm:
-    from 1-D Grams at p = 2, where the ratios read only its value and
-    gradient, otherwise from its second partials."""
-    second = ws.evaluate(fld, rows, second=p != 2)
-    return fld.w22_norm(ws.space.quad_line_weights) if p == 2 else ws.w2s_norm(rows, second, p)
+    """Evaluate a sample's value and gradient into ``rows`` and return its
+    broken W^{2,p} norm: from 1-D Grams at p = 2, where the ratios read
+    only its value and gradient, otherwise from the second partials of its
+    nonzero components."""
+    ws.evaluate(fld, rows, _DIRECTIONS[:rows.shape[1]])
+    if p == 2:
+        return _w22_norm(fld, ws.space)
+    nonzero = Separable(fld.terms, [c for c in fld.comps if c])
+    second = ws.second[:len(nonzero.comps)]
+    ws.evaluate(nonzero, second, _SECOND)
+    return ws.w2s_norm(rows, second, p)
 
 
 def _sample_ratios(space, model, heat, ws, draw, s, r):
     """Per-sample ratios (C_b, C_e, C_d, C_eps, C_1); pure given the draw."""
-    # tables are built per sample, so memory does not grow with the sample count
-    u, v, theta, f = (_TensorField(space.quad_lines, fld) for fld in draw)
+    u, v, theta, f = draw
 
     def lp_norm(values, p):     # values at every quadrature point, in point order
         values = values.reshape(space.n_cells, space.nq, *values.shape[1:])
@@ -309,7 +247,7 @@ def _sample_ratios(space, model, heat, ws, draw, s, r):
         out[2] = lp_norm(dens, r) / (model.rho_sharp * nu_u * n_th)
     # embedding constants from a heat solve with a known right-hand side;
     # f is already tabulated at the quadrature points the load is built on
-    ws.evaluate(f, ws.v[:1, :1])
+    ws.evaluate(f, ws.v[:1, :1], _DIRECTIONS[:1])
     fval = ws.v[0, 0]
     sol = heat.solve(forms.field_load_scalar(space, fval.reshape(space.n_cells, space.nq)))
     f_norm = lp_norm(fval, r)
@@ -329,9 +267,10 @@ def estimate_constants(problem, samples=200, seed=0, s=2.0, r=2.0):
     maxima in draw order.
 
     One ``_Workspace``, built here, holds every full-size array of a
-    sample (28 rows of quadrature values at s = r = 2, 40 at most) and is
+    sample (27 rows of quadrature values at s = r = 2, 39 at most) and is
     overwritten by the next, so the sampler allocates no field-sized array
-    per sample beyond those the ``forms`` norms and the heat solve make.
+    per sample beyond one per added term of a partial and those the
+    ``forms`` norms and the heat solve make.
     Each distinct partial derivative of a sample is computed once and
     shared by the W^{2,s} norm and the C_b, C_e and C_d integrands.  Every
     sample reuses the problem's own heat solver ``heat``.

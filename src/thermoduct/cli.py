@@ -64,7 +64,10 @@ def _load(args):
     seed = SCHEMA["run"]["seed"]
     if args.seed is not None and not seed.check(args.seed):
         raise ConfigError([(None, f"--seed: value {args.seed} must be {seed.hint}")])
-    text = Path(args.config).read_text(encoding="utf-8")
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError([(None, f"{args.config}: not UTF-8 text ({exc})")]) from exc
     config = parse_config(text)
     if args.seed is not None:
         config["run"]["seed"] = args.seed
@@ -206,7 +209,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config, out = _load(args)
-    except (FileNotFoundError, ConfigError) as exc:
+    except (OSError, ConfigError) as exc:   # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -15,12 +15,14 @@ of products of 1-D factors (``factor_table``: 1, sin, cos, sin² and a
 quadratic bubble) and, per component, one partial derivative of that sum,
 such as the curl of a stream potential (``CURL``).  The manufactured
 cases of ``verification`` and the random samples of ``certificates`` are
-both built from it.  Its values accept complex coordinates, so that
-``verification`` cross-checks every derivative by complex-step
-differentiation.
+both built from it and both evaluated by its one method ``partials``,
+which writes stacked rows (component, direction, *grid); ``value``,
+``grad`` and ``laplacian`` are views over them.  Its values accept
+complex coordinates, so that ``verification`` cross-checks every
+derivative by complex-step differentiation.
 """
 
-import itertools
+import functools
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
 _SIN = (np.sin, np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u))
 _COS = (np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u), np.sin)
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_LAPLACIAN = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
 
 # curl(psi e_axis), per axis: (derivative orders of psi, sign) per
 # component, None for the zero component
@@ -90,40 +93,74 @@ class Separable(Field):
     ``terms`` holds (amp, fx, fy, fz), each factor a (kind, k) pair.
     ``comps`` holds, per component, the derivative orders of the sum and a
     scale, or None for an identically zero component; one component is a
-    scalar field.  ``value``, ``grad`` and ``laplacian`` are exact partials,
-    written into one array in which each term costs one grid-sized multiply.
+    scalar field.  ``partials`` is the one evaluator; ``value``, ``grad``
+    and ``laplacian`` are views over its rows with the component axis last
+    (none for a scalar).
     """
 
     def __init__(self, terms, comps=(((0, 0, 0), 1.0),)):
         self.terms, self.comps = terms, comps
 
     def value(self, x):
-        return self._tabulate(x, [[(0, 0, 0)]])[..., 0]
+        return self._last(self.partials(x, ((0, 0, 0),))[:, 0], 1)
 
     def grad(self, x):
-        return self._tabulate(x, [[e] for e in _UNIT])
+        return self._last(self.partials(x, _UNIT), 2)
 
     def laplacian(self, x):
-        return self._tabulate(x, [[(2, 0, 0), (0, 2, 0), (0, 0, 2)]])[..., 0]
+        xx, yy, zz = np.moveaxis(self.partials(x, _LAPLACIAN), 1, 0)
+        return self._last((xx + yy) + zz, 1)
 
-    def _tabulate(self, x, slots):
-        """[..., component, slot]: per slot, the sum of the partials at the
-        extra orders it lists (no component axis for a scalar)."""
-        out = zeros(x, len(self.comps), len(slots))
-        for m, comp in enumerate(self.comps):
-            for j, extras in enumerate(slots if comp else ()):
-                dest, first = out[..., m, j], True
-                for extra, (amp, *factors) in itertools.product(extras, self.terms):
-                    fx, fy, fz = (factor_table(kind, k, t, b + e) for (kind, k), t, b, e
-                                  in zip(factors, x, comp[0], extra))
-                    if fx is None or fy is None or fz is None:
-                        continue
-                    if first:
-                        np.multiply(amp * comp[1] * fx * fy, fz, out=dest)
-                    else:
-                        dest += amp * comp[1] * fx * fy * fz
-                    first = False
-        return out[..., 0, :] if len(self.comps) == 1 else out
+    def _last(self, rows, lead):
+        """``rows`` with their ``lead`` axes moved behind the grid; a scalar
+        drops its component axis."""
+        if len(self.comps) == 1:
+            rows, lead = rows[0], lead - 1
+        return np.moveaxis(rows, tuple(range(lead)), tuple(range(-lead, 0)))
+
+    def partials(self, x, directions, out=None):
+        """Rows (component, direction, *grid) on the broadcast grid of ``x``:
+        per component, the partial of the term sum at its orders plus each
+        direction, times its scale; a zero row for a None component.
+
+        Each distinct partial of the term sum is computed once, each term
+        with one grid-sized multiply, and scaled into every row that needs
+        it; each 1-D factor table once per (kind, k, axis, order).
+        """
+        if out is None:
+            grid = np.broadcast_shapes(*(np.shape(t) for t in x))
+            out = np.empty((len(self.comps), len(directions)) + grid, dtype=np.result_type(*x))
+        users = {}
+        for comp, rows in zip(self.comps, out):
+            if comp is None:
+                rows.fill(0.0)
+                continue
+            for d, row in zip(directions, rows):
+                orders = tuple(b + e for b, e in zip(comp[0], d))
+                users.setdefault(orders, []).append((comp[1], row))
+
+        @functools.cache
+        def table(kind, k, axis, o):
+            return factor_table(kind, k, x[axis], o)
+
+        for orders, ((scale, row), *shared) in users.items():
+            first = True
+            for amp, *factors in self.terms:
+                fx, fy, fz = (table(*f, a, o) for a, (f, o) in enumerate(zip(factors, orders)))
+                if fx is None or fy is None or fz is None:
+                    continue
+                if first:
+                    np.multiply(amp * fx * fy, fz, out=row)
+                else:
+                    row += amp * fx * fy * fz
+                first = False
+            if first:
+                row.fill(0.0)
+            for sc, dest in shared:
+                np.multiply(sc, row, out=dest)
+            if scale != 1.0:
+                row *= scale
+        return out
 
 
 def zeros(x, *components):

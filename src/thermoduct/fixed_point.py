@@ -125,7 +125,7 @@ class CoupledProblem:
         self.g = _finite("g", forms.quad_values(space, g))
 
         self.kappa = forms.assemble_kappa(space, model)
-        self.heat = WallCG(self.kappa, space, 1e-13)
+        self.heat = WallCG(self.kappa, space)
 
         self.theta_D = _finite("theta_D", forms.interpolate_scalar(space, theta_D))
         self.lifting_load = self.kappa @ self.theta_D

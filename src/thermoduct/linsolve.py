@@ -163,14 +163,14 @@ class WallCG:
     against the ``kappa`` it is handed (``forms.assemble_kappa``, or any
     operator with ``@`` and ``shape``), so a ``kappa`` that is not a
     multiple of ``S`` on ``space`` takes more iterations, or fails, rather
-    than returning a wrong solution.
+    than returning a wrong solution.  It stops at ``solve_spd``'s default
+    relative tolerance, 1e-13.
     """
 
-    def __init__(self, kappa, space, tol):
+    def __init__(self, kappa, space):
         self.kappa = kappa
         self.free = space.free_theta
         self.inverse = _TensorInverse(space.axis_matrices, space.free_lines, 1.0)
-        self.tol = tol
 
     def _apply(self, y):
         x = np.zeros(self.kappa.shape[0])
@@ -180,9 +180,7 @@ class WallCG:
     def solve(self, load):
         """Full-length solution of the free rows of ``load``; wall rows are 0."""
         x = np.zeros(np.size(load))
-        x[self.free] = solve_spd(
-            self._apply, np.asarray(load)[self.free], self.inverse.apply, tol=self.tol
-        )
+        x[self.free] = solve_spd(self._apply, np.asarray(load)[self.free], self.inverse.apply)
         return x
 
 

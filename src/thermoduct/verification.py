@@ -3,8 +3,8 @@
 Each manufactured case is a list of separable terms (``fields.Separable``),
 its velocity the curl of a stream potential or a product of quadratic
 bubbles; values, gradients and Laplacians are exact partials from the one
-1-D factor table (``fields.factor_table``) that the certificate sampler
-also reads, and the induced forcings are built from them.  Those
+evaluator (``Separable.partials``) and 1-D factor table that the
+certificate sampler also uses, and the induced forcings are built from them.  Those
 derivatives are cross-checked by complex-step differentiation (first
 derivatives of the values, then of the gradients), which is exact to
 machine precision, so a slip in the table is caught before a case is

@@ -16,13 +16,14 @@ from thermoduct.certificates import (
     uniqueness_certificate,
 )
 from thermoduct.certificates import (
+    _DIRECTIONS,
     _HESS,
     _SECOND,
-    _TensorField,
     _Workspace,
     _draw_scalar,
     _draw_velocity,
     _sample_ratios,
+    _w22_norm,
 )
 from thermoduct.config import build_problem_parts, parse_config
 from thermoduct.fields import CURL, Field, Separable, constant_scalar, span_scalar
@@ -161,9 +162,18 @@ def closed_partial(terms, orders, pts):
 ORDERS = [(ox, oy, oz) for ox in range(4) for oy in range(4) for oz in range(4)]
 
 
+def sampled(ws, fld, directions):
+    """``fld.partials`` on the sampler's coordinates, (component, direction, point)."""
+    return fld.partials(ws.x, directions).reshape(len(fld.comps), len(directions), -1)
+
+
+def nonzero(fld):
+    """The nonzero components of ``fld``, whose second partials the sampler norms."""
+    return Separable(fld.terms, [c for c in fld.comps if c])
+
+
 def test_tensor_scalar_matches_closed_form(aniso_space):
     pts = oracles.quad_points(aniso_space).reshape(-1, 3)
-    n = len(pts)
     # every factor kind on every axis
     terms = [
         (0.7, ("one", 1.0), ("sin", 2 * np.pi / 0.7), ("cos", np.pi / 2.3)),
@@ -173,13 +183,12 @@ def test_tensor_scalar_matches_closed_form(aniso_space):
         (0.9, ("bubble", 1.0), ("bubble", 0.7), ("bubble", 2.3)),
     ]
     ws = _Workspace(aniso_space, 1.8, 1.8)
-    fld = _TensorField(aniso_space.quad_lines, Separable(terms))
-    out, spare = np.empty(n), np.empty(n)
-    for orders in ORDERS:
-        fld.partial(orders, out, spare)
+    fld = Separable(terms)
+    for orders, out in zip(ORDERS, sampled(ws, fld, ORDERS)[0]):
         assert np.array_equal(out, closed_partial(terms, orders, pts)), orders
     rows = ws.u[:1]
-    second = ws.evaluate(fld, rows, second=True)
+    ws.evaluate(fld, rows, _DIRECTIONS[:4])
+    second = sampled(ws, fld, _SECOND)
     assert np.array_equal(rows[0, 0], closed_partial(terms, (0, 0, 0), pts))
     grad = np.stack([closed_partial(terms, o, pts) for o in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
     assert np.array_equal(rows[0, 1:], grad)
@@ -204,8 +213,9 @@ def test_curl_velocity_matches_closed_form(aniso_space, axis, kind):
     amp = -0.8
     psi = [(1.0, (kind, 2 * np.pi), ("sin2", np.pi / 0.7), ("sin2", 2 * np.pi / 2.3))]
     ws = _Workspace(aniso_space, 1.8, 1.8)
-    second = ws.evaluate(_TensorField(aniso_space.quad_lines, curl(psi, axis, amp)),
-                         ws.u, second=True)
+    fld = curl(psi, axis, amp)
+    ws.evaluate(fld, ws.u, _DIRECTIONS[:4])
+    second = sampled(ws, nonzero(fld), _SECOND)
 
     def comp(m, extra):
         if m not in CURL_ORACLE[axis]:
@@ -240,7 +250,7 @@ def curl_y_sample(space, amp=0.6):
         orders = [b + e for b, e in zip(base[m], extra)]
         return amp * sign[m] * closed_partial(psi, orders, pts)
 
-    return _TensorField(space.quad_lines, curl(psi, 1, amp)), comp
+    return curl(psi, 1, amp), comp
 
 
 @pytest.mark.parametrize("s", [2.0, 1.5, 3.0])
@@ -250,7 +260,8 @@ def test_w2s_density_matches_array_formula(aniso_space, s):
     space = aniso_space
     ws = _Workspace(space, 1.8, 1.8)
     fld, comp = curl_y_sample(space)
-    second = ws.evaluate(fld, ws.u, second=True)
+    ws.evaluate(fld, ws.u, _DIRECTIONS[:4])
+    second = sampled(ws, nonzero(fld), _SECOND)
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     value = np.stack([comp(m, (0, 0, 0)) for m in range(3)], axis=1)
     grad = np.stack([np.stack([comp(m, e) for e in unit], axis=1) for m in range(3)], axis=1)
@@ -269,12 +280,11 @@ def test_gram_w22_norm_matches_pointwise_norm(which, aniso_space, small_space):
     rng = np.random.default_rng(19)
     worst = 0.0
     for i in range(100):
-        for spec in (_draw_velocity(space, rng), _draw_scalar(space, rng, bool(i % 2))):
-            fld = _TensorField(space.quad_lines, spec)
-            rows = ws.u[:len(fld.comps)]
-            second = ws.evaluate(fld, rows, second=True)
+        for fld in (_draw_velocity(space, rng), _draw_scalar(space, rng, bool(i % 2))):
+            rows = sampled(ws, fld, _DIRECTIONS[:4])
+            second = sampled(ws, nonzero(fld), _SECOND)
             ref = ws.w2s_norm(rows, second, 2.0)
-            worst = max(worst, abs(fld.w22_norm(space.quad_line_weights) - ref) / ref)
+            worst = max(worst, abs(_w22_norm(fld, space) - ref) / ref)
     assert worst <= 1e-14
 
 
@@ -290,7 +300,7 @@ def test_integrands_match_array_formulas(aniso_space, boussinesq_model, monkeypa
 
     monkeypatch.setattr(forms, "lp_norm_of_values", record)
     problem = heat_problem(space, boussinesq_model)
-    ws, check = _Workspace(space, 2.0, 2.0), _Workspace(space, 2.0, 2.0)
+    ws = _Workspace(space, 2.0, 2.0)
     rng = np.random.default_rng(23)
     for i in range(12):
         draw = (_draw_velocity(space, rng), _draw_velocity(space, rng),
@@ -299,10 +309,9 @@ def test_integrands_match_array_formulas(aniso_space, boussinesq_model, monkeypa
         _sample_ratios(space, boussinesq_model, problem.heat, ws, draw, 2.0, 2.0)
         adv, strain = seen[0].reshape(-1, 3), seen[1].ravel()
         # the sample velocities again, as (point, component, direction) arrays
-        for spec, rows in zip(draw, (check.u, check.v)):
-            check.evaluate(_TensorField(space.quad_lines, spec), rows)
-        u = check.u[:, 0].T
-        gu, gv = (np.moveaxis(rows[:, 1:], -1, 0) for rows in (check.u, check.v))
+        rows_u, rows_v = (sampled(ws, spec, _DIRECTIONS[:4]) for spec in draw[:2])
+        u = rows_u[:, 0].T
+        gu, gv = (np.moveaxis(rows[:, 1:], -1, 0) for rows in (rows_u, rows_v))
         sym_u, sym_v = (0.5 * (g + np.swapaxes(g, 1, 2)) for g in (gu, gv))
         for got, want in ((adv, np.einsum("nd,nmd->nm", u, gv)),
                           (strain, np.einsum("nmd,nmd->n", sym_u, sym_v))):
@@ -319,7 +328,7 @@ def test_in_place_power_is_power(p):
 
 
 def test_estimate_constants_allocates_under_10_mib(boussinesq_model):
-    # one workspace of 28 rows at s = r = 2 on the benchmark channel
+    # one workspace of 27 rows at s = r = 2 on the benchmark channel
     space = build_spaces(build_channel_mesh(1.0, 1.0, 4.0, 4, 4, 16))
     problem = heat_problem(space, boussinesq_model)
     tracemalloc.start()

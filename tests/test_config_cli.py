@@ -183,12 +183,24 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return p
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     p = write_cfg(tmp_path, MINIMAL.replace("nu = 1.0", "nu = -1"))
     assert main(["solve", "--config", str(p)]) == 2
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
     p = write_cfg(tmp_path, MINIMAL + "\n[body_force]\nfield = constant\ngx = nan\n")
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    # a directory, a file that is not UTF-8, and an --out that is a file
+    (tmp_path / "dir.cfg").mkdir()
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(MINIMAL.replace("[geometry]", "# \xe9t\xe9\n[geometry]").encode("latin-1"))
+    taken = write_cfg(tmp_path, "", name="taken")
+    good = write_cfg(tmp_path, MINIMAL, name="good.cfg")
+    for argv, path in ((["--config", str(tmp_path / "dir.cfg")], "dir.cfg"),
+                       (["--config", str(latin)], "latin.cfg"),
+                       (["--config", str(good), "--out", str(taken)], "taken")):
+        capsys.readouterr()
+        assert main(["solve", *argv]) == 2
+        assert path in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

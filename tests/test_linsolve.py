@@ -99,7 +99,7 @@ def test_wall_cg_matches_dense_oracle(cube_space, unit_model):
     K = forms.assemble_kappa(cube_space, unit_model)
     fixed = cube_space.dirichlet_mask_theta
     load = np.random.default_rng(2).normal(size=cube_space.n_scalar)
-    x = WallCG(K, cube_space, 1e-13).solve(load)
+    x = WallCG(K, cube_space).solve(load)
     assert np.all(x[fixed] == 0.0)
     x_ref = np.linalg.solve(*_eliminated(oracles.assemble_kappa(cube_space, unit_model),
                                          fixed, load))
@@ -113,7 +113,7 @@ def test_wall_cg_rejects_non_finite_load_before_iterating(cube_space, unit_model
     load = np.ones(cube_space.n_scalar)
     load[cube_space.free_theta[3]] = bad
     with pytest.raises(LinearSolveError, match="non-finite") as err:
-        WallCG(K, cube_space, 1e-13).solve(load)
+        WallCG(K, cube_space).solve(load)
     assert err.value.residual_history == []
 
 
