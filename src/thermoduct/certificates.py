@@ -23,9 +23,10 @@ manufactured solutions of ``verification`` are built from too, with the
 same table of exact 1-D factor derivatives (``fields.factor_table``).
 The sampler evaluates every sample with ``Separable.partials``, the one
 evaluator the manufactured solutions use too, into one workspace of
-stacked rows that ``estimate_constants`` allocates once, on the per-axis
-quadrature coordinates (``DiscreteSpace.quad_lines``) laid out in cell
-blocks; the integrands are numpy contractions of those rows.
+stacked rows that ``estimate_constants`` allocates once, on the cell-block
+quadrature coordinates that every closed-form datum is tabulated on
+(``DiscreteSpace.quad_coords``); the integrands are numpy contractions of
+those rows.
 
 At exponent 2 (s = 2 for the velocities, r = 2 for the temperature, the
 default) a sample's W^{2,2} norm needs no pointwise second partials: the
@@ -103,7 +104,7 @@ def _grams(fld, axis, space):
     """(4, terms, terms): for each derivative order 0-3, the Gram of the
     terms' factors of ``axis`` along its quadrature line on ``space``, the
     weighted sums of their pairwise products."""
-    line, w = space.quad_lines[axis].ravel(), space.quad_line_weights[axis].ravel()
+    line, w = space.quad_lines[axis], space.quad_line_weights[axis]
     rows = np.zeros((4, len(fld.terms), line.size))
     for i, term in enumerate(fld.terms):
         for o in range(4):
@@ -133,10 +134,9 @@ def _w22_norm(fld, space):
 
 class _Workspace:
     """Every full-size array of one sample at norm exponents ``s`` and
-    ``r``, overwritten by each sample in turn, and the coordinates ``x``
-    the samples are evaluated on: each axis of ``quad_lines`` copied over
-    the full q^3 block of its row of cells, so that every broadcast
-    product of ``Separable.partials`` runs contiguously per cell.
+    ``r``, overwritten by each sample in turn.  Samples are evaluated on
+    the space's ``quad_coords``, whose q^3 blocks make every broadcast
+    product of ``Separable.partials`` run contiguously per cell.
 
     Partials are stacked rows (component, direction, point), directions as
     in ``_DIRECTIONS``.  ``u`` and ``v`` hold the values and gradients of
@@ -150,9 +150,7 @@ class _Workspace:
     def __init__(self, space, s, r):
         n = space.n_cells * space.nq
         self.space = space
-        self.grid = np.broadcast_shapes(*(t.shape for t in space.quad_lines))
-        self.x = tuple(np.ascontiguousarray(np.broadcast_to(t, t.shape[:3] + self.grid[3:]))
-                       for t in space.quad_lines)
+        self.grid = np.broadcast_shapes(*(t.shape for t in space.quad_coords))
         self.u = np.empty((3, 4, n))
         self.v = np.empty((3, 4, n))
         self.second = np.empty((2 if s != 2 else int(r != 2), 6, n))
@@ -160,7 +158,8 @@ class _Workspace:
 
     def evaluate(self, fld, rows, directions):
         """The partials of ``fld`` along ``directions`` into ``rows``."""
-        fld.partials(self.x, directions, out=rows.reshape(rows.shape[:2] + self.grid, copy=False))
+        fld.partials(self.space.quad_coords, directions,
+                     out=rows.reshape(rows.shape[:2] + self.grid, copy=False))
 
     def w2s_norm(self, rows, second, s):
         """Broken W^{2,s} norm of a sample from its value and gradient

@@ -146,18 +146,12 @@ def run_mms(config, out):
     m = config["mms"]
     quad_order = config["solver"]["quad_order"]
     if m["study"] in ("stokes", "heat"):
-        factory = {
-            "trig_smooth": verif.trig_case,
-            "poly_quadratic": verif.poly_case,
-            "trig_incompatible": verif.incompatible_heat_case,
-            "coupled_smooth": verif.coupled_case,
-        }[m["case"]]
         study, coefficient = {
             "stokes": (verif.mms_stokes_study, {"nu": config["material"]["nu"]}),
             "heat": (verif.mms_heat_study, {"lam": config["material"]["lambda"]}),
         }[m["study"]]
-        table = study(factory, dims, base, n_levels=m["levels"], quad_order=quad_order,
-                      **coefficient)
+        table = study(verif.CASES[m["case"]], dims, base, n_levels=m["levels"],
+                      quad_order=quad_order, **coefficient)
         table.to_csv(out / f"mms_{m['study']}.csv")
         payload = {"study": m["study"], "errors": table.errors, "orders": table.orders,
                    "monotone": table.monotone}

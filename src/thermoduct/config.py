@@ -21,6 +21,7 @@ from .material import clamped_boussinesq, constant_density, make_material
 from .mesh import build_channel_mesh
 from .spaces import build_spaces
 from .spectrum import admissible_sr, default_bounds
+from .verification import CASES
 
 __all__ = ["ConfigError", "parse_config", "emit_config", "build_model",
            "build_body_force", "build_problem_parts"]
@@ -115,9 +116,7 @@ SCHEMA = {
     },
     "mms": {
         "study": _Key(str, default="stokes", choices=("stokes", "heat", "coupled")),
-        "case": _Key(str, default="trig_smooth",
-                     choices=("trig_smooth", "poly_quadratic", "trig_incompatible",
-                              "coupled_smooth")),
+        "case": _Key(str, default="trig_smooth", choices=tuple(CASES)),
         "levels": _Key(int, default=3, check=lambda v: 1 <= v <= 6, hint="in [1, 6]"),
     },
     "run": {

@@ -2,24 +2,23 @@
 
 A field is a callable of ``x``, three broadcastable coordinate arrays
 (``X, Y, Z = x``), that stacks vector components on the last axis.
-``forms.quad_values`` calls it once per cell block on the per-axis
-quadrature coordinates (``DiscreteSpace.quad_lines``, z cut to the block);
-a point array ``(n, 3)`` is passed as ``points.T``.  Elementwise
+``forms.quad_values`` calls it once per cell block on the space's
+quadrature coordinates (``DiscreteSpace.quad_coords``, z cut to the
+block); a point array ``(n, 3)`` is passed as ``points.T``.  Elementwise
 operations give every point the bits of a pointwise evaluation.  A
-constant passes through ``quad_values`` as a float array.  ``Field`` adds
-the optional gradient and Laplacian that the manufactured-solution oracles
-need; no solver path reads them.
+constant passes through ``quad_values`` as a float array.
 
-``Separable`` is the one closed-form field with exact derivatives: a sum
-of products of 1-D factors (``factor_table``: 1, sin, cos, sin² and a
-quadratic bubble) and, per component, one partial derivative of that sum,
-such as the curl of a stream potential (``CURL``).  The manufactured
-cases of ``verification`` and the random samples of ``certificates`` are
-both built from it and both evaluated by its one method ``partials``,
-which writes stacked rows (component, direction, *grid); ``value``,
-``grad`` and ``laplacian`` are views over them.  Its values accept
-complex coordinates, so that ``verification`` cross-checks every
-derivative by complex-step differentiation.
+``Separable`` is the one closed-form field: a sum of products of 1-D
+factors (``factor_table``: 1, sin, cos, sin², a quadratic bubble and a
+ramp) and, per component, one partial derivative of that sum, such as the
+curl of a stream potential (``CURL``).  The wall temperatures of
+``constant_scalar`` and ``span_scalar``, the manufactured cases of
+``verification`` and the random samples of ``certificates`` are all built
+from it and all evaluated by its one method ``partials``, which writes
+stacked rows (component, direction, *grid); calling it, ``value``,
+``grad`` and ``laplacian`` are views over them.  Its values accept complex
+coordinates, so that ``verification`` cross-checks every derivative by
+complex-step differentiation.
 """
 
 import functools
@@ -28,18 +27,17 @@ import numpy as np
 
 __all__ = [
     "CURL",
-    "Field",
     "Separable",
     "constant_scalar",
     "factor_table",
     "span_scalar",
-    "zeros",
 ]
 
 _SIN = (np.sin, np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u))
 _COS = (np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u), np.sin)
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _LAPLACIAN = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+_ONE = ("one", 0.0)
 
 # curl(psi e_axis), per axis: (derivative orders of psi, sign) per
 # component, None for the zero component
@@ -54,11 +52,15 @@ def factor_table(kind, k, t, o):
     """d^o/dt^o of one 1-D factor on the coordinates t; None when it
     vanishes identically.
 
-    Kinds: "one" (1), "sin" and "cos" (of k t), "sin2" (sin²(k t)) and
-    "bubble" (t (k - t), zero at t = 0 and t = k).
+    Kinds: "one" (1), "sin" and "cos" (of k t), "sin2" (sin²(k t)),
+    "bubble" (t (k - t), zero at t = 0 and t = k) and "ramp" (t / k).
     """
     if kind == "one":
         return np.ones_like(t) if o == 0 else None
+    if kind == "ramp":
+        if o == 0:
+            return t / k
+        return np.full_like(t, 1.0 / k) if o == 1 else None
     if kind == "bubble":
         if o == 0:
             return t * (k - t)
@@ -74,32 +76,24 @@ def factor_table(kind, k, t, o):
     return k**o * cycle[o](k * t)
 
 
-class Field:
-    """Scalar or vector field; a vector grad(x) has index order [..., component, direction]."""
-
-    def __init__(self, value, grad=None, laplacian=None):
-        self.value = value
-        self.grad = grad
-        self.laplacian = laplacian
-
-    def __call__(self, x):
-        return self.value(x)
-
-
-class Separable(Field):
+class Separable:
     """Sum of products amp f(x) g(y) h(z) of ``factor_table`` factors, and
     per component one partial derivative of that sum, scaled.
 
     ``terms`` holds (amp, fx, fy, fz), each factor a (kind, k) pair.
     ``comps`` holds, per component, the derivative orders of the sum and a
     scale, or None for an identically zero component; one component is a
-    scalar field.  ``partials`` is the one evaluator; ``value``, ``grad``
-    and ``laplacian`` are views over its rows with the component axis last
-    (none for a scalar).
+    scalar field.  ``partials`` is the one evaluator; ``value`` (also the
+    call), ``grad`` and ``laplacian`` are views over its rows with the
+    component axis last (none for a scalar); a vector's ``grad`` has index
+    order [..., component, direction].
     """
 
     def __init__(self, terms, comps=(((0, 0, 0), 1.0),)):
         self.terms, self.comps = terms, comps
+
+    def __call__(self, x):
+        return self.value(x)
 
     def value(self, x):
         return self._last(self.partials(x, ((0, 0, 0),))[:, 0], 1)
@@ -163,16 +157,8 @@ class Separable(Field):
         return out
 
 
-def zeros(x, *components):
-    """Zeros on the broadcast shape of the coordinates ``x``, with trailing
-    ``components`` axes, in the coordinates' dtype."""
-    grid = np.broadcast_shapes(*(np.shape(c) for c in x))
-    return np.zeros(grid + components, dtype=np.result_type(*x))
-
-
 def constant_scalar(c):
-    one = ("one", 0.0)
-    return Separable([(float(c), one, one, one)])
+    return Separable([(float(c), _ONE, _ONE, _ONE)])
 
 
 def span_scalar(axis, theta0, delta, length):
@@ -182,15 +168,6 @@ def span_scalar(axis, theta0, delta, length):
     axis in {1, 2}, so it doubles as boundary data whose lifting carries a
     plain volumetric load.
     """
-    axis = int(axis)
-    theta0, delta, length = float(theta0), float(delta), float(length)
-
-    def value(x):
-        return theta0 + delta * x[axis] / length
-
-    def grad(x):
-        g = zeros(x, 3)
-        g[..., axis] = delta / length
-        return g
-
-    return Field(value=value, grad=grad, laplacian=zeros)
+    factors = [_ONE] * 3
+    factors[int(axis)] = ("ramp", float(length))
+    return Separable([(float(theta0), _ONE, _ONE, _ONE), (float(delta), *factors)])

@@ -19,8 +19,9 @@ explicit load vectors with every argument frozen, mirroring the
 linearized solve structure of the fixed-point scheme.  Problem data (a
 ``fields`` callable, a constant, or values already tabulated) become
 quadrature values in one place, ``quad_values``: a callable is tabulated
-on the per-axis quadrature coordinates of a cell block
-(``DiscreteSpace.quad_lines``) and broadcast, not evaluated at points.
+on the per-axis quadrature coordinates that the space lays out in cell
+blocks (``DiscreteSpace.quad_coords``), cut to a block's z layers and
+broadcast, not evaluated at a list of points.
 
 Norms: the H1 norm, and the Ls and W2s norms at exponent s = 2, are sums
 of squares of Kronecker applies of 1-D factors
@@ -175,21 +176,22 @@ def quad_values(space, data, cells=slice(None)):
     """Problem data at the quadrature points of ``cells``, whole z layers.
 
     A callable (the ``fields`` convention) is evaluated once on the
-    quadrature lines of those layers, broadcast to their grid and returned
-    as (cells, nq, ...); a ``cells`` slice that is not whole z layers
-    raises ValueError.  Values already tabulated, (n_cells, nq, ...), are
-    sliced to ``cells``; other arrays of two or more axes raise ValueError.
-    A constant is returned as it is, a float array.
+    quadrature coordinates of those layers (``DiscreteSpace.quad_coords``),
+    broadcast to their grid and returned as (cells, nq, ...); a ``cells``
+    slice that is not whole z layers raises ValueError.  Values already
+    tabulated, (n_cells, nq, ...), are sliced to ``cells``; other arrays of
+    two or more axes raise ValueError.  A constant is returned as it is, a
+    float array.
     """
     if callable(data):
-        x, y, z = space.quad_lines
+        x, y, z = space.quad_coords
         layer = space.n_cells // len(z)
         first, stop, step = cells.indices(space.n_cells)
         if step != 1 or first % layer or stop % layer:
             raise ValueError(f"cells {cells} are not whole z layers of {layer} cells")
-        lines = (x, y, z[first // layer:stop // layer])
-        grid = np.broadcast_shapes(*(line.shape for line in lines))
-        vals = np.asarray(data(lines), dtype=float)
+        coords = (x, y, z[first // layer:stop // layer])
+        grid = np.broadcast_shapes(*(c.shape for c in coords))
+        vals = np.asarray(data(coords), dtype=float)
         comps = vals.shape[len(grid):]
         return np.broadcast_to(vals, grid + comps).reshape(-1, space.nq, *comps)
     vals = np.asarray(data, dtype=float)

@@ -39,7 +39,7 @@ import numpy as np
 from .forms import _kron3
 
 _RESIDUAL_TOL = 1e-10  # relative residual a saddle solve must reach on the handed K
-_SCHUR_TOL = 1e-13     # relative residual of the pressure Schur CG
+_CG_TOL = 1e-13        # relative residual at which every CG (Schur and heat) stops
 
 __all__ = [
     "LinearSolveError",
@@ -68,16 +68,16 @@ def _check_finite(rhs):
         )
 
 
-def solve_spd(apply, rhs, precond, tol=1e-13, max_iter=None):
+def solve_spd(apply, rhs, precond, max_iter=None):
     """Preconditioned CG for symmetric positive definite systems.
 
     ``apply`` is a function applying the operator A, ``precond`` a function
     applying a symmetric positive definite approximation of its inverse.
-    Stops at ||A x - rhs|| <= tol * ||rhs||.  Raises LinearSolveError on a
-    non-finite right-hand side before iterating, and with the residual
-    history on iteration exhaustion; a direction of nonpositive curvature
-    reveals a matrix that is not positive definite and raises
-    SingularMatrixError.
+    Stops at ||A x - rhs|| <= 1e-13 ||rhs|| (``_CG_TOL``).  Raises
+    LinearSolveError on a non-finite right-hand side before iterating, and
+    with the residual history on iteration exhaustion; a direction of
+    nonpositive curvature reveals a matrix that is not positive definite
+    and raises SingularMatrixError.
     """
     rhs = np.asarray(rhs, dtype=float)
     _check_finite(rhs)
@@ -106,14 +106,14 @@ def solve_spd(apply, rhs, precond, tol=1e-13, max_iter=None):
         r -= alpha * Ap
         rn = np.linalg.norm(r)
         history.append(rn)
-        if rn <= tol * nb:
+        if rn <= _CG_TOL * nb:
             return x
         z = precond(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise LinearSolveError(
-        f"CG did not reach tol={tol:g} within {max_iter} iterations "
+        f"CG did not reach tol={_CG_TOL:g} within {max_iter} iterations "
         f"(last residual {history[-1] / nb:.3e} relative)",
         residual_history=history,
     )
@@ -163,8 +163,8 @@ class WallCG:
     against the ``kappa`` it is handed (``forms.assemble_kappa``, or any
     operator with ``@`` and ``shape``), so a ``kappa`` that is not a
     multiple of ``S`` on ``space`` takes more iterations, or fails, rather
-    than returning a wrong solution.  It stops at ``solve_spd``'s default
-    relative tolerance, 1e-13.
+    than returning a wrong solution.  It stops at ``solve_spd``'s relative
+    tolerance, 1e-13.
     """
 
     def __init__(self, kappa, space):
@@ -219,14 +219,14 @@ class SaddleFactorization:
     With ``A⁻¹`` exact, the Schur complement ``S = Σ_d D_d A⁻¹ D_dᵀ`` is
     solved by CG preconditioned with the inverse of the Q1 pressure mass,
     the Kronecker product ``lu`` (``_MassInverse``) of the three 1-D
-    inverses; ``max_iter`` caps that CG.  ``C`` stacks ``D_d V`` per axis:
+    inverses, to ``solve_spd``'s relative tolerance and within its default
+    iteration budget.  ``C`` stacks ``D_d V`` per axis:
     ``C[a][d]`` is axis a's factor of direction d.
     """
 
-    def __init__(self, K, space, nu, max_iter=None):
+    def __init__(self, K, space, nu):
         self.K = K
         self.space = space
-        self.max_iter = max_iter
         axes = space.axis_matrices
         self.inverse = _TensorInverse(axes, space.free_lines, nu)
         # D_d V on each axis a: the derivative if a == d, the value elsewhere
@@ -273,7 +273,7 @@ class SaddleFactorization:
         Af = inverse.inv_lam * inverse.to_eigen(
             rhs[space.free_u].reshape(3, *inverse.inv_lam.shape))
         b = -rhs[space.n_velocity:] - self._divergence(Af).ravel()
-        P = solve_spd(self._schur, b, self.lu.solve, tol=_SCHUR_TOL, max_iter=self.max_iter)
+        P = solve_spd(self._schur, b, self.lu.solve)
         u[space.free_u] = inverse.from_eigen(Af + inverse.inv_lam * self._gradient(P)).ravel()
         nb = np.linalg.norm(rhs[self.rows])
         res = np.linalg.norm((self.K @ np.concatenate([u, P]) - rhs)[self.rows])

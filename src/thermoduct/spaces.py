@@ -12,8 +12,9 @@ so is everything here: each id is a ``mesh.lattice`` sum of per-axis
 indices, and each table (basis values and derivatives, weights, the
 open-end basis) is the broadcast product of 1-D tables tabulated once at
 the 1-D Gauss nodes.  The quadrature points are the broadcast of their
-per-axis coordinates ``quad_lines``, which is never formed: closed-form
-data are tabulated on the lines, cut to a cell block's z layers
+per-axis coordinates, which is never formed: each axis's coordinates are
+built once, in cell blocks (``quad_coords``), and every closed-form datum
+is tabulated on them, cut to a cell block's z layers
 (``forms.quad_values``).  This module is the one that knows their layout.
 The 1-D operator matrices (``axis_matrices``) are built once, on first use.
 """
@@ -97,11 +98,15 @@ class DiscreteSpace:
     - reference basis tables ``N2``, ``dN2``, ``d2N2``, ``N1`` at the
       ``nq`` volume quadrature points of a cell, point index z fastest,
       with weights ``wq``,
-    - ``quad_lines``: the x, y and z quadrature coordinates, shaped to
-      broadcast to the quadrature grid (cells_z, cells_y, cells_x, q_x,
-      q_y, q_z); flattened, that grid is (n_cells, nq) in cell order;
-      ``quad_line_weights``: the 1-D weights along each line, shaped like
-      it, whose product is ``wq`` up to rounding,
+    - ``quad_coords``: the x, y and z quadrature coordinates in cell
+      blocks: each axis's Gauss coordinates copied over the q³ block of
+      its row of cells, shaped to broadcast to the quadrature grid
+      (cells_z, cells_y, cells_x, q_x, q_y, q_z), which flattened is
+      (n_cells, nq) in cell order; every closed-form datum is tabulated on
+      them (``forms.quad_values``, the certificate sampler),
+    - ``quad_lines``: the 1-D x, y and z quadrature coordinates, cell by
+      cell along each axis; ``quad_line_weights``: the 1-D weights along
+      each line, whose tensor product is ``wq`` up to rounding,
     - per open end (``faces["x0"]``, ``faces["x1"]``): facet connectivity
       ``conn`` and its velocity dof ids ``conn_u``, surface quadrature
       tables and the outward normal,
@@ -197,13 +202,14 @@ class DiscreteSpace:
         ], axis=-2)
         self.N1 = _tensor(*[_q1_1d(g)] * 3)
 
-        self.quad_lines = tuple(
-            _on_axis(np.arange(n)[:, None] * h[a] + g * h[a], a, 3)
-            for a, n in enumerate(self.mesh.divisions)
-        )
-        self.quad_line_weights = tuple(
-            _on_axis(np.broadcast_to(w * h[a], (n, g.size)), a, 3)
-            for a, n in enumerate(self.mesh.divisions)
+        # per axis, the (cells, q) Gauss coordinates of each cell along it
+        cells = [np.arange(n)[:, None] * h[a] + g * h[a] for a, n in enumerate(self.mesh.divisions)]
+        self.quad_lines = tuple(c.ravel() for c in cells)
+        self.quad_line_weights = tuple(np.tile(w * h[a], len(c)) for a, c in enumerate(cells))
+        block = (g.size,) * 3
+        self.quad_coords = tuple(
+            np.ascontiguousarray(np.broadcast_to(t, t.shape[:3] + block))
+            for t in (_on_axis(c, a, 3) for a, c in enumerate(cells))
         )
 
         # the tangent axes of an x face are (y, z)

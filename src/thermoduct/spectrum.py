@@ -51,6 +51,15 @@ def mellin_symbol_deriv(z):
     return 2 * z + 1.5 * np.pi * np.sin(np.pi * z)
 
 
+_ROOT_TOL = 1e-12  # residual of a polished root, relative to the size of the symbol's terms
+
+
+def _residual(z):
+    """|f(z)| relative to the size of its terms, |z|² + 4|cos(zπ/2)|² + |sin(zπ/2)|²."""
+    w = complex(z) * (np.pi / 2)
+    return abs(mellin_symbol(z)) / (abs(z) ** 2 + 4 * abs(np.cos(w)) ** 2 + abs(np.sin(w)) ** 2)
+
+
 def _winding_number(re_min, re_max, im_min, im_max):
     """Number of zeros inside the rectangle, by total argument change along
     its sides, 1000 points each.
@@ -97,11 +106,11 @@ def _safe_winding(re_min, re_max, im_min, im_max):
     raise MissedRootError("could not obtain a clean contour around the search box")
 
 
-def _newton_polish(z0, tol):
+def _newton_polish(z0):
     z = complex(z0)
     for _ in range(60):
         fz = mellin_symbol(z)
-        if abs(fz) < tol:
+        if _residual(z) < _ROOT_TOL:
             # one extra step sharpens the residual toward machine precision
             dfz = mellin_symbol_deriv(z)
             if dfz != 0:
@@ -111,7 +120,7 @@ def _newton_polish(z0, tol):
         if dfz == 0:
             break
         z = z - fz / dfz
-    return z if abs(mellin_symbol(z)) < tol else None
+    return z if _residual(z) < _ROOT_TOL else None
 
 
 def _real_axis_seeds(re_min, re_max):
@@ -126,18 +135,17 @@ def _real_axis_seeds(re_min, re_max):
     return seeds
 
 
-def find_roots(re_min, re_max, im_max, tol=1e-12):
+def find_roots(re_min, re_max, im_max):
     """All roots of the symbol in the closed strip by argument-principle search.
 
     Rectangles are bisected until each contains at most one zero, the zero
-    is polished by Newton iteration, and the total polished-root count is
-    checked against the winding-number count of the full box.  A mismatch
-    raises MissedRootError.
+    is polished by Newton iteration until its residual relative to the
+    size of the symbol's terms is below 1e-12, and the total polished-root
+    count is checked against the winding-number count of the full box.  A
+    mismatch raises MissedRootError.
     """
     if not re_min < re_max:
         raise ValueError("re_min must be below re_max")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     max_depth = 40  # box bisections before a zero count is declared unresolved
     total = _safe_winding(re_min, re_max, -im_max, im_max)
     if total == 0:
@@ -154,7 +162,7 @@ def find_roots(re_min, re_max, im_max, tol=1e-12):
     # the symbol has real coefficients, so real roots are found first by a
     # sign scan and any complex ones by box subdivision below
     for seed in _real_axis_seeds(re_min, re_max):
-        z = _newton_polish(seed, tol)
+        z = _newton_polish(seed)
         if z is not None and re_min - 1e-9 <= z.real <= re_max + 1e-9:
             if abs(z.imag) < 1e-12:
                 accept(complex(z.real, 0.0))
@@ -172,7 +180,7 @@ def find_roots(re_min, re_max, im_max, tol=1e-12):
         if n_known(box) >= count:
             continue
         if count == 1 or depth >= max_depth or max(b - a, d - c) < 1e-6:
-            z = _newton_polish(complex(0.5 * (a + b), 0.5 * (c + d)), tol)
+            z = _newton_polish(complex(0.5 * (a + b), 0.5 * (c + d)))
             if z is not None and in_box(z, *box, pad=1e-6):
                 accept(z)
                 if n_known(box) >= count:
@@ -207,7 +215,7 @@ def find_roots(re_min, re_max, im_max, tol=1e-12):
         raise MissedRootError(
             f"winding count {total} but {len(roots)} polished roots in the strip"
         )
-    bad = [z for z in roots if abs(mellin_symbol(z)) >= tol]
+    bad = [z for z in roots if _residual(z) >= _ROOT_TOL]
     if bad:
         raise MissedRootError(f"roots above residual tolerance: {bad}")
     return roots

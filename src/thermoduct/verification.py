@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import forms
-from .fields import CURL, Field, Separable, constant_scalar
+from .fields import CURL, Separable, constant_scalar
 from .fixed_point import CoupledProblem, outer_loop
 from .linsolve import SaddleFactorization
 from .material import constant_density, make_material
@@ -25,6 +25,7 @@ from .mesh import build_channel_mesh
 from .spaces import build_spaces
 
 __all__ = [
+    "CASES",
     "ManufacturedCase",
     "trig_case",
     "poly_case",
@@ -41,9 +42,9 @@ __all__ = [
 @dataclass
 class ManufacturedCase:
     name: str
-    u: Field
-    p: Field
-    theta: Field
+    u: Separable
+    p: Separable
+    theta: Separable
     nu: float
     compatible_heat_flux: bool = True
 
@@ -106,6 +107,15 @@ def coupled_case(dims, nu=1.0):
     """Small-amplitude (0.05) smooth case for the full nonlinear pipeline."""
     return replace(trig_case(dims, nu=nu, amplitude=0.05), name="coupled_smooth",
                    theta=_compatible_theta(dims, 0.1))
+
+
+# each case's factory ``(dims, nu)`` by its name, the ``[mms] case`` choices
+CASES = {
+    "trig_smooth": trig_case,
+    "poly_quadratic": poly_case,
+    "trig_incompatible": incompatible_heat_case,
+    "coupled_smooth": coupled_case,
+}
 
 
 # -- induced forcings ---------------------------------------------------------
@@ -285,7 +295,7 @@ def _squared_error(space, evaluate, dofs, exact):
 
 
 def _error_norms(space, dofs, exact):
-    """L2 and H1 errors of a velocity or scalar dof vector against a Field."""
+    """L2 and H1 errors of a velocity or scalar dof vector against a closed-form field."""
     if dofs.size == space.n_velocity:
         value, grad = forms.eval_velocity, forms.eval_velocity_grad
     else:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from thermoduct import build_channel_mesh, build_spaces
-from thermoduct.fields import Field, constant_scalar, zeros
+from oracles import Field, zeros
+from thermoduct.fields import constant_scalar
 from thermoduct.fixed_point import CoupledProblem
 from thermoduct.material import (
     clamped_boussinesq,

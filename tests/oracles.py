@@ -11,8 +11,15 @@ not bit for bit.  Tests that read matrix entries (slices, ``toarray``,
 ``nnz``) use these.
 
 The runtime never forms the list of quadrature points either: closed-form
-data are tabulated on ``DiscreteSpace.quad_lines``.  ``quad_points`` is
-their broadcast, the point list a pointwise evaluation is checked at.
+data are tabulated on the cell-block coordinates
+``DiscreteSpace.quad_coords``.  ``quad_points`` is their broadcast, the
+point list a pointwise evaluation is checked at.
+
+Nor does it describe a field by hand: every closed-form datum is a
+``fields.Separable`` with exact derivatives.  ``Field`` wraps hand-written
+callables instead, for the data that tests need and no ``Separable``
+gives (wrong derivatives, non-finite values, counted calls), and
+``zeros`` is the array such a callable fills.
 
 Nor does it derive the junction edges, where a wall facet meets an
 open-end facet, or measure the boundary: the box is axis-aligned, so the
@@ -30,9 +37,29 @@ from thermoduct.mesh import FacetTag
 
 
 def quad_points(space):
-    """The (n_cells, nq, 3) quadrature points, the broadcast of ``quad_lines``."""
-    return np.stack(np.broadcast_arrays(*space.quad_lines), axis=-1).reshape(
+    """The (n_cells, nq, 3) quadrature points, the broadcast of ``quad_coords``."""
+    return np.stack(np.broadcast_arrays(*space.quad_coords), axis=-1).reshape(
         space.n_cells, space.nq, 3)
+
+
+class Field:
+    """Scalar or vector field from callables of ``x`` (the ``fields``
+    convention); a vector grad(x) has index order [..., component, direction]."""
+
+    def __init__(self, value, grad=None, laplacian=None):
+        self.value = value
+        self.grad = grad
+        self.laplacian = laplacian
+
+    def __call__(self, x):
+        return self.value(x)
+
+
+def zeros(x, *components):
+    """Zeros on the broadcast shape of the coordinates ``x``, with trailing
+    ``components`` axes, in the coordinates' dtype."""
+    grid = np.broadcast_shapes(*(np.shape(c) for c in x))
+    return np.zeros(grid + components, dtype=np.result_type(*x))
 
 
 def quadrature_norm(space, fld, order):

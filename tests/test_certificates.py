@@ -26,12 +26,13 @@ from thermoduct.certificates import (
     _w22_norm,
 )
 from thermoduct.config import build_problem_parts, parse_config
-from thermoduct.fields import CURL, Field, Separable, constant_scalar, span_scalar
+from thermoduct.fields import CURL, Separable, constant_scalar, span_scalar
 from thermoduct.fixed_point import CoupledProblem, State, outer_loop
 from thermoduct.material import clamped_boussinesq, make_material
 from thermoduct.spectrum import admissible_sr
 from conftest import heat_problem
 import oracles
+from oracles import Field
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -164,7 +165,8 @@ ORDERS = [(ox, oy, oz) for ox in range(4) for oy in range(4) for oz in range(4)]
 
 def sampled(ws, fld, directions):
     """``fld.partials`` on the sampler's coordinates, (component, direction, point)."""
-    return fld.partials(ws.x, directions).reshape(len(fld.comps), len(directions), -1)
+    return fld.partials(ws.space.quad_coords, directions).reshape(
+        len(fld.comps), len(directions), -1)
 
 
 def nonzero(fld):
@@ -269,6 +271,21 @@ def test_w2s_density_matches_array_formula(aniso_space, s):
     dens = (np.sum(value**2, axis=1) + np.sum(grad**2, axis=(1, 2)) + hess_sq) ** (s / 2.0)
     expected = np.einsum("q,cq->", space.wq, dens.reshape(space.n_cells, space.nq)) ** (1.0 / s)
     assert ws.w2s_norm(ws.u, second, s) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("which", ["aniso", "channel"])
+def test_sampler_rows_are_quad_values(which, aniso_space, small_space):
+    # the sampler and forms.quad_values tabulate on the one coordinate
+    # layout of the space, so a draw's value rows are its quadrature values
+    space = {"aniso": aniso_space, "channel": small_space}[which]
+    ws = _Workspace(space, 2.0, 2.0)
+    rng = np.random.default_rng(29)
+    for i in range(20):
+        velocity, scalar = _draw_velocity(space, rng), _draw_scalar(space, rng, bool(i % 2))
+        ws.evaluate(velocity, ws.u, _DIRECTIONS[:4])
+        ws.evaluate(scalar, ws.v[:1], _DIRECTIONS[:4])
+        assert np.array_equal(forms.quad_values(space, velocity).reshape(-1, 3).T, ws.u[:, 0])
+        assert np.array_equal(forms.quad_values(space, scalar).ravel(), ws.v[0, 0])
 
 
 @pytest.mark.parametrize("which", ["aniso", "channel"])

@@ -167,10 +167,14 @@ def test_quad_points_and_lines_match_cell_origins(space):
     nx, ny, nz = space.mesh.divisions
     q = space.quad_order
     grid = points.reshape(nz, ny, nx, q, q, q, 3)
-    shapes = [(1, 1, nx, q, 1, 1), (1, ny, 1, 1, q, 1), (nz, 1, 1, 1, 1, q)]
-    for axis, line in enumerate(space.quad_lines):
-        assert line.shape == shapes[axis]
-        assert np.array_equal(np.broadcast_to(line, grid.shape[:-1]), grid[..., axis])
+    shapes = [(1, 1, nx, q, q, q), (1, ny, 1, q, q, q), (nz, 1, 1, q, q, q)]
+    for axis, coords in enumerate(space.quad_coords):
+        assert coords.shape == shapes[axis] and coords.flags.c_contiguous
+        assert np.array_equal(np.broadcast_to(coords, grid.shape[:-1]), grid[..., axis])
+    # the 1-D lines: each axis's coordinates cell by cell along it
+    lines = (grid[0, 0, :, :, 0, 0, 0], grid[0, :, 0, 0, :, 0, 1], grid[:, 0, 0, 0, 0, :, 2])
+    for line, ref in zip(space.quad_lines, lines):
+        assert np.array_equal(line, ref.ravel())
 
 
 def test_axis_matrices_are_kronecker_factors(space):

@@ -7,7 +7,8 @@ import pytest
 import oracles
 from thermoduct import build_channel_mesh, build_spaces, forms
 from thermoduct import verification as v
-from thermoduct.fields import Field, constant_scalar, span_scalar
+from oracles import Field
+from thermoduct.fields import constant_scalar, span_scalar
 from thermoduct.fixed_point import DivergenceError
 from thermoduct.material import clamped_boussinesq, make_material
 
@@ -240,6 +241,27 @@ def test_tabulation_on_lines_matches_pointwise_bitwise(dims_space):
         assert np.array_equal(forms.quad_values(space, fn), pointwise), name
         for cells in forms.cell_blocks(space):
             assert np.array_equal(forms.quad_values(space, fn, cells), pointwise[cells]), name
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_span_scalar_is_the_affine_profile(dims_space, axis):
+    # theta0 + delta * x_axis / length, from the two-term separable field:
+    # bit for bit at length 1, where delta * (x / L) is delta * x / L, and
+    # to 1 ulp otherwise; its gradient delta * (1 / L) and Laplacian 0
+    dims, space = dims_space
+    theta0, delta, length = 1.0, 0.3, dims[axis]
+    fld = span_scalar(axis, theta0, delta, length)
+    for x in (oracles.quad_points(space).reshape(-1, 3).T, space.q2_nodes.T):
+        want = theta0 + delta * x[axis] / length
+        got = fld(x)
+        if length == 1.0:
+            assert np.array_equal(got, want)
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+        slope = np.zeros((x.shape[1], 3))
+        slope[:, axis] = delta * (1.0 / length)
+        assert np.array_equal(fld.grad(x), slope)
+        assert abs(slope[0, axis] - delta / length) <= np.spacing(delta / length)
+        assert np.array_equal(fld.laplacian(x), np.zeros(x.shape[1]))
 
 
 def test_blocked_loads_and_norms_match_one_block(monkeypatch):
