@@ -18,10 +18,10 @@ for tag in FacetTag:
     faces = sorted({FACE_NAMES[f] for f in mesh.facet_faces[mesh.facet_tags == tag]})
     print(f"  {tag.name}: {(mesh.facet_tags == tag).sum()} facets on faces {', '.join(faces)}")
 
-space = build_spaces(mesh, quad_order=5)
+space = build_spaces(mesh)
 print(f"  velocity dofs {space.n_velocity}, pressure dofs {space.n_pressure}, "
       f"temperature dofs {space.n_scalar}")
-print(f"  wall-constrained velocity dofs: {len(space.dirichlet_mask_u)}")
+print(f"  wall-constrained velocity dofs: {space.n_velocity - len(space.free_u)}")
 
 write_mesh_vtk(mesh, "channel.vtk")
 write_boundary_vtk(mesh, "channel_boundary.vtk")

@@ -38,10 +38,6 @@ EXIT_DIVERGED = 3
 EXIT_CERTIFICATE = 4
 EXIT_INTERNAL = 5
 
-# the [solver] keys of the Picard loop, passed on by every command that runs it
-_SOLVER_KEYS = ("outer_tol", "max_outer", "inner_tol", "max_inner")
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -83,7 +79,7 @@ def _load(args):
 def _solve(config, out):
     """The coupled solve of ``config``; writes ``trace.csv`` and ``solution.vtk``."""
     problem = CoupledProblem(*build_problem_parts(config))
-    state, records = outer_loop(problem, **{k: config["solver"][k] for k in _SOLVER_KEYS})
+    state, records = outer_loop(problem, **config["solver"])
     write_trace_csv(records, out / "trace.csv")
     write_state_vtk(problem.space, state, out / "solution.vtk")
     return problem, state, records
@@ -144,14 +140,12 @@ def run_mms(config, out):
     dims = (geo["Lx"], geo["Ly"], geo["Lz"])
     base = (geo["nx"], geo["ny"], geo["nz"])
     m = config["mms"]
-    quad_order = config["solver"]["quad_order"]
     if m["study"] in ("stokes", "heat"):
         study, coefficient = {
             "stokes": (verif.mms_stokes_study, {"nu": config["material"]["nu"]}),
             "heat": (verif.mms_heat_study, {"lam": config["material"]["lambda"]}),
         }[m["study"]]
-        table = study(verif.CASES[m["case"]], dims, base, n_levels=m["levels"],
-                      quad_order=quad_order, **coefficient)
+        table = study(verif.CASES[m["case"]], dims, base, n_levels=m["levels"], **coefficient)
         table.to_csv(out / f"mms_{m['study']}.csv")
         payload = {"study": m["study"], "errors": table.errors, "orders": table.orders,
                    "monotone": table.monotone}
@@ -160,7 +154,7 @@ def run_mms(config, out):
         model = build_model(config)
         report = verif.coupled_mms(
             verif.coupled_case(dims, nu=model.nu), dims, base, model, build_body_force(config),
-            quad_order=quad_order, **{k: config["solver"][k] for k in _SOLVER_KEYS},
+            **config["solver"],
         )
         payload = {
             "study": "coupled",

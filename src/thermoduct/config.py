@@ -100,7 +100,6 @@ SCHEMA = {
         "inner_tol": _Key(float, default=1e-12, check=_positive, hint="> 0"),
         "max_outer": _Key(int, default=30, check=_at_least_one, hint=">= 1"),
         "max_inner": _Key(int, default=50, check=_at_least_one, hint=">= 1"),
-        "quad_order": _Key(int, default=5, check=lambda v: v >= 3, hint=">= 3"),
     },
     "certificates": {
         "samples": _Key(int, default=200, check=lambda v: v >= 100, hint=">= 100"),
@@ -314,7 +313,7 @@ def build_problem_parts(config):
     mesh = build_channel_mesh(
         geo["Lx"], geo["Ly"], geo["Lz"], geo["nx"], geo["ny"], geo["nz"]
     )
-    space = build_spaces(mesh, quad_order=config["solver"]["quad_order"])
+    space = build_spaces(mesh)
     bc = config["temperature_bc"]
     if bc["field"] == "constant":
         theta_D = constant_scalar(bc["theta0"])

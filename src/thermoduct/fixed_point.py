@@ -108,12 +108,12 @@ class CoupledProblem:
     ``saddle``, built on first use: a heat-only problem never builds it.
 
     The data are frozen for the whole iteration, so none is evaluated per
-    step.  ``g`` (a constant 3-vector or a field) is stored as quadrature
-    values (``forms.quad_values``); ``theta_D``, a field lifting of the
-    wall temperature, is interpolated onto the temperature space; the
-    optional forcings ``f_extra`` (momentum) and ``h_extra`` (heat) are
-    kept as their load vectors, which the ``forms`` loads tabulate block
-    by block, and ``f_extra`` also as given, which
+    step.  ``g``, the body force, is a constant 3-vector, stored as a (3,)
+    array; anything else raises ValueError naming g.  ``theta_D``, a field
+    lifting of the wall temperature, is interpolated onto the temperature
+    space; the optional forcings ``f_extra`` (momentum) and ``h_extra``
+    (heat) are kept as their load vectors, which the ``forms`` loads
+    tabulate block by block, and ``f_extra`` also as given, which
     ``certificates.state_norms`` tabulates block by block into a state's
     momentum source.  Data whose values or loads are not finite raise
     ValueError naming the datum.
@@ -122,7 +122,7 @@ class CoupledProblem:
     def __init__(self, space, model, g, theta_D, f_extra=None, h_extra=None):
         self.space = space
         self.model = model
-        self.g = _finite("g", forms.quad_values(space, g))
+        self.g = _body_force(g)
 
         self.kappa = forms.assemble_kappa(space, model)
         self.heat = WallCG(self.kappa, space)
@@ -152,6 +152,18 @@ def _finite(name, values, what="values"):
     if bad:
         raise ValueError(f"{name} is not finite at {bad} of {values.size} {what}")
     return values
+
+
+def _body_force(g):
+    """``g`` as a finite (3,) array; ValueError naming g for anything else."""
+    try:
+        vec = np.asarray(g, dtype=float)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.shape != (3,):
+        got = type(g).__name__ if vec is None else f"shape {vec.shape}"
+        raise ValueError(f"g must be a constant 3-vector, got {got}")
+    return _finite("g", vec)
 
 
 def _forcing_load(name, load, space, fld, n):

@@ -16,12 +16,13 @@ enters only as a load.
 
 Loads: convective, dissipative and buoyancy terms are assembled as
 explicit load vectors with every argument frozen, mirroring the
-linearized solve structure of the fixed-point scheme.  Problem data (a
-``fields`` callable, a constant, or values already tabulated) become
-quadrature values in one place, ``quad_values``: a callable is tabulated
-on the per-axis quadrature coordinates that the space lays out in cell
-blocks (``DiscreteSpace.quad_coords``), cut to a block's z layers and
-broadcast, not evaluated at a list of points.
+linearized solve structure of the fixed-point scheme.  The body force
+is a constant 3-vector and multiplies rho(theta) as it is.  The other
+problem data (a ``fields`` callable, a constant, or values already
+tabulated) become quadrature values in one place, ``quad_values``: a
+callable is tabulated on the per-axis quadrature coordinates that the
+space lays out in cell blocks (``DiscreteSpace.quad_coords``), cut to a
+block's z layers and broadcast, not evaluated at a list of points.
 
 Norms: the H1 norm, and the Ls and W2s norms at exponent s = 2, are sums
 of squares of Kronecker applies of 1-D factors
@@ -78,7 +79,6 @@ __all__ = [
     "eval_velocity",
     "eval_velocity_grad",
     "eval_pressure",
-    "outflow_boundary_term",
     "surface_velocity_normal",
 ]
 
@@ -355,13 +355,14 @@ def assemble_d_load(space, model, theta_freeze, u, theta_transport):
 
 
 def buoyancy_value(space, model, theta, g, cells=slice(None)):
-    """rho(theta) g at quadrature points; g is any data ``quad_values`` takes."""
+    """rho(theta) g at the quadrature points of ``cells``, (cells, nq, 3), for
+    a constant body force g, a 3-vector."""
     rho = model.rho_law(eval_scalar(space, theta, cells))
-    return rho[:, :, None] * quad_values(space, g, cells)
+    return rho[:, :, None] * g
 
 
 def assemble_buoyancy(space, model, theta, g):
-    """Buoyancy load: entries (rho(theta) g, v_i)."""
+    """Buoyancy load: entries (rho(theta) g, v_i) for a constant 3-vector g."""
     return _scatter_load(space, lambda cells: buoyancy_value(space, model, theta, g, cells), 3)
 
 
@@ -475,18 +476,3 @@ def surface_velocity_normal(space, u, face_name):
     face = space.faces[face_name]
     un = _contract(u, face["conn_u"], face["basis"]) @ face["normal"]
     return un, face["weights"]
-
-
-def outflow_boundary_term(space, model, u0, v):
-    """(rho0 / 2) * integral over the open ends of (u0 . n) |v|^2.
-
-    For analytically divergence-free u0 with u0 . n = 0 on the walls this
-    equals b(u0, v, v) up to quadrature error.
-    """
-    total = 0.0
-    for name in ("x0", "x1"):
-        face = space.faces[name]
-        un, wts = surface_velocity_normal(space, u0, name)
-        vv = _contract(v, face["conn_u"], face["basis"])
-        total += np.einsum("q,cq->", wts, un * np.sum(vv**2, axis=-1))
-    return 0.5 * model.rho0 * float(total)

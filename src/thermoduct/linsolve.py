@@ -209,7 +209,7 @@ class SaddleFactorization:
     ``K`` is the unconstrained operator on ``space``
     (``forms.assemble_saddle``, a Kronecker apply with ``@`` and ``shape``)
     with ``A`` the viscous block of viscosity ``nu``; the wall velocity dofs
-    (``space.dirichlet_mask_u``) are fixed at zero and the do-nothing ends
+    (those outside ``space.free_u``) are fixed at zero and the do-nothing ends
     fix the pressure level.  The solver is built from the 1-D factors of
     ``space`` and ``nu`` alone; it uses ``K`` only to check each solution's
     residual, so a solve against a ``K`` of another ``nu`` or space raises

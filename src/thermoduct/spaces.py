@@ -82,6 +82,13 @@ class AxisMatrices(NamedTuple):
 class DiscreteSpace:
     """Discrete Taylor-Hood + temperature space on a ChannelMesh.
 
+    ``quad_order`` is the space's volume rule: the tensor Gauss rule of
+    that many points per axis (at least 3, which integrates the quadratic
+    mass terms exactly).  It belongs to the space, not to a run: every run
+    uses the default 5 points per axis, exact to degree 9 in each
+    variable, and no configuration sets it.  Spaces on other rules are
+    built directly, as the tests build 3- and 4-point ones.
+
     Attributes of interest:
 
     - ``n_scalar``: triquadratic scalar dof count (temperature and one
@@ -91,10 +98,10 @@ class DiscreteSpace:
       fastest; ``conn_u``: the (cells, 27, 3) velocity dof ids of each
       cell, component-blocked, whose ``[..., :1]`` is ``conn_q2`` as a
       gather index; ``vertex_to_q2``: the Q2 node of each mesh vertex,
-    - ``dirichlet_mask_theta``/``dirichlet_mask_u``: dofs on the closure
-      of the lateral walls (junction edges included), and their
-      complements ``free_theta``/``free_u``, all ascending; ``free_lines``:
-      the free Q2 grid indices of each axis, whose lattice is ``free_theta``,
+    - ``free_theta``/``free_u``: the dofs off the closure of the lateral
+      walls (junction edges included), ascending; the wall dofs are their
+      complements; ``free_lines``: the free Q2 grid indices of each axis,
+      whose lattice is ``free_theta``,
     - reference basis tables ``N2``, ``dN2``, ``d2N2``, ``N1`` at the
       ``nq`` volume quadrature points of a cell, point index z fastest,
       with weights ``wq``,
@@ -169,14 +176,9 @@ class DiscreteSpace:
         sx, sy, sz = self.q2_shape
         self.free_lines = (np.arange(sx), np.arange(1, sy - 1), np.arange(1, sz - 1))
         strides = np.cumprod((1,) + self.q2_shape[:2])
-        free = lattice(*[(f * s)[None] for f, s in zip(self.free_lines, strides)]).ravel()
-        on_wall = np.ones(self.n_scalar, dtype=bool)
-        on_wall[free] = False
-        self.dirichlet_mask_theta, self.free_theta = np.flatnonzero(on_wall), free
-        self.dirichlet_mask_u, self.free_u = (
-            np.concatenate([m * self.n_scalar + dofs for m in range(3)])
-            for dofs in (self.dirichlet_mask_theta, self.free_theta)
-        )
+        self.free_theta = lattice(
+            *[(f * s)[None] for f, s in zip(self.free_lines, strides)]).ravel()
+        self.free_u = np.concatenate([m * self.n_scalar + self.free_theta for m in range(3)])
 
     def _build_tables(self):
         """Volume and open-end tables, each a product of 1-D tables at the
@@ -288,5 +290,6 @@ class DiscreteSpace:
 
 
 def build_spaces(mesh, quad_order=5):
-    """Construct the Taylor-Hood velocity/pressure pair and temperature space."""
+    """Construct the Taylor-Hood velocity/pressure pair and temperature space
+    on the ``quad_order``-point rule per axis (see ``DiscreteSpace``)."""
     return DiscreteSpace(mesh, quad_order=quad_order)

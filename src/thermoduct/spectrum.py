@@ -154,10 +154,10 @@ def find_roots(re_min, re_max, im_max):
     roots = []
 
     def accept(z):
-        for r in roots:
-            if abs(r - z) < 1e-8:
-                return
-        roots.append(z)
+        # real coefficients: a non-real root comes with its exact conjugate
+        for w in (z, z.conjugate()):
+            if all(abs(r - w) >= 1e-8 for r in roots):
+                roots.append(w)
 
     # the symbol has real coefficients, so real roots are found first by a
     # sign scan and any complex ones by box subdivision below

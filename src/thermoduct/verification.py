@@ -307,7 +307,7 @@ def _error_norms(space, dofs, exact):
     return l2, h1
 
 
-def _study(dims, base_divisions, n_levels, quad_order, level_errors):
+def _study(dims, base_divisions, n_levels, level_errors):
     """Refinement study: ``level_errors(space) -> {name: error}`` on each level.
 
     Level k halves the mesh size of level k - 1; the observed orders are the
@@ -316,7 +316,7 @@ def _study(dims, base_divisions, n_levels, quad_order, level_errors):
     levels, hs, errors = [], [], {}
     for k in range(n_levels):
         divs = tuple(int(d) * 2**k for d in base_divisions)
-        space = build_spaces(build_channel_mesh(*dims, *divs), quad_order=quad_order)
+        space = build_spaces(build_channel_mesh(*dims, *divs))
         levels.append(divs)
         hs.append(float(np.max(space.h)))
         for name, err in level_errors(space).items():
@@ -329,8 +329,7 @@ def _study(dims, base_divisions, n_levels, quad_order, level_errors):
     return ErrorTable(levels=levels, h=hs, errors=errors, orders=orders, monotone=monotone)
 
 
-def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0,
-                     quad_order=5):
+def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0):
     """Convergence of the mixed Stokes solve against a manufactured case.
 
     Each level makes one ``SaddleFactorization`` solve of the forcing's
@@ -355,11 +354,10 @@ def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0,
         p_l2 = float(np.sqrt(np.einsum("q,cq->", space.wq, dp2)))
         return {"u_L2": u_l2, "u_H1": u_h1, "p_L2": p_l2}
 
-    return _study(dims, base_divisions, n_levels, quad_order, level_errors)
+    return _study(dims, base_divisions, n_levels, level_errors)
 
 
-def mms_heat_study(case_factory, dims, base_divisions, n_levels=3, lam=1.0,
-                   quad_order=5):
+def mms_heat_study(case_factory, dims, base_divisions, n_levels=3, lam=1.0):
     """Convergence of the heat solve against a manufactured case: on each
     level, ``heat`` of a ``CoupledProblem`` lifted by the exact temperature
     and forced by the case's heat source (no Stokes operator is built)."""
@@ -374,11 +372,11 @@ def mms_heat_study(case_factory, dims, base_divisions, n_levels=3, lam=1.0,
         l2, h1 = _error_norms(space, theta, case.theta)
         return {"theta_L2": l2, "theta_H1": h1}
 
-    return _study(dims, base_divisions, n_levels, quad_order, level_errors)
+    return _study(dims, base_divisions, n_levels, level_errors)
 
 
 def coupled_mms(case, dims, divisions, model, g, outer_tol=1e-10, max_outer=40,
-                inner_tol=1e-12, max_inner=50, quad_order=5):
+                inner_tol=1e-12, max_inner=50):
     """Full nonlinear pipeline against a manufactured pair.
 
     ``g`` is the constant body force, a 3-vector.  The momentum and heat
@@ -387,7 +385,7 @@ def coupled_mms(case, dims, divisions, model, g, outer_tol=1e-10, max_outer=40,
     """
     validate_case(case, dims)
     mesh = build_channel_mesh(*dims, *divisions)
-    space = build_spaces(mesh, quad_order=quad_order)
+    space = build_spaces(mesh)
     problem = CoupledProblem(
         space,
         model,

@@ -14,18 +14,20 @@ is compared with the parent's:
 
 - a file with the same bytes prints ``identical``;
 - otherwise every column (a CSV column, a JSON path with list indices
-  dropped, a VTK section, or the lines of any other file) whose values
-  differ prints its largest move relative to the column's largest
-  magnitude in the parent, when both sides are floats;
+  dropped, a VTK section, a ``section.key`` of ``config.normalized.txt``,
+  or the lines of any other file) whose values differ prints its largest
+  move relative to the column's largest magnitude in the parent, when
+  both sides are floats;
 - a change in an integer column (``inner_iters``, ``outer_iterations``,
   an exit code), in a string or in a column's length is flagged ``CHANGED``.
 
-``config.normalized.txt`` echoes the output directory, so its ``out_dir``
-line is skipped, and equal remaining lines print ``identical``.  The exit
-status is 0 when every artifact is identical, 1 when only floats moved
-and 2 when anything is flagged.  ``--divisions`` reruns the solve and
-certify runs on another mesh, for changes whose moves depend on it.  This
-file is a tool, not a test: pytest does not collect it.
+``config.normalized.txt`` echoes the output directory, so its
+``run.out_dir`` is skipped, and equal remaining keys print ``identical``;
+a key on one side only prints ``CHANGED only in parent`` (or child).
+The exit status is 0 when every artifact is identical, 1 when only
+floats moved and 2 when anything is flagged.  ``--divisions`` reruns the
+solve and certify runs on another mesh, for changes whose moves depend
+on it.  This file is a tool, not a test: pytest does not collect it.
 """
 
 import argparse
@@ -150,11 +152,17 @@ def columns(path):
                 out.setdefault(f"{section} (header)", []).append(line)
                 continue
             out.setdefault(section, []).extend(_token(w) for w in words)
+    elif path.name == "config.normalized.txt":
+        section = None
+        for line in text.splitlines():
+            if line.startswith("["):
+                section = line.strip("[]")
+            elif "=" in line:
+                key, _, value = (part.strip() for part in line.partition("="))
+                if (section, key) != ("run", "out_dir"):
+                    out[f"{section}.{key}"] = [_token(value)]
     else:
-        lines = text.splitlines()
-        if path.name == "config.normalized.txt":
-            lines = [line for line in lines if not line.startswith("out_dir =")]
-        out["lines"] = lines
+        out["lines"] = text.splitlines()
     return out
 
 

@@ -21,6 +21,12 @@ callables instead, for the data that tests need and no ``Separable``
 gives (wrong derivatives, non-finite values, counted calls), and
 ``zeros`` is the array such a callable fills.
 
+Nor does it list the wall dofs: the solvers and residuals read the free
+dofs ``free_theta``/``free_u``.  ``dirichlet_mask_theta`` and
+``dirichlet_mask_u`` are their complements, the dofs on the closure of
+the lateral walls.  Nor does it evaluate the open-end flux of b(u0, v, v):
+``outflow_boundary_term`` is the boundary side of that identity.
+
 Nor does it derive the junction edges, where a wall facet meets an
 open-end facet, or measure the boundary: the box is axis-aligned, so the
 junction is a right angle by construction.  ``reference_junction`` finds
@@ -60,6 +66,34 @@ def zeros(x, *components):
     ``components`` axes, in the coordinates' dtype."""
     grid = np.broadcast_shapes(*(np.shape(c) for c in x))
     return np.zeros(grid + components, dtype=np.result_type(*x))
+
+
+def dirichlet_mask_theta(space):
+    """The scalar dofs on the closure of the lateral walls (junction edges
+    included), ascending: the complement of ``free_theta``."""
+    on_wall = np.ones(space.n_scalar, dtype=bool)
+    on_wall[space.free_theta] = False
+    return np.flatnonzero(on_wall)
+
+
+def dirichlet_mask_u(space):
+    """The velocity dofs of every component on the lateral walls, ascending."""
+    return np.concatenate([m * space.n_scalar + dirichlet_mask_theta(space) for m in range(3)])
+
+
+def outflow_boundary_term(space, model, u0, v):
+    """(rho0 / 2) * integral over the open ends of (u0 . n) |v|^2.
+
+    For analytically divergence-free u0 with u0 . n = 0 on the walls this
+    equals b(u0, v, v) up to quadrature error.
+    """
+    total = 0.0
+    for name in ("x0", "x1"):
+        face = space.faces[name]
+        un, wts = forms.surface_velocity_normal(space, u0, name)
+        vv = np.einsum("iq,cim->cqm", face["basis"], np.asarray(v)[face["conn_u"]])
+        total += np.einsum("q,cq->", wts, un * np.sum(vv**2, axis=-1))
+    return 0.5 * model.rho0 * float(total)
 
 
 def quadrature_norm(space, fld, order):

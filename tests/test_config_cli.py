@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from thermoduct.cli import main
 from thermoduct.config import (SCHEMA, UNREAD, ConfigError, build_model, emit_config,
                                parse_config)
+from thermoduct.fixed_point import outer_loop
 from thermoduct.material import constant_density
 
 REPO = Path(__file__).resolve().parent.parent
@@ -53,7 +55,6 @@ def test_minimal_config_fills_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg["body_force"]["field"] == "zero"
     assert cfg["solver"]["outer_tol"] == 1e-10
-    assert cfg["solver"]["quad_order"] == 5
     assert cfg["run"]["seed"] == 0
 
 
@@ -239,6 +240,25 @@ def test_cli_rejects_key_combination_at_parse_time(tmp_path, capsys, command, se
     (got_line, msg), = err.value.errors
     assert got_line == line and f".{key}:" in msg
     assert not out.exists()
+
+
+def test_cli_rejects_quad_order_as_unknown_key(tmp_path, capsys):
+    # the volume rule belongs to the space, not to a run
+    text = MINIMAL + "\n[solver]\nquad_order = 5\n"
+    p = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(p), "--out", str(out)]) == 2
+    line = text.splitlines().index("quad_order = 5") + 1
+    assert (f"line {line}: unknown key 'quad_order' in section [solver]"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_solver_section_is_outer_loop_keywords():
+    # every command that runs the Picard loop passes [solver] on as it is
+    params = inspect.signature(outer_loop).parameters.values()
+    assert ({k: spec.default for k, spec in SCHEMA["solver"].items()}
+            == {p.name: p.default for p in params if p.default is not p.empty})
 
 
 def test_cli_rejects_negative_seed_before_any_work(tmp_path, capsys):

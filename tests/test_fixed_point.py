@@ -6,7 +6,6 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 from thermoduct import build_channel_mesh, build_spaces, fixed_point, forms
-from thermoduct.certificates import body_force_norm
 from thermoduct.fields import constant_scalar, span_scalar
 from thermoduct.fixed_point import (
     CoupledProblem,
@@ -106,7 +105,7 @@ def test_heat_solve_matches_direct_solve_linear_lifting(small_space, unit_model)
 
     kappa = oracles.assemble_kappa(small_space, unit_model)
     free = small_space.free_theta
-    fixed = small_space.dirichlet_mask_theta
+    fixed = oracles.dirichlet_mask_theta(small_space)
     ref = np.zeros(small_space.n_scalar)
     ref[fixed] = small_space.q2_nodes[fixed, 0]
     rhs = -(kappa[:, fixed] @ ref[fixed])
@@ -147,8 +146,8 @@ def test_outer_dirichlet_rows_exactly_zero(small_space, boussinesq_model):
         small_space, boussinesq_model, (0, 0, -0.3), span_scalar(1, 1.0, 0.5, 1.0)
     )
     state, _ = outer_loop(prob)
-    assert np.all(state.u[small_space.dirichlet_mask_u] == 0.0)
-    wall = small_space.dirichlet_mask_theta
+    assert np.all(state.u[oracles.dirichlet_mask_u(small_space)] == 0.0)
+    wall = oracles.dirichlet_mask_theta(small_space)
     assert np.all(state.theta[wall] == prob.theta_D[wall])
 
 
@@ -200,9 +199,9 @@ def test_outer_converged_residuals(small_space, boussinesq_model):
 
 
 def test_problem_data_evaluated_once(small_space, boussinesq_model):
-    # g and f_extra are frozen for the whole iteration: each is tabulated
-    # once (f_extra for its load, one cell block on this mesh), none per step
-    calls = {"g": 0, "f": 0}
+    # f_extra is frozen for the whole iteration: it is tabulated once (for
+    # its load, one cell block on this mesh), not per step
+    calls = {"f": 0}
 
     def counted(key, vector):
         def value(x):
@@ -212,13 +211,25 @@ def test_problem_data_evaluated_once(small_space, boussinesq_model):
         return Field(value)
 
     prob = CoupledProblem(
-        small_space, boussinesq_model, counted("g", (0.0, 0.0, -0.4)),
+        small_space, boussinesq_model, (0.0, 0.0, -0.4),
         span_scalar(1, 1.0, 0.5, 1.0), f_extra=counted("f", (0.01, 0.0, 0.0)),
     )
     state, records = outer_loop(prob, outer_tol=1e-10)
     weak_residual(prob, state)
     assert len(records) > 1
-    assert calls == {"g": 1, "f": 1}
+    assert calls == {"f": 1}
+
+
+def test_body_force_must_be_a_constant_3_vector(small_space, boussinesq_model):
+    theta_D = constant_scalar(0.0)
+    for g, got in ((lambda x: zeros(x, 3), "function"),
+                   (np.ones((small_space.n_cells, small_space.nq, 3)),
+                    rf"shape \({small_space.n_cells}, {small_space.nq}, 3\)"),
+                   ((0.0, -1.0), r"shape \(2,\)")):
+        with pytest.raises(ValueError, match=f"^g must be a constant 3-vector, got {got}$"):
+            CoupledProblem(small_space, boussinesq_model, g, theta_D)
+    prob = CoupledProblem(small_space, boussinesq_model, [0, 0, -1], theta_D)
+    assert prob.g.shape == (3,) and prob.g.dtype == float
 
 
 @pytest.mark.parametrize("datum", ["g", "theta_D", "f_extra", "h_extra"])
@@ -243,8 +254,7 @@ def test_data_tabulated_on_another_mesh_rejected(small_space, boussinesq_model):
     match = (rf"shape \({other.n_cells}, {other.nq}(, 3)?\) do not match the space's "
              rf"\(n_cells, nq\) = \({small_space.n_cells}, {small_space.nq}\)")
     for build in (lambda: forms.field_load_scalar(small_space, h),
-                  lambda: forms.field_load_vector(small_space, f),
-                  lambda: CoupledProblem(small_space, boussinesq_model, f, constant_scalar(0.0))):
+                  lambda: forms.field_load_vector(small_space, f)):
         with pytest.raises(ValueError, match=match):
             build()
 
@@ -260,18 +270,6 @@ def test_closed_form_data_need_whole_z_layers():
         with pytest.raises(ValueError, match=rf"cells {re.escape(str(cells))} are not "
                                              r"whole z layers of 16 cells"):
             forms.quad_values(space, fld, cells)
-
-
-def test_constant_body_force_matches_field_bitwise(small_space, boussinesq_model):
-    results = []
-    for g in ((0, 0, -0.4), constant_vector((0, 0, -0.4))):
-        prob = CoupledProblem(small_space, boussinesq_model, g, span_scalar(1, 1.0, 0.5, 1.0))
-        state, _ = outer_loop(prob, outer_tol=1e-10)
-        results.append((state.u, state.theta, body_force_norm(prob, 2.0)))
-    (u1, theta1, g1), (u2, theta2, g2) = results
-    assert np.array_equal(u1, u2)
-    assert np.array_equal(theta1, theta2)
-    assert g1 == g2
 
 
 def test_problem_and_saddle_allocate_under_2_mb(boussinesq_model):

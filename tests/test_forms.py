@@ -134,7 +134,7 @@ def test_outflow_identity(small_space, unit_model):
         B = oracles.assemble_b(small_space, unit_model, u0)
         for v in v_fields:
             lhs = v @ (B @ v)
-            rhs = forms.outflow_boundary_term(small_space, unit_model, u0, v)
+            rhs = oracles.outflow_boundary_term(small_space, unit_model, u0, v)
             assert abs(lhs - rhs) < 1e-10
 
 

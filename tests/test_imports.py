@@ -122,7 +122,6 @@ def test_no_unused_parameters():
 
 # exports read only where the scan does not look, each with its reader
 READ_ELSEWHERE = {
-    "forms.outflow_boundary_term": "acceptance criterion 07's oracle of b(u0, v, v)",
     "forms.eval_scalar_hess": "perfbench/tracer.py traces it by a string, not a name",
     "spectrum.weighted_admissibility": "the paper's weighted-space verdict, used by demo 04",
     "io_vtk.write_mesh_vtk": "demo 01's volume export",

@@ -144,16 +144,17 @@ def test_mask_nodes_lie_on_walls(small_space):
     on_wall = (
         (nodes[:, 1] == 0) | (nodes[:, 1] == Ly) | (nodes[:, 2] == 0) | (nodes[:, 2] == Lz)
     )
-    assert set(space.dirichlet_mask_theta) == set(np.nonzero(on_wall)[0])
+    wall_theta, wall_u = oracles.dirichlet_mask_theta(space), oracles.dirichlet_mask_u(space)
+    assert set(wall_theta) == set(np.nonzero(on_wall)[0])
     # velocity mask is the three component copies
-    assert len(space.dirichlet_mask_u) == 3 * len(space.dirichlet_mask_theta)
+    assert len(wall_u) == 3 * len(wall_theta)
     expected = np.concatenate(
-        [m * space.n_scalar + space.dirichlet_mask_theta for m in range(3)]
+        [m * space.n_scalar + wall_theta for m in range(3)]
     )
-    assert set(space.dirichlet_mask_u) == set(expected)
+    assert set(wall_u) == set(expected)
     # the free dofs are the ascending complement of each mask
-    for free, fixed, n in ((space.free_theta, space.dirichlet_mask_theta, space.n_scalar),
-                           (space.free_u, space.dirichlet_mask_u, space.n_velocity)):
+    for free, fixed, n in ((space.free_theta, wall_theta, space.n_scalar),
+                           (space.free_u, wall_u, space.n_velocity)):
         assert np.all(np.diff(free) > 0)
         assert np.array_equal(np.sort(np.concatenate([free, fixed])), np.arange(n))
 

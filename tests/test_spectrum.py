@@ -62,6 +62,15 @@ def test_find_roots_complex_pairs_by_box_subdivision():
     assert roots[0] == roots[1].conjugate() and roots[2] == roots[3].conjugate()
 
 
+def test_find_roots_returns_exact_conjugate_pairs():
+    # the symbol has real coefficients, so each non-real root is accepted
+    # with its exact conjugate, not polished again from its own seed
+    roots = find_roots(0.02, 20.0, 40.0)
+    upper = [z for z in roots if z.imag > 0]
+    lower = sorted((z for z in roots if z.imag < 0), key=lambda z: (z.real, -z.imag))
+    assert upper and [z.conjugate() for z in upper] == lower
+
+
 def test_find_roots_on_a_wide_strip():
     # far from the origin the symbol's terms are large (|z|^2 is 325 at the
     # root near 17.93 + 1.93i), and rounding alone keeps |f(z)| above 1e-12;

@@ -107,7 +107,7 @@ def test_space_ids_match_node_formulas(space):
     j, k = (n // sx) % sy, n // (sx * sy)
     interior = (j > 0) & (j < sy - 1) & (k > 0) & (k < 2 * space.mesh.divisions[2])
     assert np.array_equal(space.free_theta, np.flatnonzero(interior))
-    assert np.array_equal(space.dirichlet_mask_theta, np.flatnonzero(~interior))
+    assert np.array_equal(oracles.dirichlet_mask_theta(space), np.flatnonzero(~interior))
     _, ny, nz = space.mesh.divisions
     loc = np.arange(9)
     for name, i in (("x0", 0), ("x1", sx - 1)):

@@ -274,8 +274,7 @@ def test_blocked_loads_and_norms_match_one_block(monkeypatch):
     rng = np.random.default_rng(5)
     u, th = rng.normal(size=space.n_velocity), rng.normal(size=space.n_scalar)
     p = rng.normal(size=space.n_pressure)
-    # tabulated (cells, nq, ...) data, as CoupledProblem and the certificate
-    # sampler pass them
+    # tabulated (cells, nq, ...) data
     g = forms.quad_values(space, v.stokes_forcing(case, 1.0))
     h = rng.normal(size=(space.n_cells, space.nq))
 
@@ -289,7 +288,6 @@ def test_blocked_loads_and_norms_match_one_block(monkeypatch):
             forms.assemble_e_load(space, model, u),
             forms.assemble_d_load(space, model, th, u, th),
             forms.assemble_buoyancy(space, model, th, (0.0, 0.0, -1.0)),
-            forms.assemble_buoyancy(space, model, th, g),
             np.array([forms.discrete_norms(space, u, "W2s", s=1.8),
                       forms.discrete_norms(space, th, "Ls", s=3)]),
             np.array([forms.lp_norm_of_values(space, lambda cells: g[cells], 1.8),
