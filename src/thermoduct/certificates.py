@@ -272,8 +272,10 @@ def estimate_constants(problem, samples=200, seed=0, s=2.0, r=2.0):
     ``forms`` norms and the heat solve make.
     Each distinct partial derivative of a sample is computed once and
     shared by the W^{2,s} norm and the C_b, C_e and C_d integrands.  Every
-    sample reuses the problem's own heat solver ``heat``.
+    sample reuses the problem's own heat solver ``heat``.  Exponents that
+    ``check_exponents`` rejects raise ValueError before any sample is drawn.
     """
+    check_exponents(s, r)
     if samples < 100:
         raise ValueError("need at least 100 samples for a stable estimate")
     space, model, heat = problem.space, problem.model, problem.heat

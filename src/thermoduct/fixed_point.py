@@ -9,10 +9,11 @@ saddle solver's relative tolerance scales with the increment; the outer
 loop carries the velocity and the pressure from step to step.  The
 linearized heat equation is then solved with frozen convection and
 dissipation loads, and the outer loop composes the two maps until the
-homogeneous temperature part stops moving.  Stopping norms for both
-loops are discrete H1 norms of the increments; each outer step keeps its
-inner increments in one plain ``OuterRecord``, from which its contraction
-ratios are read.
+homogeneous temperature part stops moving.  Each discrete equation is a
+method of ``CoupledProblem``, which both steps solve and ``weak_residual``
+norms.  Stopping norms for both loops are discrete H1 norms of the
+increments; each outer step keeps its inner increments in one plain
+``OuterRecord``, from which its contraction ratios are read.
 """
 
 import functools
@@ -99,13 +100,15 @@ class OuterRecord:
 
 
 class CoupledProblem:
-    """Assembled problem: its two solvers, boundary data and extra forcings.
+    """Assembled problem: its two solvers, data and Picard equations.
 
     Each operator is built once, as a Kronecker apply of its 1-D factors
     (``forms``), and kept in one place: ``kappa`` with its solver ``heat``
     (``WallCG``, relative tolerance 1e-13) here, and
     ``K = [[A, -Dᵀ], [-D, 0]]``, the only copy of ``A`` and ``D``, in
-    ``saddle``, built on first use: a heat-only problem never builds it.
+    ``saddle``.  Both solvers are built on first use, and only here.
+    ``momentum_load``, ``momentum_rhs`` and ``heat_load`` state each
+    equation once, for the steps that solve it and the residual that norms it.
 
     The data are frozen for the whole iteration, so none is evaluated per
     step.  ``g``, the body force, is a constant 3-vector, stored as a (3,)
@@ -125,8 +128,6 @@ class CoupledProblem:
         self.g = _body_force(g)
 
         self.kappa = forms.assemble_kappa(space, model)
-        self.heat = WallCG(self.kappa, space)
-
         self.theta_D = _finite("theta_D", forms.interpolate_scalar(space, theta_D))
         self.lifting_load = self.kappa @ self.theta_D
 
@@ -143,8 +144,29 @@ class CoupledProblem:
             forms.assemble_a(self.space, self.model), forms.divergence_matrix(self.space))
         return SaddleFactorization(K, self.space, self.model.nu)
 
-    def buoyancy_load(self, theta):
-        return forms.assemble_buoyancy(self.space, self.model, theta, self.g)
+    @functools.cached_property
+    def heat(self):
+        """The heat solver on ``kappa``, built on first use."""
+        return WallCG(self.kappa, self.space)
+
+    def momentum_load(self, theta):
+        """rho(theta) g + f_extra, the momentum load at the temperature ``theta``."""
+        return forms.assemble_buoyancy(self.space, self.model, theta, self.g) + self.f_extra_load
+
+    def momentum_rhs(self, load, u, P):
+        """The correction step's right-hand side ``[load - b(u,u) - (A u - Dᵀ P); D u]``."""
+        conv = forms.convection_load(self.space, self.model, u, u)
+        KuP = self.saddle.K @ np.concatenate([u, P])   # [A u - Dᵀ P; -D u]
+        return load - conv - KuP[:u.size], -KuP[u.size:]
+
+    def heat_load(self, u, theta):
+        """The heat solve's right-hand side e(u,u) - d(theta,u,theta) - kappa theta_D + h."""
+        return (
+            forms.assemble_e_load(self.space, self.model, u)
+            - forms.assemble_d_load(self.space, self.model, theta, u, theta)
+            - self.lifting_load
+            + self.h_extra_load
+        )
 
 
 def _finite(name, values, what="values"):
@@ -188,15 +210,13 @@ def inner_momentum_solve(problem, theta, u_init=None, P_init=None, tol=1e-12,
     ``contraction_ratios`` are the empirical contraction ratios; three
     consecutive ratios >= 1 raise DivergenceError (violated smallness).
     """
-    space, model = problem.space, problem.model
-    load = problem.buoyancy_load(theta) + problem.f_extra_load
+    space = problem.space
+    load = problem.momentum_load(theta)
     u = np.zeros(space.n_velocity) if u_init is None else np.array(u_init, dtype=float)
     P = np.zeros(space.n_pressure) if P_init is None else np.array(P_init, dtype=float)
     increments = []
     for _ in range(max_iter):
-        conv = forms.convection_load(space, model, u, u)
-        KuP = problem.saddle.K @ np.concatenate([u, P])   # [A u - Dᵀ P; -D u]
-        du, dP = problem.saddle.solve(load - conv - KuP[:u.size], -KuP[u.size:])
+        du, dP = problem.saddle.solve(*problem.momentum_rhs(load, u, P))
         increments.append(forms.discrete_norms(space, du, "H1"))
         u, P = u + du, P + dP
         if increments[-1] <= tol:
@@ -215,20 +235,9 @@ def inner_momentum_solve(problem, theta, u_init=None, P_init=None, tol=1e-12,
 
 
 def heat_solve(problem, u, theta):
-    """Linearized heat solve with frozen convection and dissipation.
-
-    Solves kappa(vartheta, phi) = e(u,u,phi) - d(theta, u, theta, phi)
-    - kappa(theta_D, phi) at the frozen full temperature ``theta``; returns
-    the wall-homogeneous temperature part vartheta.
-    """
-    space, model = problem.space, problem.model
-    rhs = (
-        forms.assemble_e_load(space, model, u)
-        - forms.assemble_d_load(space, model, theta, u, theta)
-        - problem.lifting_load
-        + problem.h_extra_load
-    )
-    return problem.heat.solve(rhs)
+    """Linearized heat solve at frozen ``u`` and full temperature ``theta``: the
+    wall-homogeneous part vartheta of kappa vartheta = ``problem.heat_load(u, theta)``."""
+    return problem.heat.solve(problem.heat_load(u, theta))
 
 
 def outer_loop(problem, outer_tol=1e-10, max_outer=30, inner_tol=1e-12,
@@ -283,24 +292,13 @@ def outer_loop(problem, outer_tol=1e-10, max_outer=30, inner_tol=1e-12,
 
 
 def weak_residual(problem, state):
-    """Norms of the discrete momentum+mass and heat residuals on free rows."""
-    space, model = problem.space, problem.model
-    u, P, theta = state.u, state.P, state.theta
-    KuP = problem.saddle.K @ np.concatenate([u, P])       # [A u - Dᵀ P; -D u]
-    mom = (
-        KuP[:u.size]
-        + forms.convection_load(space, model, u, u)
-        - problem.buoyancy_load(theta)
-        - problem.f_extra_load
-    )
-    r_mom = float(np.sqrt(np.sum(mom[space.free_u] ** 2) + np.sum(KuP[u.size:] ** 2)))
-
-    heat = (
-        problem.kappa @ theta
-        + forms.assemble_d_load(space, model, theta, u, theta)
-        - forms.assemble_e_load(space, model, u)
-        - problem.h_extra_load
-    )
+    """Norms of the discrete momentum+mass and heat residuals on free rows:
+    of the ``momentum_rhs`` that the next inner step solves, and of
+    kappa (theta - theta_D) - ``heat_load``."""
+    space, u, theta = problem.space, state.u, state.theta
+    mom, mass = problem.momentum_rhs(problem.momentum_load(theta), u, state.P)
+    r_mom = float(np.sqrt(np.sum(mom[space.free_u] ** 2) + np.sum(mass ** 2)))
+    heat = problem.kappa @ (theta - problem.theta_D) - problem.heat_load(u, theta)
     r_heat = float(np.linalg.norm(heat[space.free_theta]))
     return r_mom, r_heat
 

@@ -179,9 +179,9 @@ def quad_values(space, data, cells=slice(None)):
     quadrature coordinates of those layers (``DiscreteSpace.quad_coords``),
     broadcast to their grid and returned as (cells, nq, ...); a ``cells``
     slice that is not whole z layers raises ValueError.  Values already
-    tabulated, (n_cells, nq, ...), are sliced to ``cells``; other arrays of
-    two or more axes raise ValueError.  A constant is returned as it is, a
-    float array.
+    tabulated, (n_cells, nq, ...), as the certificate sampler's heat load
+    passes its samples, are sliced to ``cells``; other arrays of two or more
+    axes raise ValueError.  A constant is returned as it is, a float array.
     """
     if callable(data):
         x, y, z = space.quad_coords

@@ -29,8 +29,8 @@ __all__ = [
 class DensityLaw:
     """rho0 * (1 - alpha_v * (theta - theta_ref)), clamped to [rho_min, rho0].
 
-    Requires rho0 > 0, alpha_v >= 0 (nonincreasing) and 0 < rho_min <= rho0
-    (strictly positive, a nonempty clamp); raises ValueError otherwise.
+    Requires finite parameters, rho0 > 0, alpha_v >= 0 (nonincreasing) and
+    0 < rho_min <= rho0 (a nonempty clamp); raises ValueError naming one otherwise.
     """
 
     rho0: float
@@ -39,14 +39,14 @@ class DensityLaw:
     rho_min: float
 
     def __post_init__(self):
-        if not self.rho0 > 0:
-            raise ValueError("rho0 must be positive")
-        if not self.alpha_v >= 0:
-            raise ValueError("alpha_v must be nonnegative (a nonincreasing law)")
-        if not self.rho_min > 0:
-            raise ValueError("rho_min must be positive")
-        if not self.rho_min <= self.rho0:
-            raise ValueError("rho_min must not exceed rho0")
+        if not 0 < self.rho0 < np.inf:
+            raise ValueError("rho0 must be finite and positive")
+        if not 0 <= self.alpha_v < np.inf:
+            raise ValueError("alpha_v must be finite and nonnegative (a nonincreasing law)")
+        if not np.isfinite(self.theta_ref):
+            raise ValueError("theta_ref must be finite")
+        if not 0 < self.rho_min <= self.rho0:
+            raise ValueError("rho_min must be finite, positive and at most rho0")
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -75,10 +75,10 @@ class MaterialModel:
 
     def __post_init__(self):
         for name in ("nu", "cV", "lam"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.alpha1 < 0:
-            raise ValueError("alpha1 must be nonnegative")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0 <= self.alpha1 < np.inf:
+            raise ValueError("alpha1 must be finite and nonnegative")
 
     @property
     def rho0(self):           # reference density

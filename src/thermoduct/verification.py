@@ -19,7 +19,6 @@ import numpy as np
 from . import forms
 from .fields import CURL, Separable, constant_scalar
 from .fixed_point import CoupledProblem, outer_loop
-from .linsolve import SaddleFactorization
 from .material import constant_density, make_material
 from .mesh import build_channel_mesh
 from .spaces import build_spaces
@@ -332,9 +331,8 @@ def _study(dims, base_divisions, n_levels, level_errors):
 def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0):
     """Convergence of the mixed Stokes solve against a manufactured case.
 
-    Each level makes one ``SaddleFactorization`` solve of the forcing's
-    load, its residual checked against the saddle operator
-    (``forms.assemble_saddle``).
+    Each level solves the forcing's load once with the ``saddle`` of a
+    ``CoupledProblem`` forced by it (no heat solver is built).
     ``case_factory(dims, nu)`` builds the case; per level the H1/L2
     velocity errors and the L2 pressure error are recorded with observed
     orders from successive log2 ratios.
@@ -345,10 +343,10 @@ def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0):
     forcing = stokes_forcing(case, nu)
 
     def level_errors(space):
-        K = forms.assemble_saddle(forms.assemble_a(space, model), forms.divergence_matrix(space))
-        load = forms.field_load_vector(space, forcing)
         # a temporary: one level's solver is freed before the next is built
-        u, P = SaddleFactorization(K, space, nu).solve(load)
+        problem = CoupledProblem(space, model, (0.0, 0.0, 0.0), constant_scalar(0.0),
+                                 f_extra=forcing)
+        u, P = problem.saddle.solve(problem.f_extra_load)
         u_l2, u_h1 = _error_norms(space, u, case.u)
         dp2 = _squared_error(space, forms.eval_pressure, P, case.p)
         p_l2 = float(np.sqrt(np.einsum("q,cq->", space.wq, dp2)))
@@ -375,12 +373,12 @@ def mms_heat_study(case_factory, dims, base_divisions, n_levels=3, lam=1.0):
     return _study(dims, base_divisions, n_levels, level_errors)
 
 
-def coupled_mms(case, dims, divisions, model, g, outer_tol=1e-10, max_outer=40,
-                inner_tol=1e-12, max_inner=50):
+def coupled_mms(case, dims, divisions, model, g, **solver):
     """Full nonlinear pipeline against a manufactured pair.
 
-    ``g`` is the constant body force, a 3-vector.  The momentum and heat
-    forcings carry the nonlinear correction terms; convergence failures
+    ``g`` is the constant body force, a 3-vector, and ``solver`` the
+    keywords of ``outer_loop``, passed through as given.  The momentum and
+    heat forcings carry the nonlinear correction terms; convergence failures
     propagate as DivergenceError with the records completed so far.
     """
     validate_case(case, dims)
@@ -394,8 +392,7 @@ def coupled_mms(case, dims, divisions, model, g, outer_tol=1e-10, max_outer=40,
         f_extra=coupled_momentum_forcing(case, model, g),
         h_extra=coupled_heat_forcing(case, model),
     )
-    state, records = outer_loop(problem, outer_tol=outer_tol, max_outer=max_outer,
-                                inner_tol=inner_tol, max_inner=max_inner)
+    state, records = outer_loop(problem, **solver)
     ul2, uh1 = _error_norms(space, state.u, case.u)
     tl2, th1 = _error_norms(space, state.theta, case.theta)
     return {

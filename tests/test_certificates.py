@@ -58,6 +58,13 @@ def test_estimate_requires_enough_samples(small_space, boussinesq_model):
         estimate_constants(heat_problem(small_space, boussinesq_model), samples=50)
 
 
+def test_estimate_rejects_exponents_before_sampling(small_space, boussinesq_model):
+    # no sup-norm embedding exists at r <= 3/2, so a C_1 sampled there means nothing
+    with pytest.raises(ValueError, match="r=1.4 outside the range"):
+        estimate_constants(heat_problem(small_space, boussinesq_model), samples=100,
+                           s=2.0, r=1.4)
+
+
 def test_estimates_deterministic_and_positive(small_space, boussinesq_model):
     a = estimate_constants(heat_problem(small_space, boussinesq_model), samples=100, seed=7)
     b = estimate_constants(heat_problem(small_space, boussinesq_model), samples=100, seed=7)

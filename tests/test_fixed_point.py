@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
-from thermoduct import build_channel_mesh, build_spaces, fixed_point, forms
+from thermoduct import build_channel_mesh, build_spaces, fixed_point, forms, linsolve
 from thermoduct.fields import constant_scalar, span_scalar
 from thermoduct.fixed_point import (
     CoupledProblem,
@@ -316,7 +316,7 @@ def test_weak_residual_of_rest_state_is_load_norm(small_space, boussinesq_model)
         theta=prob.theta_D,
     )
     r_mom, r_heat = weak_residual(prob, rest)
-    load = prob.buoyancy_load(prob.theta_D)
+    load = prob.momentum_load(prob.theta_D)
     assert r_mom == pytest.approx(np.linalg.norm(load[small_space.free_u]), rel=1e-12)
     assert r_heat < 1e-12
 
@@ -343,6 +343,35 @@ def test_weak_residual_matches_separately_assembled_operators(small_space, bouss
     assert mass > 1e-2 * oracle
     assert r_mom == pytest.approx(oracle, rel=1e-12)
     assert not hasattr(prob, "A") and not hasattr(prob, "D")
+
+
+def test_weak_residual_is_the_next_correction_rhs(monkeypatch, boussinesq_model):
+    # the momentum residual at a state is, bit for bit, the norm of the
+    # right-hand side that the next inner step hands the saddle solver
+    space = build_spaces(build_channel_mesh(1.0, 1.0, 2.0, 2, 2, 8))
+    prob = CoupledProblem(space, boussinesq_model, (0, 0, -0.3), span_scalar(1, 1.0, 0.5, 1.0),
+                          f_extra=(0.1, 0.0, 0.2))
+    state, _ = outer_loop(prob)
+    r_mom, _ = weak_residual(prob, state)
+
+    rhs = []
+    solve = prob.saddle.solve
+    monkeypatch.setattr(prob.saddle, "solve", lambda *args: rhs.append(args) or solve(*args))
+    inner_momentum_solve(prob, state.theta, u_init=state.u, P_init=state.P)
+    mom, mass = rhs[0]
+    assert r_mom == float(np.sqrt(np.sum(mom[space.free_u] ** 2) + np.sum(mass ** 2)))
+
+
+def test_saddle_only_problem_builds_no_heat_solver(monkeypatch, small_space, boussinesq_model):
+    built = []
+    init = linsolve.WallCG.__init__
+    monkeypatch.setattr(linsolve.WallCG, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    prob = CoupledProblem(small_space, boussinesq_model, (0, 0, -1.0), constant_scalar(0.0),
+                          f_extra=(0.1, 0.0, 0.2))
+    prob.saddle.solve(prob.f_extra_load)
+    assert built == []
+    assert prob.heat is prob.heat and built == [1]
 
 
 def test_outer_exhaustion_carries_trace(small_space, boussinesq_model):

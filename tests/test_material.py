@@ -99,3 +99,19 @@ def test_constant_density_is_the_formula_at_zero_slope():
     rho = m.rho_law(theta)
     assert rho.shape == theta.shape and np.all(rho == 1.7)
     assert m.rho_sharp == 1.7 and m.C_rho == 0.0
+
+
+@pytest.mark.parametrize("name", ["nu", "cV", "lam", "alpha1"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nonfinite_material_constant_named(name, value):
+    constants = {"nu": 1.0, "cV": 1.0, "lam": 1.0, "alpha1": 0.1, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        make_material(**constants, law=constant_density(1.0))
+
+
+@pytest.mark.parametrize("name", ["rho0", "alpha_v", "theta_ref", "rho_min"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_density_parameter_named(name, value):
+    params = {"rho0": 1.0, "alpha_v": 0.1, "theta_ref": 0.0, "rho_min": 0.5, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        DensityLaw(**params)
