@@ -8,11 +8,11 @@ configuration and seed the CSV/JSON artifacts are byte-identical across
 runs, so reports carry no timing or host information.
 
 Exit codes: 0 success, 2 configuration error, 3 solver divergence,
-4 certificate verdict failure, 5 internal error.  A divergence that
-completed outer steps leaves their records in ``trace.csv``.  Running out
-of memory is an internal error whose message names the command, the
-``[geometry]`` divisions and the innermost thermoduct function that was
-running.
+4 certificate verdict failure, 5 internal error.  A divergence or a
+failed linear solve that completed outer steps leaves their records in
+``trace.csv``.  Running out of memory is an internal error whose message
+names the command, the ``[geometry]`` divisions and the innermost
+thermoduct function that was running.
 """
 
 import argparse
@@ -209,13 +209,11 @@ def main(argv=None):
     }[args.command]
     try:
         return runner(config, out)
-    except DivergenceError as exc:
+    except (DivergenceError, LinearSolveError) as exc:
         if exc.records:
             write_trace_csv(exc.records, out / "trace.csv")
-        print(f"error: solver diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except LinearSolveError as exc:
-        print(f"error: linear solve failed: {exc}", file=sys.stderr)
+        what = "solver diverged" if isinstance(exc, DivergenceError) else "linear solve failed"
+        print(f"error: {what}: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except MemoryError as exc:
         geo = config["geometry"]

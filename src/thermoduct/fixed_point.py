@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms
-from .linsolve import SaddleFactorization, WallCG
+from .linsolve import LinearSolveError, SaddleFactorization, WallSolver
 
 __all__ = [
     "State",
@@ -104,7 +104,7 @@ class CoupledProblem:
 
     Each operator is built once, as a Kronecker apply of its 1-D factors
     (``forms``), and kept in one place: ``kappa`` with its solver ``heat``
-    (``WallCG``, relative tolerance 1e-13) here, and
+    (``WallSolver``, the exact tensor inverse at ``model.lam``) here, and
     ``K = [[A, -Dᵀ], [-D, 0]]``, the only copy of ``A`` and ``D``, in
     ``saddle``.  Both solvers are built on first use, and only here.
     ``momentum_load``, ``momentum_rhs`` and ``heat_load`` state each
@@ -147,7 +147,7 @@ class CoupledProblem:
     @functools.cached_property
     def heat(self):
         """The heat solver on ``kappa``, built on first use."""
-        return WallCG(self.kappa, self.space)
+        return WallSolver(self.kappa, self.space, self.model.lam)
 
     def momentum_load(self, theta):
         """rho(theta) g + f_extra, the momentum load at the temperature ``theta``."""
@@ -248,7 +248,8 @@ def outer_loop(problem, outer_tol=1e-10, max_outer=30, inner_tol=1e-12,
     relaxation.  Stops when the H1 norm of the temperature update drops
     below ``outer_tol`` and returns (state, records), one OuterRecord per
     step.  Exhaustion, or a momentum solve that fails, raises
-    DivergenceError carrying the records completed so far.
+    DivergenceError; a linear solve that fails raises LinearSolveError.
+    Either carries the records completed so far as ``records``.
     """
     space = problem.space
     vartheta = np.zeros(space.n_scalar)
@@ -261,10 +262,10 @@ def outer_loop(problem, outer_tol=1e-10, max_outer=30, inner_tol=1e-12,
             u, P, increments = inner_momentum_solve(
                 problem, theta, u_init=u, P_init=P, tol=inner_tol, max_iter=max_inner
             )
-        except DivergenceError as exc:
+            vartheta_new = heat_solve(problem, u, theta)
+        except (DivergenceError, LinearSolveError) as exc:
             exc.records = records
             raise
-        vartheta_new = heat_solve(problem, u, theta)
         d_theta = forms.discrete_norms(space, vartheta_new - vartheta, "H1")
         vartheta = vartheta_new
         theta = problem.theta_D + vartheta

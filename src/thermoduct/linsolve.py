@@ -12,48 +12,42 @@ three batched matrix products each way.
 
 One solver per system type, each built once from the space and the
 operator's scale and reused across loads; ``solve`` returns full-length
-fields whose wall rows are exactly zero.  Each solve's residual is
-measured against the operator the solver was handed, of which it uses only
-``@`` and ``shape`` (``forms``' Kronecker applies).  The 1-D factors and
-their Kronecker product, ``_kron3``, come from ``forms``.
+fields whose wall rows are exactly zero, each checked by ``_check_residual``
+against the operator the solver was handed (of which it uses only ``@``
+and ``shape``).  The 1-D factors and ``_kron3`` come from ``forms``.
 
 - ``SaddleFactorization``: the Taylor-Hood saddle system
-  ``[[A, -Dᵀ], [-D, 0]]``, through conjugate gradients on the pressure
-  Schur complement ``D A⁻¹ Dᵀ``, preconditioned by the inverse of the Q1
-  pressure mass ``Mp = Mz⊗My⊗Mx``, which is ``Mz⁻¹⊗My⁻¹⊗Mx⁻¹`` of three
-  small dense inverses; no sparse factorization is made.  Each divergence
-  block ``D_d`` is a Kronecker product of 1-D matrices, so ``D_d V`` is
-  one of small dense matrices, and the Schur complement is applied
-  without an assembled matrix, all three directions at once.  A solution
-  whose residual on the handed ``K`` exceeds ``_RESIDUAL_TOL`` relative
-  raises SingularMatrixError.
-- ``WallCG``: the heat stiffness ``λ S``, through conjugate gradients
-  preconditioned by the exact tensor inverse (one iteration).
+  ``[[A, -Dᵀ], [-D, 0]]``, by conjugate gradients (``solve_spd``) on the
+  pressure Schur complement, with no sparse factorization.
+- ``WallSolver``: the heat stiffness ``λ S``, its free block solved
+  directly by the exact tensor inverse, with no iteration.
 
-Both run the one preconditioned CG, ``solve_spd``.  All paths are
-deterministic: identical inputs give bit-identical outputs.
+All paths are deterministic: identical inputs give bit-identical outputs.
 """
 
 import numpy as np
 
 from .forms import _kron3
 
-_RESIDUAL_TOL = 1e-10  # relative residual a saddle solve must reach on the handed K
-_CG_TOL = 1e-13        # relative residual at which every CG (Schur and heat) stops
+_RESIDUAL_TOL = 1e-10  # relative residual a solution must reach on the handed operator
+_CG_TOL = 1e-13        # relative residual at which the Schur CG stops
 
 __all__ = [
     "LinearSolveError",
     "SingularMatrixError",
     "solve_spd",
     "SaddleFactorization",
-    "WallCG",
+    "WallSolver",
 ]
 
 
 class LinearSolveError(RuntimeError):
+    """A failed solve; ``outer_loop`` sets ``records``, the outer steps before it."""
+
     def __init__(self, message, residual_history=None):
         super().__init__(message)
         self.residual_history = residual_history or []
+        self.records = []
 
 
 class SingularMatrixError(LinearSolveError):
@@ -66,6 +60,15 @@ def _check_finite(rhs):
         raise LinearSolveError(
             f"non-finite right-hand side: {bad.size} entries, first at row {bad[0]}"
         )
+
+
+def _check_residual(residual, rhs, operator, coefficient):
+    """SingularMatrixError naming ``operator`` unless ``|residual| <= _RESIDUAL_TOL |rhs|``."""
+    res, nb = np.linalg.norm(residual), np.linalg.norm(rhs)
+    if not res <= _RESIDUAL_TOL * nb:   # a NaN residual fails too
+        raise SingularMatrixError(
+            f"solve failed on the operator {operator} (relative residual {res / nb:.3e}); "
+            f"was {operator} built on this space with this {coefficient}?")
 
 
 def solve_spd(apply, rhs, precond, max_iter=None):
@@ -154,33 +157,28 @@ class _TensorInverse:
         return self.from_eigen(self.to_eigen(X) * self.inv_lam).reshape(np.shape(x))
 
 
-class WallCG:
-    """CG for the heat stiffness ``kappa = lam · S`` with zero wall values.
+class WallSolver:
+    """Direct solve of the heat stiffness ``kappa = lam · S`` with zero wall values.
 
-    Preconditioned by the exact tensor inverse of ``S_ff``, CG converges in
-    one iteration for any ``lam > 0``: a constant factor on the
-    preconditioner cancels in the CG iterates.  Its residual is measured
-    against the ``kappa`` it is handed (``forms.assemble_kappa``, or any
-    operator with ``@`` and ``shape``), so a ``kappa`` that is not a
-    multiple of ``S`` on ``space`` takes more iterations, or fails, rather
-    than returning a wrong solution.  It stops at ``solve_spd``'s relative
-    tolerance, 1e-13.
+    The free block ``lam · S_ff`` is a Kronecker sum, so its inverse is the
+    exact ``_TensorInverse`` of the space's 1-D factors at scale ``lam``;
+    ``kappa`` (``forms.assemble_kappa``, or any operator with ``@`` and
+    ``shape``) is used only to check each solution, so a ``kappa`` built
+    with another ``lam`` or on another space raises SingularMatrixError.
     """
 
-    def __init__(self, kappa, space):
+    def __init__(self, kappa, space, lam):
         self.kappa = kappa
         self.free = space.free_theta
-        self.inverse = _TensorInverse(space.axis_matrices, space.free_lines, 1.0)
-
-    def _apply(self, y):
-        x = np.zeros(self.kappa.shape[0])
-        x[self.free] = y
-        return (self.kappa @ x)[self.free]
+        self.inverse = _TensorInverse(space.axis_matrices, space.free_lines, lam)
 
     def solve(self, load):
         """Full-length solution of the free rows of ``load``; wall rows are 0."""
-        x = np.zeros(np.size(load))
-        x[self.free] = solve_spd(self._apply, np.asarray(load)[self.free], self.inverse.apply)
+        b = np.asarray(load, dtype=float)[self.free]
+        _check_finite(b)
+        x = np.zeros(self.kappa.shape[0])
+        x[self.free] = self.inverse.apply(b)
+        _check_residual((self.kappa @ x)[self.free] - b, b, "kappa", "lam")
         return x
 
 
@@ -217,11 +215,13 @@ class SaddleFactorization:
     ``fixed_point.CoupledProblem``'s products with ``A`` and ``D`` read ``K``.
 
     With ``A⁻¹`` exact, the Schur complement ``S = Σ_d D_d A⁻¹ D_dᵀ`` is
-    solved by CG preconditioned with the inverse of the Q1 pressure mass,
-    the Kronecker product ``lu`` (``_MassInverse``) of the three 1-D
-    inverses, to ``solve_spd``'s relative tolerance and within its default
-    iteration budget.  ``C`` stacks ``D_d V`` per axis:
-    ``C[a][d]`` is axis a's factor of direction d.
+    solved by CG preconditioned with the inverse of the Q1 pressure mass
+    ``Mp = Mz⊗My⊗Mx``, the Kronecker product ``lu`` (``_MassInverse``) of the
+    three 1-D inverses, to ``solve_spd``'s relative tolerance and within its
+    default iteration budget.  Each ``D_d`` is a Kronecker product of 1-D
+    matrices, so ``S`` is applied without an assembled matrix, all three
+    directions at once: ``C`` stacks ``D_d V`` per axis, ``C[a][d]`` being
+    axis a's factor of direction d.
     """
 
     def __init__(self, K, space, nu):
@@ -275,11 +275,6 @@ class SaddleFactorization:
         b = -rhs[space.n_velocity:] - self._divergence(Af).ravel()
         P = solve_spd(self._schur, b, self.lu.solve)
         u[space.free_u] = inverse.from_eigen(Af + inverse.inv_lam * self._gradient(P)).ravel()
-        nb = np.linalg.norm(rhs[self.rows])
-        res = np.linalg.norm((self.K @ np.concatenate([u, P]) - rhs)[self.rows])
-        if not np.isfinite(res) or res > _RESIDUAL_TOL * nb:
-            raise SingularMatrixError(
-                f"saddle solve failed on the operator K (relative residual "
-                f"{res / nb:.3e}); was K built on this space with this nu?"
-            )
+        _check_residual((self.K @ np.concatenate([u, P]) - rhs)[self.rows], rhs[self.rows],
+                        "K", "nu")
         return u, P

@@ -52,6 +52,7 @@ def mellin_symbol_deriv(z):
 
 
 _ROOT_TOL = 1e-12  # residual of a polished root, relative to the size of the symbol's terms
+_DECIMALS = 10     # decimals of the start of a root's last polish
 
 
 def _residual(z):
@@ -107,19 +108,16 @@ def _safe_winding(re_min, re_max, im_min, im_max):
 
 
 def _newton_polish(z0):
-    z = complex(z0)
-    for _ in range(60):
-        fz = mellin_symbol(z)
-        if _residual(z) < _ROOT_TOL:
-            # one extra step sharpens the residual toward machine precision
-            dfz = mellin_symbol_deriv(z)
-            if dfz != 0:
-                z = z - fz / dfz
-            return z
-        dfz = mellin_symbol_deriv(z)
-        if dfz == 0:
+    """Newton from ``z0`` until an iterate repeats, at most 60 iterates: the
+    one of least ``_residual``, or None when that is not below ``_ROOT_TOL``."""
+    seen = [complex(z0)]
+    while len(seen) < 60:
+        dfz = mellin_symbol_deriv(seen[-1])
+        z = seen[-1] - mellin_symbol(seen[-1]) / dfz if dfz != 0 else seen[-1]
+        if z in seen:
             break
-        z = z - fz / dfz
+        seen.append(z)
+    z = min(seen, key=_residual)
     return z if _residual(z) < _ROOT_TOL else None
 
 
@@ -142,7 +140,10 @@ def find_roots(re_min, re_max, im_max):
     is polished by Newton iteration until its residual relative to the
     size of the symbol's terms is below 1e-12, and the total polished-root
     count is checked against the winding-number count of the full box.  A
-    mismatch raises MissedRootError.
+    mismatch raises MissedRootError.  Each root is polished once more from
+    itself rounded to ``_DECIMALS`` decimals, so two strips return the roots
+    they share with the same bits, and a non-real root with its exact
+    conjugate.
     """
     if not re_min < re_max:
         raise ValueError("re_min must be below re_max")
@@ -209,7 +210,11 @@ def find_roots(re_min, re_max, im_max):
         else:
             raise MissedRootError("box split failed; zero on every candidate cut")
 
-    roots = [z for z in roots if in_box(z, re_min, re_max, -im_max, im_max)]
+    rounded = [complex(round(z.real, _DECIMALS), round(z.imag, _DECIMALS))
+               for z in roots if z.imag >= 0 and in_box(z, re_min, re_max, -im_max, im_max)]
+    upper = [z for z in map(_newton_polish, rounded) if z is not None]
+    roots = [complex(z.real, 0.0) if z.imag == 0 else z for z in upper]
+    roots += [z.conjugate() for z in upper if z.imag > 0]
     roots.sort(key=lambda z: (z.real, z.imag))
     if len(roots) != total:
         raise MissedRootError(

@@ -17,7 +17,10 @@ is compared with the parent's:
   dropped, a VTK section, a ``section.key`` of ``config.normalized.txt``,
   or the lines of any other file) whose values differ prints its largest
   move relative to the column's largest magnitude in the parent, when
-  both sides are floats;
+  both sides are floats, and beside it its largest move relative to a
+  row's own parent value, with that row (rows count from 1 in the
+  column's order); a row whose parent value is exactly 0 reports its
+  absolute move instead;
 - a change in an integer column (``inner_iters``, ``outer_iterations``,
   an exit code), in a string or in a column's length is flagged ``CHANGED``.
 
@@ -171,24 +174,34 @@ def columns(path):
 
 
 def compare_column(old, new):
-    """(flag, relative move, absolute move) of one column's values; flag is
-    a reason string when the column changed in a way a float move cannot."""
+    """(flag, moves) of one column's values; flag is a reason string when
+    the column changed in a way a float move cannot, and ``moves`` holds
+    the float moves: ``column`` (relative to the column's largest parent
+    magnitude), ``absolute``, and ``row`` and ``zero_row``, each the largest
+    move of one row as (move, row number), relative to the row's own parent
+    value or, where that value is 0, absolute ((0.0, 0) when no such row
+    moved)."""
     if len(old) != len(new):
-        return f"length {len(old)} -> {len(new)}", 0.0, 0.0
-    scale, move = 0.0, 0.0
-    for a, b in zip(old, new):
+        return f"length {len(old)} -> {len(new)}", None
+    scale, move, row, zero_row = 0.0, 0.0, (0.0, 0), (0.0, 0)
+    for i, (a, b) in enumerate(zip(old, new), start=1):
         numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
         if numeric and isinstance(a, float) and isinstance(b, float):
             if not (math.isfinite(a) and math.isfinite(b)):
                 if not (a == b or (math.isnan(a) and math.isnan(b))):
-                    return f"non-finite {a!r} -> {b!r}", 0.0, 0.0
+                    return f"non-finite {a!r} -> {b!r}", None
                 continue
             scale = max(scale, abs(a))
             move = max(move, abs(a - b))
+            if a and abs(a - b) / abs(a) > row[0]:
+                row = (abs(a - b) / abs(a), i)
+            elif not a and abs(b) > zero_row[0]:
+                zero_row = (abs(b), i)
         elif a != b or type(a) is not type(b):
             kind = "integer" if numeric else "value"
-            return f"{kind} {a!r} -> {b!r}", 0.0, 0.0
-    return None, (move / scale if scale else move), move
+            return f"{kind} {a!r} -> {b!r}", None
+    return None, {"column": move / scale if scale else move, "absolute": move,
+                  "row": row, "zero_row": zero_row}
 
 
 def compare_file(old, new):
@@ -202,12 +215,18 @@ def compare_file(old, new):
             lines.append(f"  {name}: CHANGED only in {'child' if name in b else 'parent'}")
             flagged = True
             continue
-        flag, rel, absolute = compare_column(a[name], b[name])
+        flag, moves = compare_column(a[name], b[name])
         if flag:
             lines.append(f"  {name}: CHANGED {flag}")
             flagged = True
-        elif absolute:
-            lines.append(f"  {name}: max relative move {rel:.2e} (absolute {absolute:.2e})")
+        elif moves["absolute"]:
+            line = (f"  {name}: max relative move {moves['column']:.2e} "
+                    f"(absolute {moves['absolute']:.2e})")
+            if moves["row"][0]:
+                line += "; per row {:.2e} at row {}".format(*moves["row"])
+            if moves["zero_row"][0]:
+                line += "; from 0, absolute {:.2e} at row {}".format(*moves["zero_row"])
+            lines.append(line)
             moved = True
     if not lines:
         if new.name != "config.normalized.txt":

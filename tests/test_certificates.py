@@ -99,8 +99,8 @@ def test_estimates_pinned(small_space, boussinesq_model):
         0.003172649553602057,
         0.0031063119982081113,
         0.006890343537899241,
-        0.8628792550678128,
-        0.058886080067425996,
+        0.8628792550678137,
+        0.05888608006742597,
     )
 
 
@@ -111,8 +111,8 @@ def test_estimates_pinned_anisotropic(aniso_space, boussinesq_model):
         0.0008740047209357467,
         0.0019885317338073963,
         0.006570939402636448,
-        0.8814364362124083,
-        0.03832224946671875,
+        0.8814364362124086,
+        0.038322249466718764,
     )
 
 
@@ -125,8 +125,8 @@ def test_estimates_pinned_pointwise_exponents(small_space, boussinesq_model):
         0.0028767984279978527,
         0.0025714178159063107,
         0.006716181951542092,
-        0.9121473847859947,
-        0.06131387946616809,
+        0.912147384785995,
+        0.061313879466168064,
     )
 
 

@@ -319,6 +319,28 @@ def test_cli_diverged_run_keeps_its_trace(tmp_path):
     assert [row.split(",")[0] for row in lines[1:]] == ["1", "2"]
 
 
+def test_cli_failed_heat_solve_keeps_its_trace(tmp_path, monkeypatch, capsys):
+    # the heat solve of the third outer step fails: the two steps before it are kept
+    from thermoduct import linsolve
+
+    solve, calls = linsolve.WallSolver.solve, []
+
+    def failing(self, load):
+        calls.append(1)
+        if len(calls) == 3:
+            raise linsolve.SingularMatrixError("injected heat solve failure")
+        return solve(self, load)
+
+    monkeypatch.setattr(linsolve.WallSolver, "solve", failing)
+    p = write_cfg(tmp_path, FULL)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(p), "--out", str(out)]) == 3
+    assert "error: linear solve failed: injected heat solve failure" in capsys.readouterr().err
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0].startswith("iter,inner_iters,beta_hat,")
+    assert [row.split(",")[0] for row in lines[1:]] == ["1", "2"]
+
+
 def test_cli_rejects_rho_min_factor_above_one(tmp_path, capsys):
     # a floor above rho0 would leave the clamp empty and the law constant
     bad = "rho_min_factor = 2.0"
@@ -353,7 +375,7 @@ def test_cli_certify_builds_one_heat_solver(tmp_path, monkeypatch):
     # the sampler reuses the solve's heat solver and its one kappa
     from thermoduct import forms, linsolve
 
-    calls = {"assemble_kappa": 0, "WallCG": 0}
+    calls = {"assemble_kappa": 0, "WallSolver": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -362,10 +384,11 @@ def test_cli_certify_builds_one_heat_solver(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(forms, "assemble_kappa", counted("assemble_kappa", forms.assemble_kappa))
-    monkeypatch.setattr(linsolve.WallCG, "__init__", counted("WallCG", linsolve.WallCG.__init__))
+    monkeypatch.setattr(linsolve.WallSolver, "__init__",
+                        counted("WallSolver", linsolve.WallSolver.__init__))
     p = write_cfg(tmp_path, FULL)
     assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
-    assert calls == {"assemble_kappa": 1, "WallCG": 1}
+    assert calls == {"assemble_kappa": 1, "WallSolver": 1}
 
 
 def test_cli_mms_poly_quick(tmp_path):

@@ -364,8 +364,8 @@ def test_weak_residual_is_the_next_correction_rhs(monkeypatch, boussinesq_model)
 
 def test_saddle_only_problem_builds_no_heat_solver(monkeypatch, small_space, boussinesq_model):
     built = []
-    init = linsolve.WallCG.__init__
-    monkeypatch.setattr(linsolve.WallCG, "__init__",
+    init = linsolve.WallSolver.__init__
+    monkeypatch.setattr(linsolve.WallSolver, "__init__",
                         lambda self, *args: built.append(1) or init(self, *args))
     prob = CoupledProblem(small_space, boussinesq_model, (0, 0, -1.0), constant_scalar(0.0),
                           f_extra=(0.1, 0.0, 0.2))

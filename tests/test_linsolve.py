@@ -11,7 +11,7 @@ from thermoduct.linsolve import (
     LinearSolveError,
     SaddleFactorization,
     SingularMatrixError,
-    WallCG,
+    WallSolver,
     _TensorInverse,
     solve_spd,
 )
@@ -97,25 +97,44 @@ def test_cg_iteration_budget_on_heat_operator():
     assert np.linalg.norm(Kff @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
-def test_wall_cg_matches_dense_oracle(cube_space, unit_model):
-    K = forms.assemble_kappa(cube_space, unit_model)
+@pytest.fixture(scope="module")
+def lam_model():
+    return make_material(nu=1.0, cV=1.0, lam=2.5, alpha1=1.0, law=constant_density(1.0))
+
+
+def test_wall_solver_matches_dense_oracle(cube_space, lam_model):
+    K = forms.assemble_kappa(cube_space, lam_model)
     fixed = oracles.dirichlet_mask_theta(cube_space)
     load = np.random.default_rng(2).normal(size=cube_space.n_scalar)
-    x = WallCG(K, cube_space).solve(load)
+    x = WallSolver(K, cube_space, 2.5).solve(load)
     assert np.all(x[fixed] == 0.0)
-    x_ref = np.linalg.solve(*_eliminated(oracles.assemble_kappa(cube_space, unit_model),
+    x_ref = np.linalg.solve(*_eliminated(oracles.assemble_kappa(cube_space, lam_model),
                                          fixed, load))
-    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
+
+
+def test_wall_solver_rejects_a_kappa_of_another_lam(cube_space, lam_model):
+    # built for lam = 1, handed a kappa assembled with lam = 2.5
+    solver = WallSolver(forms.assemble_kappa(cube_space, lam_model), cube_space, 1.0)
+    load = np.random.default_rng(3).normal(size=cube_space.n_scalar)
+    with pytest.raises(SingularMatrixError, match=r"operator kappa \(relative residual"):
+        solver.solve(load)
+
+
+def test_wall_solver_zero_load_gives_exact_zeros(cube_space, lam_model):
+    x = WallSolver(forms.assemble_kappa(cube_space, lam_model), cube_space, 2.5).solve(
+        np.zeros(cube_space.n_scalar))
+    assert x.shape == (cube_space.n_scalar,) and np.all(x == 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_wall_cg_rejects_non_finite_load_before_iterating(cube_space, unit_model, bad):
+def test_wall_solver_rejects_non_finite_load_before_solving(cube_space, unit_model, bad):
     K = forms.assemble_kappa(cube_space, unit_model)
-    fixed = oracles.dirichlet_mask_theta(cube_space)
     load = np.ones(cube_space.n_scalar)
     load[cube_space.free_theta[3]] = bad
     with pytest.raises(LinearSolveError, match="non-finite") as err:
-        WallCG(K, cube_space).solve(load)
+        WallSolver(K, cube_space, unit_model.lam).solve(load)
+    assert not isinstance(err.value, SingularMatrixError)
     assert err.value.residual_history == []
 
 

@@ -87,6 +87,17 @@ def test_find_roots_on_a_wide_strip():
     assert (result.mu_M, result.s0) == pytest.approx(default_bounds(), rel=1e-12)
 
 
+def test_spectrum_answers_do_not_depend_on_the_strip():
+    # each root's last polish starts from the root itself rounded, not from a
+    # strip's seed; the root is 1.35231734088033755384..., this float 1.7e-16 from it
+    strips = [(0.02, 1.95, 5.0), (0.02, 20.0, 40.0), (0.02, 3.0, 5.0), (0.5, 1.95, 5.0)]
+    answers = {(r.mu_M, r.s0) for r in (compute_spectrum(*strip) for strip in strips)}
+    assert answers == {(1.3523173408803377, 3.087931986195868)}
+    # the roots two strips share have the same bits
+    wide = find_roots(0.02, 20.0, 40.0)
+    assert all(z in wide for z in find_roots(2.5, 6.5, 3.0))
+
+
 def test_find_roots_around_two():
     roots = find_roots(1.5, 2.5, 1.0)
     assert len(roots) == 1
