@@ -12,8 +12,11 @@ dissipation loads, and the outer loop composes the two maps until the
 homogeneous temperature part stops moving.  Each discrete equation is a
 method of ``CoupledProblem``, which both steps solve and ``weak_residual``
 norms.  Stopping norms for both loops are discrete H1 norms of the
-increments; each outer step keeps its inner increments in one plain
-``OuterRecord``, from which its contraction ratios are read.
+increments: the inner loop takes each velocity increment's from the
+saddle solve, which reads it in its eigenbasis as one weighted sum of
+squares, and the outer loop norms each temperature update with
+``forms.discrete_norms``.  Each outer step keeps its inner increments in
+one plain ``OuterRecord``, from which its contraction ratios are read.
 """
 
 import functools
@@ -205,7 +208,8 @@ def inner_momentum_solve(problem, theta, u_init=None, P_init=None, tol=1e-12,
 
     Each step solves ``K [du; dP] = [load - conv(u); 0] - K [u; P]`` for the
     update of the iterate (from ``u_init``, ``P_init``, zero when omitted).
-    Returns (u, P, increments), the H1 norms of the successive updates du.
+    Returns (u, P, increments), the H1 norms of the successive updates du
+    as the saddle solve gives them.
     Every increment but the last is above ``tol``, so their
     ``contraction_ratios`` are the empirical contraction ratios; three
     consecutive ratios >= 1 raise DivergenceError (violated smallness).
@@ -216,8 +220,8 @@ def inner_momentum_solve(problem, theta, u_init=None, P_init=None, tol=1e-12,
     P = np.zeros(space.n_pressure) if P_init is None else np.array(P_init, dtype=float)
     increments = []
     for _ in range(max_iter):
-        du, dP = problem.saddle.solve(*problem.momentum_rhs(load, u, P))
-        increments.append(forms.discrete_norms(space, du, "H1"))
+        du, dP, norm = problem.saddle.solve(*problem.momentum_rhs(load, u, P))
+        increments.append(norm)
         u, P = u + du, P + dP
         if increments[-1] <= tol:
             return u, P, increments

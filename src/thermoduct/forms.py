@@ -17,7 +17,13 @@ enters only as a load.
 Loads: convective, dissipative and buoyancy terms are assembled as
 explicit load vectors with every argument frozen, mirroring the
 linearized solve structure of the fixed-point scheme.  The body force
-is a constant 3-vector and multiplies rho(theta) as it is.  The other
+is a constant 3-vector and multiplies rho(theta) as it is.  The
+convection and dissipation loads are polynomials of the dofs alone, so
+they run on the lowest Gauss rule that integrates them exactly,
+``DiscreteSpace.poly_rule`` (4 points per axis); the buoyancy and heat
+convection loads pass the temperature through the density clamp, which
+is not a polynomial, and they, the forcings, ``convection_value`` as the
+certificate reads it and every norm keep the space's own ``rule``.  The other
 problem data (a ``fields`` callable, a constant, or values already
 tabulated) become quadrature values in one place, ``quad_values``: a
 callable is tabulated on the per-axis quadrature coordinates that the
@@ -87,7 +93,8 @@ __all__ = [
 
 
 # cells per block of ``cell_blocks``: a (256, 125, 3, 3) gradient block at
-# quad_order 5 is 2.3 MB
+# quad_order 5 is 2.3 MB, a (256, 64, 3, 3) one on the 4-point rule of the
+# convection and dissipation loads 1.2 MB
 _BLOCK_CELLS = 256
 
 
@@ -123,19 +130,21 @@ def _contract(dofs, index, table):
     return out.reshape(index.shape[0], *table.shape[1:], index.shape[-1])
 
 
-def _scatter_load(space, values, m):
+def _scatter_load(space, values, m, rule=None):
     """Load vector of quadrature data in m components.
 
-    ``values(cells)`` gives the data of one ``cell_blocks`` block, (cells,
-    nq) for m = 1 or (cells, nq, m), or a constant that broadcasts to it.
-    The (cells, 27, m) local vectors are filled block by block, then summed
+    ``values(cells)`` gives the data of one ``cell_blocks`` block at the
+    points of ``rule`` (the space's own ``rule`` when omitted), (cells, nq)
+    for m = 1 or (cells, nq, m), or a constant that broadcasts to it.  The
+    (cells, 27, m) local vectors are filled block by block, then summed
     with one ``bincount``.
     """
-    weighted = space.N2 * space.wq
+    rule = rule or space.rule
+    weighted = rule.N2 * rule.wq
 
     def local(cells):
         vals = values(cells)[..., None] if m == 1 else values(cells)
-        return weighted @ np.broadcast_to(vals, (cells.stop - cells.start, space.nq, m))
+        return weighted @ np.broadcast_to(vals, (cells.stop - cells.start, rule.nq, m))
 
     return np.bincount(
         space.conn_u[..., :m].ravel(),
@@ -157,14 +166,16 @@ def eval_scalar_hess(space, dofs):
     return _contract(dofs, space.conn_u[..., :1], space.d2N2)[..., 0]
 
 
-def eval_velocity(space, u, cells=slice(None)):
-    """Velocity values at the quadrature points of ``cells``, (cells, nq, 3)."""
-    return _contract(u, space.conn_u[cells], space.N2)
+def eval_velocity(space, u, cells=slice(None), rule=None):
+    """Velocity values at the points of ``rule`` (the space's own ``rule``
+    when omitted) in ``cells``, (cells, nq, 3)."""
+    return _contract(u, space.conn_u[cells], (rule or space.rule).N2)
 
 
-def eval_velocity_grad(space, u, cells=slice(None)):
-    """Velocity gradients at quadrature points, (cells, nq, 3, 3) as [m, d]."""
-    return np.swapaxes(_contract(u, space.conn_u[cells], space.dN2), -1, -2)
+def eval_velocity_grad(space, u, cells=slice(None), rule=None):
+    """Velocity gradients at the points of ``rule`` (as ``eval_velocity``),
+    (cells, nq, 3, 3) as [m, d]."""
+    return np.swapaxes(_contract(u, space.conn_u[cells], (rule or space.rule).dN2), -1, -2)
 
 
 def eval_pressure(space, p, cells=slice(None)):
@@ -309,35 +320,42 @@ def assemble_saddle(A, D):
 # -- load vectors --------------------------------------------------------------
 
 
-def convection_value(space, model, u0, u1, cells=slice(None)):
-    """rho0 (u0 . grad) u1 at the quadrature points of ``cells``."""
-    uq = eval_velocity(space, u0, cells)
-    gq = eval_velocity_grad(space, u1, cells)
+def convection_value(space, model, u0, u1, cells=slice(None), rule=None):
+    """rho0 (u0 . grad) u1 at the points of ``rule`` (the space's own
+    ``rule`` when omitted) in ``cells``."""
+    uq = eval_velocity(space, u0, cells, rule)
+    gq = eval_velocity_grad(space, u1, cells, rule)
     return model.rho0 * np.einsum("cqd,cqmd->cqm", uq, gq)
 
 
 def convection_load(space, model, u0, u1):
-    """Load form of b with both slots frozen: entries rho0 ((u0.grad)u1, v_i)."""
-    return _scatter_load(space, lambda cells: convection_value(space, model, u0, u1, cells), 3)
+    """Load form of b with both slots frozen: entries rho0 ((u0.grad)u1, v_i),
+    on ``DiscreteSpace.poly_rule``, which is exact for it."""
+    rule = space.poly_rule
+    return _scatter_load(
+        space, lambda cells: convection_value(space, model, u0, u1, cells, rule), 3, rule)
 
 
-def _strain(space, u, cells):
+def _strain(space, u, cells, rule):
     """Symmetric gradient e(u), (cells, nq, 3, 3), in place: one block array, not three."""
-    g = eval_velocity_grad(space, u, cells)
+    g = eval_velocity_grad(space, u, cells, rule)
     for m, d in itertools.combinations_with_replacement(range(3), 2):
         g[..., m, d] = g[..., d, m] = 0.5 * (g[..., m, d] + g[..., d, m])
     return g
 
 
-def dissipation_value(space, model, u, cells=slice(None)):
-    """alpha1 * nu * e(u) : e(u) at quadrature points."""
-    eu = _strain(space, u, cells)
+def dissipation_value(space, model, u, cells=slice(None), rule=None):
+    """alpha1 * nu * e(u) : e(u) at the points of ``rule`` (as ``convection_value``)."""
+    eu = _strain(space, u, cells, rule)
     return model.alpha1 * model.nu * np.einsum("cqmd,cqmd->cq", eu, eu)
 
 
 def assemble_e_load(space, model, u):
-    """Dissipation load: entries alpha1 nu (e(u):e(u), phi_i)."""
-    return _scatter_load(space, lambda cells: dissipation_value(space, model, u, cells), 1)
+    """Dissipation load: entries alpha1 nu (e(u):e(u), phi_i), on
+    ``DiscreteSpace.poly_rule``, which is exact for it."""
+    rule = space.poly_rule
+    return _scatter_load(
+        space, lambda cells: dissipation_value(space, model, u, cells, rule), 1, rule)
 
 
 def heat_convection_value(space, model, theta_freeze, u, theta_transport, cells=slice(None)):

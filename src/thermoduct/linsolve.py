@@ -18,7 +18,8 @@ and ``shape``).  The 1-D factors and ``_kron3`` come from ``forms``.
 
 - ``SaddleFactorization``: the Taylor-Hood saddle system
   ``[[A, -Dᵀ], [-D, 0]]``, by conjugate gradients (``solve_spd``) on the
-  pressure Schur complement, with no sparse factorization.
+  pressure Schur complement, with no sparse factorization; each solve
+  also gives its velocity's H1 norm, read in the eigenbasis.
 - ``WallSolver``: the heat stiffness ``λ S``, its free block solved
   directly by the exact tensor inverse, with no iteration.
 
@@ -126,8 +127,9 @@ class _TensorInverse:
     """``(scale · S_ff)⁻¹`` of the scalar stiffness by fast diagonalization.
 
     ``V[a]`` holds axis a's eigenvectors of ``K v = λ M v`` on its free
-    nodes, normalized so that ``Vᵀ M V = I``; ``inv_lam`` is
-    ``1 / (scale (λz + λy + λx))`` on the (z, y, x) grid of free nodes.
+    nodes, normalized so that ``Vᵀ M V = I``; ``lam`` is ``λz + λy + λx``
+    and ``inv_lam`` is ``1 / (scale · lam)`` on the (z, y, x) grid of free
+    nodes.
     The free x nodes include the open ends, where ``λx`` has its zero
     (the constants); ``λy`` and ``λz`` are positive.
     """
@@ -141,7 +143,8 @@ class _TensorInverse:
             self.V.append(np.linalg.solve(L.T, W))
             lams.append(lam)
         lx, ly, lz = lams
-        self.inv_lam = 1.0 / (scale * (lz[:, None, None] + ly[:, None] + lx))
+        self.lam = lz[:, None, None] + ly[:, None] + lx
+        self.inv_lam = 1.0 / (scale * self.lam)
 
     def to_eigen(self, X):
         Vx, Vy, Vz = self.V
@@ -221,7 +224,17 @@ class SaddleFactorization:
     default iteration budget.  Each ``D_d`` is a Kronecker product of 1-D
     matrices, so ``S`` is applied without an assembled matrix, all three
     directions at once: ``C`` stacks ``D_d V`` per axis, ``C[a][d]`` being
-    axis a's factor of direction d.
+    axis a's factor of direction d, and ``C_T`` holds their transposed views.
+
+    ``solve`` also returns the H1 norm of its velocity, read in the
+    eigenbasis.  The free nodes are a lattice and the wall values zero, so
+    the squared norm ``uᵀ (M + S) u`` of ``u = V ξ`` (per component, with
+    the Q2 mass ``M = Mz⊗My⊗Mx`` and the unscaled stiffness ``S``) is
+    ``ξᵀ Vᵀ (M + S) V ξ``.  Each axis's ``V`` holds eigenvectors of its
+    free block with ``Vᵀ M V = I`` and ``Vᵀ K V = diag(λ)``, so that is
+    ``Σ (1 + λx + λy + λz) ξ²``: one weighted sum of squares, with no
+    term that can cancel, and the same quantity as
+    ``forms.discrete_norms(space, u, "H1")``.
     """
 
     def __init__(self, K, space, nu):
@@ -234,6 +247,8 @@ class SaddleFactorization:
             np.stack([(ax.dB if a == d else ax.B)[:, free] @ V for d in range(3)])
             for a, (ax, free, V) in enumerate(zip(axes, space.free_lines, self.inverse.V))
         ]
+        self.C_T = [np.swapaxes(C, 1, 2) for C in self.C]
+        self.h1_weight = 1.0 + self.inverse.lam
         self.lu = _MassInverse([ax.Mp for ax in axes])
         self.p_shape = space.q1_shape[::-1]
         self.rows = np.concatenate(
@@ -247,7 +262,7 @@ class SaddleFactorization:
 
     def _gradient(self, p):
         """``(V_dᵀ D_dᵀ p)_d`` of a pressure dof vector p."""
-        Cx, Cy, Cz = (np.swapaxes(C, 1, 2) for C in self.C)
+        Cx, Cy, Cz = self.C_T
         return _kron3(Cz, Cy, Cx, p.reshape(self.p_shape))
 
     def _schur(self, p):
@@ -257,7 +272,8 @@ class SaddleFactorization:
         """Solve ``K [u; P] = [load; pressure_load]`` on the free rows.
 
         ``load`` is a velocity load and ``pressure_load`` (zeros when
-        omitted) the right-hand side of the mass rows; returns ``(u, P)``.
+        omitted) the right-hand side of the mass rows; returns ``(u, P,
+        norm)``, ``norm`` the H1 norm of ``u`` (0 for a zero right-hand side).
         """
         space = self.space
         rhs = np.zeros(self.K.shape[0])
@@ -267,14 +283,15 @@ class SaddleFactorization:
         _check_finite(rhs)
         u, P = np.zeros(space.n_velocity), np.zeros(space.n_pressure)
         if not rhs[self.rows].any():
-            return u, P
+            return u, P, 0.0
         # u = A⁻¹ (f + Dᵀ P), with P from the Schur system S P = -g - D A⁻¹ f
         inverse = self.inverse
         Af = inverse.inv_lam * inverse.to_eigen(
             rhs[space.free_u].reshape(3, *inverse.inv_lam.shape))
         b = -rhs[space.n_velocity:] - self._divergence(Af).ravel()
         P = solve_spd(self._schur, b, self.lu.solve)
-        u[space.free_u] = inverse.from_eigen(Af + inverse.inv_lam * self._gradient(P)).ravel()
+        xi = Af + inverse.inv_lam * self._gradient(P)
+        u[space.free_u] = inverse.from_eigen(xi).ravel()
         _check_residual((self.K @ np.concatenate([u, P]) - rhs)[self.rows], rhs[self.rows],
                         "K", "nu")
-        return u, P
+        return u, P, float(np.sqrt(np.sum(self.h1_weight * xi * xi)))

@@ -16,17 +16,19 @@ per-axis coordinates, which is never formed: each axis's coordinates are
 built once, in cell blocks (``quad_coords``), and every closed-form datum
 is tabulated on them, cut to a cell block's z layers
 (``forms.quad_values``).  This module is the one that knows their layout.
-The 1-D operator matrices (``axis_matrices``) are built once, on first use.
+The 1-D operator matrices (``axis_matrices``) and the lower rule of the
+polynomial loads (``poly_rule``) are built once, on first use.
 """
 
 import functools
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from .mesh import grid_points, lattice
 
-__all__ = ["AxisMatrices", "DiscreteSpace", "build_spaces", "gauss_01"]
+__all__ = ["AxisMatrices", "DiscreteSpace", "Rule", "build_spaces", "gauss_01"]
 
 
 def gauss_01(n):
@@ -52,6 +54,9 @@ def _q1_1d(t):
     return np.stack([1 - t, t])
 
 
+_Q2_1D = (_q2_1d, _dq2_1d, _d2q2_1d)   # by derivative order
+
+
 def _on_axis(table, a, d):
     """The (k, q) ``table`` of axis ``a`` of ``d``, shaped to broadcast over
     (k_d, ..., k_1, q_1, ..., q_d): k counted with the first axis fastest,
@@ -67,6 +72,35 @@ def _tensor(*tables):
     d = len(tables)
     prod = functools.reduce(np.multiply, (_on_axis(t, a, d) for a, t in enumerate(tables)))
     return prod.reshape(np.prod(prod.shape[:d]), -1)
+
+
+def _q2_partial(g, orders):
+    """The Q2 basis's partial derivative of ``orders`` (x, y, z) on the unit
+    cell at the tensor points of the 1-D nodes ``g``, as one (27, nq) table."""
+    return _tensor(*(_Q2_1D[o](g) for o in orders))
+
+
+class Rule(NamedTuple):
+    """A tensor Gauss rule on a cell: the Q2 basis values ``N2`` (27, nq)
+    and gradients ``dN2`` (27, nq, 3) at its ``nq`` points, point index z
+    fastest, and the weights ``wq``."""
+
+    N2: np.ndarray
+    dN2: np.ndarray
+    wq: np.ndarray
+    nq: int
+
+
+def _rule(order, h):
+    """The ``Rule`` of ``order`` Gauss points per axis on a cell of sides ``h``."""
+    g, w = gauss_01(order)
+    unit = np.eye(3, dtype=int)
+    return Rule(
+        N2=_q2_partial(g, (0, 0, 0)),
+        dN2=np.stack([_q2_partial(g, unit[i]) / h[i] for i in range(3)], axis=-1),
+        wq=_tensor(w[None], w[None], w[None]).ravel() * float(np.prod(h)),
+        nq=g.size**3,
+    )
 
 
 class AxisMatrices(NamedTuple):
@@ -104,7 +138,9 @@ class DiscreteSpace:
       whose lattice is ``free_theta``,
     - reference basis tables ``N2``, ``dN2``, ``d2N2``, ``N1`` at the
       ``nq`` volume quadrature points of a cell, point index z fastest,
-      with weights ``wq``,
+      with weights ``wq``; ``rule``: the ``Rule`` of ``N2``, ``dN2``,
+      ``wq`` and ``nq``; ``poly_rule``: the lower rule of the convection
+      and dissipation loads, which shares the rest of the space,
     - ``quad_coords``: the x, y and z quadrature coordinates in cell
       blocks: each axis's Gauss coordinates copied over the q³ block of
       its row of cells, shaped to broadcast to the quadrature grid
@@ -122,6 +158,8 @@ class DiscreteSpace:
     """
 
     def __init__(self, mesh, quad_order=5):
+        if not isinstance(quad_order, numbers.Integral):
+            raise ValueError(f"quad_order must be an integer, got {quad_order!r}")
         if quad_order < 3:
             raise ValueError(
                 f"quad_order must be >= 3 for exact quadratic mass terms, got {quad_order}"
@@ -185,20 +223,13 @@ class DiscreteSpace:
         Gauss nodes."""
         g, w = gauss_01(self.quad_order)
         h = self.h
-        self.nq = g.size**3
-        self.wq = _tensor(w[None], w[None], w[None]).ravel() * float(np.prod(h))
-
-        q2 = (_q2_1d(g), _dq2_1d(g), _d2q2_1d(g))
-
-        def partial(orders):
-            return _tensor(*(q2[o] for o in orders))
+        self.rule = _rule(self.quad_order, h)
+        self.N2, self.dN2, self.wq, self.nq = self.rule
 
         unit = np.eye(3, dtype=int)
-        self.N2 = partial((0, 0, 0))
-        self.dN2 = np.stack([partial(unit[i]) / h[i] for i in range(3)], axis=-1)
         # the scalar power h**2 is not always the rounded product h*h
         self.d2N2 = np.stack([
-            np.stack([partial(unit[i] + unit[j]) / (h[i] ** 2 if i == j else h[i] * h[j])
+            np.stack([_q2_partial(g, unit[i] + unit[j]) / (h[i] ** 2 if i == j else h[i] * h[j])
                       for j in range(3)], axis=-1)
             for i in range(3)
         ], axis=-2)
@@ -216,9 +247,25 @@ class DiscreteSpace:
 
         # the tangent axes of an x face are (y, z)
         face_weights = _tensor(w[None], w[None]).ravel() * (h[1] * h[2])
-        face_basis = _tensor(q2[0], q2[0])
+        face_basis = _tensor(_q2_1d(g), _q2_1d(g))
         for face in self.faces.values():
             face.update(weights=face_weights, basis=face_basis)
+
+    @functools.cached_property
+    def poly_rule(self):
+        """The ``Rule`` of ``min(quad_order, 4)`` points per axis, built on
+        first use; ``rule`` itself below 5 points.
+
+        The convection and dissipation integrands, rho0 (u0 . grad u1) . v
+        and e(u) : e(u) phi, are products of three Q2 factors, so
+        polynomials of the dofs alone of degree 6 per axis, which the
+        4-point rule (exact to degree 7) integrates exactly.  Only those
+        two loads run on it (``forms.convection_load``,
+        ``forms.assemble_e_load``); everything that touches data or the
+        density clamp keeps ``rule``.
+        """
+        order = min(self.quad_order, 4)
+        return self.rule if order == self.quad_order else _rule(order, self.h)
 
     @functools.cached_property
     def axis_matrices(self):

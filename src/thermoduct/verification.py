@@ -346,7 +346,7 @@ def mms_stokes_study(case_factory, dims, base_divisions, n_levels=3, nu=1.0):
         # a temporary: one level's solver is freed before the next is built
         problem = CoupledProblem(space, model, (0.0, 0.0, 0.0), constant_scalar(0.0),
                                  f_extra=forcing)
-        u, P = problem.saddle.solve(problem.f_extra_load)
+        u, P, _ = problem.saddle.solve(problem.f_extra_load)
         u_l2, u_h1 = _error_norms(space, u, case.u)
         dp2 = _squared_error(space, forms.eval_pressure, P, case.p)
         p_l2 = float(np.sqrt(np.einsum("q,cq->", space.wq, dp2)))

@@ -14,10 +14,13 @@ round runs both trees, each in a fresh process with one BLAS thread, and
 the tree that runs first alternates from round to round.  A run's time is
 the wall time of its whole process, interpreter and imports included.
 
-It prints every pair, the median of the per-round ratios child / parent
-and how many rounds each side won.  It gates nothing: the exit status is
-0 whatever the times, and 1 only when the runs do not all exit with the
-same code.  This file is a tool, not a test: pytest does not collect
+It prints every pair, the median of the per-round ratios child / parent,
+each side's median and quartiles of wall time, and how many rounds each
+side won (a tie counts for neither).  It then states the claim rule: did
+the child win at least 9 of 10 rounds, and is the gap between the two
+medians larger than the parent's interquartile range?  It gates nothing:
+the exit status is 0 whatever the times, and 1 only when the runs do not
+all exit with the same code.  This file is a tool, not a test: pytest does not collect
 it.
 """
 
@@ -32,6 +35,11 @@ from compare_artifacts import ROOT, start, with_keys
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile) of ``values``."""
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else tuple(values) * 3
 
 
 def timed(src, command, config, out):
@@ -73,7 +81,7 @@ def main(argv=None):
         print(f"{args.workload} ({workload.command} {config.name}, {mesh}), "
               f"{args.rounds} rounds")
         print("round  first   parent_s  child_s  child/parent")
-        ratios, codes, child_won = [], set(), 0
+        ratios, codes, walls = [], set(), {"parent": [], "child": []}
         for k in range(args.rounds):
             sides = [("parent", args.parent_src), ("child", args.child_src)]
             if k % 2:
@@ -83,13 +91,25 @@ def main(argv=None):
                 times[side], code = timed(src, workload.command, config, tmp / f"{side}{k}")
                 codes.add(code)
             ratios.append(times["child"] / times["parent"])
-            child_won += times["child"] < times["parent"]
+            for side in walls:
+                walls[side].append(times[side])
             print(f"{k + 1:5d}  {sides[0][0]:6s}  {times['parent']:8.3f}  {times['child']:7.3f}"
                   f"  {ratios[-1]:.3f}")
-    q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    print(f"median child/parent {statistics.median(ratios):.3f} "
-          f"(quartiles {q1:.3f} to {q3:.3f}); rounds won: child {child_won}, "
-          f"parent {args.rounds - child_won}")
+    q1, median, q3 = quartiles(ratios)
+    parent, child = walls["parent"], walls["child"]
+    won = {"child": sum(c < p for p, c in zip(parent, child)),
+           "parent": sum(p < c for p, c in zip(parent, child))}
+    print(f"median child/parent {median:.3f} (quartiles {q1:.3f} to {q3:.3f}); "
+          f"rounds won: child {won['child']}, parent {won['parent']}, "
+          f"tied {args.rounds - won['child'] - won['parent']}")
+    stats = {side: quartiles(walls[side]) for side in walls}
+    for side, (lo, mid, hi) in stats.items():
+        print(f"{side} wall s: median {mid:.3f} (quartiles {lo:.3f} to {hi:.3f})")
+    gap, spread = stats["parent"][1] - stats["child"][1], stats["parent"][2] - stats["parent"][0]
+    print(f"claim rule: child won >= 9/10 of the rounds: "
+          f"{'yes' if won['child'] >= 0.9 * args.rounds else 'no'} "
+          f"({won['child']}/{args.rounds}); median gap {gap:.3f} s larger than the parent's "
+          f"interquartile range {spread:.3f} s: {'yes' if gap > spread else 'no'}")
     if len(codes) > 1:
         print(f"exit codes differ between runs: {sorted(codes)}", file=sys.stderr)
         return 1

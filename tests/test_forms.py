@@ -73,8 +73,8 @@ def test_saddle_zero_load_zero_solution(cube_space, unit_model):
         forms.assemble_a(cube_space, unit_model), forms.divergence_matrix(cube_space)
     )
     fac = SaddleFactorization(K, cube_space, unit_model.nu)
-    u, P = fac.solve(np.zeros(cube_space.n_velocity))
-    assert np.all(u == 0.0) and np.all(P == 0.0)
+    u, P, norm = fac.solve(np.zeros(cube_space.n_velocity))
+    assert np.all(u == 0.0) and np.all(P == 0.0) and norm == 0.0
 
 
 def test_saddle_no_open_end_boundary_rows(cube_space, unit_model):
@@ -372,6 +372,7 @@ outputs = {
     "eval_pressure": forms.eval_pressure(space, p),
     "surface_velocity_normal": forms.surface_velocity_normal(space, u, "x1")[0],
     "assemble_d_load": forms.assemble_d_load(space, model, th, u, th),
+    "assemble_e_load": forms.assemble_e_load(space, model, u),
     "convection_load": forms.convection_load(space, model, u, u),
     "discrete_norms": forms.discrete_norms(space, u, "W2s", s=2.0),
     "discrete_norms_H1": forms.discrete_norms(space, u, "H1"),
@@ -388,7 +389,7 @@ for name, value in outputs.items():
 
 
 def test_kernels_do_not_depend_on_blas_thread_count():
-    # every quadrature evaluation, both load scatters, the norms, the
+    # every quadrature evaluation, the load scatters on both rules, the norms, the
     # Kronecker applies of kappa and K and the certificate sampler give the
     # same bits with one and with two BLAS threads; the W2s and H1 norms
     # are Kronecker applies too
@@ -404,7 +405,7 @@ def test_kernels_do_not_depend_on_blas_thread_count():
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(dict(line.split() for line in proc.stdout.splitlines()))
-    assert len(digests[0]) == 14
+    assert len(digests[0]) == 15
     assert digests[0] == digests[1]
 
 
@@ -420,6 +421,40 @@ def test_quad_order_controls_tables():
     assert space.nq == 27
     with pytest.raises(ValueError):
         build_spaces(build_channel_mesh(1, 1, 1, 1, 1, 1), quad_order=2)
+
+
+@pytest.mark.parametrize("quad_order", [4.5, 3.9, 5.0, "5"])
+def test_quad_order_must_be_an_integer(quad_order):
+    # 4.5 and 3.9 used to build a 4- and a 3-point rule without a word
+    with pytest.raises(ValueError, match="quad_order must be an integer"):
+        build_spaces(build_channel_mesh(1, 1, 1, 1, 1, 1), quad_order=quad_order)
+    space = build_spaces(build_channel_mesh(1, 1, 1, 1, 1, 1), quad_order=np.int64(4))
+    assert space.quad_order == 4 and space.nq == 64
+
+
+@pytest.mark.parametrize("divisions", [(2, 2, 8), (4, 4, 16)])
+def test_polynomial_loads_on_the_4_point_rule_are_exact(divisions, boussinesq_model):
+    # the convection and dissipation integrands are of degree 6 per axis:
+    # on the 4-point rule the loads are the 5-point ones up to rounding,
+    # and on a 3-point rule they are not
+    mesh = build_channel_mesh(1.0, 1.0, 4.0, *divisions)
+    space, coarse = build_spaces(mesh), build_spaces(mesh, quad_order=3)
+    assert (space.rule.nq, space.poly_rule.nq, coarse.poly_rule.nq) == (125, 64, 27)
+    model, five = boussinesq_model, space.rule
+    rng = np.random.default_rng(41)
+    u0, u1 = rng.normal(size=(2, space.n_velocity))
+    references = (
+        forms._scatter_load(
+            space, lambda c: forms.convection_value(space, model, u0, u1, c, five), 3, five),
+        forms._scatter_load(
+            space, lambda c: forms.dissipation_value(space, model, u0, c, five), 1, five),
+    )
+    loads = (lambda s: forms.convection_load(s, model, u0, u1),
+             lambda s: forms.assemble_e_load(s, model, u0))
+    for load, reference in zip(loads, references):
+        scale = np.abs(reference).max()
+        assert np.abs(load(space) - reference).max() <= 1e-13 * scale
+        assert np.abs(load(coarse) - reference).max() > 1e-6 * scale
 
 
 def test_d_load_linear_in_velocity_and_transport(cube_space, boussinesq_model):

@@ -140,8 +140,8 @@ def test_wall_solver_rejects_non_finite_load_before_solving(cube_space, unit_mod
 
 def test_saddle_zero_rhs(cube_space, unit_model):
     K = _saddle(cube_space, unit_model)
-    u, P = _factor(K, cube_space).solve(np.zeros(cube_space.n_velocity))
-    assert np.all(u == 0.0) and np.all(P == 0.0)
+    u, P, norm = _factor(K, cube_space).solve(np.zeros(cube_space.n_velocity))
+    assert np.all(u == 0.0) and np.all(P == 0.0) and norm == 0.0
     assert P.size == cube_space.n_pressure
 
 
@@ -169,7 +169,7 @@ def test_saddle_matches_dense_oracle_on_manufactured_load(space_name, unit_model
     )
     x_ref = np.linalg.solve(K_ref, rhs)
     n = space.n_velocity
-    u, P = _factor(_saddle(space, unit_model), space).solve(load)
+    u, P, _ = _factor(_saddle(space, unit_model), space).solve(load)
     assert np.linalg.norm(u - x_ref[:n]) <= 1e-8 * np.linalg.norm(x_ref[:n])
     assert np.linalg.norm(P + x_ref[n:]) <= 1e-8 * np.linalg.norm(x_ref[n:])
 
@@ -200,6 +200,21 @@ def test_batched_schur_apply_matches_the_per_direction_loop(uneven_space, unit_m
     assert np.array_equal(fac._divergence(U), divergence)
 
 
+@pytest.mark.parametrize("divisions", [(2, 2, 8), (4, 4, 16)])
+def test_saddle_solve_gives_the_h1_norm_of_its_velocity(divisions):
+    # the eigenbasis sum of (1 + λx + λy + λz) ξ² against the 1-D factor
+    # norm of the velocity it returns, at a viscosity other than 1
+    space = build_spaces(build_channel_mesh(1.0, 1.0, 4.0, *divisions))
+    model = make_material(nu=0.37, cV=1.0, lam=1.0, alpha1=1.0, law=constant_density(1.0))
+    fac = _factor(_saddle(space, model), space, nu=0.37)
+    rng = np.random.default_rng(13)
+    for pressure_load in (None, rng.normal(size=space.n_pressure)):
+        u, _, norm = fac.solve(rng.normal(size=space.n_velocity), pressure_load)
+        want = forms.discrete_norms(space, u, "H1")
+        assert abs(norm - want) <= 1e-13 * want
+    assert fac.solve(np.zeros(space.n_velocity))[2] == 0.0
+
+
 def test_saddle_factorization_reuse(cube_space, unit_model):
     K = oracles.assemble_saddle(oracles.assemble_a(cube_space, unit_model),
                                 oracles.divergence_matrix(cube_space))
@@ -208,7 +223,7 @@ def test_saddle_factorization_reuse(cube_space, unit_model):
     rng = np.random.default_rng(4)
     for pressure_load in (None, rng.normal(size=cube_space.n_pressure)):
         load = rng.normal(size=cube_space.n_velocity)
-        u, P = fac.solve(load, pressure_load)
+        u, P, _ = fac.solve(load, pressure_load)
         assert np.all(u[fixed] == 0.0)
         g = np.zeros(P.size) if pressure_load is None else pressure_load
         Kc, rhs = _eliminated(K, fixed, np.concatenate([load, g]))
@@ -261,9 +276,9 @@ def test_tensor_inverse_inverts_the_free_stiffness(divisions):
 def test_solves_are_bit_identical(cube_space, unit_model):
     K = _saddle(cube_space, unit_model)
     load = np.random.default_rng(5).normal(size=cube_space.n_velocity)
-    u1, P1 = _factor(K, cube_space).solve(load)
-    u2, P2 = _factor(K, cube_space).solve(load)
-    assert np.array_equal(u1, u2) and np.array_equal(P1, P2)
+    u1, P1, n1 = _factor(K, cube_space).solve(load)
+    u2, P2, n2 = _factor(K, cube_space).solve(load)
+    assert np.array_equal(u1, u2) and np.array_equal(P1, P2) and n1 == n2
 
     A = sp.diags([2.0] * 50, format="csr") + sp.diags([0.5] * 49, 1) + sp.diags([0.5] * 49, -1)
     b = np.random.default_rng(6).normal(size=50)
