@@ -26,7 +26,11 @@ evaluator the manufactured solutions use too, into one workspace of
 stacked rows that ``estimate_constants`` allocates once, on the cell-block
 quadrature coordinates that every closed-form datum is tabulated on
 (``DiscreteSpace.quad_coords``); the integrands are numpy contractions of
-those rows.
+those rows.  Each piece of work is done once: the workspace keeps every
+1-D factor table of the run (a hundred or so distinct ones serve all the
+samples), and a curl sample's zero component is neither evaluated nor
+contracted, which drops only exact zeros and so keeps the bits of the
+full contractions.
 
 At exponent 2 (s = 2 for the velocities, r = 2 for the temperature, the
 default) a sample's W^{2,2} norm needs no pointwise second partials: the
@@ -39,12 +43,13 @@ keep the pointwise density.
 """
 
 import functools
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import forms
-from .fields import _UNIT, CURL, Separable, factor_table
+from .fields import _UNIT, CURL, Separable, cached_table
 from .spectrum import admissible_sr, default_bounds
 
 __all__ = [
@@ -100,30 +105,34 @@ _DIRECTIONS = ((0, 0, 0),) + _UNIT + _SECOND
 _COUNTS = np.array((1, 1, 1, 1) + tuple(_HESS.count(h) for h in _SECOND))
 
 
-def _grams(fld, axis, space):
+def _grams(fld, axis, space, tables):
     """(4, terms, terms): for each derivative order 0-3, the Gram of the
     terms' factors of ``axis`` along its quadrature line on ``space``, the
-    weighted sums of their pairwise products."""
-    line, w = space.quad_lines[axis], space.quad_line_weights[axis]
-    rows = np.zeros((4, len(fld.terms), line.size))
+    weighted sums of their pairwise products.  ``tables`` holds the factor
+    tables on the lines (``fields.cached_table``)."""
+    w = space.quad_line_weights[axis]
+    rows = np.zeros((4, len(fld.terms), w.size))
     for i, term in enumerate(fld.terms):
         for o in range(4):
-            tab = factor_table(*term[1 + axis], line, o)
+            tab = cached_table(tables, space.quad_lines, *term[1 + axis], axis, o)
             if tab is not None:
                 rows[o, i] = tab
     return (rows * w) @ np.swapaxes(rows, 1, 2)
 
 
-def _w22_norm(fld, space):
+def _w22_norm(fld, space, tables=None):
     """Broken W^{2,2} quadrature norm of ``fld`` on ``space``, from 1-D Grams.
 
     The rule is a tensor rule on a tensor grid (``quad_lines``, weights
     ``quad_line_weights``), so the quadrature sum of the product of two
     terms is the product of three 1-D sums, and the squared norm of a
-    partial is ampᵀ (G_x ∘ G_y ∘ G_z) amp.
+    partial is ampᵀ (G_x ∘ G_y ∘ G_z) amp.  ``tables`` is a dict of the
+    factor tables on the lines that several calls share; a fresh one when
+    omitted.
     """
+    tables = {} if tables is None else tables
     amp = np.array([term[0] for term in fld.terms])
-    grams = [_grams(fld, axis, space) for axis in range(3)]
+    grams = [_grams(fld, axis, space, tables) for axis in range(3)]
     total = 0.0
     for base, scale in filter(None, fld.comps):
         orders = np.add(base, _DIRECTIONS)   # per partial, per axis
@@ -134,17 +143,26 @@ def _w22_norm(fld, space):
 
 class _Workspace:
     """Every full-size array of one sample at norm exponents ``s`` and
-    ``r``, overwritten by each sample in turn.  Samples are evaluated on
-    the space's ``quad_coords``, whose q^3 blocks make every broadcast
-    product of ``Separable.partials`` run contiguously per cell.
+    ``r``, overwritten by each sample in turn, and the 1-D factor tables
+    of the whole run.  Samples are evaluated on the space's
+    ``quad_coords``, whose q^3 blocks make every broadcast product of
+    ``Separable.partials`` run contiguously per cell.
 
     Partials are stacked rows (component, direction, point), directions as
     in ``_DIRECTIONS``.  ``u`` and ``v`` hold the values and gradients of
     the two velocities, ``v`` later those of the temperature and the heat
-    source.  ``second`` holds the second partials of the nonzero
-    components of a field normed pointwise (exponent other than 2) and
-    ``out`` the integrands: 27 rows at s = r = 2, 33 at s = 2 only and 39
-    otherwise.
+    source.  At s = 2 nothing reads the second velocity's value rows, so
+    it is evaluated at its gradient only.  ``second`` holds the second
+    partials of the nonzero components of a field normed pointwise
+    (exponent other than 2) and ``out`` the integrands: 27 rows at
+    s = r = 2, 33 at s = 2 only and 39 otherwise.  The rows of a curl
+    sample's zero component are not written, and nothing reads them.
+
+    ``tables`` holds every factor table on ``quad_coords`` and
+    ``line_tables`` every one on ``quad_lines`` (the Gram norms at exponent
+    2), keyed (kind, k, axis, order): the draws take their wave numbers
+    from a short list, so a run computes each table once, about a hundred
+    in all.
     """
 
     def __init__(self, space, s, r):
@@ -155,10 +173,11 @@ class _Workspace:
         self.v = np.empty((3, 4, n))
         self.second = np.empty((2 if s != 2 else int(r != 2), 6, n))
         self.out = np.empty((3, n))
+        self.tables, self.line_tables = {}, {}
 
     def evaluate(self, fld, rows, directions):
         """The partials of ``fld`` along ``directions`` into ``rows``."""
-        fld.partials(self.space.quad_coords, directions,
+        fld.partials(self.space.quad_coords, directions, tables=self.tables,
                      out=rows.reshape(rows.shape[:2] + self.grid, copy=False))
 
     def w2s_norm(self, rows, second, s):
@@ -201,47 +220,67 @@ def _draw_scalar(space, rng, zero_trace):
     return Separable(terms)
 
 
-def _evaluate(ws, fld, rows, p):
-    """Evaluate a sample's value and gradient into ``rows`` and return its
-    broken W^{2,p} norm: from 1-D Grams at p = 2, where the ratios read
-    only its value and gradient, otherwise from the second partials of its
-    nonzero components."""
-    ws.evaluate(fld, rows, _DIRECTIONS[:rows.shape[1]])
-    if p == 2:
-        return _w22_norm(fld, ws.space)
+def _evaluate(ws, fld, rows, p, directions=_DIRECTIONS[:4]):
+    """Evaluate a sample's nonzero components along ``directions`` (its
+    value and gradient) into ``rows``, one row block per nonzero component,
+    and return its broken W^{2,p} norm: from 1-D Grams at p = 2, where the
+    ratios read only its value and gradient, otherwise from the second
+    partials of its nonzero components."""
     nonzero = Separable(fld.terms, [c for c in fld.comps if c])
+    ws.evaluate(nonzero, rows, directions)
+    if p == 2:
+        return _w22_norm(fld, ws.space, ws.line_tables)
     second = ws.second[:len(nonzero.comps)]
     ws.evaluate(nonzero, second, _SECOND)
     return ws.w2s_norm(rows, second, p)
 
 
+# the nonzero components of a curl sample drawn along each axis, as basic
+# slices (views, no copy): {1, 2}, {0, 2} and {0, 1}
+_NONZERO = (slice(1, 3), slice(0, 3, 2), slice(0, 2))
+
+
 def _sample_ratios(space, model, heat, ws, draw, s, r):
-    """Per-sample ratios (C_b, C_e, C_d, C_eps, C_1); pure given the draw."""
+    """Per-sample ratios (C_b, C_e, C_d, C_eps, C_1); pure given the draw.
+
+    Each curl velocity has one zero component, at its draw axis, so the
+    contractions run over the nonzero components only.  Every product they
+    drop is an exact zero and einsum keeps the order of the rest, so the
+    sums have the bits of the full contractions.
+    """
     u, v, theta, f = draw
+    au, av = u.comps.index(None), v.comps.index(None)
+    su, sv = _NONZERO[au], _NONZERO[av]
 
     def lp_norm(values, p):     # values at every quadrature point, in point order
         values = values.reshape(space.n_cells, space.nq, *values.shape[1:])
         return forms.lp_norm_of_values(space, lambda cells: values[cells], p)
 
     out = np.zeros(5)
-    nu_u = _evaluate(ws, u, ws.u, s)
-    nu_v = _evaluate(ws, v, ws.v, s)
+    nu_u = _evaluate(ws, u, ws.u[su], s)
+    # at s = 2 nothing reads the value rows of v
+    nu_v = _evaluate(ws, v, ws.v[sv, 1:], s, _UNIT) if s == 2 else _evaluate(ws, v, ws.v[sv], s)
     uval = ws.u[:, 0]
     if nu_u > 0 and nu_v > 0:
         gu, gv = ws.u[:, 1:], ws.v[:, 1:]
-        adv = np.einsum("dn,mdn->mn", uval, gv, out=ws.out)
+        # (u . grad) v: component m of v along direction d of u
+        adv = ws.out
+        np.einsum("dn,mdn->mn", uval[su], gv[sv, su], out=adv[sv])
+        adv[av] = 0.0   # lp_norm reads all three components
         out[0] = lp_norm(adv.T, s) / (nu_u * nu_v)
         # C_e keeps the alpha1*nu prefactor divided out, so the ratio stays
         # meaningful when dissipation is switched off;
         # e(u):e(v) = (grad u:grad v + grad u:grad v^T) / 2
         dens, tmp = ws.out[:2]
-        np.einsum("mdn,mdn->n", gu, gv, out=dens)
-        dens += np.einsum("mdn,dmn->n", gu, gv, out=tmp)
+        # the components nonzero in both: all of su, or the third axis alone
+        both = su if au == av else slice(3 - au - av, 4 - au - av)
+        np.einsum("mdn,mdn->n", gu[both], gv[both], out=dens)
+        dens += np.einsum("mdn,dmn->n", gu[su, sv], gv[sv, su], out=tmp)
         dens *= 0.5
         out[1] = lp_norm(dens, r) / (nu_u * nu_v)
     n_th = _evaluate(ws, theta, ws.v[:1], r)
     if nu_u > 0 and n_th > 0:
-        dens = np.einsum("dn,dn->n", uval, ws.v[0, 1:], out=ws.out[0])
+        dens = np.einsum("dn,dn->n", uval[su], ws.v[0, 1:][su], out=ws.out[0])
         dens *= model.rho_law(ws.v[0, 0])
         out[2] = lp_norm(dens, r) / (model.rho_sharp * nu_u * n_th)
     # embedding constants from a heat solve with a known right-hand side;
@@ -268,14 +307,19 @@ def estimate_constants(problem, samples=200, seed=0, s=2.0, r=2.0):
     One ``_Workspace``, built here, holds every full-size array of a
     sample (27 rows of quadrature values at s = r = 2, 39 at most) and is
     overwritten by the next, so the sampler allocates no field-sized array
-    per sample beyond one per added term of a partial and those the
-    ``forms`` norms and the heat solve make.
+    per sample beyond one scratch row per evaluation of a sum of terms and
+    those the ``forms`` norms and the heat solve make.  It also keeps the
+    run's factor tables, so each is computed once per run, not per sample.
     Each distinct partial derivative of a sample is computed once and
     shared by the W^{2,s} norm and the C_b, C_e and C_d integrands.  Every
     sample reuses the problem's own heat solver ``heat``.  Exponents that
-    ``check_exponents`` rejects raise ValueError before any sample is drawn.
+    ``check_exponents`` rejects, and a ``samples`` that is not an integer
+    of at least 100, raise ValueError before any sample is drawn or the
+    workspace is allocated.
     """
     check_exponents(s, r)
+    if not isinstance(samples, numbers.Integral):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 100:
         raise ValueError("need at least 100 samples for a stable estimate")
     space, model, heat = problem.space, problem.model, problem.heat
@@ -298,7 +342,7 @@ def estimate_constants(problem, samples=200, seed=0, s=2.0, r=2.0):
         C_e=float(best[1]),
         C_eps=float(best[3]),
         C_1=float(best[4]),
-        samples=samples,
+        samples=int(samples),
         seed=seed,
         s=s,
         r=r,

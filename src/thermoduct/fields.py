@@ -21,13 +21,12 @@ coordinates, so that ``verification`` cross-checks every derivative by
 complex-step differentiation.
 """
 
-import functools
-
 import numpy as np
 
 __all__ = [
     "CURL",
     "Separable",
+    "cached_table",
     "constant_scalar",
     "factor_table",
     "span_scalar",
@@ -76,6 +75,16 @@ def factor_table(kind, k, t, o):
     return k**o * cycle[o](k * t)
 
 
+def cached_table(tables, x, kind, k, axis, o):
+    """``factor_table`` of one factor on the coordinates ``x[axis]``, kept
+    in the dict ``tables`` under (kind, k, axis, o): one table per key and
+    dict, for callers that tabulate many fields on the same ``x``."""
+    key = (kind, k, axis, o)
+    if key not in tables:
+        tables[key] = factor_table(kind, k, x[axis], o)
+    return tables[key]
+
+
 class Separable:
     """Sum of products amp f(x) g(y) h(z) of ``factor_table`` factors, and
     per component one partial derivative of that sum, scaled.
@@ -112,18 +121,24 @@ class Separable:
             rows, lead = rows[0], lead - 1
         return np.moveaxis(rows, tuple(range(lead)), tuple(range(-lead, 0)))
 
-    def partials(self, x, directions, out=None):
+    def partials(self, x, directions, out=None, tables=None):
         """Rows (component, direction, *grid) on the broadcast grid of ``x``:
         per component, the partial of the term sum at its orders plus each
         direction, times its scale; a zero row for a None component.
 
         Each distinct partial of the term sum is computed once, each term
         with one grid-sized multiply, and scaled into every row that needs
-        it; each 1-D factor table once per (kind, k, axis, order).
+        it; the second and later terms of a sum go through one grid-sized
+        scratch row, so a sum makes no temporary per term.  Each 1-D factor
+        table is computed once per (kind, k, axis, order) key, into
+        ``tables`` (``cached_table``): a caller-owned dict of the tables on
+        this ``x``, which several calls on the same coordinates share; a
+        fresh one per call when omitted.
         """
         if out is None:
             grid = np.broadcast_shapes(*(np.shape(t) for t in x))
             out = np.empty((len(self.comps), len(directions)) + grid, dtype=np.result_type(*x))
+        tables = {} if tables is None else tables
         users = {}
         for comp, rows in zip(self.comps, out):
             if comp is None:
@@ -133,20 +148,20 @@ class Separable:
                 orders = tuple(b + e for b, e in zip(comp[0], d))
                 users.setdefault(orders, []).append((comp[1], row))
 
-        @functools.cache
-        def table(kind, k, axis, o):
-            return factor_table(kind, k, x[axis], o)
-
+        scratch = None
         for orders, ((scale, row), *shared) in users.items():
             first = True
             for amp, *factors in self.terms:
-                fx, fy, fz = (table(*f, a, o) for a, (f, o) in enumerate(zip(factors, orders)))
+                fx, fy, fz = (cached_table(tables, x, *f, a, o)
+                              for a, (f, o) in enumerate(zip(factors, orders)))
                 if fx is None or fy is None or fz is None:
                     continue
                 if first:
                     np.multiply(amp * fx * fy, fz, out=row)
                 else:
-                    row += amp * fx * fy * fz
+                    if scratch is None:
+                        scratch = np.empty_like(row)
+                    row += np.multiply(amp * fx * fy, fz, out=scratch)
                 first = False
             if first:
                 row.fill(0.0)

@@ -20,6 +20,7 @@ one plain ``OuterRecord``, from which its contraction ratios are read.
 """
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -252,7 +253,9 @@ def outer_loop(problem, outer_tol=1e-10, max_outer=30, inner_tol=1e-12,
     relaxation.  Stops when the H1 norm of the temperature update drops
     below ``outer_tol`` and returns (state, records), one OuterRecord per
     step.  Exhaustion, or a momentum solve that fails, raises
-    DivergenceError; a linear solve that fails raises LinearSolveError.
+    DivergenceError (on exhaustion its message gives the updates' last
+    contraction ratio, see ``_exhaustion_message``); a linear solve that
+    fails raises LinearSolveError.
     Either carries the records completed so far as ``records``.
     """
     space = problem.space
@@ -289,11 +292,25 @@ def outer_loop(problem, outer_tol=1e-10, max_outer=30, inner_tol=1e-12,
         )
         if d_theta <= outer_tol:
             return state, records
-    raise DivergenceError(
-        f"outer loop did not converge in {max_outer} iterations "
-        f"(last update {records[-1].d_theta_norm:.3e})",
-        records=records,
-    )
+    raise DivergenceError(_exhaustion_message(records, outer_tol), records=records)
+
+
+def _exhaustion_message(records, outer_tol):
+    """Why the outer loop stopped unconverged: its last update, the last
+    contraction ratio of the updates and, below 1 (and for a positive
+    ``outer_tol``), how many more steps would bring the update under
+    ``outer_tol`` at that rate."""
+    updates = [r.d_theta_norm for r in records]
+    message = (f"outer loop did not converge in {len(records)} iterations "
+               f"(last update {updates[-1]:.3e}")
+    if len(updates) < 2:
+        return message + ")"
+    ratio = contraction_ratios(updates)[-1]
+    message += f", last contraction ratio {ratio:.3f}"
+    if ratio < 1.0 and outer_tol > 0:
+        steps = math.ceil(math.log(outer_tol / updates[-1]) / math.log(ratio))
+        message += f"; {steps} more steps to reach outer_tol = {outer_tol:g} at that rate"
+    return message + ")"
 
 
 def weak_residual(problem, state):

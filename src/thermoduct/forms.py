@@ -32,10 +32,10 @@ block's z layers and broadcast, not evaluated at a list of points.
 
 Norms: the H1 norm, and the Ls and W2s norms at exponent s = 2, are sums
 of squares of Kronecker applies of 1-D factors
-(``DiscreteSpace.norm_factors``), one apply per partial derivative; the
-other exponents raise a pointwise density to s/2 and sum it over the
-quadrature points.  Norm exponents are checked by
-``spectrum.admissible_sr``.
+(``DiscreteSpace.norm_factors``), one apply per partial derivative whose
+x and y products the partials share; the other exponents raise a
+pointwise density to s/2 and sum it over the quadrature points.  Norm
+exponents are checked by ``spectrum.admissible_sr``.
 
 All cells are congruent, so one set of reference tables serves every
 cell.  Every field is evaluated at the quadrature points by one kernel,
@@ -422,26 +422,35 @@ def _sobolev_density(space, fld, order):
     return fill_blocks(space, (space.nq,), density)
 
 
-def _partials(order):
-    """(orders, count) of each distinct partial derivative of order at most
-    ``order``: count is how often it appears among the ordered derivatives,
-    so a mixed second partial counts twice, as in ``|D²u|²``."""
-    return [(a, math.factorial(sum(a)) / math.prod(map(math.factorial, a)))
-            for a in itertools.product(range(order + 1), repeat=3) if sum(a) <= order]
-
-
 def _factor_norm(space, fld, order):
     """The exponent-2 Sobolev norm of ``order`` from the 1-D factors of
     ``DiscreteSpace.norm_factors``: the squared norm is the sum over
     partials of count · ‖(R_z ⊗ R_y ⊗ R_x) X‖², a sum of squares, so no
-    term cancels another."""
+    term cancels another; count is how often the partial appears among the
+    ordered derivatives, so a mixed second partial counts twice, as in
+    ``|D²u|²``.
+
+    The partials run in the order of their x, y and z orders, and each of
+    the three products of ``_kron3`` is formed once and shared: x once per
+    x order, y once per (x, y) order, z per partial, each on the operands
+    ``_kron3`` gives it, so the bits are those of one ``_kron3`` per
+    partial.  W^{2,2} takes 19 products instead of 30, H1 9 instead of
+    12.  Each product writes into one array per call, so they allocate
+    nothing after the first partial.
+    """
     fld = np.asarray(fld, dtype=float)
     X = fld.reshape(_components(space, fld), *space.q2_shape[::-1])
-    total = 0.0
-    for orders, count in _partials(order):
-        x, y, z = (R[o] for R, o in zip(space.norm_factors, orders))
-        vals = _kron3(z, y, x, X).ravel()
-        total += count * np.einsum("i,i->", vals, vals)
+    Rx, Ry, Rz = space.norm_factors
+    total, along_x, along_xy, vals = 0.0, None, None, None
+    for ox in range(order + 1):
+        along_x = np.matmul(X, Rx[ox].T[None], out=along_x)
+        for oy in range(order + 1 - ox):
+            along_xy = np.matmul(Ry[oy][None], along_x, out=along_xy)
+            flat = along_xy.reshape(*along_xy.shape[:2], -1)
+            for oz in range(order + 1 - ox - oy):
+                vals = np.matmul(Rz[oz], flat, out=vals)
+                count = math.factorial(ox + oy + oz) / math.prod(map(math.factorial, (ox, oy, oz)))
+                total += count * np.einsum("i,i->", vals.ravel(), vals.ravel())
     return float(np.sqrt(total))
 
 

@@ -15,8 +15,11 @@ the tree that runs first alternates from round to round.  A run's time is
 the wall time of its whole process, interpreter and imports included.
 
 It prints every pair, the median of the per-round ratios child / parent,
-each side's median and quartiles of wall time, and how many rounds each
-side won (a tie counts for neither).  It then states the claim rule: did
+each side's median and quartiles of wall time, its median peak RSS (MB,
+``ru_maxrss`` / 1024 as ``perfbench`` reports it) and median minor page
+faults (``ru_minflt``), both read from the run's own rusage by
+``os.wait4``, and how many rounds each side won on wall time (a tie counts
+for neither).  It then states the claim rule: did
 the child win at least 9 of 10 rounds, and is the gap between the two
 medians larger than the parent's interquartile range?  It gates nothing:
 the exit status is 0 whatever the times, and 1 only when the runs do not
@@ -25,6 +28,7 @@ it.
 """
 
 import argparse
+import os
 import statistics
 import sys
 import tempfile
@@ -43,14 +47,18 @@ def quartiles(values):
 
 
 def timed(src, command, config, out):
-    """(wall seconds, exit code) of one fresh-process run."""
+    """(wall seconds, exit code, peak RSS MB, minor faults) of one
+    fresh-process run, the last two from its rusage."""
     t0 = time.perf_counter()
     proc = start(src, command, config, out)
-    _, err = proc.communicate()
+    with proc.stderr:       # the only pipe: stdout goes to /dev/null
+        err = proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
     elapsed = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode not in (0, 3, 4):
         print(err.strip(), file=sys.stderr)
-    return elapsed, proc.returncode
+    return elapsed, proc.returncode, usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
 def main(argv=None):
@@ -81,15 +89,19 @@ def main(argv=None):
         print(f"{args.workload} ({workload.command} {config.name}, {mesh}), "
               f"{args.rounds} rounds")
         print("round  first   parent_s  child_s  child/parent")
-        ratios, codes, walls = [], set(), {"parent": [], "child": []}
+        ratios, codes = [], set()
+        walls, rss, faults = ({"parent": [], "child": []} for _ in range(3))
         for k in range(args.rounds):
             sides = [("parent", args.parent_src), ("child", args.child_src)]
             if k % 2:
                 sides.reverse()
             times = {}
             for side, src in sides:
-                times[side], code = timed(src, workload.command, config, tmp / f"{side}{k}")
+                times[side], code, peak, minflt = timed(src, workload.command, config,
+                                                        tmp / f"{side}{k}")
                 codes.add(code)
+                rss[side].append(peak)
+                faults[side].append(minflt)
             ratios.append(times["child"] / times["parent"])
             for side in walls:
                 walls[side].append(times[side])
@@ -104,7 +116,9 @@ def main(argv=None):
           f"tied {args.rounds - won['child'] - won['parent']}")
     stats = {side: quartiles(walls[side]) for side in walls}
     for side, (lo, mid, hi) in stats.items():
-        print(f"{side} wall s: median {mid:.3f} (quartiles {lo:.3f} to {hi:.3f})")
+        print(f"{side} wall s: median {mid:.3f} (quartiles {lo:.3f} to {hi:.3f}); "
+              f"peak RSS median {statistics.median(rss[side]):.1f} MB; "
+              f"minor faults median {statistics.median(faults[side]):.0f}")
     gap, spread = stats["parent"][1] - stats["child"][1], stats["parent"][2] - stats["parent"][0]
     print(f"claim rule: child won >= 9/10 of the rounds: "
           f"{'yes' if won['child'] >= 0.9 * args.rounds else 'no'} "

@@ -33,12 +33,25 @@ junction is a right angle by construction.  ``reference_junction`` finds
 those edges by a walk over every facet side, and ``junction_angle`` and
 ``facet_areas`` measure them from the vertex coordinates, so the tests
 check that construction.
+
+Nor does it repeat work that it can share.  ``factor_norm`` applies one
+whole ``_kron3`` per partial derivative, where ``forms._factor_norm``
+shares the x and y stages between partials.  ``sample_ratios`` evaluates
+every component of a curl sample, its zero component as zero rows, in
+fresh arrays with fresh factor tables, and sums each integrand over all
+products, where the certificate sampler skips the products of the zero
+components.  Both give the same bits by construction, and the tests check
+that they do.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
 
 from thermoduct import forms
+from thermoduct.certificates import _COUNTS, _DIRECTIONS, _SECOND, _w22_norm
+from thermoduct.fields import Separable
 from thermoduct.mesh import FacetTag
 
 
@@ -213,3 +226,61 @@ def facet_areas(mesh):
     d1 = quads[:, 2] - quads[:, 0]
     d2 = quads[:, 3] - quads[:, 1]
     return 0.5 * np.linalg.norm(np.cross(d1, d2), axis=1)
+
+
+def factor_norm(space, fld, order):
+    """The exponent-2 Sobolev norm of ``order`` of a scalar or velocity dof
+    vector: count · ‖(R_z ⊗ R_y ⊗ R_x) X‖² summed over the partials, one
+    ``_kron3`` per partial (``DiscreteSpace.norm_factors``)."""
+    X = np.reshape(fld, (-1, *space.q2_shape[::-1]))
+    total = 0.0
+    for a in np.ndindex(*(order + 1,) * 3):
+        if sum(a) <= order:
+            x, y, z = (R[o] for R, o in zip(space.norm_factors, a))
+            vals = forms._kron3(z, y, x, X).ravel()
+            count = math.factorial(sum(a)) / math.prod(map(math.factorial, a))
+            total += count * np.einsum("i,i->", vals, vals)
+    return float(np.sqrt(total))
+
+
+def sample_ratios(space, model, heat, draw, s, r):
+    """The certificate ratios (C_b, C_e, C_d, C_eps, C_1) of one draw
+    (u, v, theta, f), every contraction over all components: each field is
+    evaluated at all of them into fresh (component, direction, point) rows,
+    a curl's zero component as zero rows."""
+    u, v, theta, f = draw
+
+    def rows(fld, directions):
+        return fld.partials(space.quad_coords, directions).reshape(
+            len(fld.comps), len(directions), -1)
+
+    def norm(fld, vals, p):     # broken W^{2,p}, of value and gradient rows ``vals``
+        if p == 2:
+            return _w22_norm(fld, space)
+        second = rows(Separable(fld.terms, [c for c in fld.comps if c]), _SECOND)
+        dens = np.einsum("min,min->n", vals, vals) + np.einsum("i,min->n", _COUNTS[4:], second**2)
+        return float(np.einsum("q,cq->", space.wq, (dens ** (p / 2.0)).reshape(-1, space.nq))
+                     ** (1.0 / p))
+
+    def lp_norm(values, p):
+        values = values.reshape(space.n_cells, space.nq, *values.shape[1:])
+        return forms.lp_norm_of_values(space, lambda cells: values[cells], p)
+
+    out = np.zeros(5)
+    ru, rv, rth = (rows(fld, _DIRECTIONS[:4]) for fld in (u, v, theta))
+    nu_u, nu_v, n_th = norm(u, ru, s), norm(v, rv, s), norm(theta, rth, r)
+    uval, gu, gv = ru[:, 0], ru[:, 1:], rv[:, 1:]
+    if nu_u > 0 and nu_v > 0:
+        out[0] = lp_norm(np.einsum("dn,mdn->mn", uval, gv).T, s) / (nu_u * nu_v)
+        strain = 0.5 * (np.einsum("mdn,mdn->n", gu, gv) + np.einsum("mdn,dmn->n", gu, gv))
+        out[1] = lp_norm(strain, r) / (nu_u * nu_v)
+    if nu_u > 0 and n_th > 0:
+        heat_density = np.einsum("dn,dn->n", uval, rth[0, 1:]) * model.rho_law(rth[0, 0])
+        out[2] = lp_norm(heat_density, r) / (model.rho_sharp * nu_u * n_th)
+    fval = rows(f, _DIRECTIONS[:1])[0, 0]
+    sol = heat.solve(forms.field_load_scalar(space, fval.reshape(space.n_cells, space.nq)))
+    f_norm = lp_norm(fval, r)
+    if f_norm > 0:
+        out[3] = forms.discrete_norms(space, sol, "W2s", s=r) / f_norm
+        out[4] = float(np.max(np.abs(sol))) / f_norm
+    return out

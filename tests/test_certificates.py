@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermoduct import build_channel_mesh, build_spaces, forms
+from thermoduct import build_channel_mesh, build_spaces, certificates, fields, forms
 from thermoduct.certificates import (
     ConstantEstimates,
     body_force_norm,
@@ -56,6 +56,24 @@ def fake_estimates(**kw):
 def test_estimate_requires_enough_samples(small_space, boussinesq_model):
     with pytest.raises(ValueError):
         estimate_constants(heat_problem(small_space, boussinesq_model), samples=50)
+
+
+@pytest.mark.parametrize("samples", [150.0, "150", 99])
+def test_estimate_rejects_samples_before_allocating(small_space, boussinesq_model,
+                                                    monkeypatch, samples):
+    def no_workspace(*args):
+        raise AssertionError("the workspace was allocated")
+
+    monkeypatch.setattr(certificates, "_Workspace", no_workspace)
+    with pytest.raises(ValueError, match="samples"):
+        estimate_constants(heat_problem(small_space, boussinesq_model), samples=samples)
+
+
+def test_estimate_takes_numpy_integer_samples(small_space, boussinesq_model):
+    problem = heat_problem(small_space, boussinesq_model)
+    est = estimate_constants(problem, samples=np.int64(150), seed=3)
+    assert est == estimate_constants(problem, samples=150, seed=3)
+    assert type(est.samples) is int     # the report is written as JSON
 
 
 def test_estimate_rejects_exponents_before_sampling(small_space, boussinesq_model):
@@ -128,6 +146,44 @@ def test_estimates_pinned_pointwise_exponents(small_space, boussinesq_model):
         0.912147384785995,
         0.061313879466168064,
     )
+
+
+@pytest.mark.parametrize("s, r", [(2.0, 2.0), (1.8, 1.6)])
+def test_factor_tables_computed_once_per_run(small_space, boussinesq_model, monkeypatch, s, r):
+    # the draws take their wave numbers from a short list, so one run needs
+    # few distinct tables (kind, k and order on one coordinate array), and
+    # it computes each of them once
+    problem = heat_problem(small_space, boussinesq_model)
+    calls, factor_table = [], fields.factor_table
+
+    def counted(kind, k, t, o):
+        calls.append((id(t), kind, k, o))
+        return factor_table(kind, k, t, o)
+
+    monkeypatch.setattr(fields, "factor_table", counted)
+    estimate_constants(problem, samples=100, seed=0, s=s, r=r)
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("s, r", [(2.0, 2.0), (1.8, 1.6)])
+def test_sample_ratios_match_full_contractions(aniso_space, boussinesq_model, s, r):
+    # the sampler contracts only the nonzero components of its curl samples;
+    # every product it drops is an exact zero, so its ratios have the bits
+    # of the contractions over all components, for every pair of draw axes
+    space = aniso_space
+    problem = heat_problem(space, boussinesq_model)
+    ws = _Workspace(space, s, r)
+    rng = np.random.default_rng(31)
+    pairs = set()
+    for i in range(40):
+        draw = (_draw_velocity(space, rng), _draw_velocity(space, rng),
+                _draw_scalar(space, rng, bool(i % 2)), _draw_scalar(space, rng, False))
+        pairs.add((draw[0].comps.index(None), draw[1].comps.index(None)))
+        got = _sample_ratios(space, boussinesq_model, problem.heat, ws, draw, s, r)
+        want = oracles.sample_ratios(space, boussinesq_model, problem.heat, draw, s, r)
+        assert np.array_equal(got, want), i
+    assert len(pairs) == 9
 
 
 # -- tensor-product sample fields ------------------------------------------------------

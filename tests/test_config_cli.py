@@ -319,6 +319,20 @@ def test_cli_diverged_run_keeps_its_trace(tmp_path):
     assert [row.split(",")[0] for row in lines[1:]] == ["1", "2"]
 
 
+def test_cli_outer_exhaustion_states_its_rate(tmp_path, capsys):
+    # at alpha1 = 20 the outer loop contracts at about 0.54 per step: too
+    # slowly for max_outer = 30, and the message says by how much
+    text = (REPO / "perfbench" / "configs" / "channel.cfg").read_text(encoding="utf-8")
+    text = text.replace("nx = 4\nny = 4\nnz = 16", "nx = 2\nny = 2\nnz = 8")
+    p = write_cfg(tmp_path, text.replace("alpha1 = 0.1", "alpha1 = 20"))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(p), "--out", str(out)]) == 3
+    assert ("did not converge in 30 iterations (last update 3.918e-07, last contraction ratio "
+            "0.544; 14 more steps to reach outer_tol = 1e-10 at that rate)"
+            in capsys.readouterr().err)
+    assert len((out / "trace.csv").read_text().splitlines()) == 31
+
+
 def test_cli_failed_heat_solve_keeps_its_trace(tmp_path, monkeypatch, capsys):
     # the heat solve of the third outer step fails: the two steps before it are kept
     from thermoduct import linsolve

@@ -1,5 +1,6 @@
 import csv
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -382,6 +383,20 @@ def test_outer_exhaustion_carries_trace(small_space, boussinesq_model):
         outer_loop(prob, outer_tol=1e-16, max_outer=2)
     assert [r.iteration for r in err.value.records] == [1, 2]
     assert err.value.increments == []
+
+
+@pytest.mark.parametrize("updates, tail", [
+    ((1.0, 0.5, 0.25), ", last contraction ratio 0.500; 8 more steps to reach "
+                       "outer_tol = 0.001 at that rate)"),
+    ((1.0, 2.0), ", last contraction ratio 2.000)"),
+    ((1.0,), ")"),
+])
+def test_outer_exhaustion_message_states_the_rate(updates, tail):
+    # 0.25 * 0.5**8 is the first update below 1e-3 at the rate 0.5
+    records = [SimpleNamespace(d_theta_norm=d) for d in updates]
+    message = fixed_point._exhaustion_message(records, 1e-3)
+    assert message == (f"outer loop did not converge in {len(updates)} iterations "
+                       f"(last update {updates[-1]:.3e}{tail}")
 
 
 def test_outer_keeps_records_on_inner_divergence(monkeypatch, small_space, boussinesq_model):

@@ -272,6 +272,22 @@ def test_linear_field_has_no_second_derivatives(cube_space):
     assert np.abs(hess).max() < 1e-12
 
 
+@pytest.fixture(scope="module")
+def aniso_space():
+    return build_spaces(build_channel_mesh(1.0, 0.7, 2.3, 3, 2, 5))
+
+
+@pytest.mark.parametrize("which, order", [("Ls", 0), ("H1", 1), ("W2s", 2)])
+@pytest.mark.parametrize("components", [1, 3])
+def test_factor_norm_shares_applies_bit_for_bit(aniso_space, which, order, components):
+    # the exponent-2 norms share each x and y apply between partials; the
+    # bits are those of one whole Kronecker apply per partial
+    fld = np.random.default_rng(order + components).normal(
+        size=components * aniso_space.n_scalar)
+    assert (forms.discrete_norms(aniso_space, fld, which, s=2.0)
+            == oracles.factor_norm(aniso_space, fld, order))
+
+
 def test_norms_reject_inadmissible_exponents(cube_space):
     th = cube_space.q2_nodes[:, 0].copy()
     with pytest.raises(ValueError):
